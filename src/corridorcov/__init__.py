@@ -23,11 +23,10 @@ from .geometry import (
 from .monte_carlo import LosMode, McConfig, McResult, estimate_outage, sample_point
 from .oracle import (
     Association,
+    BeamKind,
     OracleAssumptions,
     coverage_by_quadrature,
-    coverage_with_refinement,
     evaluate_sinr,
-    point_sinr,
 )
 from .propagation import (
     AirToGroundPathLoss,
@@ -39,7 +38,6 @@ from .propagation import (
     PathLossModel,
     RectangularBeam,
     noise_power_dbm,
-    sinr,
     suggested_element_count,
 )
 

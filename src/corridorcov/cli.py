@@ -4,8 +4,19 @@ machine-readable outputs.
 Configuration merges a config file (flat ``section.key=value`` lines or
 JSON, nested or flat) with command-line flag overrides; unknown keys are
 errors. Angles are degrees and powers dB/dBm at this boundary only. Every
-artifact embeds the fully resolved configuration. Exit codes: 0 success,
-1 configuration error, 2 validation failure.
+artifact embeds the fully resolved configuration. Scenario and model flags
+may be given before or after the subcommand; given in both places, the
+later one wins.
+
+Exit codes:
+
+- 0: success.
+- 1: configuration error: an unreadable or malformed config file, an
+  unknown key, a bad value, or a scenario outside a model's domain.
+- 2: validation failure: ``validate`` found an evaluator disagreeing with
+  the closed form beyond its tolerance.
+- 3: usage error: an unknown subcommand or flag, or a flag value argparse
+  cannot parse.
 """
 
 from __future__ import annotations
@@ -20,20 +31,19 @@ from .geometry import CorridorScenario, GeometryError, classify_case
 from .monte_carlo import LosMode, McConfig, estimate_outage
 from .oracle import (
     Association,
+    BeamKind,
     OracleAssumptions,
     coverage_by_quadrature,
-    point_sinr,
 )
 from .propagation import (
     AirToGroundPathLoss,
-    CosineBeam,
     FreeSpacePathLoss,
     InterferenceMode,
     LinkBudget,
-    RectangularBeam,
     db_to_linear,
-    suggested_element_count,
 )
+
+EXIT_USAGE = 3
 
 
 class ConfigError(ValueError):
@@ -207,19 +217,6 @@ class RunConfig:
         except ValueError as exc:
             raise ConfigError(str(exc))
 
-    def beam(self, s: CorridorScenario):
-        kind = self.get("model.beam")
-        if kind == "cosine":
-            nt = self.get("model.nt")
-            if nt is None:
-                nt = suggested_element_count(s.alpha, s.beta)
-            return CosineBeam(n_elements=nt, alpha=s.alpha, beta=s.beta)
-        gain_db = self.get("model.peak_gain_db")
-        if gain_db is None:
-            gain_db = defaults.peak_gain_db(s.beta)
-        return RectangularBeam(peak_gain=float(db_to_linear(gain_db)),
-                               alpha=s.alpha, beta=s.beta)
-
     def pathloss(self):
         if self.get("model.pathloss") == "a2g":
             return AirToGroundPathLoss(
@@ -228,27 +225,26 @@ class RunConfig:
                 eta_nlos_db=self.get("model.a2g_eta_nlos_db"))
         return FreeSpacePathLoss()
 
-    def assumptions(self, s: CorridorScenario | None = None,
-                    bind_beam: bool = True) -> OracleAssumptions:
-        beam = self.beam(s) if (s is not None and bind_beam and
-                                (self.get("model.beam") != "rect"
-                                 or self.get("model.peak_gain_db") is not None)) else None
+    def assumptions(self) -> OracleAssumptions:
+        """Model assumptions; the beam is built at each scenario's tilt."""
         return OracleAssumptions(
             association=Association(self.get("model.assoc")),
             interference=(InterferenceMode.DOMINANT_ONLY
                           if self.get("model.interference") == "dominant"
                           else InterferenceMode.SUM_ALL),
-            beam=beam,
+            beam=BeamKind(self.get("model.beam")),
+            peak_gain_db=self.get("model.peak_gain_db"),
+            n_elements=self.get("model.nt"),
             pathloss=self.pathloss(),
             include_noise=self.get("model.include_noise"),
             bs_positions=self.get("model.bs_positions"),
         )
 
-    def mc_config(self, s: CorridorScenario) -> McConfig:
+    def mc_config(self) -> McConfig:
         return McConfig(
             n_samples=self.get("mc.samples"),
             seed=self.get("mc.seed"),
-            assumptions=self.assumptions(s),
+            assumptions=self.assumptions(),
             los_mode=LosMode(self.get("model.los_mode")),
         )
 
@@ -272,36 +268,59 @@ _FLAG_TO_KEY = {
 }
 
 
+class _Parser(argparse.ArgumentParser):
+    """argparse with usage errors on their own exit code, EXIT_USAGE."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")
+
+
+def _add_global_flags(p: argparse.ArgumentParser, default) -> None:
+    """Flags accepted before and after the subcommand. After it, the default
+    is SUPPRESS, so that an absent flag keeps the value given before it."""
+    p.add_argument("--config", default=default,
+                   help="config file (key=value lines or JSON)")
+    p.add_argument("--alpha-deg", type=float, default=default,
+                   help="antenna uptilt, degrees")
+    p.add_argument("--beta-deg", type=float, default=default,
+                   help="beamwidth, degrees")
+    p.add_argument("--d1", type=float, default=default, help="BS spacing, m")
+    p.add_argument("--h1", type=float, default=default,
+                   help="corridor bottom height, m")
+    p.add_argument("--h2", type=float, default=default,
+                   help="corridor top height, m")
+    p.add_argument("--tau-db", type=float, default=default,
+                   help="SINR threshold, dB")
+    p.add_argument("--assoc", choices=["strongest", "nearest"], default=default)
+    p.add_argument("--beam", choices=["rect", "cosine"], default=default)
+    p.add_argument("--nt", type=int, default=default,
+                   help="cosine-beam element count")
+    p.add_argument("--pathloss", choices=["fspl", "a2g"], default=default)
+    p.add_argument("--interference", choices=["dominant", "sum"],
+                   default=default)
+    p.add_argument("--samples", type=int, default=default,
+                   help="Monte Carlo sample count")
+    p.add_argument("--seed", type=int, default=default, help="Monte Carlo seed")
+    p.add_argument("--grid-nx", type=int, default=default,
+                   help="quadrature/heatmap x cells")
+    p.add_argument("--grid-nz", type=int, default=default,
+                   help="quadrature/heatmap z cells")
+    p.add_argument("--out", default=default,
+                   help="output artifact path (heatmap: path prefix)")
+    p.add_argument("--format", choices=["csv", "json"],
+                   default="csv" if default is None else default,
+                   help="sweep output format")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    p = argparse.ArgumentParser(
+    p = _Parser(
         prog="corridorcov",
         description="SINR outage analysis for UAV corridors with uptilted "
                     "BS antennas")
-    p.add_argument("--config", help="config file (key=value lines or JSON)")
-    p.add_argument("--alpha-deg", type=float, help="antenna uptilt, degrees")
-    p.add_argument("--beta-deg", type=float, help="beamwidth, degrees")
-    p.add_argument("--d1", type=float, help="BS spacing, m")
-    p.add_argument("--h1", type=float, help="corridor bottom height, m")
-    p.add_argument("--h2", type=float, help="corridor top height, m")
-    p.add_argument("--tau-db", type=float, help="SINR threshold, dB")
-    p.add_argument("--assoc", choices=["strongest", "nearest"])
-    p.add_argument("--beam", choices=["rect", "cosine"])
-    p.add_argument("--nt", type=int, help="cosine-beam element count")
-    p.add_argument("--pathloss", choices=["fspl", "a2g"])
-    p.add_argument("--interference", choices=["dominant", "sum"])
-    p.add_argument("--samples", type=int, help="Monte Carlo sample count")
-    p.add_argument("--seed", type=int, help="Monte Carlo seed")
-    p.add_argument("--grid-nx", type=int, help="quadrature/heatmap x cells")
-    p.add_argument("--grid-nz", type=int, help="quadrature/heatmap z cells")
-    p.add_argument("--out", help="output artifact path (heatmap: path prefix)")
-    p.add_argument("--format", choices=["csv", "json"], default="csv",
-                   help="sweep output format")
-
-    # --out/--format also accepted after the subcommand
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--out", default=argparse.SUPPRESS)
-    common.add_argument("--format", choices=["csv", "json"],
-                        default=argparse.SUPPRESS)
+    _add_global_flags(p, None)
+    common = _Parser(add_help=False)
+    _add_global_flags(common, argparse.SUPPRESS)
 
     sub = p.add_subparsers(dest="command", required=True)
     sub.add_parser("classify", parents=[common],
@@ -385,7 +404,7 @@ def _cmd_analyze(cfg: RunConfig, args) -> int:
 
 def _cmd_oracle(cfg: RunConfig, args) -> int:
     s = cfg.scenario()
-    a = cfg.assumptions(s)
+    a = cfg.assumptions()
     nx, nz = cfg.get("grid.nx"), cfg.get("grid.nz")
     p_in = coverage_by_quadrature(s, a, nx, nz)
     print(f"p_in={p_in:.6f} p_out={1.0 - p_in:.6f} grid={nx}x{nz}")
@@ -397,7 +416,7 @@ def _cmd_oracle(cfg: RunConfig, args) -> int:
 
 def _cmd_mc(cfg: RunConfig, args) -> int:
     s = cfg.scenario()
-    r = estimate_outage(s, cfg.mc_config(s))
+    r = estimate_outage(s, cfg.mc_config())
     print(f"p_out={r.p_out:.6f} std_err={r.std_err:.6f} n={r.n} seed={r.seed}")
     _json_dump(_artifact(cfg, "mc", {
         "p_out": r.p_out, "std_err": r.std_err,
@@ -406,13 +425,13 @@ def _cmd_mc(cfg: RunConfig, args) -> int:
     return 0
 
 
-def _make_evaluator(cfg: RunConfig, args, template: CorridorScenario):
+def _make_evaluator(cfg: RunConfig, args):
     if args.evaluator == "closed_form":
         return sweep.closed_form_evaluator()
     if args.evaluator == "quadrature":
-        return sweep.quadrature_evaluator(cfg.assumptions(template),
+        return sweep.quadrature_evaluator(cfg.assumptions(),
                                           cfg.get("grid.nx"), cfg.get("grid.nz"))
-    return sweep.mc_evaluator(cfg.mc_config(template))
+    return sweep.mc_evaluator(cfg.mc_config())
 
 
 def _cmd_sweep(cfg: RunConfig, args) -> int:
@@ -430,7 +449,7 @@ def _cmd_sweep(cfg: RunConfig, args) -> int:
         grid_deg.append(round(a, 9))
         a += step
     template = cfg.scenario(alpha_deg=grid_deg[0])
-    ev = _make_evaluator(cfg, args, template)
+    ev = _make_evaluator(cfg, args)
     curve = sweep.sweep_alpha(template, [math.radians(g) for g in grid_deg], ev)
 
     rows = []
@@ -463,7 +482,7 @@ def _cmd_optimize(cfg: RunConfig, args) -> int:
     hi = args.hi_deg if args.hi_deg is not None else cfg.get("optimize.hi_deg")
     tol = args.tol_deg if args.tol_deg is not None else cfg.get("optimize.tol_deg")
     template = cfg.scenario(alpha_deg=lo)
-    ev = _make_evaluator(cfg, args, template)
+    ev = _make_evaluator(cfg, args)
     res = sweep.find_optimal_alpha(template, math.radians(lo),
                                    math.radians(hi), math.radians(tol), ev)
     print(f"alpha_star_deg={math.degrees(res.alpha):.4f} "
@@ -480,7 +499,7 @@ def _cmd_optimize(cfg: RunConfig, args) -> int:
 
 def _cmd_heatmap(cfg: RunConfig, args) -> int:
     s = cfg.scenario()
-    a = cfg.assumptions(s)
+    a = cfg.assumptions()
     nx, nz = cfg.get("grid.nx"), cfg.get("grid.nz")
     field = heatmap.sinr_field(s, a, nx, nz)
     base = args.out if args.out else "heatmap"
@@ -502,7 +521,7 @@ def _cmd_validate(cfg: RunConfig, args) -> int:
     for alpha_deg in alphas:
         s = cfg.scenario(alpha_deg=alpha_deg)
         r = closed_form.outage(s)
-        a = cfg.assumptions(s)
+        a = cfg.assumptions()
         q = 1.0 - coverage_by_quadrature(s, a, nx, nz)
         mc = estimate_outage(s, McConfig(n_samples=n_mc,
                                          seed=cfg.get("mc.seed"),

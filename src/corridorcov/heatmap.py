@@ -9,7 +9,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .geometry import CorridorScenario
-from .oracle import OracleAssumptions, evaluate_sinr
+from .oracle import OracleAssumptions, _row_blocks, evaluate_sinr
 
 # Fixed dB clamp of the image color ramp, for reproducible bytes.
 DB_CLAMP = (-20.0, 40.0)
@@ -54,7 +54,8 @@ class SinrField:
 def sinr_field(s: CorridorScenario, a: OracleAssumptions, nx: int, nz: int,
                x_range: tuple[float, float] | None = None,
                z_range: tuple[float, float] | None = None) -> SinrField:
-    """Evaluate the SINR field on cell centers; deterministic row fill.
+    """Evaluate the SINR field on cell centers in blocks of whole rows (the
+    row-block loop the quadrature uses); deterministic row fill.
 
     Defaults cover the half corridor width and the full height from the BS
     antenna level: x in [0, d1/2], z in [0, h2].
@@ -70,16 +71,12 @@ def sinr_field(s: CorridorScenario, a: OracleAssumptions, nx: int, nz: int,
 
     sinr_db = np.empty((nz, nx), dtype=float)
     serving = np.empty((nz, nx), dtype=np.int64)
-    rows_per_block = max(1, 2_000_000 // nx)
-    for k0 in range(0, nz, rows_per_block):
-        zblock = zs[k0:k0 + rows_per_block]
-        xx = np.broadcast_to(xs, (zblock.size, nx)).ravel()
-        zz = np.repeat(zblock, nx)
+    for rows, xx, zz in _row_blocks(xs, zs):
         idx, val = evaluate_sinr(xx, zz, s, a)
         with np.errstate(divide="ignore"):
             db = 10.0 * np.log10(val)
-        sinr_db[k0:k0 + zblock.size] = db.reshape(zblock.size, nx)
-        serving[k0:k0 + zblock.size] = idx.reshape(zblock.size, nx)
+        sinr_db[rows] = db.reshape(-1, nx)
+        serving[rows] = idx.reshape(-1, nx)
     return SinrField(x_min=x_min, x_max=x_max, z_min=z_min, z_max=z_max,
                      nx=nx, nz=nz, sinr_db=sinr_db, serving=serving,
                      scenario=s, assumptions=a)

@@ -1,9 +1,23 @@
-"""Antenna beam patterns, path-loss models, noise power and SINR evaluation.
+"""Antenna beam patterns, path-loss models and noise power.
 
-All powers are combined in linear watts; dB/dBm conversions happen only at
-I/O boundaries. Angles are radians. Every function accepts scalars or numpy
-arrays and is pure (no shared mutable state), so everything here is safe to
-call concurrently.
+Beams and path-loss models share one call protocol: they take the geometry
+of a BS-to-point link as ``(h, z, r2)``, where ``h = |x - x_BS| >= 0`` is the
+horizontal distance, ``z`` the height above the BS antenna and
+``r2 = h**2 + z**2`` the squared link distance. Each model derives only what
+it needs from them:
+
+- ``RectangularBeam.gain`` tests its lobe edges in tan space,
+  ``tan(alpha)*h < z < tan(alpha + beta)*h``, with no angle computed;
+- ``CosineBeam.gain`` takes ``cos(theta) = h / sqrt(r2)``;
+- ``FreeSpacePathLoss.loss`` is ``(4 pi / lambda)**2 * r2``, no square root;
+- ``AirToGroundPathLoss`` spends an ``arctan2`` on its LoS probability
+  only, in both the expectation and the Bernoulli mode.
+
+The SINR kernel (``oracle.evaluate_sinr``) calls ``gain`` and ``loss`` once
+per base station with arrays of equal shape. All powers are combined in
+linear watts; dB/dBm conversions happen only at I/O boundaries. Angles are
+radians. Every function accepts scalars or numpy arrays and is pure (no
+shared mutable state), so everything here is safe to call concurrently.
 """
 
 from __future__ import annotations
@@ -15,6 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 
 SPEED_OF_LIGHT = 299_792_458.0  # m/s
+HALF_PI = math.pi / 2.0
 
 
 def db_to_linear(x_db):
@@ -86,9 +101,27 @@ class RectangularBeam:
     alpha: float      # rad, lower edge of the main lobe
     beta: float       # rad, lobe width
 
-    def gain(self, theta):
-        theta = np.asarray(theta, dtype=float)
-        inside = (theta > self.alpha) & (theta < self.alpha + self.beta)
+    def gain(self, h, z, r2):
+        """Peak gain where the elevation atan2(z, h) lies strictly between
+        alpha and alpha + beta, zero elsewhere (edges excluded).
+
+        The edges are tested in tan space, tan(alpha)*h < z and
+        z < tan(alpha + beta)*h. Elevations seen from a BS (h >= 0) lie in
+        [-90, 90] degrees, so an edge beyond that range never binds, and a
+        lobe entirely beyond it is empty. `r2` is not needed.
+        """
+        h = np.asarray(h, dtype=float)
+        z = np.asarray(z, dtype=float)
+        lo, hi = self.alpha, self.alpha + self.beta
+        shape = np.broadcast(h, z).shape
+        if lo >= HALF_PI or hi <= -HALF_PI:
+            return np.zeros(shape)
+        if lo >= -HALF_PI:
+            inside = z > math.tan(lo) * h
+        else:
+            inside = np.ones(shape, dtype=bool)
+        if hi <= HALF_PI:
+            inside &= z < math.tan(hi) * h
         return np.where(inside, self.peak_gain, 0.0)
 
 
@@ -109,9 +142,11 @@ class CosineBeam:
         if self.n_elements < 2:
             raise ValueError(f"element count must be >= 2, got {self.n_elements}")
 
-    def gain(self, theta):
-        theta = np.asarray(theta, dtype=float)
-        x = (np.cos(theta) - math.cos(self.alpha + self.beta / 2.0)) / 2.0
+    def gain(self, h, z, r2):
+        """Gain at the elevation whose cosine is h / sqrt(r2); `z` is not
+        needed."""
+        cos_theta = np.asarray(h, dtype=float) / np.sqrt(r2)
+        x = (cos_theta - math.cos(self.alpha + self.beta / 2.0)) / 2.0
         inside = np.abs(x) <= 1.0 / self.n_elements
         g = self.n_elements * np.cos(math.pi * self.n_elements * x / 2.0) ** 2
         return np.where(inside, g, 0.0)
@@ -130,13 +165,16 @@ def suggested_element_count(alpha: float, beta: float) -> int:
 
 @dataclass(frozen=True)
 class FreeSpacePathLoss:
-    """PL = (4 pi R / lambda)^2; independent of elevation."""
+    """PL = (4 pi R / lambda)^2 = (4 pi / lambda)^2 * R^2; independent of
+    elevation."""
 
-    def loss(self, distance_m, theta, wavelength_m):
-        distance_m = np.asarray(distance_m, dtype=float)
-        if np.any(distance_m <= 0):
+    def loss(self, h, z, r2, wavelength_m):
+        """Linear path loss from the squared distance `r2`; `h` and `z` are
+        not needed."""
+        r2 = np.asarray(r2, dtype=float)
+        if np.any(r2 <= 0):
             raise ValueError("path loss requires a positive distance")
-        return (4.0 * math.pi * distance_m / wavelength_m) ** 2
+        return (4.0 * math.pi / wavelength_m) ** 2 * r2
 
 
 @dataclass(frozen=True)
@@ -153,22 +191,23 @@ class AirToGroundPathLoss:
     eta_los_db: float = 0.1
     eta_nlos_db: float = 21.0
 
-    def p_los(self, theta):
-        """LoS probability; the sigmoid takes the elevation in degrees."""
-        theta_deg = np.degrees(np.asarray(theta, dtype=float))
+    def p_los(self, h, z):
+        """LoS probability at elevation atan2(z, h); the sigmoid takes the
+        elevation in degrees."""
+        theta_deg = np.degrees(np.arctan2(z, h))
         return 1.0 / (1.0 + self.a * np.exp(-self.b * (theta_deg - self.a)))
 
-    def loss(self, distance_m, theta, wavelength_m, los_state=None):
+    def loss(self, h, z, r2, wavelength_m, los_state=None):
         """Linear path loss. If `los_state` (boolean, broadcastable) is given,
         each link uses its drawn LoS/NLoS state instead of the expectation
-        mixture."""
-        pl_fs = FreeSpacePathLoss().loss(distance_m, theta, wavelength_m)
+        mixture, and the LoS probability is not computed again."""
+        pl_fs = FreeSpacePathLoss().loss(h, z, r2, wavelength_m)
         eta_los = float(db_to_linear(self.eta_los_db))
         eta_nlos = float(db_to_linear(self.eta_nlos_db))
         if los_state is not None:
             eta = np.where(los_state, eta_los, eta_nlos)
             return eta * pl_fs
-        p = self.p_los(theta)
+        p = self.p_los(h, z)
         return (p * eta_los + (1.0 - p) * eta_nlos) * pl_fs
 
 
@@ -178,27 +217,3 @@ PathLossModel = FreeSpacePathLoss | AirToGroundPathLoss
 class InterferenceMode(enum.Enum):
     DOMINANT_ONLY = "dominant"
     SUM_ALL = "sum"
-
-
-def sinr(serving_power_w, interferer_powers_w, noise_w: float,
-         mode: InterferenceMode = InterferenceMode.DOMINANT_ONLY):
-    """Linear SINR of one link.
-
-    DOMINANT_ONLY divides by the strongest single interferer plus noise;
-    SUM_ALL divides by the sum of all interferers plus noise. An empty
-    interferer list gives the plain SNR. A denominator of exactly zero
-    (noiseless, no interference) returns +inf; callers must handle it.
-    """
-    if serving_power_w < 0:
-        raise ValueError("serving power must be nonnegative")
-    if noise_w < 0:
-        raise ValueError("noise power must be nonnegative")
-    interferers = [float(p) for p in interferer_powers_w]
-    if mode is InterferenceMode.DOMINANT_ONLY:
-        interference = max(interferers) if interferers else 0.0
-    else:
-        interference = sum(interferers)
-    denom = interference + noise_w
-    if denom == 0.0:
-        return math.inf if serving_power_w > 0 else 0.0
-    return serving_power_w / denom

@@ -77,9 +77,9 @@ def test_border_cells_near_threshold():
     line_x = b.d2 + Z * (b.d3 - b.d2) / s.h2
     cell = (f.x_max - f.x_min) / f.nx
     near = (np.abs(X - line_x) <= cell) & (Z >= s.h1) & (Z <= s.h2)
-    t1 = np.arctan2(Z, np.abs(X))
-    t2 = np.arctan2(Z, np.abs(X - s.d1))
-    overlap = (beam.gain(t1) > 0) & (beam.gain(t2) > 0)
+    h1, h2 = np.abs(X), np.abs(X - s.d1)
+    overlap = ((beam.gain(h1, Z, h1 * h1 + Z * Z) > 0)
+               & (beam.gain(h2, Z, h2 * h2 + Z * Z) > 0))
     sel = near & overlap
     assert np.count_nonzero(sel) > 100
     assert np.all(np.abs(f.sinr_db[sel] - s.tau_db) <= 0.5)

@@ -13,7 +13,7 @@ from corridorcov.monte_carlo import (
     estimate_outage,
     sample_point,
 )
-from corridorcov.oracle import Association, OracleAssumptions, received_powers
+from corridorcov.oracle import Association, OracleAssumptions, evaluate_sinr
 from corridorcov.propagation import AirToGroundPathLoss, InterferenceMode
 
 
@@ -68,15 +68,15 @@ def test_estimate_matches_closed_form():
 
 def test_threshold_degenerate_limits():
     # tau -> 0+ with noise on: outage only where no lobe reaches at all;
-    # oracle = fraction of dead midpoints from the raw received powers
+    # oracle = fraction of dead midpoints, the points of zero SINR
     s = reference_scenario(13, 40, tau_db=-110.0)
     n = 200_000
     r = estimate_outage(s, McConfig(n_samples=n, seed=4))
     xs = np.linspace(0.25, 499.75, 1000)
     zs = np.linspace(100.1, 299.9, 1000)
     xx, zz = np.meshgrid(xs, zs)
-    powers, _ = received_powers(xx.ravel(), zz.ravel(), s, OracleAssumptions())
-    dead_fraction = float((powers.max(axis=0) == 0.0).mean())
+    _, val = evaluate_sinr(xx.ravel(), zz.ravel(), s, OracleAssumptions())
+    dead_fraction = float((val == 0.0).mean())
     se = math.sqrt(dead_fraction * (1 - dead_fraction) / n)
     assert abs(r.p_out - dead_fraction) <= 4 * se + 1e-3
     # no illumination at all: outage is total for any tau > 0
@@ -132,7 +132,6 @@ def test_closed_form_inside_widened_ci():
 
 def test_bernoulli_collapses_when_etas_equal():
     # with equal excess losses the per-point SINR ignores the drawn state
-    from corridorcov.oracle import evaluate_sinr
     s = reference_scenario(13, 40)
     pl_eq = AirToGroundPathLoss(eta_los_db=5.0, eta_nlos_db=5.0)
     base = OracleAssumptions(pathloss=pl_eq)

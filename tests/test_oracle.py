@@ -7,14 +7,17 @@ from corridorcov.defaults import reference_scenario
 from corridorcov.geometry import borderline_geometry
 from corridorcov.oracle import (
     Association,
+    BeamKind,
     OracleAssumptions,
     coverage_by_quadrature,
-    coverage_with_refinement,
     evaluate_sinr,
-    point_sinr,
-    received_powers,
 )
-from corridorcov.propagation import InterferenceMode
+from corridorcov.propagation import (
+    CosineBeam,
+    InterferenceMode,
+    RectangularBeam,
+    suggested_element_count,
+)
 
 D2R = math.pi / 180.0
 
@@ -30,16 +33,24 @@ def test_default_bs_layout():
 
 
 def test_midpoint_symmetry():
-    # equidistant from BS-1/BS-2 at the half-region edge: equal powers,
+    # equidistant from BS-1/BS-2 at the half-region edge: equal powers, so
+    # the tie goes to BS-1, the noiseless dominant SINR is exactly 1 and the
     # SumAll SINR <= 1 when both lobes cover the point
     s = reference_scenario(13, 40)
-    a = OracleAssumptions(interference=InterferenceMode.SUM_ALL,
-                          include_noise=False)
-    powers, _ = received_powers(500.0, 200.0, s, a)
-    assert powers[1, 0] == pytest.approx(powers[2, 0], rel=1e-12)
-    assert powers[1, 0] > 0
-    _, val = evaluate_sinr(500.0, 200.0, s, a)
+    a = OracleAssumptions(include_noise=False)
+    serving, val = evaluate_sinr(500.0, 200.0, s, a)
+    assert serving[0] == 1 and val[0] == 1.0
+    a_sum = OracleAssumptions(interference=InterferenceMode.SUM_ALL,
+                              include_noise=False)
+    _, val = evaluate_sinr(500.0, 200.0, s, a_sum)
     assert val[0] <= 1.0
+    # the layout (-d1, 0, d1, 2 d1) mirrors about x = d1/2: so does the field
+    off = np.linspace(0.5, 499.5, 50)
+    z = np.full(off.size, 200.0)
+    left_srv, left = evaluate_sinr(500.0 - off, z, s, OracleAssumptions())
+    right_srv, right = evaluate_sinr(500.0 + off, z, s, OracleAssumptions())
+    np.testing.assert_allclose(left, right, rtol=1e-12)
+    assert np.array_equal(left_srv, 3 - right_srv)
 
 
 def test_borderline_point_recovers_threshold():
@@ -47,17 +58,27 @@ def test_borderline_point_recovers_threshold():
     s = reference_scenario(13, 40)
     b = borderline_geometry(s)
     a = OracleAssumptions(include_noise=False)
-    serving, v = point_sinr(b.d3, 300.0, s, a)
-    assert serving == 1  # BS-1 at x=0
-    assert v == pytest.approx(s.tau, rel=1e-6)
+    serving, v = evaluate_sinr(b.d3, 300.0, s, a)
+    assert serving[0] == 1  # BS-1 at x=0
+    assert v[0] == pytest.approx(s.tau, rel=1e-6)
 
 
 def test_gain_support_zeroes_power():
-    # elevation 56.3 degrees from BS-1 is outside its [8, 48] lobe
+    # elevation 56.3 degrees from BS-1 is outside its [8, 48] lobe, and so
+    # are BS-0 and BS-3 (7.8 and 4.5 degrees): only BS-2 (9.5 degrees)
+    # delivers power, which leaves the plain SNR
     s = reference_scenario(8, 40)
-    powers, _ = received_powers(100.0, 150.0, s, OracleAssumptions())
-    assert powers[1, 0] == 0.0
-    assert powers[2, 0] > 0.0  # BS-2 sees the point at a low elevation
+    a = OracleAssumptions()
+    beam = a.resolve_beam(s)
+    h = np.abs(100.0 - np.array(a.resolve_positions(s)))
+    g = beam.gain(h, 150.0, h * h + 150.0 ** 2)
+    assert g.tolist() == [0.0, 0.0, beam.peak_gain, 0.0]
+    serving, v = evaluate_sinr(100.0, 150.0, s, a)
+    assert serving[0] == 2
+    r2 = 900.0 ** 2 + 150.0 ** 2
+    p2 = s.radio.p_tx_w * beam.peak_gain / a.pathloss.loss(
+        900.0, 150.0, r2, s.radio.wavelength_m)
+    assert v[0] == pytest.approx(p2 / s.radio.noise_w, rel=1e-12)
 
 
 def test_no_lobe_coverage_gives_zero():
@@ -65,9 +86,9 @@ def test_no_lobe_coverage_gives_zero():
     # zero SINR with nearest serving fallback
     s = reference_scenario(1.0, 1.5)
     assert coverage_by_quadrature(s, OracleAssumptions(), 64, 64) == 0.0
-    serving, v = point_sinr(250.0, 200.0, s, OracleAssumptions())
-    assert v == 0.0
-    assert serving == 1  # nearest is BS-1
+    serving, v = evaluate_sinr(250.0, 200.0, s, OracleAssumptions())
+    assert v[0] == 0.0
+    assert serving[0] == 1  # nearest is BS-1
 
 
 def test_strongest_covers_superset_of_nearest():
@@ -86,9 +107,11 @@ def test_strongest_covers_superset_of_nearest():
 
 
 def test_refinement_stability():
+    # doubling the grid in both directions moves the coverage by <= 0.005
     s = reference_scenario(13, 40)
-    p, p2, delta = coverage_with_refinement(s, OracleAssumptions(), 1000, 1000)
-    assert delta <= 0.005
+    p = coverage_by_quadrature(s, OracleAssumptions(), 1000, 1000)
+    p2 = coverage_by_quadrature(s, OracleAssumptions(), 2000, 2000)
+    assert abs(p - p2) <= 0.005
     assert 0.0 <= p <= 1.0
 
 
@@ -116,21 +139,20 @@ def test_borderline_recovery_within_half_db():
     hs = np.linspace(s.h1 + 0.5, s.h2 - 0.5, 400)
 
     # first border: serving BS-1, interferer BS-2, both lobes active
+    def lit(xq, pos):
+        h = np.abs(xq - pos)
+        return beam.gain(h, hs, h * h + hs * hs) > 0
+
     for off in (-1.0, 1.0):
         xq = b.d2 + hs * (b.d3 - b.d2) / s.h2 + off
-        t1 = np.arctan2(hs, np.abs(xq))
-        t2 = np.arctan2(hs, np.abs(xq - s.d1))
-        sel = (beam.gain(t1) > 0) & (beam.gain(t2) > 0)
+        sel = lit(xq, 0.0) & lit(xq, s.d1)
         _, v = evaluate_sinr(xq, hs, s, a)
         assert np.all(np.abs(10 * np.log10(v[sel]) - s.tau_db) <= 0.5)
 
     # second border: serving BS-2 (above BS-1's lobe), interferer BS-3
     for off in (-1.0, 1.0):
         xq = b.d4 + hs * (b.d5 - b.d4) / s.h2 + off
-        t1 = np.arctan2(hs, np.abs(xq))
-        t2 = np.arctan2(hs, np.abs(xq - s.d1))
-        t3 = np.arctan2(hs, np.abs(xq + s.d1))
-        sel = (beam.gain(t1) == 0) & (beam.gain(t2) > 0) & (beam.gain(t3) > 0)
+        sel = ~lit(xq, 0.0) & lit(xq, s.d1) & lit(xq, -s.d1)
         assert np.count_nonzero(sel) > 10
         _, v = evaluate_sinr(xq, hs, s, a)
         assert np.all(np.abs(10 * np.log10(v[sel]) - s.tau_db) <= 0.5)
@@ -143,3 +165,25 @@ def test_custom_bs_positions():
     p3 = coverage_by_quadrature(s, a3, 256, 256)
     p4 = coverage_by_quadrature(s, OracleAssumptions(), 256, 256)
     assert p3 >= p4  # removing an interferer cannot reduce coverage
+
+
+def test_beam_is_built_at_the_scenario_tilt():
+    # every beam kind follows alpha; an unset element count is derived at
+    # each tilt, a set one is kept
+    a13, a25 = reference_scenario(13, 40), reference_scenario(25, 40)
+    for a in (OracleAssumptions(), OracleAssumptions(peak_gain_db=9.0),
+              OracleAssumptions(beam=BeamKind.COSINE),
+              OracleAssumptions(beam=BeamKind.COSINE, n_elements=8)):
+        for s in (a13, a25):
+            beam = a.resolve_beam(s)
+            assert (beam.alpha, beam.beta) == (s.alpha, s.beta)
+    rect = OracleAssumptions(peak_gain_db=9.0).resolve_beam(a13)
+    assert isinstance(rect, RectangularBeam)
+    assert rect.peak_gain == pytest.approx(10 ** 0.9, rel=1e-12)
+    cos = OracleAssumptions(beam=BeamKind.COSINE)
+    assert isinstance(cos.resolve_beam(a13), CosineBeam)
+    for s in (a13, a25):
+        assert cos.resolve_beam(s).n_elements == suggested_element_count(
+            s.alpha, s.beta)
+    assert OracleAssumptions(beam=BeamKind.COSINE, n_elements=8).resolve_beam(
+        a25).n_elements == 8

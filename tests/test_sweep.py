@@ -6,6 +6,7 @@ import pytest
 from corridorcov import closed_form
 from corridorcov.defaults import ALPHA_GRID_DEG, reference_scenario
 from corridorcov.monte_carlo import McConfig
+from corridorcov.oracle import BeamKind, OracleAssumptions
 from corridorcov.sweep import (
     Evaluator,
     SweepCurve,
@@ -78,6 +79,18 @@ def test_quadrature_evaluator_tracks_closed_form():
     ev = quadrature_evaluator(n_x=256, n_z=256)
     s = template.replace(alpha=13 * D2R)
     assert abs(ev(s) - closed_form.outage(s).p_out) <= 0.02
+
+
+def test_cosine_sweep_follows_alpha():
+    # the beam is rebuilt at every uptilt, so the cosine curve moves with
+    # alpha (it used to stay at the template tilt's value)
+    template = reference_scenario(10, 40)
+    grid = [a * D2R for a in (4, 12, 20, 28)]
+    for a in (OracleAssumptions(beam=BeamKind.COSINE),
+              OracleAssumptions(beam=BeamKind.COSINE, n_elements=7)):
+        curve = sweep_alpha(template, grid, quadrature_evaluator(a, 128, 128))
+        assert curve.errors == {}
+        assert len(set(curve.p_out)) == len(grid)
 
 
 def test_sweeps_are_referentially_transparent():
