@@ -12,7 +12,8 @@ Exit codes:
 
 - 0: success.
 - 1: configuration error: an unreadable or malformed config file, an
-  unknown key, a bad value, or a scenario outside a model's domain.
+  unknown key, a bad value (including one that a model or evaluator
+  rejects with a ValueError), or a scenario outside a model's domain.
 - 2: validation failure: ``validate`` found an evaluator disagreeing with
   the closed form beyond its tolerance.
 - 3: usage error: an unknown subcommand or flag, or a flag value argparse
@@ -27,7 +28,7 @@ import math
 import sys
 
 from . import closed_form, defaults, heatmap, sweep
-from .geometry import CorridorScenario, GeometryError, classify_case
+from .geometry import CorridorScenario, classify_case
 from .monte_carlo import LosMode, McConfig, estimate_outage
 from .oracle import (
     Association,
@@ -460,7 +461,9 @@ def _cmd_sweep(cfg: RunConfig, args) -> int:
     if args.format == "json":
         payload = {"curve": [{"alpha_deg": r[0], "p_out": r[1],
                               "case": (r[2] if r[2] != "" else None),
-                              "evaluator": r[3]} for r in rows]}
+                              "evaluator": r[3],
+                              "error": curve.errors.get(i)}
+                             for i, r in enumerate(rows)]}
         text = _json_dump(_artifact(cfg, "sweep", payload), args.out)
         if not args.out:
             print(text)
@@ -493,6 +496,8 @@ def _cmd_optimize(cfg: RunConfig, args) -> int:
         "not_unimodal": res.not_unimodal,
         "n_evaluations": res.n_evaluations,
         "evaluator": ev.tag,
+        "history": [{"alpha_deg": math.degrees(alpha), "p_out": p_out}
+                    for alpha, p_out in res.history],
     }), args.out)
     return 0
 
@@ -572,7 +577,7 @@ def main(argv: list[str] | None = None) -> int:
                 raw[key] = value
         cfg = RunConfig(raw)
         return _COMMANDS[args.command](cfg, args)
-    except (ConfigError, GeometryError, OSError, json.JSONDecodeError) as exc:
+    except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -14,6 +14,10 @@ from .oracle import OracleAssumptions, _row_blocks, evaluate_sinr
 # Fixed dB clamp of the image color ramp, for reproducible bytes.
 DB_CLAMP = (-20.0, 40.0)
 
+# Cells per write_csv block: its byte matrix and mask, about 32 bytes per
+# cell each, stay near 0.25 MiB.
+CSV_BLOCK_CELLS = 8192
+
 
 @dataclass
 class SinrField:
@@ -173,24 +177,97 @@ def _field_meta(field: SinrField, extra: dict | None = None) -> dict[str, str]:
     return meta
 
 
+def _text_matrix(strings: list[str]) -> tuple[np.ndarray, np.ndarray]:
+    """ASCII strings as a NUL-padded (n, width) byte matrix and the mask of
+    its real bytes."""
+    m = np.array(strings, dtype=bytes)
+    m = m.view(np.uint8).reshape(m.size, m.itemsize)
+    return m, m != 0
+
+
+def _put_digits(line: np.ndarray, shown: np.ndarray, col: int, n: np.ndarray,
+                width: int, always: int) -> None:
+    """Write the `width` lowest decimal digits of the non-negative integers
+    `n`, most significant first, into columns col.. of `line`. A digit is
+    shown if it is not a leading zero or is one of the last `always`."""
+    for i in range(width):
+        place = 10 ** (width - 1 - i)
+        line[:, col + i] = n // place % 10 + 48
+        shown[:, col + i] = (n >= place) if i < width - always else True
+
+
 def write_csv(field: SinrField, path: str, extra_meta: dict | None = None) -> None:
     """Row-major cell dump: header `x_m,z_m,sinr_db,serving_bs`, one row per
-    cell (z rows outer, x inner). -inf cells serialize as the string "-inf".
-    The resolved configuration is embedded as leading '#' comment lines."""
-    xs = field.x_centers
-    zs = field.z_centers
-    with open(path, "w", encoding="ascii") as fh:
+    cell (z rows outer, x inner), each the text of
+    f"{x:.6g},{z:.6g},{sinr_db:.4f},{serving}" (a -inf cell reads "-inf").
+    The resolved configuration is embedded as leading '#' comment lines.
+
+    The rows are built in blocks of whole field rows of about
+    CSV_BLOCK_CELLS cells: a byte matrix with one fixed column layout per
+    line and a mask of the bytes shown, compacted and written at once. The
+    x and z strings are formatted once each. `sinr_db` is formatted from
+    q = rint(v * 1e4) by integer digits, with the sign of v, so values that
+    round to zero keep Python's "-0.0000".
+
+    Exactness: for |v| < 1e5 the product v * 1e4 is below 1e9 < 2**30, so
+    its rounding error is at most 2**-24 < 6e-8. Unless the product lies
+    within 1e-6 of a half-integer, the exact decimal value rounds the same
+    way, and q is what Python's correctly rounded `.4f` prints. A cell falls
+    back to Python's f"{v:.4f}" if it is not finite, if |v| >= 1e5 or if
+    v * 1e4 lies within 1e-6 of a half-integer.
+    """
+    nx = field.nx
+    x_txt, x_shown = _text_matrix([f"{x:.6g}," for x in field.x_centers.tolist()])
+    z_txt, z_shown = _text_matrix([f"{z:.6g}," for z in field.z_centers.tolist()])
+    srv_width = len(str(int(field.serving.max())))
+    c_z = x_txt.shape[1]
+    c_sinr = c_z + z_txt.shape[1]
+    rows_per_block = max(1, CSV_BLOCK_CELLS // nx)
+    with open(path, "wb") as fh:
         for key, value in _field_meta(field, extra_meta).items():
-            fh.write(f"# {key}={value}\n")
-        fh.write("x_m,z_m,sinr_db,serving_bs\n")
-        for k in range(field.nz):
-            row = field.sinr_db[k]
-            srv = field.serving[k]
-            zr = f"{zs[k]:.6g}"
-            for j in range(field.nx):
-                v = row[j]
-                sv = "-inf" if math.isinf(v) and v < 0 else f"{v:.4f}"
-                fh.write(f"{xs[j]:.6g},{zr},{sv},{srv[j]}\n")
+            fh.write(f"# {key}={value}\n".encode("ascii"))
+        fh.write(b"x_m,z_m,sinr_db,serving_bs\n")
+        for k0 in range(0, field.nz, rows_per_block):
+            rows = slice(k0, k0 + rows_per_block)
+            v = field.sinr_db[rows].ravel()
+            with np.errstate(invalid="ignore", over="ignore"):
+                t = v * 1e4
+                exact = (np.abs(v) < 1e5) & (np.abs(t - np.floor(t) - 0.5) >= 1e-6)
+            # |q| <= 1e9 fits int32, whose divisions cost half of int64's
+            q = np.abs(np.rint(np.where(exact, t, 0.0))).astype(np.int32)
+            slow = np.flatnonzero(~exact)
+            fb_txt, fb_shown = _text_matrix([f"{u:.4f}" for u in v[slow].tolist()])
+            # sinr_db columns: sign, 6 integer digits, '.', 4 decimals, and
+            # room for the widest fallback text of the block
+            w_sinr = max(12, fb_txt.shape[1])
+            c_srv = c_sinr + w_sinr
+            width = c_srv + srv_width + 2
+            text = np.empty((v.size // nx, nx, width), dtype=np.uint8)
+            shown = np.empty(text.shape, dtype=bool)
+            text[:, :, :c_z] = x_txt
+            shown[:, :, :c_z] = x_shown
+            text[:, :, c_z:c_sinr] = z_txt[rows, None]
+            shown[:, :, c_z:c_sinr] = z_shown[rows, None]
+            line = text.reshape(v.size, width)
+            ok = shown.reshape(v.size, width)
+            line[:, c_sinr] = ord("-")
+            ok[:, c_sinr] = np.signbit(v)
+            _put_digits(line, ok, c_sinr + 1, q // 10_000, 6, 1)
+            line[:, c_sinr + 7] = ord(".")
+            ok[:, c_sinr + 7] = True
+            _put_digits(line, ok, c_sinr + 8, q % 10_000, 4, 4)
+            ok[:, c_sinr + 12:c_srv] = False
+            if slow.size:
+                ok[slow, c_sinr:c_srv] = False
+                line[slow, c_sinr:c_sinr + fb_txt.shape[1]] = fb_txt
+                ok[slow, c_sinr:c_sinr + fb_txt.shape[1]] = fb_shown
+            line[:, c_srv] = ord(",")
+            ok[:, c_srv] = True
+            _put_digits(line, ok, c_srv + 1, field.serving[rows].ravel(),
+                        srv_width, 1)
+            line[:, -1] = ord("\n")
+            ok[:, -1] = True
+            fh.write(line[ok].tobytes())
 
 
 def _color_ramp() -> np.ndarray:

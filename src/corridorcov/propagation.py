@@ -36,16 +36,8 @@ def db_to_linear(x_db):
     return 10.0 ** (np.asarray(x_db, dtype=float) / 10.0)
 
 
-def linear_to_db(x_lin):
-    return 10.0 * np.log10(x_lin)
-
-
 def dbm_to_watts(p_dbm):
     return 10.0 ** ((np.asarray(p_dbm, dtype=float) - 30.0) / 10.0)
-
-
-def watts_to_dbm(p_w):
-    return 10.0 * np.log10(p_w) + 30.0
 
 
 def noise_power_dbm(thermal_noise_dbm_hz: float, bandwidth_hz: float,
@@ -82,15 +74,6 @@ class LinkBudget:
     @property
     def noise_w(self) -> float:
         return float(dbm_to_watts(self.noise_dbm))
-
-    @property
-    def power_constant(self) -> float:
-        """P_tx * wavelength^2 / (16 pi^2), in W*m^2.
-
-        Received power under free-space loss is this constant divided by the
-        squared link distance (times the antenna gain).
-        """
-        return self.p_tx_w * self.wavelength_m ** 2 / (16.0 * math.pi ** 2)
 
 
 @dataclass(frozen=True)

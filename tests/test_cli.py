@@ -81,3 +81,47 @@ def test_validation_failure_exits_2(tmp_path):
                       "5", "validate", "--alphas-deg", "2,8,14,20"], tmp_path)
     assert code == 2
     assert art["passed"] is False
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["--beam", "cosine", "--nt", "1", "oracle"], "element count"),
+    (["--grid-nx", "10", "oracle"], "n_x, n_z >= 64"),
+    (["--samples", "0", "mc"], "n_samples"),
+    (["--grid-nx", "0", "heatmap"], "counts > 0"),
+])
+def test_rejected_model_values_exit_1(argv, message, tmp_path, capsys):
+    # a ValueError from a model or evaluator is a bad value, not a crash
+    code = cli.main(["--beta-deg", "40", "--alpha-deg", "13", *argv,
+                     "--out", str(tmp_path / "out")])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and message in err
+    assert "Traceback" not in err
+
+
+def test_sweep_json_records_failure_reasons(tmp_path):
+    # alpha + beta reaches 90 degrees from alpha = 50: gaps with a reason
+    code, art = _run(["--beta-deg", "40", "sweep", "--alpha-min-deg", "40",
+                      "--alpha-max-deg", "55", "--alpha-step-deg", "5",
+                      "--format", "json"], tmp_path)
+    assert code == 0
+    curve = art["curve"]
+    assert [row["alpha_deg"] for row in curve] == [40.0, 45.0, 50.0, 55.0]
+    assert [row["error"] for row in curve[:2]] == [None, None]
+    for row in curve[2:]:
+        assert row["p_out"] != row["p_out"] and row["case"] is None
+        assert "alpha + beta < pi/2" in row["error"]
+
+
+def test_optimize_json_records_history(tmp_path):
+    code, art = _run(["--beta-deg", "40", "optimize", "--lo-deg", "4",
+                      "--hi-deg", "30", "--tol-deg", "0.5"], tmp_path)
+    assert code == 0
+    history = art["history"]
+    assert len(history) == art["n_evaluations"]
+    alphas = [h["alpha_deg"] for h in history]
+    assert alphas == sorted(alphas) and alphas[0] == pytest.approx(4.0)
+    assert set(history[0]) == {"alpha_deg", "p_out"}
+    assert {"alpha_deg": art["alpha_star_deg"], "p_out": art["p_out"]} in history
+    assert {"alpha_star_deg", "p_out", "n_evaluations", "not_unimodal",
+            "evaluator"} <= set(art)

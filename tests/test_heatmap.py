@@ -3,9 +3,12 @@ import math
 import numpy as np
 import pytest
 
+import csv_reference
+from corridorcov import heatmap
 from corridorcov.defaults import reference_scenario
 from corridorcov.geometry import borderline_geometry
 from corridorcov.heatmap import (
+    CSV_BLOCK_CELLS,
     DB_CLAMP,
     SinrField,
     coverage_contour,
@@ -14,17 +17,26 @@ from corridorcov.heatmap import (
     write_csv,
     write_ppm,
 )
-from corridorcov.oracle import OracleAssumptions, coverage_by_quadrature
+from corridorcov.oracle import BeamKind, OracleAssumptions, coverage_by_quadrature
+from corridorcov.propagation import AirToGroundPathLoss
 
 
-def _synthetic_field(sinr_db, x_max=10.0, z_max=6.0):
+def _synthetic_field(sinr_db, x_max=10.0, z_max=6.0, serving=None):
     sinr_db = np.asarray(sinr_db, dtype=float)
     nz, nx = sinr_db.shape
+    if serving is None:
+        serving = np.ones((nz, nx), dtype=np.int64)
     s = reference_scenario(13, 40)
     return SinrField(x_min=0.0, x_max=x_max, z_min=0.0, z_max=z_max,
-                     nx=nx, nz=nz, sinr_db=sinr_db,
-                     serving=np.ones((nz, nx), dtype=np.int64),
+                     nx=nx, nz=nz, sinr_db=sinr_db, serving=serving,
                      scenario=s, assumptions=OracleAssumptions())
+
+
+def _assert_csv_matches_reference(field, tmp_path):
+    new, ref = tmp_path / "block.csv", tmp_path / "reference.csv"
+    write_csv(field, str(new), extra_meta={"run": "t"})
+    csv_reference.write_csv(field, str(ref), extra_meta={"run": "t"})
+    assert new.read_bytes() == ref.read_bytes()
 
 
 def test_field_layout_and_defaults():
@@ -207,3 +219,70 @@ def test_field_input_validation():
         sinr_field(s, OracleAssumptions(), 0, 10)
     with pytest.raises(ValueError):
         sinr_field(s, OracleAssumptions(), 10, 10, x_range=(5.0, 5.0))
+
+
+# The block writer against the per-cell reference (tests/csv_reference.py):
+# the same bytes on model fields and on synthetic values that take every
+# formatting branch.
+
+_FIELD_ASSUMPTIONS = {
+    # rectangular lobes leave -inf cells below them
+    "rect-fspl": OracleAssumptions(),
+    "cosine-a2g": OracleAssumptions(beam=BeamKind.COSINE,
+                                    pathloss=AirToGroundPathLoss()),
+}
+
+
+@pytest.mark.parametrize("block_cells", [64, CSV_BLOCK_CELLS])
+@pytest.mark.parametrize("nx, nz", [(13, 23), (1, 50), (1001, 19), (80, 201)])
+@pytest.mark.parametrize("model", sorted(_FIELD_ASSUMPTIONS))
+def test_csv_matches_reference_on_fields(monkeypatch, tmp_path, model, nx, nz,
+                                         block_cells):
+    # odd nx, nx = 1, and nz not a multiple of the rows per block, at the
+    # writer's block size and at one that makes many small blocks
+    monkeypatch.setattr(heatmap, "CSV_BLOCK_CELLS", block_cells)
+    rows = max(1, block_cells // nx)
+    assert nz % rows != 0 or rows == 1
+    f = sinr_field(reference_scenario(8, 40), _FIELD_ASSUMPTIONS[model], nx, nz)
+    if model == "rect-fspl" and nz > 1:
+        assert np.isneginf(f.sinr_db).any()
+    _assert_csv_matches_reference(f, tmp_path)
+
+
+def test_csv_matches_reference_on_tiny_x_range(tmp_path):
+    # x centers like 5e-06, whose .6g form uses an exponent
+    f = sinr_field(reference_scenario(13, 40), OracleAssumptions(), 7, 5,
+                   x_range=(0.0, 1e-4), z_range=(100.0, 300.0))
+    assert "e-" in f"{f.x_centers[0]:.6g}"
+    _assert_csv_matches_reference(f, tmp_path)
+
+
+def test_csv_matches_reference_with_two_digit_serving(tmp_path):
+    s = reference_scenario(13, 40)
+    a = OracleAssumptions(bs_positions=tuple(200.0 * i for i in range(12)))
+    f = sinr_field(s, a, 301, 40, x_range=(0.0, 2400.0))
+    assert f.serving.max() >= 10 and f.serving.min() < 10
+    _assert_csv_matches_reference(f, tmp_path)
+
+
+def test_csv_matches_reference_on_edge_values(monkeypatch, tmp_path):
+    monkeypatch.setattr(heatmap, "CSV_BLOCK_CELLS", 64)
+    edge = [
+        # half-way ties, at four decimals and below
+        0.03125, -0.03125, 2.5e-5, -2.5e-5, 7.5e-5, -7.5e-5, 5e-5, -5e-5,
+        1.5e-4, 0.00025, 1.00005, 12.34565, -99.99995,
+        # values that print as -0.0000
+        -0.0, -1e-5, -4.9e-5, -1e-300, -5e-324, 0.0, 5e-324, 4.9e-5,
+        # no noise and no interference, NaN, and |v| >= 1e5
+        math.inf, -math.inf, math.nan, 1e5, -1e5, 99999.99996, -99999.99996,
+        99999.99994, 123456.789, -654321.1234, 999999.99, -9.87654321e12, 1e300,
+        -1.7976931348623157e308,
+    ]
+    rng = np.random.default_rng(7)
+    ties = (rng.integers(-10**8, 10**8, 400) + 0.5) / 1e4
+    wide = rng.choice([-1.0, 1.0], 600) * 10.0 ** rng.uniform(-9, 5.2, 600)
+    vals = np.concatenate([edge, ties, wide, rng.uniform(-50, 90, 1000)])
+    vals = np.resize(vals, (23, 89))
+    serving = rng.integers(0, 12, vals.shape)
+    _assert_csv_matches_reference(
+        _synthetic_field(vals, serving=serving), tmp_path)

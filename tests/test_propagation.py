@@ -13,7 +13,7 @@ from corridorcov.propagation import (
     LinkBudget,
     RectangularBeam,
     db_to_linear,
-    linear_to_db,
+    dbm_to_watts,
     noise_power_dbm,
     suggested_element_count,
 )
@@ -139,8 +139,16 @@ def test_link_budget_derived():
     assert lb.p_tx_w == pytest.approx(1.0)
     assert lb.wavelength_m == pytest.approx(0.0999308, abs=1e-6)
     assert lb.noise_dbm == pytest.approx(-91.9897, abs=1e-3)
-    assert lb.power_constant == pytest.approx(
-        lb.p_tx_w * lb.wavelength_m ** 2 / (16 * math.pi ** 2), rel=1e-15)
+    # free space: received power is P_tx * G * lambda^2 / (16 pi^2 R^2).
+    # Only BS 0 sees the point in its lobe (45 degrees; BS 1 sees it at
+    # 6.3 degrees, below the 13-degree edge), so SINR = P_rx / noise.
+    s = reference_scenario(13, 40)
+    a = OracleAssumptions(bs_positions=(0.0, 1000.0))
+    _, sinr = evaluate_sinr(np.array([100.0]), np.array([100.0]), s, a)
+    gain = a.resolve_beam(s).peak_gain
+    p_rx = (s.radio.p_tx_w * gain * s.radio.wavelength_m ** 2
+            / (16 * math.pi ** 2 * (100.0 ** 2 + 100.0 ** 2)))
+    assert sinr[0] * s.radio.noise_w == pytest.approx(p_rx, rel=1e-12)
 
 
 # The SINR reduction itself lives in the kernel, oracle.evaluate_sinr;
@@ -257,5 +265,9 @@ def test_simplified_sinr_is_distance_ratio():
 
 
 def test_db_roundtrip():
-    vals = np.array([0.01, 1.0, 42.0])
-    assert np.allclose(db_to_linear(linear_to_db(vals)), vals, rtol=1e-12)
+    vals_db = np.array([-174.0, -20.0, 0.0, 3.0, 42.0])
+    np.testing.assert_allclose(10.0 * np.log10(db_to_linear(vals_db)),
+                               vals_db, rtol=1e-12, atol=1e-12)
+    np.testing.assert_allclose(dbm_to_watts(vals_db),
+                               db_to_linear(vals_db) / 1000.0, rtol=1e-12)
+    assert dbm_to_watts(30.0) == pytest.approx(1.0, rel=1e-15)
