@@ -1,6 +1,6 @@
 """SINR outage analysis for UAV corridors served by uptilted BS antennas."""
 
-from .closed_form import ClosedFormResult, coverage_case_expression, outage
+from .closed_form import ClosedFormResult, outage
 from .geometry import (
     BorderlineGeometry,
     CaseId,
@@ -16,11 +16,8 @@ from .geometry import (
     classify_case,
     corner_heights,
     crossing_heights,
-    delta_angles,
-    elevation_angles,
-    theta1_pdf,
 )
-from .monte_carlo import LosMode, McConfig, McResult, estimate_outage, sample_point
+from .monte_carlo import LosMode, McConfig, McResult, estimate_outage
 from .oracle import (
     Association,
     BeamKind,

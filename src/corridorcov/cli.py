@@ -28,7 +28,7 @@ import math
 import sys
 
 from . import closed_form, defaults, heatmap, sweep
-from .geometry import CorridorScenario, classify_case
+from .geometry import CorridorScenario
 from .monte_carlo import LosMode, McConfig, estimate_outage
 from .oracle import (
     Association,
@@ -353,7 +353,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _json_dump(obj, path: str | None) -> str:
-    text = json.dumps(obj, indent=2, sort_keys=True)
+    text = json.dumps(obj, indent=2, sort_keys=True, allow_nan=False)
     if path:
         with open(path, "w", encoding="ascii") as fh:
             fh.write(text + "\n")
@@ -387,10 +387,8 @@ def _result_to_dict(r: closed_form.ClosedFormResult) -> dict:
 
 
 def _cmd_classify(cfg: RunConfig, args) -> int:
-    s = cfg.scenario()
-    case = classify_case(s)
-    r = closed_form.outage(s)
-    print(f"case={int(case)}")
+    r = closed_form.outage(cfg.scenario())
+    print(f"case={int(r.case)}")
     _json_dump(_artifact(cfg, "classify", _result_to_dict(r)), args.out)
     return 0
 
@@ -453,24 +451,22 @@ def _cmd_sweep(cfg: RunConfig, args) -> int:
     ev = _make_evaluator(cfg, args)
     curve = sweep.sweep_alpha(template, [math.radians(g) for g in grid_deg], ev)
 
-    rows = []
-    for i, alpha_deg in enumerate(grid_deg):
-        case = curve.cases[i] if curve.cases else None
-        rows.append((alpha_deg, curve.p_out[i],
-                     "" if case is None else case, curve.evaluator))
+    rows = list(zip(grid_deg, curve.p_out, curve.cases))
     if args.format == "json":
-        payload = {"curve": [{"alpha_deg": r[0], "p_out": r[1],
-                              "case": (r[2] if r[2] != "" else None),
-                              "evaluator": r[3],
+        payload = {"curve": [{"alpha_deg": alpha_deg,
+                              "p_out": None if math.isnan(p_out) else p_out,
+                              "case": case,
+                              "evaluator": curve.evaluator,
                               "error": curve.errors.get(i)}
-                             for i, r in enumerate(rows)]}
+                             for i, (alpha_deg, p_out, case) in enumerate(rows)]}
         text = _json_dump(_artifact(cfg, "sweep", payload), args.out)
         if not args.out:
             print(text)
     else:
         lines = [f"# {k}={v}" for k, v in sorted(cfg.resolved().items())]
         lines.append("alpha_deg,p_out,case,evaluator")
-        lines += [f"{r[0]:g},{r[1]:.6f},{r[2]},{r[3]}" for r in rows]
+        lines += [f"{alpha_deg:g},{p_out:.6f},{'' if case is None else case},"
+                  f"{curve.evaluator}" for alpha_deg, p_out, case in rows]
         text = "\n".join(lines) + "\n"
         if args.out:
             with open(args.out, "w", encoding="ascii") as fh:

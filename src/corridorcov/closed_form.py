@@ -172,27 +172,9 @@ def _evaluate(s: CorridorScenario, case: CaseId, b: BorderlineGeometry,
     raise ValueError(f"unknown case {case!r}")
 
 
-def coverage_case_expression(s: CorridorScenario, case: CaseId) -> float:
-    """Raw coverage value of one case's closed form (no [0, 1] clamping).
-
-    The case's defining inequalities are assumed to hold; callers may force
-    a different case for diagnosis, in which case boundary clamps keep the
-    expression evaluable.
-    """
-    s.require_analytic()
-    b = borderline_geometry(s)
-    ch = crossing_heights(s)
-    c = corner_heights(s, b)
-    p_in, _ = _evaluate(s, case, b, ch, c)
-    if not math.isfinite(p_in):
-        raise ValueError(f"case {int(case)} expression evaluated non-finite")
-    return p_in
-
-
 def outage(s: CorridorScenario, force_case: CaseId | None = None) -> ClosedFormResult:
     """Classify the scenario, evaluate the matching closed form and return
     the outage probability with intermediates. Deterministic."""
-    s.require_analytic()
     case = force_case if force_case is not None else classify_case(s)
     b = borderline_geometry(s)
     ch = crossing_heights(s)

@@ -1,5 +1,5 @@
-"""Corridor layout, elevation-angle math, coverage borderlines and the
-six-regime classifier.
+"""Corridor layout, beam-crossing and corner heights, coverage borderlines
+and the six-regime classifier.
 
 Geometry convention: base stations sit on the x axis at height 0 (the BS
 antenna height is the origin of all heights). BS-1 is at x = 0, BS-2 at
@@ -41,12 +41,6 @@ class CaseUndefined(GeometryError):
     """No uptilt regime's defining inequalities hold."""
 
 
-def acot(x):
-    """Inverse cotangent on the (0, pi) branch, so angles behind the BS
-    (cot < 0) map above pi/2."""
-    return math.atan2(1.0, x)
-
-
 def cot(x):
     return 1.0 / math.tan(x)
 
@@ -84,8 +78,9 @@ class CorridorScenario:
         return 10.0 * math.log10(self.tau)
 
     def require_analytic(self) -> None:
-        """Preconditions of the borderline/closed-form machinery. The Monte
-        Carlo and heatmap paths do not call this and accept alpha <= 0."""
+        """Preconditions of the borderline/closed-form machinery, checked by
+        every geometry function below. The Monte Carlo and heatmap paths do
+        not call this and accept alpha <= 0."""
         if not (self.alpha > 0 and self.alpha + self.beta < math.pi / 2):
             raise GeometryError(
                 "analytic paths need 0 < alpha and alpha + beta < pi/2 "
@@ -154,42 +149,9 @@ class CaseId(enum.IntEnum):
     CASE_6 = 6
 
 
-def elevation_angles(d_x: float, h_x: float, d1: float) -> tuple[float, float, float]:
-    """Elevation angles from BS-1, BS-2 and BS-3 to a UAV at (d_x, h_x),
-    for d_x in the half region [0, d1/2]. theta1 = pi/2 directly overhead."""
-    if h_x <= 0:
-        raise ValueError(f"h_x must be positive, got {h_x}")
-    if not (0 <= d_x <= d1 / 2):
-        raise ValueError(f"d_x must lie in [0, d1/2], got {d_x}")
-    theta1 = math.pi / 2 if d_x == 0 else math.atan(h_x / d_x)
-    theta2 = math.atan(h_x / (d1 - d_x))
-    theta3 = math.atan(h_x / (d1 + d_x))
-    return theta1, theta2, theta3
-
-
-def theta1_pdf(theta1: float, h_x: float, d1: float) -> float:
-    """Conditional density of the BS-1 elevation angle for a UAV uniform in
-    x over [0, d1/2] at fixed height h_x: (2 h_x / d1) csc^2(theta1) on
-    [atan(2 h_x / d1), pi/2], zero outside."""
-    if h_x <= 0:
-        raise ValueError(f"h_x must be positive, got {h_x}")
-    lo = math.atan(2.0 * h_x / d1)
-    if theta1 < lo or theta1 > math.pi / 2:
-        return 0.0
-    return (2.0 * h_x / d1) / math.sin(theta1) ** 2
-
-
-def _require_tilt(s: CorridorScenario) -> None:
-    if not (s.alpha > 0 and s.alpha + s.beta < math.pi / 2):
-        raise GeometryError(
-            "beam geometry needs 0 < alpha and alpha + beta < pi/2 "
-            f"(alpha={math.degrees(s.alpha):.3f} deg, "
-            f"beta={math.degrees(s.beta):.3f} deg)")
-
-
 def crossing_heights(s: CorridorScenario) -> CrossingHeights:
     """Beam-crossing heights h3 (center) and h4 (side)."""
-    _require_tilt(s)
+    s.require_analytic()
     h3 = (s.d1 / 2.0) * math.tan(s.alpha)
     h4 = s.d1 / (cot(s.alpha) + cot(s.alpha + s.beta))
     return CrossingHeights(h3=h3, h4=h4)
@@ -198,8 +160,7 @@ def crossing_heights(s: CorridorScenario) -> CrossingHeights:
 def borderline_geometry(s: CorridorScenario) -> BorderlineGeometry:
     """Border abscissae d2..d5 and inclinations gamma1/gamma2 from the
     simplified (squared-distance-ratio) threshold equations."""
-    if s.tau <= 1.0:
-        raise TauOutOfRange(f"borderlines need tau > 1 (> 0 dB), got {s.tau}")
+    s.require_analytic()
     d1, h2, tau = s.d1, s.h2, s.tau
     sq = math.sqrt(tau)
     d2 = d1 / (sq + 1.0)
@@ -227,7 +188,7 @@ def borderline_geometry(s: CorridorScenario) -> BorderlineGeometry:
 
 def corner_heights(s: CorridorScenario, b: BorderlineGeometry) -> CornerHeights:
     """Heights of the labeled corner points c3..c6."""
-    _require_tilt(s)
+    s.require_analytic()
     ct_a = cot(s.alpha)
     ct_ab = cot(s.alpha + s.beta)
     ct_g1 = cot(b.gamma1)
@@ -248,27 +209,10 @@ def corner_heights(s: CorridorScenario, b: BorderlineGeometry) -> CornerHeights:
     )
 
 
-def delta_angles(h_x: float, s: CorridorScenario,
-                 b: BorderlineGeometry) -> tuple[float, float, float, float]:
-    """Elevation angles at BS-1, at height h_x, to: the first border (delta1),
-    the second border (delta2), BS-2's lower beam edge (delta3) and BS-3's
-    lower beam edge (delta4). Values above pi/2 (point behind BS-1) are
-    legal; the arccot branch is fixed to (0, pi)."""
-    if h_x <= 0:
-        raise ValueError(f"h_x must be positive, got {h_x}")
-    ct_a = cot(s.alpha)
-    delta1 = acot(b.d2 / h_x - cot(b.gamma1))
-    delta2 = acot(b.d4 / h_x + cot(b.gamma2))
-    delta3 = acot(s.d1 / h_x - ct_a)
-    delta4 = acot(-s.d1 / h_x + ct_a)
-    return delta1, delta2, delta3, delta4
-
-
 def classify_case(s: CorridorScenario) -> CaseId:
     """Pick the uptilt regime from the inequalities among h1, h2, h3, h4 and
     h_c4. Conditions are evaluated in order 1..6; equalities within
     CASE_TIE_TOL_M resolve to the lower case id."""
-    s.require_analytic()
     ch = crossing_heights(s)
     h1, h2, h3, h4 = s.h1, s.h2, ch.h3, ch.h4
     h_c4 = s.d1 * math.tan(s.alpha)

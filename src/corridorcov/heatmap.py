@@ -1,5 +1,5 @@
-"""SINR field over the half-corridor cross-section, coverage-contour
-extraction and CSV/portable-pixmap export."""
+"""SINR field over the half-corridor cross-section and CSV/portable-pixmap
+export."""
 
 from __future__ import annotations
 
@@ -50,10 +50,6 @@ class SinrField:
         dz = (self.z_max - self.z_min) / self.nz
         return self.z_min + (np.arange(self.nz) + 0.5) * dz
 
-    @property
-    def corridor_band(self) -> tuple[float, float]:
-        return (self.scenario.h1, self.scenario.h2)
-
 
 def sinr_field(s: CorridorScenario, a: OracleAssumptions, nx: int, nz: int,
                x_range: tuple[float, float] | None = None,
@@ -84,69 +80,6 @@ def sinr_field(s: CorridorScenario, a: OracleAssumptions, nx: int, nz: int,
     return SinrField(x_min=x_min, x_max=x_max, z_min=z_min, z_max=z_max,
                      nx=nx, nz=nz, sinr_db=sinr_db, serving=serving,
                      scenario=s, assumptions=a)
-
-
-Segment = tuple[tuple[float, float], tuple[float, float]]
-
-# Marching-squares edge pairs per 4-bit corner code (bit order: bottom-left,
-# bottom-right, top-right, top-left). Edges: 0 bottom, 1 right, 2 top,
-# 3 left. Saddles (5, 10) use the fixed separated convention.
-_MS_TABLE: dict[int, tuple[tuple[int, int], ...]] = {
-    0: (), 15: (),
-    1: ((3, 0),), 14: ((3, 0),),
-    2: ((0, 1),), 13: ((0, 1),),
-    4: ((1, 2),), 11: ((1, 2),),
-    8: ((2, 3),), 7: ((2, 3),),
-    3: ((3, 1),), 12: ((3, 1),),
-    6: ((0, 2),), 9: ((0, 2),),
-    5: ((3, 0), (1, 2)),
-    10: ((0, 1), (2, 3)),
-}
-
-
-def coverage_contour(field: SinrField, tau_db: float) -> list[Segment]:
-    """Coverage-boundary segments from marching squares on the indicator
-    (SINR >= tau_db) over the cell-center lattice.
-
-    Segment endpoints lie on midpoints of cell-center edges; blocks are
-    scanned row-major so the output order is deterministic. The list is
-    empty when the field is fully covered or fully uncovered.
-    """
-    covered = field.sinr_db >= tau_db
-    xs = field.x_centers
-    zs = field.z_centers
-    segments: list[Segment] = []
-    for k in range(field.nz - 1):
-        row0 = covered[k]
-        row1 = covered[k + 1]
-        codes = (row0[:-1].astype(int) + (row0[1:].astype(int) << 1)
-                 + (row1[1:].astype(int) << 2) + (row1[:-1].astype(int) << 3))
-        for j in np.nonzero((codes != 0) & (codes != 15))[0]:
-            x0, x1 = xs[j], xs[j + 1]
-            z0, z1 = zs[k], zs[k + 1]
-            mid = {
-                0: ((x0 + x1) / 2.0, z0),
-                1: (x1, (z0 + z1) / 2.0),
-                2: ((x0 + x1) / 2.0, z1),
-                3: (x0, (z0 + z1) / 2.0),
-            }
-            for e0, e1 in _MS_TABLE[int(codes[j])]:
-                segments.append((mid[e0], mid[e1]))
-    return segments
-
-
-def covered_fraction(field: SinrField, tau_db: float,
-                     z_band: tuple[float, float] | None = None) -> float:
-    """Fraction of cells with SINR >= tau_db, optionally restricted to the
-    cells whose centers lie in a height band."""
-    covered = field.sinr_db >= tau_db
-    if z_band is not None:
-        lo, hi = z_band
-        keep = (field.z_centers >= lo) & (field.z_centers <= hi)
-        covered = covered[keep]
-    if covered.size == 0:
-        raise ValueError("no cells in the requested band")
-    return float(np.count_nonzero(covered)) / covered.size
 
 
 def _field_meta(field: SinrField, extra: dict | None = None) -> dict[str, str]:
@@ -293,18 +226,21 @@ def _color_ramp() -> np.ndarray:
 def write_ppm(field: SinrField, path: str, extra_meta: dict | None = None) -> None:
     """Binary portable pixmap (P6) of the field, top row = highest z.
 
-    Finite values clamp to DB_CLAMP and map to ramp indices 1..255; -inf
-    maps to the reserved index 0. The resolved configuration goes into PPM
-    comment lines, so identical runs produce identical bytes."""
+    Values, +inf included, clamp to DB_CLAMP and map to ramp indices
+    1..255; -inf (no received power) maps to the reserved index 0. The
+    resolved configuration goes into PPM comment lines, so identical runs
+    produce identical bytes."""
     lut = _color_ramp()
     lo, hi = DB_CLAMP
-    vals = field.sinr_db
-    finite = np.isfinite(vals)
-    scaled = np.zeros(vals.shape, dtype=np.uint8)
-    clipped = np.clip(np.where(finite, vals, lo), lo, hi)
-    scaled[finite] = (1 + np.rint((clipped[finite] - lo) / (hi - lo) * 254)
-                      ).astype(np.uint8)
-    rgb = lut[scaled[::-1]]  # flip so the image reads height-up
+    level = np.clip(field.sinr_db, lo, hi)
+    level -= lo
+    level /= hi - lo
+    level *= 254
+    np.rint(level, out=level)
+    level += 1
+    index = level.astype(np.uint8)
+    index[np.isneginf(field.sinr_db)] = 0
+    rgb = lut[index[::-1]]  # flip so the image reads height-up
     with open(path, "wb") as fh:
         fh.write(b"P6\n")
         for key, value in _field_meta(field, extra_meta).items():

@@ -1,27 +1,24 @@
 """Monte Carlo outage estimation with uniform UAV sampling.
 
 Reproducibility contract: the random stream is the counter-based Philox
-generator keyed by the seed, and sample i always consumes the fixed draw
-block [i * k, (i + 1) * k) where k = 2 position draws plus, in Bernoulli
-LoS mode, one draw per base station. Work is split over a fixed chunk grid
-and per-chunk outage counts are integers, so the result depends only on
-(scenario, config), never on worker count or scheduling.
+generator keyed by the seed, drawn in order, and sample i consumes the
+draws [i * k, (i + 1) * k) of it, where k = 2 position draws (x, then z)
+plus, in Bernoulli LoS mode, one LoS draw per base station. Samples are
+evaluated in blocks of BLOCK_POINTS, and each block's outage count is an
+integer, so the result depends only on (scenario, config), never on the
+block size.
 """
 
 from __future__ import annotations
 
 import enum
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .geometry import CorridorScenario
-from .oracle import OracleAssumptions, evaluate_sinr
-
-CHUNK_SAMPLES = 1 << 16
+from .oracle import BLOCK_POINTS, OracleAssumptions, evaluate_sinr
 
 
 class LosMode(enum.Enum):
@@ -50,61 +47,29 @@ class McResult:
     seed: int
 
 
-def sample_point(rng: np.random.Generator,
-                 s: CorridorScenario) -> tuple[float, float]:
-    """One uniform corridor position; consumes exactly two draws:
-    d_x ~ U(0, d1/2) then h_x ~ U(h1, h2)."""
-    return float(rng.uniform(0.0, s.d1 / 2.0)), float(rng.uniform(s.h1, s.h2))
-
-
 def _draws_per_sample(s: CorridorScenario, m: McConfig) -> int:
     if m.los_mode is LosMode.BERNOULLI:
         return 2 + len(m.assumptions.resolve_positions(s))
     return 2
 
 
-def _chunk_outage_count(s: CorridorScenario, m: McConfig, start: int,
-                        stop: int, dps: int) -> int:
-    count = stop - start
-    bg = np.random.Philox(key=m.seed)
-    # Philox.advance counts 4-output counter blocks, one double per output.
-    # Chunk starts are multiples of CHUNK_SAMPLES, so this is always exact.
-    skip = start * dps
-    assert skip % 4 == 0
-    bg.advance(skip // 4)
-    rng = np.random.Generator(bg)
-    u = rng.random((count, dps))
-    d_x = 0.0 + (s.d1 / 2.0 - 0.0) * u[:, 0]
-    h_x = s.h1 + (s.h2 - s.h1) * u[:, 1]
-    los_uniforms = u[:, 2:].T if dps > 2 else None
-    _, val = evaluate_sinr(d_x, h_x, s, m.assumptions,
-                           los_uniforms=los_uniforms)
-    return int(np.count_nonzero(val < s.tau))
-
-
-def _worker_count(workers: int | None) -> int:
-    if workers is not None:
-        return max(1, workers)
-    env = os.environ.get("COV_THREADS")
-    return max(1, int(env)) if env else 1
-
-
-def estimate_outage(s: CorridorScenario, m: McConfig,
-                    workers: int | None = None) -> McResult:
+def estimate_outage(s: CorridorScenario, m: McConfig) -> McResult:
     """Estimated outage probability with binomial standard error and a 95%
-    confidence interval. `workers` (default: COV_THREADS env var, else 1)
-    only splits work; it cannot change the result."""
+    confidence interval."""
     dps = _draws_per_sample(s, m)
-    bounds = [(lo, min(lo + CHUNK_SAMPLES, m.n_samples))
-              for lo in range(0, m.n_samples, CHUNK_SAMPLES)]
-    n_workers = _worker_count(workers)
-    if n_workers > 1 and len(bounds) > 1:
-        with ThreadPoolExecutor(max_workers=n_workers) as pool:
-            counts = list(pool.map(
-                lambda b: _chunk_outage_count(s, m, b[0], b[1], dps), bounds))
-    else:
-        counts = [_chunk_outage_count(s, m, lo, hi, dps) for lo, hi in bounds]
-    outages = sum(counts)
+    rng = np.random.Generator(np.random.Philox(key=m.seed))
+    buf = np.empty((min(BLOCK_POINTS, m.n_samples), dps))
+    outages = 0
+    for lo in range(0, m.n_samples, BLOCK_POINTS):
+        u = buf[:min(BLOCK_POINTS, m.n_samples - lo)]
+        rng.random(out=u)
+        d_x = (s.d1 / 2.0) * u[:, 0]
+        h_x = s.h1 + (s.h2 - s.h1) * u[:, 1]
+        los_uniforms = u[:, 2:].T if dps > 2 else None
+        _, val = evaluate_sinr(d_x, h_x, s, m.assumptions,
+                               los_uniforms=los_uniforms)
+        outages += int(np.count_nonzero(val < s.tau))
+        del _, val  # free them before the next block's kernel call
     n = m.n_samples
     p = outages / n
     se = math.sqrt(p * (1.0 - p) / n)

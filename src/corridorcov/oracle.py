@@ -18,8 +18,8 @@ serving power out of the same pass.
 
 Grids are cut into blocks of whole rows of about BLOCK_POINTS cells (64k),
 so that the kernel's temporaries, a few arrays of 512 KiB, stay in cache;
-the Monte Carlo chunks have the same size. The quadrature and the heatmap
-share that row-block loop.
+the Monte Carlo sampler evaluates its samples in blocks of the same size.
+The quadrature and the heatmap share that row-block loop.
 
 Decision identity. Against the direct evaluation with ``hypot``,
 ``arctan2``, an argmax and a masked copy, the kernel's arithmetic differs

@@ -1,6 +1,5 @@
-"""Uptilt sweeps, golden-section optimal-angle search and unimodality
-diagnostics over any outage evaluator (closed form, quadrature or Monte
-Carlo)."""
+"""Uptilt sweeps and golden-section optimal-angle search over any outage
+evaluator (closed form, quadrature or Monte Carlo)."""
 
 from __future__ import annotations
 
@@ -9,7 +8,7 @@ from dataclasses import dataclass, field
 from typing import Callable
 
 from . import closed_form
-from .geometry import CorridorScenario, GeometryError
+from .geometry import CorridorScenario
 from .monte_carlo import McConfig, estimate_outage
 from .oracle import OracleAssumptions, coverage_by_quadrature
 
@@ -18,23 +17,21 @@ INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
 
 @dataclass(frozen=True)
 class Evaluator:
-    """An outage-probability objective p_out(scenario) with a provenance tag.
+    """An outage-probability objective with a provenance tag.
 
-    analytic evaluators additionally let sweeps annotate each point with its
-    classified uptilt case.
+    fn(scenario) returns (p_out, case): the closed form reports the uptilt
+    case it evaluated, the numeric evaluators None.
     """
 
     tag: str
-    fn: Callable[[CorridorScenario], float]
-    analytic: bool = False
-
-    def __call__(self, s: CorridorScenario) -> float:
-        return self.fn(s)
+    fn: Callable[[CorridorScenario], tuple[float, int | None]]
 
 
 def closed_form_evaluator() -> Evaluator:
-    return Evaluator("closed_form", lambda s: closed_form.outage(s).p_out,
-                     analytic=True)
+    def fn(s: CorridorScenario) -> tuple[float, int]:
+        r = closed_form.outage(s)
+        return r.p_out, int(r.case)
+    return Evaluator("closed_form", fn)
 
 
 def quadrature_evaluator(assumptions: OracleAssumptions | None = None,
@@ -42,15 +39,14 @@ def quadrature_evaluator(assumptions: OracleAssumptions | None = None,
     a = assumptions if assumptions is not None else OracleAssumptions()
     return Evaluator(
         "quadrature",
-        lambda s: 1.0 - coverage_by_quadrature(s, a, n_x, n_z))
+        lambda s: (1.0 - coverage_by_quadrature(s, a, n_x, n_z), None))
 
 
-def mc_evaluator(config: McConfig, workers: int | None = None) -> Evaluator:
+def mc_evaluator(config: McConfig) -> Evaluator:
     """Monte Carlo objective. The config seed is reused at every uptilt
     (common random numbers), which keeps sweep curves and bracketing
     decisions coherent under the sampling noise."""
-    return Evaluator(
-        "mc", lambda s: estimate_outage(s, config, workers=workers).p_out)
+    return Evaluator("mc", lambda s: (estimate_outage(s, config).p_out, None))
 
 
 @dataclass
@@ -58,7 +54,7 @@ class SweepCurve:
     alphas: list[float]            # rad, strictly increasing
     p_out: list[float]             # nan where the evaluator failed
     evaluator: str
-    cases: list[int | None] | None = None
+    cases: list[int | None]        # None where the evaluator gives no case
     errors: dict[int, str] = field(default_factory=dict)
 
 
@@ -72,24 +68,15 @@ def sweep_alpha(template: CorridorScenario, grid: list[float],
     cases: list[int | None] = []
     errors: dict[int, str] = {}
     for i, alpha in enumerate(grid):
-        s = template.replace(alpha=alpha)
         try:
-            values.append(float(evaluator(s)))
-        except (GeometryError, ValueError) as exc:
-            values.append(math.nan)
+            p_out, case = evaluator.fn(template.replace(alpha=alpha))
+        except ValueError as exc:   # GeometryError included
+            p_out, case = math.nan, None
             errors[i] = str(exc)
-            cases.append(None)
-            continue
-        if evaluator.analytic:
-            try:
-                cases.append(int(closed_form.classify_case(s)))
-            except GeometryError:
-                cases.append(None)
-        else:
-            cases.append(None)
-    return SweepCurve(
-        alphas=list(grid), p_out=values, evaluator=evaluator.tag,
-        cases=cases if evaluator.analytic else None, errors=errors)
+        values.append(float(p_out))
+        cases.append(case)
+    return SweepCurve(alphas=list(grid), p_out=values, evaluator=evaluator.tag,
+                      cases=cases, errors=errors)
 
 
 @dataclass(frozen=True)
@@ -119,7 +106,7 @@ def find_optimal_alpha(template: CorridorScenario, lo: float, hi: float,
 
     def f(alpha: float) -> float:
         if alpha not in seen:
-            seen[alpha] = float(evaluator(template.replace(alpha=alpha)))
+            seen[alpha] = float(evaluator.fn(template.replace(alpha=alpha))[0])
         return seen[alpha]
 
     a, b = lo, hi
@@ -184,24 +171,3 @@ def significant_minima(values: list[float], tol: float) -> list[int]:
     if direction <= 0:
         minima.append(lo_idx)
     return minima
-
-
-@dataclass(frozen=True)
-class UnimodalityReport:
-    passed: bool
-    n_minima: int
-    minima_indices: tuple[int, ...]
-    plateau_tol: float
-
-
-def unimodality_report(curve: SweepCurve,
-                       plateau_tol: float = 1e-3) -> UnimodalityReport:
-    """PASS iff the curve has exactly one significant valley after merging
-    plateaus within plateau_tol."""
-    values = [v for v in curve.p_out if not math.isnan(v)]
-    if len(values) < 3:
-        raise ValueError("need at least 3 evaluated points")
-    minima = significant_minima(values, plateau_tol)
-    return UnimodalityReport(passed=(len(minima) == 1), n_minima=len(minima),
-                             minima_indices=tuple(minima),
-                             plateau_tol=plateau_tol)

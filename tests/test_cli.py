@@ -5,10 +5,15 @@ import pytest
 from corridorcov import cli
 
 
+def _reject_constant(name):
+    raise ValueError(f"not strict JSON: {name}")
+
+
 def _run(args, tmp_path, name="out.json"):
+    """Exit code and artifact; NaN or Infinity in the artifact fails."""
     out = tmp_path / name
     code = cli.main([*args, "--out", str(out)])
-    return code, json.loads(out.read_text())
+    return code, json.loads(out.read_text(), parse_constant=_reject_constant)
 
 
 def test_scenario_flags_after_the_subcommand(tmp_path):
@@ -100,7 +105,8 @@ def test_rejected_model_values_exit_1(argv, message, tmp_path, capsys):
 
 
 def test_sweep_json_records_failure_reasons(tmp_path):
-    # alpha + beta reaches 90 degrees from alpha = 50: gaps with a reason
+    # alpha + beta reaches 90 degrees from alpha = 50: gaps with a reason,
+    # written as strict JSON (null, not NaN)
     code, art = _run(["--beta-deg", "40", "sweep", "--alpha-min-deg", "40",
                       "--alpha-max-deg", "55", "--alpha-step-deg", "5",
                       "--format", "json"], tmp_path)
@@ -108,8 +114,9 @@ def test_sweep_json_records_failure_reasons(tmp_path):
     curve = art["curve"]
     assert [row["alpha_deg"] for row in curve] == [40.0, 45.0, 50.0, 55.0]
     assert [row["error"] for row in curve[:2]] == [None, None]
+    assert all(isinstance(row["p_out"], float) for row in curve[:2])
     for row in curve[2:]:
-        assert row["p_out"] != row["p_out"] and row["case"] is None
+        assert row["p_out"] is None and row["case"] is None
         assert "alpha + beta < pi/2" in row["error"]
 
 

@@ -37,7 +37,7 @@ def test_case6_full_span_saturates():
     d1 = 1000.0
     h2 = d1 / span - h1
     s = reference_scenario(20, 40, d1=d1, h1=h1, h2=h2)
-    p_in = closed_form.coverage_case_expression(s, CaseId.CASE_6)
+    p_in = closed_form.outage(s, force_case=CaseId.CASE_6).raw_p_in
     assert p_in == pytest.approx(1.0, rel=1e-12)
 
 

@@ -9,79 +9,13 @@ from corridorcov.geometry import (
     CorridorScenario,
     GeometryError,
     TauOutOfRange,
-    acot,
     borderline_geometry,
     classify_case,
     corner_heights,
     crossing_heights,
-    delta_angles,
-    elevation_angles,
-    theta1_pdf,
 )
 
 D2R = math.pi / 180.0
-
-
-def test_elevation_angles_overhead():
-    t1, t2, t3 = elevation_angles(0.0, 200.0, 1000.0)
-    assert t1 == math.pi / 2
-    assert t2 == pytest.approx(math.atan(0.2), abs=1e-15)
-    assert t3 == pytest.approx(math.atan(0.2), abs=1e-15)
-
-
-def test_elevation_angles_midpoint_symmetry():
-    t1, t2, t3 = elevation_angles(500.0, 300.0, 1000.0)
-    assert t1 == pytest.approx(t2, rel=1e-15)
-    assert t3 == pytest.approx(math.atan(0.2), abs=1e-15)
-
-
-def test_elevation_angles_interior_point():
-    # frozen from direct atan evaluation
-    t1, t2, t3 = elevation_angles(250.0, 150.0, 1000.0)
-    assert math.degrees(t1) == pytest.approx(30.963757, abs=1e-5)
-    assert math.degrees(t2) == pytest.approx(11.309932, abs=1e-5)
-    assert math.degrees(t3) == pytest.approx(6.842773, abs=1e-5)
-
-
-def test_elevation_angle_ordering_property():
-    rng = np.random.default_rng(7)
-    for _ in range(500):
-        d1 = rng.uniform(100, 5000)
-        d_x = rng.uniform(0, d1 / 2)
-        h_x = rng.uniform(1, 2000)
-        t1, t2, t3 = elevation_angles(d_x, h_x, d1)
-        assert t1 >= t2 >= t3 > 0
-        assert t1 <= math.pi / 2
-
-
-def test_elevation_angles_domain_errors():
-    with pytest.raises(ValueError):
-        elevation_angles(100.0, -5.0, 1000.0)
-    with pytest.raises(ValueError):
-        elevation_angles(600.0, 100.0, 1000.0)
-    with pytest.raises(ValueError):
-        elevation_angles(-1.0, 100.0, 1000.0)
-
-
-def test_theta1_pdf_values():
-    # csc(pi/2) = 1 at the upper support edge
-    assert theta1_pdf(math.pi / 2, 200.0, 1000.0) == pytest.approx(0.4)
-    assert theta1_pdf(45 * D2R, 300.0, 1000.0) == pytest.approx(1.2)
-    # zero outside support; limit value at the lower edge
-    assert theta1_pdf(math.atan(0.4) - 1e-6, 200.0, 1000.0) == 0.0
-    assert theta1_pdf(math.atan(0.4), 200.0, 1000.0) > 0.0
-    assert theta1_pdf(math.pi / 2 + 1e-6, 200.0, 1000.0) == 0.0
-    with pytest.raises(ValueError):
-        theta1_pdf(1.0, 0.0, 1000.0)
-
-
-@pytest.mark.parametrize("h_x", [50.0, 200.0, 450.0])
-def test_theta1_pdf_normalizes(h_x):
-    d1 = 1000.0
-    lo = math.atan(2 * h_x / d1)
-    thetas = np.linspace(lo, math.pi / 2, 10_000)
-    vals = [theta1_pdf(t, h_x, d1) for t in thetas]
-    assert np.trapezoid(vals, thetas) == pytest.approx(1.0, abs=1e-6)
 
 
 def test_crossing_heights_frozen():
@@ -111,7 +45,8 @@ def test_crossing_heights_rejects_bad_tilt():
 def test_borderline_frozen_values():
     # frozen from bisection on the ratio equations (independent of the
     # closed formulas)
-    b = borderline_geometry(reference_scenario(13, 40))
+    s = reference_scenario(13, 40)
+    b = borderline_geometry(s)
     assert b.d2 == pytest.approx(442.688366, abs=1e-4)
     assert b.d3 == pytest.approx(421.678958, abs=1e-4)
     assert b.d4 == pytest.approx(114.623268, abs=1e-4)
@@ -120,6 +55,8 @@ def test_borderline_frozen_values():
     assert math.degrees(b.gamma2) == pytest.approx(88.001921, abs=1e-4)
     assert 0 < b.d4 < b.d2 < 500  # d2 = d1/(sqrt(tau)+1) < d1/2 for tau > 1
     assert b.d3 <= b.d2 and b.d4 <= b.d5
+    # the first border's upper endpoint (d3, h2) lies on its inclined line
+    assert b.d3 == pytest.approx(b.d2 - s.h2 / math.tan(b.gamma1), rel=1e-9)
 
 
 def test_borderline_ratio_substitution():
@@ -184,40 +121,6 @@ def test_crossing_and_corner_monotone_in_alpha():
         hc4s.append(corner_heights(s, borderline_geometry(s)).h_c4)
     assert all(b > a for a, b in zip(h3s, h3s[1:]))
     assert all(b > a for a, b in zip(hc4s, hc4s[1:]))
-
-
-def test_delta_angles_against_border_endpoint():
-    # delta1 at the corridor top must equal the elevation of the border's
-    # upper endpoint (d3, h2) seen from BS-1
-    s = reference_scenario(13, 40)
-    b = borderline_geometry(s)
-    d1a, d2a, d3a, d4a = delta_angles(300.0, s, b)
-    assert d1a == pytest.approx(math.atan(s.h2 / b.d3), rel=1e-9)
-    assert math.degrees(d1a) == pytest.approx(35.4296, abs=1e-3)
-
-
-def test_delta3_obtuse_branch():
-    s = reference_scenario(13, 40)
-    b = borderline_geometry(s)
-    _, _, d3a, _ = delta_angles(250.0, s, b)
-    assert math.degrees(d3a) == pytest.approx(108.339113, abs=1e-4)
-    assert d3a > math.pi / 2  # representable behind the BS
-
-
-def test_delta_angles_at_hc4():
-    s = reference_scenario(13, 40)
-    b = borderline_geometry(s)
-    c = corner_heights(s, b)
-    _, _, d3a, d4a = delta_angles(c.h_c4, s, b)
-    assert d3a == pytest.approx(math.pi / 2, abs=1e-12)
-    assert d4a == pytest.approx(math.pi / 2, abs=1e-12)
-
-
-def test_acot_branch():
-    assert acot(0.0) == pytest.approx(math.pi / 2)
-    assert acot(1.0) == pytest.approx(math.pi / 4)
-    assert acot(-1.0) == pytest.approx(3 * math.pi / 4)
-    assert 0 < acot(1e6) < acot(-1e6) < math.pi
 
 
 @pytest.mark.parametrize("alpha_deg,expected", [

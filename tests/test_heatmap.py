@@ -11,8 +11,6 @@ from corridorcov.heatmap import (
     CSV_BLOCK_CELLS,
     DB_CLAMP,
     SinrField,
-    coverage_contour,
-    covered_fraction,
     sinr_field,
     write_csv,
     write_ppm,
@@ -46,7 +44,6 @@ def test_field_layout_and_defaults():
     assert f.serving.shape == (30, 50)
     assert f.x_min == 0.0 and f.x_max == 500.0
     assert f.z_min == 0.0 and f.z_max == 300.0
-    assert f.corridor_band == (100.0, 300.0)
     assert f.x_centers[0] == pytest.approx(5.0)
     assert f.z_centers[-1] == pytest.approx(295.0)
 
@@ -97,70 +94,14 @@ def test_border_cells_near_threshold():
     assert np.all(np.abs(f.sinr_db[sel] - s.tau_db) <= 0.5)
 
 
-def test_contour_empty_on_uniform_fields():
-    assert coverage_contour(_synthetic_field(np.full((6, 9), 10.0)), 2.0) == []
-    assert coverage_contour(_synthetic_field(np.full((6, 9), -7.0)), 2.0) == []
-
-
-def test_contour_half_plane():
-    # vertical split: covered left of x = 5.0 exactly between columns 4|5
-    nz, nx = 8, 10
-    vals = np.where(np.arange(nx) < 5, 10.0, -10.0)
-    f = _synthetic_field(np.tile(vals, (nz, 1)))
-    segs = coverage_contour(f, 2.0)
-    assert len(segs) == nz - 1
-    xs = [p[0] for seg in segs for p in seg]
-    assert all(x == pytest.approx(5.0, abs=f.x_max / nx) for x in xs)
-    # straight vertical polyline: every segment spans one z step
-    for (x0, z0), (x1, z1) in segs:
-        assert x0 == x1
-        assert abs(z1 - z0) == pytest.approx(f.z_max / nz)
-
-
-def test_contour_segments_bracket_threshold():
-    s = reference_scenario(13, 40)
-    f = sinr_field(s, OracleAssumptions(), 120, 80)
-    covered = f.sinr_db >= s.tau_db
-    segs = coverage_contour(f, s.tau_db)
-    assert segs, "expected a coverage boundary"
-    # every segment endpoint lies between a covered and an uncovered cell
-    mixed_blocks = 0
-    for k in range(f.nz - 1):
-        for j in range(f.nx - 1):
-            block = covered[k:k + 2, j:j + 2]
-            if block.any() and not block.all():
-                mixed_blocks += 1
-    assert mixed_blocks <= len(segs) <= 2 * mixed_blocks
-
-
-def test_contour_scan_order_deterministic():
-    s = reference_scenario(13, 40)
-    f = sinr_field(s, OracleAssumptions(), 90, 60)
-    segs = coverage_contour(f, 2.0)
-    assert segs == coverage_contour(f, 2.0)
-    # row-major block scan: per-segment minimum z never steps back by more
-    # than one cell
-    dz = (f.z_max - f.z_min) / f.nz
-    min_z = [min(p[1] for p in seg) for seg in segs]
-    assert all(b >= a - dz for a, b in zip(min_z, min_z[1:]))
-
-
 def test_area_fraction_matches_quadrature():
     s = reference_scenario(13, 40)
     a = OracleAssumptions()
     f = sinr_field(s, a, 1000, 600, x_range=(0.0, s.d1 / 2),
                    z_range=(s.h1, s.h2))
-    frac = covered_fraction(f, s.tau_db)
+    frac = np.mean(f.sinr_db >= s.tau_db)
     q = coverage_by_quadrature(s, a, 1000, 600)
     assert abs(frac - q) <= 0.01
-
-
-def test_covered_fraction_band():
-    f = _synthetic_field(np.array([[10.0, 10.0], [-10.0, -10.0]]), z_max=2.0)
-    assert covered_fraction(f, 2.0) == 0.5
-    assert covered_fraction(f, 2.0, z_band=(0.0, 1.0)) == 1.0
-    with pytest.raises(ValueError):
-        covered_fraction(f, 2.0, z_band=(5.0, 6.0))
 
 
 def test_csv_round_trip(tmp_path):
@@ -207,6 +148,18 @@ def test_ppm_reserved_no_signal_color(tmp_path):
     write_ppm(f, str(out))
     pixels = out.read_bytes().rpartition(b"\n255\n")[2]
     assert pixels == bytes([40, 40, 40]) * 4
+
+
+def test_ppm_infinite_cells(tmp_path):
+    # +inf (no noise, no interference) is the ramp's top color; only -inf
+    # (no received power) gets the reserved index 0
+    f = _synthetic_field([[-math.inf, math.inf, 1e9, 40.0, -100.0, -20.0]])
+    out = tmp_path / "inf.ppm"
+    write_ppm(f, str(out))
+    pixels = out.read_bytes().rpartition(b"\n255\n")[2]
+    lut = heatmap._color_ramp()
+    assert pixels == lut[[0, 255, 255, 255, 1, 1]].tobytes()
+    assert bytes(lut[0]) == bytes([40, 40, 40])
 
 
 def test_clamp_constants():

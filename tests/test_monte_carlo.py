@@ -3,57 +3,41 @@ import math
 import numpy as np
 import pytest
 
-from corridorcov import closed_form
+from corridorcov import closed_form, monte_carlo
 from corridorcov.defaults import reference_scenario
-from corridorcov.monte_carlo import (
-    CHUNK_SAMPLES,
-    LosMode,
-    McConfig,
-    McResult,
-    estimate_outage,
-    sample_point,
+from corridorcov.monte_carlo import LosMode, McConfig, McResult, estimate_outage
+from corridorcov.oracle import (
+    BLOCK_POINTS,
+    Association,
+    OracleAssumptions,
+    evaluate_sinr,
 )
-from corridorcov.oracle import Association, OracleAssumptions, evaluate_sinr
 from corridorcov.propagation import AirToGroundPathLoss, InterferenceMode
 
+# draws per sample: x, z and, in Bernoulli mode, one LoS draw per BS
+_DRAW_CONFIGS = {
+    2: dict(),
+    6: dict(assumptions=OracleAssumptions(pathloss=AirToGroundPathLoss()),
+            los_mode=LosMode.BERNOULLI),
+    5: dict(assumptions=OracleAssumptions(pathloss=AirToGroundPathLoss(),
+                                          bs_positions=(-1000.0, 0.0, 1000.0)),
+            los_mode=LosMode.BERNOULLI),
+}
 
-def _stream(seed, n, cols=2):
-    rng = np.random.Generator(np.random.Philox(key=seed))
-    return rng.random((n, cols))
 
-
-def test_sample_point_matches_counter_stream():
-    # the scalar sampler and the chunked vector path read the same stream
+@pytest.mark.parametrize("dps", [2, 6])
+def test_draw_order_is_one_philox_stream(dps):
+    # sample i reads row i of Philox(key=seed).random((n, dps)): x, z, then
+    # the per-BS LoS uniforms; n crosses a block boundary
     s = reference_scenario(13, 40)
-    rng = np.random.Generator(np.random.Philox(key=9))
-    pts = [sample_point(rng, s) for _ in range(1000)]
-    u = _stream(9, 1000)
-    d_x = 0.0 + (s.d1 / 2.0 - 0.0) * u[:, 0]
-    h_x = s.h1 + (s.h2 - s.h1) * u[:, 1]
-    assert all(p == (d_x[i], h_x[i]) for i, p in enumerate(pts))
-
-
-def test_sample_point_uniform_moments():
-    s = reference_scenario(13, 40)
-    n = 1_000_000
-    u = _stream(123, n)
-    d_x = (s.d1 / 2.0) * u[:, 0]
-    h_x = s.h1 + (s.h2 - s.h1) * u[:, 1]
-    se_d = (s.d1 / 2) / math.sqrt(12 * n)
-    se_h = (s.h2 - s.h1) / math.sqrt(12 * n)
-    assert abs(d_x.mean() - s.d1 / 4) <= 3 * se_d
-    assert abs(h_x.mean() - (s.h1 + s.h2) / 2) <= 3 * se_h
-
-
-def test_sample_point_ks_uniformity():
-    s = reference_scenario(13, 40)
-    n = 100_000
-    d_x = np.sort((s.d1 / 2.0) * _stream(123, n)[:, 0])
-    cdf = d_x / (s.d1 / 2.0)
-    hi = np.arange(1, n + 1) / n
-    lo = np.arange(0, n) / n
-    d_stat = max(np.max(hi - cdf), np.max(cdf - lo))
-    assert d_stat < 1.63 / math.sqrt(n)  # 1% critical value, large-n tables
+    n = BLOCK_POINTS + 3
+    cfg = McConfig(n_samples=n, seed=9, **_DRAW_CONFIGS[dps])
+    u = np.random.Generator(np.random.Philox(key=9)).random((n, dps))
+    x = (s.d1 / 2.0) * u[:, 0]
+    z = s.h1 + (s.h2 - s.h1) * u[:, 1]
+    los = u[:, 2:].T if dps > 2 else None
+    _, val = evaluate_sinr(x, z, s, cfg.assumptions, los_uniforms=los)
+    assert estimate_outage(s, cfg).p_out == np.count_nonzero(val < s.tau) / n
 
 
 def test_estimate_matches_closed_form():
@@ -84,14 +68,15 @@ def test_threshold_degenerate_limits():
     assert estimate_outage(s_dark, McConfig(n_samples=50_000, seed=4)).p_out == 1.0
 
 
-def test_worker_count_cannot_change_result(monkeypatch):
+@pytest.mark.parametrize("dps", sorted(_DRAW_CONFIGS))
+def test_block_size_cannot_change_result(monkeypatch, dps):
     s = reference_scenario(13, 40)
-    cfg = McConfig(n_samples=3 * CHUNK_SAMPLES + 17, seed=7)
-    r1 = estimate_outage(s, cfg, workers=1)
-    r8 = estimate_outage(s, cfg, workers=8)
-    assert r1 == r8
-    monkeypatch.setenv("COV_THREADS", "5")
-    assert estimate_outage(s, cfg) == r1
+    cfg = McConfig(n_samples=70_001, seed=7, **_DRAW_CONFIGS[dps])
+    results = []
+    for block in (4096, 4097, 65536):
+        monkeypatch.setattr(monte_carlo, "BLOCK_POINTS", block)
+        results.append(estimate_outage(s, cfg))
+    assert results[0] == results[1] == results[2]
 
 
 def test_same_seed_same_result_distinct_seeds_differ():
@@ -156,11 +141,10 @@ def test_bernoulli_collapses_when_etas_equal():
 def test_bernoulli_mode_deterministic():
     s = reference_scenario(13, 40)
     a = OracleAssumptions(pathloss=AirToGroundPathLoss())
-    cfg = McConfig(n_samples=2 * CHUNK_SAMPLES + 11, seed=12, assumptions=a,
+    cfg = McConfig(n_samples=2 * BLOCK_POINTS + 11, seed=12, assumptions=a,
                    los_mode=LosMode.BERNOULLI)
-    r1 = estimate_outage(s, cfg, workers=1)
-    r4 = estimate_outage(s, cfg, workers=4)
-    assert r1 == r4
+    r1 = estimate_outage(s, cfg)
+    assert estimate_outage(s, cfg) == r1
     assert 0.0 <= r1.p_out <= 1.0
     # per-link draws shift the estimate away from the expectation mixture
     r_exp = estimate_outage(s, McConfig(n_samples=cfg.n_samples, seed=12,

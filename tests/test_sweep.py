@@ -9,14 +9,12 @@ from corridorcov.monte_carlo import McConfig
 from corridorcov.oracle import BeamKind, OracleAssumptions
 from corridorcov.sweep import (
     Evaluator,
-    SweepCurve,
     closed_form_evaluator,
     find_optimal_alpha,
     mc_evaluator,
     quadrature_evaluator,
     significant_minima,
     sweep_alpha,
-    unimodality_report,
 )
 
 D2R = math.pi / 180.0
@@ -61,6 +59,7 @@ def test_sweep_records_gaps():
     curve = sweep_alpha(template, grid, closed_form_evaluator())
     assert math.isnan(curve.p_out[-1])
     assert 2 in curve.errors
+    assert curve.cases[0] is not None and curve.cases[-1] is None
 
 
 def test_mc_sweep_seed_noise_within_binomial_budget():
@@ -78,7 +77,9 @@ def test_quadrature_evaluator_tracks_closed_form():
     template = reference_scenario(10, 40)
     ev = quadrature_evaluator(n_x=256, n_z=256)
     s = template.replace(alpha=13 * D2R)
-    assert abs(ev(s) - closed_form.outage(s).p_out) <= 0.02
+    p_out, case = ev.fn(s)
+    assert case is None
+    assert abs(p_out - closed_form.outage(s).p_out) <= 0.02
 
 
 def test_cosine_sweep_follows_alpha():
@@ -116,7 +117,7 @@ def test_golden_section_matches_dense_grid():
 
 def test_golden_section_constant_objective():
     template = reference_scenario(10, 40)
-    ev = Evaluator("const", lambda s: 0.25)
+    ev = Evaluator("const", lambda s: (0.25, None))
     res = find_optimal_alpha(template, 2 * D2R, 38 * D2R, 0.05 * D2R, ev)
     assert res.p_out == 0.25
     assert res.not_unimodal is False
@@ -144,25 +145,3 @@ def test_significant_minima_synthetic():
     # wiggles below the plateau tolerance merge away
     noisy = [3, 2, 2.0004, 1.9996, 2.0003, 3]
     assert len(significant_minima(noisy, 1e-3)) == 1
-
-
-def test_unimodality_report():
-    c = SweepCurve(alphas=[0.1, 0.2, 0.3, 0.4, 0.5],
-                   p_out=[5, 3, 2, 3, 5], evaluator="synthetic")
-    rep = unimodality_report(c, 1e-3)
-    assert rep.passed and rep.minima_indices == (2,)
-
-    c2 = SweepCurve(alphas=[0.1, 0.2, 0.3, 0.4, 0.5],
-                    p_out=[5, 2, 4, 1, 5], evaluator="synthetic")
-    rep2 = unimodality_report(c2, 1e-3)
-    assert not rep2.passed
-    assert rep2.minima_indices == (1, 3)
-
-    with pytest.raises(ValueError):
-        unimodality_report(SweepCurve([0.1], [1.0], "x"), 1e-3)
-
-
-def test_unimodality_of_default_closed_form_curve():
-    template = reference_scenario(10, 40)
-    curve = sweep_alpha(template, GRID, closed_form_evaluator())
-    assert unimodality_report(curve, 1e-3).passed
