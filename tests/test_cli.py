@@ -47,6 +47,28 @@ def test_cosine_sweep_moves_with_alpha(tmp_path):
     assert len(p_out) == 4 and len(set(p_out)) == 4
 
 
+@pytest.mark.parametrize("alpha_deg, case", [
+    (4, 1), (8, 2), (13, 3), (17, 4), (25, 5), (35, 6),
+])
+def test_classify_prints_the_outage_case(alpha_deg, case, tmp_path, capsys):
+    code, art = _run(["--beta-deg", "40", "--alpha-deg", str(alpha_deg),
+                      "classify"], tmp_path)
+    assert code == 0
+    assert capsys.readouterr().out == f"case={case}\n"
+    assert art["command"] == "classify" and art["case"] == case
+
+
+def test_classify_outside_the_analytic_domain_exits_1(tmp_path, capsys):
+    out = tmp_path / "out.json"
+    code = cli.main(["--beta-deg", "40", "--alpha-deg", "55", "classify",
+                     "--out", str(out)])
+    assert code == 1
+    captured = capsys.readouterr()
+    assert "case=" not in captured.out
+    assert "alpha + beta < pi/2" in captured.err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("argv", [
     ["bogus"],
     [],

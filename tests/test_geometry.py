@@ -8,6 +8,7 @@ from corridorcov.geometry import (
     CaseId,
     CorridorScenario,
     GeometryError,
+    GeometryInfeasible,
     TauOutOfRange,
     borderline_geometry,
     classify_case,
@@ -80,6 +81,20 @@ def test_borderline_tau_limits():
         borderline_geometry(reference_scenario(13, 40, tau_db=0.0))
     with pytest.raises(TauOutOfRange):
         borderline_geometry(reference_scenario(13, 40, tau_db=-3.0))
+
+
+def test_borderline_infeasible_above_first_border_height():
+    # the first border's discriminant d1^2 tau - (tau - 1)^2 h2^2 turns
+    # negative above h2 = d1 sqrt(tau) / (tau - 1); the second one's only
+    # at twice that height, so the first check is the one a tall corridor hits
+    tau = 10.0 ** 0.5
+    h_max = 1000.0 * math.sqrt(tau) / (tau - 1.0)
+    below = reference_scenario(13, 40, tau_db=5.0, h2=h_max * (1 - 1e-9))
+    b = borderline_geometry(below)
+    assert b.d3 < b.d2
+    above = reference_scenario(13, 40, tau_db=5.0, h2=h_max * (1 + 1e-9))
+    with pytest.raises(GeometryInfeasible, match="first-border"):
+        borderline_geometry(above)
 
 
 def test_borderline_d2_decreases_with_tau():
@@ -155,6 +170,29 @@ def test_classify_requires_analytic_domain():
         classify_case(reference_scenario(13, 40, tau_db=0.0))
     with pytest.raises(GeometryError):
         classify_case(reference_scenario(-6, 40))
+
+
+def _corner_heights_of(s):
+    # the borderline of a valid scenario, so only s can fail the check
+    return corner_heights(s, borderline_geometry(reference_scenario(13, 40)))
+
+
+@pytest.mark.parametrize("fn", [crossing_heights, borderline_geometry,
+                                _corner_heights_of],
+                         ids=["crossing", "borderline", "corners"])
+@pytest.mark.parametrize("kwargs, error", [
+    (dict(alpha_deg=-2.0), GeometryError),        # downtilt
+    (dict(alpha_deg=0.0), GeometryError),         # boresight on the horizon
+    (dict(alpha_deg=55.0), GeometryError),        # alpha + beta past vertical
+    (dict(alpha_deg=13.0, tau_db=0.0), TauOutOfRange),
+], ids=["downtilt", "zero_tilt", "past_vertical", "tau_0db"])
+def test_geometry_functions_share_one_precondition(fn, kwargs, error):
+    s = reference_scenario(beta_deg=40.0, **kwargs)
+    with pytest.raises(error) as expected:
+        s.require_analytic()
+    with pytest.raises(error) as raised:
+        fn(s)
+    assert str(raised.value) == str(expected.value)
 
 
 def test_scenario_validation():

@@ -162,6 +162,18 @@ def test_ppm_infinite_cells(tmp_path):
     assert bytes(lut[0]) == bytes([40, 40, 40])
 
 
+def test_ppm_ramp_indices_between_the_clamps(tmp_path):
+    # finite values clamp to DB_CLAMP and map linearly onto indices 1..255
+    lo, hi = DB_CLAMP
+    values = [lo - 5.0, lo, lo + (hi - lo) / 254, (lo + hi) / 2,
+              hi - (hi - lo) / 254, hi, hi + 5.0]
+    out = tmp_path / "ramp.ppm"
+    write_ppm(_synthetic_field([values]), str(out))
+    pixels = out.read_bytes().rpartition(b"\n255\n")[2]
+    lut = heatmap._color_ramp()
+    assert pixels == lut[[1, 1, 2, 128, 254, 255, 255]].tobytes()
+
+
 def test_clamp_constants():
     assert DB_CLAMP == (-20.0, 40.0)
 

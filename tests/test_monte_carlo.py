@@ -25,19 +25,36 @@ _DRAW_CONFIGS = {
 }
 
 
-@pytest.mark.parametrize("dps", [2, 6])
-def test_draw_order_is_one_philox_stream(dps):
-    # sample i reads row i of Philox(key=seed).random((n, dps)): x, z, then
-    # the per-BS LoS uniforms; n crosses a block boundary
-    s = reference_scenario(13, 40)
-    n = BLOCK_POINTS + 3
-    cfg = McConfig(n_samples=n, seed=9, **_DRAW_CONFIGS[dps])
-    u = np.random.Generator(np.random.Philox(key=9)).random((n, dps))
+def _outage_of_one_stream(s, cfg, dps):
+    """p_out recomputed from row i of Philox(key=seed).random((n, dps)):
+    x, z, then the per-BS LoS uniforms."""
+    n = cfg.n_samples
+    u = np.random.Generator(np.random.Philox(key=cfg.seed)).random((n, dps))
     x = (s.d1 / 2.0) * u[:, 0]
     z = s.h1 + (s.h2 - s.h1) * u[:, 1]
     los = u[:, 2:].T if dps > 2 else None
     _, val = evaluate_sinr(x, z, s, cfg.assumptions, los_uniforms=los)
-    assert estimate_outage(s, cfg).p_out == np.count_nonzero(val < s.tau) / n
+    return np.count_nonzero(val < s.tau) / n
+
+
+@pytest.mark.parametrize("dps", [2, 6])
+def test_draw_order_is_one_philox_stream(dps):
+    # n crosses a block boundary
+    s = reference_scenario(13, 40)
+    cfg = McConfig(n_samples=BLOCK_POINTS + 3, seed=9, **_DRAW_CONFIGS[dps])
+    assert estimate_outage(s, cfg).p_out == _outage_of_one_stream(s, cfg, dps)
+
+
+@pytest.mark.parametrize("n", [1, 3, BLOCK_POINTS - 1, BLOCK_POINTS,
+                               BLOCK_POINTS + 1])
+def test_block_edges_read_one_stream(n):
+    # a last block of 1 or BLOCK_POINTS - 1 rows, one exactly full block,
+    # and fewer samples than one block (the buffer is sized to n)
+    s = reference_scenario(13, 40)
+    cfg = McConfig(n_samples=n, seed=3, **_DRAW_CONFIGS[6])
+    r = estimate_outage(s, cfg)
+    assert r.n == n
+    assert r.p_out == _outage_of_one_stream(s, cfg, 6)
 
 
 def test_estimate_matches_closed_form():

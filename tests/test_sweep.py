@@ -5,6 +5,7 @@ import pytest
 
 from corridorcov import closed_form
 from corridorcov.defaults import ALPHA_GRID_DEG, reference_scenario
+from corridorcov.geometry import classify_case
 from corridorcov.monte_carlo import McConfig
 from corridorcov.oracle import BeamKind, OracleAssumptions
 from corridorcov.sweep import (
@@ -60,6 +61,26 @@ def test_sweep_records_gaps():
     assert math.isnan(curve.p_out[-1])
     assert 2 in curve.errors
     assert curve.cases[0] is not None and curve.cases[-1] is None
+
+
+@pytest.mark.parametrize("evaluator", [
+    closed_form_evaluator(),
+    quadrature_evaluator(n_x=64, n_z=64),
+    mc_evaluator(McConfig(n_samples=2000, seed=5)),
+], ids=lambda ev: ev.tag)
+def test_sweep_cases_come_from_the_evaluator(evaluator):
+    # the closed form reports the case it evaluated, which is the
+    # classifier's; the numeric evaluators report none
+    template = reference_scenario(10, 40)
+    grid = [a * D2R for a in (4, 8, 13, 17, 25, 35)]
+    curve = sweep_alpha(template, grid, evaluator)
+    assert curve.errors == {}
+    if evaluator.tag == "closed_form":
+        expected = [int(classify_case(template.replace(alpha=a))) for a in grid]
+        assert expected == [1, 2, 3, 4, 5, 6]
+    else:
+        expected = [None] * len(grid)
+    assert curve.cases == expected
 
 
 def test_mc_sweep_seed_noise_within_binomial_budget():
