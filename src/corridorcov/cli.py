@@ -41,6 +41,7 @@ from .propagation import (
     FreeSpacePathLoss,
     InterferenceMode,
     LinkBudget,
+    _Workspace,
     db_to_linear,
 )
 
@@ -514,8 +515,11 @@ def _cmd_heatmap(cfg: RunConfig, args) -> int:
 def _cmd_validate(cfg: RunConfig, args) -> int:
     alphas = (_parse_floats(args.alphas_deg) if args.alphas_deg
               else cfg.get("validate.alphas_deg"))
+    if not alphas:
+        raise ConfigError("validate needs at least one uptilt (--alphas-deg)")
     nx, nz = cfg.get("validate.nx"), cfg.get("validate.nz")
     n_mc = cfg.get("validate.samples")
+    work = _Workspace()  # shared by every quadrature and Monte Carlo call
     worst_quad = worst_mc = 0.0
     rows = []
     ok = True
@@ -523,10 +527,10 @@ def _cmd_validate(cfg: RunConfig, args) -> int:
         s = cfg.scenario(alpha_deg=alpha_deg)
         r = closed_form.outage(s)
         a = cfg.assumptions()
-        q = 1.0 - coverage_by_quadrature(s, a, nx, nz)
+        q = 1.0 - coverage_by_quadrature(s, a, nx, nz, work=work)
         mc = estimate_outage(s, McConfig(n_samples=n_mc,
                                          seed=cfg.get("mc.seed"),
-                                         assumptions=a))
+                                         assumptions=a), work=work)
         dq = abs(r.p_out - q)
         dm = abs(r.p_out - mc.p_out)
         mc_budget = max(0.02, 4.0 * mc.std_err)

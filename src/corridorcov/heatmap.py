@@ -10,6 +10,7 @@ import numpy as np
 
 from .geometry import CorridorScenario
 from .oracle import OracleAssumptions, _row_blocks, evaluate_sinr
+from .propagation import _Workspace
 
 # Fixed dB clamp of the image color ramp, for reproducible bytes.
 DB_CLAMP = (-20.0, 40.0)
@@ -71,12 +72,14 @@ def sinr_field(s: CorridorScenario, a: OracleAssumptions, nx: int, nz: int,
 
     sinr_db = np.empty((nz, nx), dtype=float)
     serving = np.empty((nz, nx), dtype=np.int64)
-    for rows, xx, zz in _row_blocks(xs, zs):
-        idx, val = evaluate_sinr(xx, zz, s, a)
+    work = _Workspace()
+    for rows, x, z in _row_blocks(xs, zs):
+        idx, val = evaluate_sinr(x, z, s, a, work=work)
+        db = sinr_db[rows]
         with np.errstate(divide="ignore"):
-            db = 10.0 * np.log10(val)
-        sinr_db[rows] = db.reshape(-1, nx)
-        serving[rows] = idx.reshape(-1, nx)
+            np.log10(val, out=db)
+        db *= 10.0
+        serving[rows] = idx
     return SinrField(x_min=x_min, x_max=x_max, z_min=z_min, z_max=z_max,
                      nx=nx, nz=nz, sinr_db=sinr_db, serving=serving,
                      scenario=s, assumptions=a)

@@ -3,10 +3,14 @@
 Reproducibility contract: the random stream is the counter-based Philox
 generator keyed by the seed, drawn in order, and sample i consumes the
 draws [i * k, (i + 1) * k) of it, where k = 2 position draws (x, then z)
-plus, in Bernoulli LoS mode, one LoS draw per base station. Samples are
-evaluated in blocks of BLOCK_POINTS, and each block's outage count is an
-integer, so the result depends only on (scenario, config), never on the
-block size.
+plus, in Bernoulli LoS mode with the air-to-ground model, one LoS draw per
+base station. Free-space loss has no LoS state, so Bernoulli and
+expectation mode draw the same stream with it and give the same result.
+Samples are evaluated in blocks of BLOCK_POINTS, and each block's outage
+count is an integer, so the result depends only on (scenario, config),
+never on the block size. The draws, the scaled positions and the kernel's
+temporaries live in one workspace that every block reuses, and that the
+caller may reuse across calls; what it held before cannot change a result.
 """
 
 from __future__ import annotations
@@ -19,6 +23,7 @@ import numpy as np
 
 from .geometry import CorridorScenario
 from .oracle import BLOCK_POINTS, OracleAssumptions, evaluate_sinr
+from .propagation import AirToGroundPathLoss, _Workspace
 
 
 class LosMode(enum.Enum):
@@ -48,28 +53,31 @@ class McResult:
 
 
 def _draws_per_sample(s: CorridorScenario, m: McConfig) -> int:
-    if m.los_mode is LosMode.BERNOULLI:
+    if (m.los_mode is LosMode.BERNOULLI
+            and isinstance(m.assumptions.pathloss, AirToGroundPathLoss)):
         return 2 + len(m.assumptions.resolve_positions(s))
     return 2
 
 
-def estimate_outage(s: CorridorScenario, m: McConfig) -> McResult:
+def estimate_outage(s: CorridorScenario, m: McConfig, work=None) -> McResult:
     """Estimated outage probability with binomial standard error and a 95%
-    confidence interval."""
+    confidence interval. `work` is a `_Workspace` to reuse across calls; a
+    new one when None."""
     dps = _draws_per_sample(s, m)
     rng = np.random.Generator(np.random.Philox(key=m.seed))
-    buf = np.empty((min(BLOCK_POINTS, m.n_samples), dps))
+    work = _Workspace() if work is None else work
     outages = 0
     for lo in range(0, m.n_samples, BLOCK_POINTS):
-        u = buf[:min(BLOCK_POINTS, m.n_samples - lo)]
-        rng.random(out=u)
-        d_x = (s.d1 / 2.0) * u[:, 0]
-        h_x = s.h1 + (s.h2 - s.h1) * u[:, 1]
+        size = min(BLOCK_POINTS, m.n_samples - lo)
+        u = rng.random(out=work.take("u", (size, dps)))
+        d_x = np.multiply(u[:, 0], s.d1 / 2.0, out=work.take("d_x", (size,)))
+        h_x = np.multiply(u[:, 1], s.h2 - s.h1, out=work.take("h_x", (size,)))
+        h_x += s.h1
         los_uniforms = u[:, 2:].T if dps > 2 else None
         _, val = evaluate_sinr(d_x, h_x, s, m.assumptions,
-                               los_uniforms=los_uniforms)
-        outages += int(np.count_nonzero(val < s.tau))
-        del _, val  # free them before the next block's kernel call
+                               los_uniforms=los_uniforms, work=work)
+        missed = np.less(val, s.tau, out=work.take("missed", (size,), bool))
+        outages += int(np.count_nonzero(missed))
     n = m.n_samples
     p = outages / n
     se = math.sqrt(p * (1.0 - p) / n)

@@ -16,10 +16,28 @@ running (serving, strongest interferer) pair, or a running sum of all
 powers under SUM_ALL interference, and nearest association reads the
 serving power out of the same pass.
 
-Grids are cut into blocks of whole rows of about BLOCK_POINTS cells (64k),
-so that the kernel's temporaries, a few arrays of 512 KiB, stay in cache;
-the Monte Carlo sampler evaluates its samples in blocks of the same size.
-The quadrature and the heatmap share that row-block loop.
+Broadcast grid. x and z broadcast against each other, and the results take
+their broadcast shape. The row-block loop passes a grid's one row of x and
+the block's column of z as `np.broadcast_to` views at the block's shape,
+never a tiled copy; the kernel cuts them back to the row and the column
+(`propagation._compact`), so ``h``, ``h**2`` and the rectangular beam's
+``tan(edge) * h`` cost one row per BS, and only ``r2`` and what follows it
+cost one cell each. Every array argument of the kernel and of the models
+still has one value per cell.
+
+Workspace. Grids are cut into blocks of whole rows of about BLOCK_POINTS
+cells (64k), so that the kernel's temporaries, a few arrays of 512 KiB,
+stay in cache; the Monte Carlo sampler evaluates its samples in blocks of
+the same size. The quadrature, the heatmap and the sampler each allocate
+one `propagation._Workspace` per call and pass it to every block: the
+kernel and the models write each block-sized temporary into its named
+buffers with numpy ``out=``, so blocks after the first allocate nothing.
+(A block-sized temporary that is freed goes back to the OS, and its pages
+fault in again on the next block.) Callers that evaluate many uptilts (the
+sweep evaluators, `validate`) pass one workspace to every quadrature and
+Monte Carlo call. The serving indices and SINR that `evaluate_sinr`
+returns are views into the workspace, valid until the next call that is
+given the same one.
 
 Decision identity. Against the direct evaluation with ``hypot``,
 ``arctan2``, an argmax and a masked copy, the kernel's arithmetic differs
@@ -27,6 +45,9 @@ only in the last bits of the SINR values. Serving indices and the
 ``SINR >= tau`` decisions are not proven equal but checked: on point grids
 in the test suite (tests/sinr_reference.py keeps the direct evaluation)
 and on the pinned quadrature and Monte Carlo outputs of the benchmark.
+The in-place forms keep every operation's operands and their order, so
+the SINR values equal those of the same kernel with a new array per
+temporary bit for bit (tests/sinr_reference.py keeps that one too).
 """
 
 from __future__ import annotations
@@ -46,6 +67,8 @@ from .propagation import (
     InterferenceMode,
     PathLossModel,
     RectangularBeam,
+    _compact,
+    _Workspace,
     db_to_linear,
     suggested_element_count,
 )
@@ -108,34 +131,41 @@ class OracleAssumptions:
                                alpha=s.alpha, beta=s.beta)
 
 
-def _nearest(x, positions):
-    """Index of the horizontally nearest BS per point, for strictly
-    increasing positions: the number of BS midpoints left of x, so a point
-    halfway between two BSs goes to the lower index."""
-    nearest = np.zeros(x.size, dtype=np.intp)
+def _nearest(x, positions, work):
+    """Index of the horizontally nearest BS per point, in the shape of x,
+    for strictly increasing positions: the number of BS midpoints left of
+    x, so a point halfway between two BSs goes to the lower index."""
+    nearest = work.take("nearest", x.shape, np.intp)
+    right_of = work.take("right_of", x.shape, bool)
+    nearest.fill(0)
     for left, right in zip(positions, positions[1:]):
-        nearest += x > (left + right) / 2.0
+        nearest += np.greater(x, (left + right) / 2.0, out=right_of)
     return nearest
 
 
 def evaluate_sinr(x, z, s: CorridorScenario, a: OracleAssumptions,
-                  los_uniforms=None):
-    """Serving index and linear SINR at points (x, z).
+                  los_uniforms=None, work=None):
+    """Serving index and linear SINR at points (x, z), in the shape that x
+    and z broadcast to.
 
     Serving is the strongest received power (STRONGEST) or the nearest BS
     (NEAREST); ties go to the lowest BS index. Interference is the strongest
     single non-serving power (DOMINANT_ONLY) or their sum (SUM_ALL). With no
     noise and no interference the SINR is +inf. Where no BS delivers any
     power the serving index falls back to the nearest BS and the SINR is 0.
-    With `los_uniforms` (n_bs, n_points) and an air-to-ground model, each
+    With `los_uniforms` (n_bs, points) and an air-to-ground model, each
     link's LoS state is the Bernoulli draw u < P_LoS instead of the
     expectation mixture.
+
+    Every temporary, and both results, live in the buffers of `work` (a
+    `_Workspace`; a new one when None), so the results are views that the
+    next call with the same workspace overwrites.
     """
     x = np.atleast_1d(np.asarray(x, dtype=float))
     z = np.atleast_1d(np.asarray(z, dtype=float))
-    x, z = np.broadcast_arrays(x, z)
-    x = x.ravel()
-    z = z.ravel()
+    shape = np.broadcast_shapes(x.shape, z.shape)
+    x, z = _compact(x), _compact(z)
+    work = _Workspace() if work is None else work
     positions = a.resolve_positions(s)
     beam = a.resolve_beam(s)
     pathloss = a.pathloss
@@ -145,60 +175,86 @@ def evaluate_sinr(x, z, s: CorridorScenario, a: OracleAssumptions,
     strongest = a.association is Association.STRONGEST
     dominant = a.interference is InterferenceMode.DOMINANT_ONLY
 
-    z2 = z * z
-    serving = np.zeros(x.size, dtype=np.intp) if strongest else _nearest(x, positions)
-    p_serv = np.zeros(x.size)  # under STRONGEST, the strongest power so far
-    other = np.zeros(x.size)   # strongest non-serving power, or sum of all
+    h = work.take("h", x.shape)
+    z2 = np.multiply(z, z, out=work.take("z2", z.shape))
+    r2 = work.take("r2", shape)
+    p = work.take("p", shape)          # gain, then received power
+    pl = work.take("pl", shape)        # path loss, then scratch
+    mask = work.take("mask", shape, bool)
+    los = work.take("los", shape, bool) if draw_los else None
+    serving = work.take("serving", shape, np.intp)
+    p_serv = work.take("p_serv", shape)  # under STRONGEST, the strongest so far
+    other = work.take("other", shape)    # strongest non-serving power, or sum of all
+    p_serv.fill(0.0)
+    other.fill(0.0)
+    if strongest:
+        serving.fill(0)
+    else:
+        nearest = _nearest(x, positions, work)
+        np.copyto(serving, nearest)
+        mine = work.take("mine", x.shape, bool)
     for i, pos in enumerate(positions):
-        h = np.abs(x - pos)
-        r2 = h * h
-        r2 += z2
-        g = beam.gain(h, z, r2)
+        np.subtract(x, pos, out=h)
+        np.abs(h, out=h)
+        # r2 = h*h + z2; h*h has h's shape and borrows the head of p
+        np.add(np.multiply(h, h, out=work.take("p", x.shape)), z2, out=r2)
+        h_cells = np.broadcast_to(h, shape)  # a view: one value per cell
+        beam.gain(h_cells, z, r2, out=p, work=work)
         if draw_los:
-            los = los_uniforms[i] < pathloss.p_los(h, z)
-            pl = pathloss.loss(h, z, r2, lam, los_state=los)
+            np.less(los_uniforms[i], pathloss.p_los(h_cells, z, out=pl), out=los)
+            pathloss.loss(h_cells, z, r2, lam, los_state=los, out=pl, work=work)
         else:
-            pl = pathloss.loss(h, z, r2, lam)
-        p = p_tx * g
+            pathloss.loss(h_cells, z, r2, lam, out=pl, work=work)
+        p *= p_tx
         p /= pl
         if not dominant:
             other += p
         if strongest:
             if dominant:
                 # the runner-up is the larger of itself and min(best, p)
-                np.maximum(other, np.minimum(p_serv, p), out=other)
-            np.copyto(serving, i, where=p > p_serv)
+                np.maximum(other, np.minimum(p_serv, p, out=pl), out=other)
+            # serving = i where p > p_serv; serving < i so far, so that is
+            # max(serving, i * (p > p_serv)), with no branch per point. pl
+            # is free again and holds i * (p > p_serv).
+            won = np.multiply(np.greater(p, p_serv, out=mask), i,
+                              out=pl.view(np.intp))
+            np.maximum(serving, won, out=serving)
             np.maximum(p_serv, p, out=p_serv)
         else:
-            mine = serving == i
+            np.equal(nearest, i, out=mine)
             np.copyto(p_serv, p, where=mine)
             if dominant:
-                p[mine] = 0.0
+                np.copyto(p, 0.0, where=mine)
                 np.maximum(other, p, out=other)
     if not dominant:
         other -= p_serv
     noise = s.radio.noise_w if a.include_noise else 0.0
 
+    sinr = other
     with np.errstate(divide="ignore", invalid="ignore"):
-        out = p_serv / (other + noise)
-    out[np.isnan(out)] = 0.0  # 0/0: no power, no noise, no interference
+        sinr += noise
+        np.divide(p_serv, sinr, out=sinr)
+    # 0/0: no power, no noise, no interference
+    np.copyto(sinr, 0.0, where=np.isnan(sinr, out=mask))
 
     if strongest:
-        dead = p_serv == 0.0
-        if np.any(dead):
-            serving[dead] = _nearest(x[dead], positions)
-    return serving, out
+        dead = np.equal(p_serv, 0.0, out=mask)
+        if dead.any():
+            np.copyto(serving, _nearest(x, positions, work), where=dead)
+    return serving, sinr
 
 
 def _row_blocks(xs, zs):
     """Cut the grid xs x zs into blocks of whole rows, about BLOCK_POINTS
-    cells each. Yields (row slice, x, z) with x and z flattened row-major."""
-    n_x = xs.size
-    rows_per_block = max(1, BLOCK_POINTS // n_x)
+    cells each. Yields (row slice, x, z): x is the grid's one row and z the
+    block's column, each a `np.broadcast_to` view at the block's shape (no
+    copy), which the kernel cuts back to the row and the column."""
+    rows_per_block = max(1, BLOCK_POINTS // xs.size)
     for k0 in range(0, zs.size, rows_per_block):
-        zblock = zs[k0:k0 + rows_per_block]
-        yield (slice(k0, k0 + zblock.size), np.tile(xs, zblock.size),
-               np.repeat(zblock, n_x))
+        rows = slice(k0, k0 + rows_per_block)
+        z = zs[rows, None]
+        shape = (z.size, xs.size)
+        yield rows, np.broadcast_to(xs, shape), np.broadcast_to(z, shape)
 
 
 def _corridor_axes(s: CorridorScenario, n_x: int, n_z: int):
@@ -210,16 +266,19 @@ def _corridor_axes(s: CorridorScenario, n_x: int, n_z: int):
 
 
 def coverage_by_quadrature(s: CorridorScenario, a: OracleAssumptions,
-                           n_x: int, n_z: int) -> float:
+                           n_x: int, n_z: int, work=None) -> float:
     """Coverage probability by midpoint rule over [0, d1/2] x [h1, h2]:
     the fraction of cell midpoints with SINR >= tau (uniform UAV density,
     equal cell weights). The aggregate is an integer count, so results are
-    identical for any work split."""
+    identical for any work split. `work` is a `_Workspace` to reuse across
+    calls; a new one when None."""
     if n_x < 64 or n_z < 64:
         raise ValueError(f"need n_x, n_z >= 64, got {n_x} x {n_z}")
     xs, zs = _corridor_axes(s, n_x, n_z)
+    work = _Workspace() if work is None else work
     covered = 0
-    for _, xx, zz in _row_blocks(xs, zs):
-        _, val = evaluate_sinr(xx, zz, s, a)
-        covered += int(np.count_nonzero(val >= s.tau))
+    for _, x, z in _row_blocks(xs, zs):
+        _, val = evaluate_sinr(x, z, s, a, work=work)
+        hit = np.greater_equal(val, s.tau, out=work.take("hit", val.shape, bool))
+        covered += int(np.count_nonzero(hit))
     return covered / float(n_x * n_z)

@@ -14,10 +14,25 @@ it needs from them:
   only, in both the expectation and the Bernoulli mode.
 
 The SINR kernel (``oracle.evaluate_sinr``) calls ``gain`` and ``loss`` once
-per base station with arrays of equal shape. All powers are combined in
-linear watts; dB/dBm conversions happen only at I/O boundaries. Angles are
-radians. Every function accepts scalars or numpy arrays and is pure (no
-shared mutable state), so everything here is safe to call concurrently.
+per base station. ``h``, ``z`` and ``r2`` broadcast against each other. On a
+grid ``h`` varies along the row and ``z`` down the column only: the kernel
+passes ``h`` as a `np.broadcast_to` view of one row at the block's shape,
+so each argument still holds one value per cell, and ``z`` as one column.
+A model that does arithmetic on ``h`` or ``z`` alone first cuts such a
+view back to its row (`_compact`), so that work costs one row per block.
+
+Buffers. Every model method takes an optional ``out``, a float array of the
+broadcast shape that receives the result and is returned, and an optional
+``work``, a `_Workspace` that its block-sized scratch arrays are taken
+from. The kernel passes buffers it reuses from block to block, so a block
+allocates no temporaries; a model called on its own allocates what it is
+not given. The in-place forms keep every operation's operands and order,
+so their values are bit-identical to the plain expressions in the
+docstrings.
+
+All powers are combined in linear watts; dB/dBm conversions happen only at
+I/O boundaries. Angles are radians. Every function accepts scalars or numpy
+arrays and keeps no shared mutable state.
 """
 
 from __future__ import annotations
@@ -30,6 +45,38 @@ import numpy as np
 
 SPEED_OF_LIGHT = 299_792_458.0  # m/s
 HALF_PI = math.pi / 2.0
+
+
+class _Workspace:
+    """Named flat buffers reused from call to call. `take` views a buffer
+    in the shape asked for; a buffer is made anew only when a call asks
+    for more cells than it holds or for another dtype. Each role has its
+    own name, so buffers in use at the same time do not overlap."""
+
+    def __init__(self):
+        self._buffers = {}
+
+    def take(self, name, shape, dtype=float):
+        n = math.prod(shape)
+        buf = self._buffers.get(name)
+        if buf is None or buf.size < n or buf.dtype != dtype:
+            buf = self._buffers[name] = np.empty(n, dtype)
+        return buf[:n].reshape(shape)
+
+
+def _compact(a):
+    """Array `a` with each broadcast axis (stride 0, as `np.broadcast_to`
+    makes them) cut to length 1: the same values, each held once, so
+    arithmetic on it costs one row instead of one block."""
+    if 0 not in a.strides:
+        return a
+    return a[tuple(slice(None, 1) if step == 0 else slice(None)
+                   for step in a.strides)]
+
+
+def _buffer(buf, shape):
+    """`buf`, or a new float array of `shape` if it is None."""
+    return np.empty(shape) if buf is None else buf
 
 
 def db_to_linear(x_db):
@@ -84,28 +131,43 @@ class RectangularBeam:
     alpha: float      # rad, lower edge of the main lobe
     beta: float       # rad, lobe width
 
-    def gain(self, h, z, r2):
+    def __post_init__(self):
+        if not (math.isfinite(self.peak_gain) and self.peak_gain >= 0.0):
+            raise ValueError(f"peak gain must be finite and >= 0, got {self.peak_gain}")
+
+    def gain(self, h, z, r2, out=None, work=None):
         """Peak gain where the elevation atan2(z, h) lies strictly between
         alpha and alpha + beta, zero elsewhere (edges excluded).
 
         The edges are tested in tan space, tan(alpha)*h < z and
         z < tan(alpha + beta)*h. Elevations seen from a BS (h >= 0) lie in
         [-90, 90] degrees, so an edge beyond that range never binds, and a
-        lobe entirely beyond it is empty. `r2` is not needed.
+        lobe entirely beyond it is empty. `r2` is not needed. The products
+        tan(edge)*h have the shape of `h`, one row on a grid. The gain is
+        the 0/1 lobe indicator times the peak gain, exact for a finite one.
         """
         h = np.asarray(h, dtype=float)
         z = np.asarray(z, dtype=float)
+        out = _buffer(out, np.broadcast_shapes(h.shape, z.shape))
+        h, z = _compact(h), _compact(z)
         lo, hi = self.alpha, self.alpha + self.beta
-        shape = np.broadcast(h, z).shape
         if lo >= HALF_PI or hi <= -HALF_PI:
-            return np.zeros(shape)
+            out.fill(0.0)
+            return out
+        work = _Workspace() if work is None else work
+        edge = work.take("beam.edge", h.shape)
+        inside = work.take("beam.inside", out.shape, bool)
         if lo >= -HALF_PI:
-            inside = z > math.tan(lo) * h
+            np.greater(z, np.multiply(h, math.tan(lo), out=edge), out=inside)
         else:
-            inside = np.ones(shape, dtype=bool)
+            inside.fill(True)
         if hi <= HALF_PI:
-            inside &= z < math.tan(hi) * h
-        return np.where(inside, self.peak_gain, 0.0)
+            below = work.take("beam.below", out.shape, bool)
+            np.less(z, np.multiply(h, math.tan(hi), out=edge), out=below)
+            inside &= below
+        np.copyto(out, inside)
+        out *= self.peak_gain
+        return out
 
 
 @dataclass(frozen=True)
@@ -125,14 +187,28 @@ class CosineBeam:
         if self.n_elements < 2:
             raise ValueError(f"element count must be >= 2, got {self.n_elements}")
 
-    def gain(self, h, z, r2):
+    def gain(self, h, z, r2, out=None, work=None):
         """Gain at the elevation whose cosine is h / sqrt(r2); `z` is not
         needed."""
-        cos_theta = np.asarray(h, dtype=float) / np.sqrt(r2)
-        x = (cos_theta - math.cos(self.alpha + self.beta / 2.0)) / 2.0
-        inside = np.abs(x) <= 1.0 / self.n_elements
-        g = self.n_elements * np.cos(math.pi * self.n_elements * x / 2.0) ** 2
-        return np.where(inside, g, 0.0)
+        h = np.asarray(h, dtype=float)
+        r2 = np.asarray(r2, dtype=float)
+        x = _buffer(out, np.broadcast_shapes(h.shape, r2.shape))
+        h = _compact(h)
+        work = _Workspace() if work is None else work
+        np.sqrt(r2, out=x)
+        np.divide(h, x, out=x)                  # cos(theta)
+        x -= math.cos(self.alpha + self.beta / 2.0)
+        x /= 2.0
+        inside = np.less_equal(np.abs(x, out=work.take("beam.abs_x", x.shape)),
+                               1.0 / self.n_elements,
+                               out=work.take("beam.inside", x.shape, bool))
+        x *= math.pi * self.n_elements
+        x /= 2.0
+        g = np.cos(x, out=x)
+        np.square(g, out=g)
+        g *= self.n_elements
+        np.copyto(g, 0.0, where=np.logical_not(inside, out=inside))
+        return g
 
 
 BeamPattern = RectangularBeam | CosineBeam
@@ -151,13 +227,13 @@ class FreeSpacePathLoss:
     """PL = (4 pi R / lambda)^2 = (4 pi / lambda)^2 * R^2; independent of
     elevation."""
 
-    def loss(self, h, z, r2, wavelength_m):
-        """Linear path loss from the squared distance `r2`; `h` and `z` are
-        not needed."""
+    def loss(self, h, z, r2, wavelength_m, out=None, work=None):
+        """Linear path loss from the squared distance `r2`; `h`, `z` and
+        `work` are not needed."""
         r2 = np.asarray(r2, dtype=float)
-        if np.any(r2 <= 0):
+        if r2.size and r2.min() <= 0:  # NaN passes, as it does `r2 <= 0`
             raise ValueError("path loss requires a positive distance")
-        return (4.0 * math.pi / wavelength_m) ** 2 * r2
+        return np.multiply(r2, (4.0 * math.pi / wavelength_m) ** 2, out=out)
 
 
 @dataclass(frozen=True)
@@ -174,24 +250,60 @@ class AirToGroundPathLoss:
     eta_los_db: float = 0.1
     eta_nlos_db: float = 21.0
 
-    def p_los(self, h, z):
-        """LoS probability at elevation atan2(z, h); the sigmoid takes the
-        elevation in degrees."""
-        theta_deg = np.degrees(np.arctan2(z, h))
-        return 1.0 / (1.0 + self.a * np.exp(-self.b * (theta_deg - self.a)))
+    def __post_init__(self):
+        with np.errstate(over="ignore"):
+            etas = db_to_linear([self.eta_los_db, self.eta_nlos_db])
+        if not np.all(np.isfinite(etas)):
+            raise ValueError("excess loss must be finite, got "
+                             f"{self.eta_los_db} and {self.eta_nlos_db} dB")
 
-    def loss(self, h, z, r2, wavelength_m, los_state=None):
-        """Linear path loss. If `los_state` (boolean, broadcastable) is given,
-        each link uses its drawn LoS/NLoS state instead of the expectation
-        mixture, and the LoS probability is not computed again."""
-        pl_fs = FreeSpacePathLoss().loss(h, z, r2, wavelength_m)
+    def p_los(self, h, z, out=None, work=None):
+        """LoS probability at elevation atan2(z, h); the sigmoid takes the
+        elevation in degrees:
+        1 / (1 + a * exp(-b * (degrees(atan2(z, h)) - a))). `work` is not
+        needed."""
+        p = _buffer(out, np.broadcast_shapes(np.shape(h), np.shape(z)))
+        np.arctan2(z, h, out=p)
+        np.degrees(p, out=p)
+        p -= self.a
+        p *= -self.b
+        np.exp(p, out=p)
+        p *= self.a
+        p += 1.0
+        return np.divide(1.0, p, out=p)
+
+    def loss(self, h, z, r2, wavelength_m, los_state=None, out=None, work=None):
+        """Linear path loss, (p * eta_los + (1 - p) * eta_nlos) * pl_fs with
+        p = p_los(h, z). If `los_state` (boolean, broadcastable) is given,
+        each link uses its drawn LoS/NLoS state instead,
+        where(los_state, eta_los, eta_nlos) * pl_fs, and the LoS probability
+        is not computed again."""
+        shape = np.broadcast_shapes(np.shape(h), np.shape(z), np.shape(r2),
+                                    np.shape(los_state))
+        out = _buffer(out, shape)
+        work = _Workspace() if work is None else work
+        tmp = work.take("a2g.tmp", shape)
         eta_los = float(db_to_linear(self.eta_los_db))
         eta_nlos = float(db_to_linear(self.eta_nlos_db))
         if los_state is not None:
-            eta = np.where(los_state, eta_los, eta_nlos)
-            return eta * pl_fs
-        p = self.p_los(h, z)
-        return (p * eta_los + (1.0 - p) * eta_nlos) * pl_fs
+            # where(los_state, eta_los, eta_nlos) as f * eta_los
+            # + (1 - f) * eta_nlos with f = los_state in {0, 1}: exact for
+            # finite etas, and no branch per link on a random state
+            eta = out
+            np.copyto(eta, los_state)
+            np.subtract(1.0, eta, out=tmp)
+            tmp *= eta_nlos
+            eta *= eta_los
+            eta += tmp
+            pl_fs = FreeSpacePathLoss().loss(h, z, r2, wavelength_m, out=tmp)
+            return np.multiply(eta, pl_fs, out=out)
+        p = self.p_los(h, z, out=out)
+        np.subtract(1.0, p, out=tmp)
+        tmp *= eta_nlos
+        p *= eta_los
+        p += tmp
+        pl_fs = FreeSpacePathLoss().loss(h, z, r2, wavelength_m, out=tmp)
+        return np.multiply(p, pl_fs, out=out)
 
 
 PathLossModel = FreeSpacePathLoss | AirToGroundPathLoss

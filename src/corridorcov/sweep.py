@@ -11,6 +11,7 @@ from . import closed_form
 from .geometry import CorridorScenario
 from .monte_carlo import McConfig, estimate_outage
 from .oracle import OracleAssumptions, coverage_by_quadrature
+from .propagation import _Workspace
 
 INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
 
@@ -37,16 +38,22 @@ def closed_form_evaluator() -> Evaluator:
 def quadrature_evaluator(assumptions: OracleAssumptions | None = None,
                          n_x: int = 501, n_z: int = 301) -> Evaluator:
     a = assumptions if assumptions is not None else OracleAssumptions()
-    return Evaluator(
-        "quadrature",
-        lambda s: (1.0 - coverage_by_quadrature(s, a, n_x, n_z), None))
+    work = _Workspace()  # one for every evaluation; calls run one at a time
+
+    def fn(s: CorridorScenario) -> tuple[float, None]:
+        return 1.0 - coverage_by_quadrature(s, a, n_x, n_z, work=work), None
+    return Evaluator("quadrature", fn)
 
 
 def mc_evaluator(config: McConfig) -> Evaluator:
     """Monte Carlo objective. The config seed is reused at every uptilt
     (common random numbers), which keeps sweep curves and bracketing
     decisions coherent under the sampling noise."""
-    return Evaluator("mc", lambda s: (estimate_outage(s, config).p_out, None))
+    work = _Workspace()  # one for every evaluation; calls run one at a time
+
+    def fn(s: CorridorScenario) -> tuple[float, None]:
+        return estimate_outage(s, config, work=work).p_out, None
+    return Evaluator("mc", fn)
 
 
 @dataclass

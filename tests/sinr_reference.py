@@ -8,14 +8,22 @@ then an argmax, a masked copy and a second max for the reduction.
 `beam_gain`, `p_los` and `path_loss` are the earlier elevation-angle forms
 of the models in `corridorcov.propagation`. `covered_count` is the earlier
 quadrature row loop with its 2M-point blocks.
+
+`allocating_evaluate_sinr` is the `(h, z, r2)` kernel as it was before it
+took a reusable workspace: the same operations on flattened points, each
+temporary a new array. It is kept verbatim, so the workspace kernel must
+match it bit for bit. `allocating_gain`, `allocating_loss` and
+`allocating_p_los` are the model methods of that kernel, likewise verbatim.
 """
 
 import math
 
 import numpy as np
 
-from corridorcov.oracle import Association
+from corridorcov.geometry import CorridorScenario
+from corridorcov.oracle import Association, OracleAssumptions
 from corridorcov.propagation import (
+    HALF_PI,
     AirToGroundPathLoss,
     InterferenceMode,
     RectangularBeam,
@@ -146,3 +154,133 @@ def covered_count(s, a, n_x, n_z):
         _, val = evaluate_sinr(xx, zz, s, a)
         covered += int(np.count_nonzero(val >= s.tau))
     return covered
+
+
+def allocating_gain(beam, h, z, r2):
+    if isinstance(beam, RectangularBeam):
+        h = np.asarray(h, dtype=float)
+        z = np.asarray(z, dtype=float)
+        lo, hi = beam.alpha, beam.alpha + beam.beta
+        shape = np.broadcast(h, z).shape
+        if lo >= HALF_PI or hi <= -HALF_PI:
+            return np.zeros(shape)
+        if lo >= -HALF_PI:
+            inside = z > math.tan(lo) * h
+        else:
+            inside = np.ones(shape, dtype=bool)
+        if hi <= HALF_PI:
+            inside &= z < math.tan(hi) * h
+        return np.where(inside, beam.peak_gain, 0.0)
+    cos_theta = np.asarray(h, dtype=float) / np.sqrt(r2)
+    x = (cos_theta - math.cos(beam.alpha + beam.beta / 2.0)) / 2.0
+    inside = np.abs(x) <= 1.0 / beam.n_elements
+    g = beam.n_elements * np.cos(math.pi * beam.n_elements * x / 2.0) ** 2
+    return np.where(inside, g, 0.0)
+
+
+def _fspl(r2, wavelength_m):
+    r2 = np.asarray(r2, dtype=float)
+    if np.any(r2 <= 0):
+        raise ValueError("path loss requires a positive distance")
+    return (4.0 * math.pi / wavelength_m) ** 2 * r2
+
+
+def allocating_p_los(model, h, z):
+    theta_deg = np.degrees(np.arctan2(z, h))
+    return 1.0 / (1.0 + model.a * np.exp(-model.b * (theta_deg - model.a)))
+
+
+def allocating_loss(model, h, z, r2, wavelength_m, los_state=None):
+    if not isinstance(model, AirToGroundPathLoss):
+        return _fspl(r2, wavelength_m)
+    pl_fs = _fspl(r2, wavelength_m)
+    eta_los = float(db_to_linear(model.eta_los_db))
+    eta_nlos = float(db_to_linear(model.eta_nlos_db))
+    if los_state is not None:
+        eta = np.where(los_state, eta_los, eta_nlos)
+        return eta * pl_fs
+    p = allocating_p_los(model, h, z)
+    return (p * eta_los + (1.0 - p) * eta_nlos) * pl_fs
+
+
+def _nearest(x, positions):
+    """Index of the horizontally nearest BS per point, for strictly
+    increasing positions: the number of BS midpoints left of x, so a point
+    halfway between two BSs goes to the lower index."""
+    nearest = np.zeros(x.size, dtype=np.intp)
+    for left, right in zip(positions, positions[1:]):
+        nearest += x > (left + right) / 2.0
+    return nearest
+
+
+def allocating_evaluate_sinr(x, z, s: CorridorScenario, a: OracleAssumptions,
+                             los_uniforms=None):
+    """Serving index and linear SINR at points (x, z).
+
+    Serving is the strongest received power (STRONGEST) or the nearest BS
+    (NEAREST); ties go to the lowest BS index. Interference is the strongest
+    single non-serving power (DOMINANT_ONLY) or their sum (SUM_ALL). With no
+    noise and no interference the SINR is +inf. Where no BS delivers any
+    power the serving index falls back to the nearest BS and the SINR is 0.
+    With `los_uniforms` (n_bs, n_points) and an air-to-ground model, each
+    link's LoS state is the Bernoulli draw u < P_LoS instead of the
+    expectation mixture.
+    """
+    x = np.atleast_1d(np.asarray(x, dtype=float))
+    z = np.atleast_1d(np.asarray(z, dtype=float))
+    x, z = np.broadcast_arrays(x, z)
+    x = x.ravel()
+    z = z.ravel()
+    positions = a.resolve_positions(s)
+    beam = a.resolve_beam(s)
+    pathloss = a.pathloss
+    draw_los = los_uniforms is not None and isinstance(pathloss, AirToGroundPathLoss)
+    lam = s.radio.wavelength_m
+    p_tx = s.radio.p_tx_w
+    strongest = a.association is Association.STRONGEST
+    dominant = a.interference is InterferenceMode.DOMINANT_ONLY
+
+    z2 = z * z
+    serving = np.zeros(x.size, dtype=np.intp) if strongest else _nearest(x, positions)
+    p_serv = np.zeros(x.size)  # under STRONGEST, the strongest power so far
+    other = np.zeros(x.size)   # strongest non-serving power, or sum of all
+    for i, pos in enumerate(positions):
+        h = np.abs(x - pos)
+        r2 = h * h
+        r2 += z2
+        g = beam.gain(h, z, r2)
+        if draw_los:
+            los = los_uniforms[i] < pathloss.p_los(h, z)
+            pl = pathloss.loss(h, z, r2, lam, los_state=los)
+        else:
+            pl = pathloss.loss(h, z, r2, lam)
+        p = p_tx * g
+        p /= pl
+        if not dominant:
+            other += p
+        if strongest:
+            if dominant:
+                # the runner-up is the larger of itself and min(best, p)
+                np.maximum(other, np.minimum(p_serv, p), out=other)
+            np.copyto(serving, i, where=p > p_serv)
+            np.maximum(p_serv, p, out=p_serv)
+        else:
+            mine = serving == i
+            np.copyto(p_serv, p, where=mine)
+            if dominant:
+                p[mine] = 0.0
+                np.maximum(other, p, out=other)
+    if not dominant:
+        other -= p_serv
+    noise = s.radio.noise_w if a.include_noise else 0.0
+
+    with np.errstate(divide="ignore", invalid="ignore"):
+        out = p_serv / (other + noise)
+    out[np.isnan(out)] = 0.0  # 0/0: no power, no noise, no interference
+
+    if strongest:
+        dead = p_serv == 0.0
+        if np.any(dead):
+            serving[dead] = _nearest(x[dead], positions)
+    return serving, out
+

@@ -110,6 +110,24 @@ def test_validation_failure_exits_2(tmp_path):
     assert art["passed"] is False
 
 
+@pytest.mark.parametrize("flag, cfg_text", [
+    (["--alphas-deg", ","], ""),
+    ([], "validate.alphas_deg=\n"),
+])
+def test_validate_without_uptilts_exits_1(flag, cfg_text, tmp_path, capsys):
+    # an empty uptilt list would check nothing and still print PASS
+    cfg = tmp_path / "empty.cfg"
+    cfg.write_text(cfg_text)
+    out = tmp_path / "out.json"
+    code = cli.main(["--config", str(cfg), "--beta-deg", "40", "validate",
+                     *flag, "--out", str(out)])
+    assert code == 1
+    captured = capsys.readouterr()
+    assert "PASS" not in captured.out
+    assert "at least one uptilt" in captured.err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("argv, message", [
     (["--beam", "cosine", "--nt", "1", "oracle"], "element count"),
     (["--grid-nx", "10", "oracle"], "n_x, n_z >= 64"),

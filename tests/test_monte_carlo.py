@@ -10,9 +10,14 @@ from corridorcov.oracle import (
     BLOCK_POINTS,
     Association,
     OracleAssumptions,
+    coverage_by_quadrature,
     evaluate_sinr,
 )
-from corridorcov.propagation import AirToGroundPathLoss, InterferenceMode
+from corridorcov.propagation import (
+    AirToGroundPathLoss,
+    InterferenceMode,
+    _Workspace,
+)
 
 # draws per sample: x, z and, in Bernoulli mode, one LoS draw per BS
 _DRAW_CONFIGS = {
@@ -83,6 +88,30 @@ def test_threshold_degenerate_limits():
     # no illumination at all: outage is total for any tau > 0
     s_dark = reference_scenario(1.0, 1.5, tau_db=-110.0)
     assert estimate_outage(s_dark, McConfig(n_samples=50_000, seed=4)).p_out == 1.0
+
+
+def test_a_reused_workspace_cannot_change_result():
+    # one workspace through a quadrature and every draw layout, as the
+    # validate command and the sweep evaluators reuse theirs
+    s = reference_scenario(13, 40)
+    work = _Workspace()
+    a = OracleAssumptions()
+    assert (coverage_by_quadrature(s, a, 301, 257, work=work)
+            == coverage_by_quadrature(s, a, 301, 257))
+    for dps in (6, 2, 5):
+        cfg = McConfig(n_samples=70_001, seed=7, **_DRAW_CONFIGS[dps])
+        assert estimate_outage(s, cfg, work=work) == estimate_outage(s, cfg)
+    assert (coverage_by_quadrature(s, a, 301, 257, work=work)
+            == coverage_by_quadrature(s, a, 301, 257))
+
+
+def test_free_space_draws_no_los_uniforms():
+    # free-space loss has no LoS state, so Bernoulli mode reads the same
+    # two draws per sample as expectation mode and estimates the same
+    s = reference_scenario(13, 40)
+    results = [estimate_outage(s, McConfig(n_samples=100_000, seed=0, los_mode=mode))
+               for mode in (LosMode.BERNOULLI, LosMode.EXPECTATION)]
+    assert results[0] == results[1]
 
 
 @pytest.mark.parametrize("dps", sorted(_DRAW_CONFIGS))

@@ -1,4 +1,6 @@
 import math
+import platform
+import sys
 
 import numpy as np
 import pytest
@@ -187,3 +189,19 @@ def test_beam_is_built_at_the_scenario_tilt():
             s.alpha, s.beta)
     assert OracleAssumptions(beam=BeamKind.COSINE, n_elements=8).resolve_beam(
         a25).n_elements == 8
+
+
+@pytest.mark.skipif(sys.platform != "linux" or platform.libc_ver()[0] != "glibc",
+                    reason="counts the page faults of glibc's allocator on Linux")
+def test_quadrature_blocks_allocate_no_temporaries():
+    # Freed block-sized temporaries go back to the OS and fault in again on
+    # the next block: about 13.5k minor faults for this call when each
+    # kernel call allocated its own. One workspace per call faults in once.
+    import resource
+
+    s = reference_scenario(13, 40)
+    a = OracleAssumptions()
+    coverage_by_quadrature(s, a, 2001, 501)   # warm-up: imports, code paths
+    before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+    coverage_by_quadrature(s, a, 2001, 501)
+    assert resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before < 1000

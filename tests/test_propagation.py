@@ -52,6 +52,22 @@ def test_rectangular_gain_support():
     assert behind.gain(*_link(np.array([10, 89]) * D2R)).tolist() == [0.0, 0.0]
 
 
+@pytest.mark.parametrize("peak", [math.inf, math.nan, -1.0])
+def test_rectangular_peak_gain_must_be_finite(peak):
+    # the gain is the 0/1 lobe indicator times the peak: 0 * inf is NaN
+    with pytest.raises(ValueError, match="peak gain"):
+        RectangularBeam(peak_gain=peak, alpha=0.1, beta=0.5)
+
+
+@pytest.mark.parametrize("eta_db", [math.inf, math.nan, 4000.0])
+def test_a2g_excess_loss_must_be_finite(eta_db):
+    # the Bernoulli mode blends the two excess losses with 0/1 weights
+    with pytest.raises(ValueError, match="excess loss"):
+        AirToGroundPathLoss(eta_nlos_db=eta_db)
+    with pytest.raises(ValueError, match="excess loss"):
+        AirToGroundPathLoss(eta_los_db=eta_db)
+
+
 def test_reference_peak_gain_rule():
     # 297.6/beta dB at 40 degrees beamwidth
     from corridorcov.defaults import peak_gain_db
