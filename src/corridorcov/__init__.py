@@ -5,16 +5,13 @@ from .geometry import (
     BorderlineGeometry,
     CaseId,
     CaseUndefined,
-    CornerHeights,
     CorridorScenario,
     CrossingHeights,
-    DegenerateGeometry,
     GeometryError,
     GeometryInfeasible,
     TauOutOfRange,
     borderline_geometry,
     classify_case,
-    corner_heights,
     crossing_heights,
 )
 from .monte_carlo import LosMode, McConfig, McResult, estimate_outage

@@ -13,7 +13,8 @@ Exit codes:
 - 0: success.
 - 1: configuration error: an unreadable or malformed config file, an
   unknown key, a bad value (including one that a model or evaluator
-  rejects with a ValueError), or a scenario outside a model's domain.
+  rejects with a ValueError), a scenario outside a model's domain, or a
+  closed-form command given a link model the closed form does not cover.
 - 2: validation failure: ``validate`` found an evaluator disagreeing with
   the closed form beyond its tolerance.
 - 3: usage error: an unknown subcommand or flag, or a flag value argparse
@@ -242,6 +243,21 @@ class RunConfig:
             bs_positions=self.get("model.bs_positions"),
         )
 
+    def require_closed_form_model(self) -> None:
+        """The closed form models the default link only: strongest
+        association, the dominant interferer, the rectangular beam, free-space
+        loss and the four reference BSs."""
+        for key in ("model.assoc", "model.interference", "model.beam",
+                    "model.pathloss"):
+            if self.get(key) != KNOWN_KEYS[key][1]:
+                raise ConfigError(
+                    f"the closed form needs {key}={KNOWN_KEYS[key][1]}, got "
+                    f"{self.get(key)} (the oracle and mc commands and "
+                    "evaluators model it)")
+        if self.get("model.bs_positions") is not None:
+            raise ConfigError("the closed form needs the reference BS "
+                              "positions; model.bs_positions is set")
+
     def mc_config(self) -> McConfig:
         return McConfig(
             n_samples=self.get("mc.samples"),
@@ -267,6 +283,13 @@ _FLAG_TO_KEY = {
     "seed": "mc.seed",
     "grid_nx": "grid.nx",
     "grid_nz": "grid.nz",
+    "alpha_min_deg": "sweep.alpha_min_deg",
+    "alpha_max_deg": "sweep.alpha_max_deg",
+    "alpha_step_deg": "sweep.alpha_step_deg",
+    "lo_deg": "optimize.lo_deg",
+    "hi_deg": "optimize.hi_deg",
+    "tol_deg": "optimize.tol_deg",
+    "alphas_deg": "validate.alphas_deg",
 }
 
 
@@ -370,9 +393,6 @@ def _result_to_dict(r: closed_form.ClosedFormResult) -> dict:
         "case": int(r.case),
         "p_out": r.p_out,
         "p_in": r.p_in,
-        "raw_p_in": r.raw_p_in,
-        "value_clamped": r.value_clamped,
-        "clamped": list(r.clamped),
         "borderline": {
             "d2_m": r.borderline.d2, "d3_m": r.borderline.d3,
             "d4_m": r.borderline.d4, "d5_m": r.borderline.d5,
@@ -380,14 +400,11 @@ def _result_to_dict(r: closed_form.ClosedFormResult) -> dict:
             "gamma2_deg": math.degrees(r.borderline.gamma2),
         },
         "crossing": {"h3_m": r.crossing.h3, "h4_m": r.crossing.h4},
-        "corners": {
-            "h_c3_m": r.corners.h_c3, "h_c4_m": r.corners.h_c4,
-            "h_c5_m": r.corners.h_c5, "h_c6_m": r.corners.h_c6,
-        },
     }
 
 
 def _cmd_classify(cfg: RunConfig, args) -> int:
+    cfg.require_closed_form_model()
     r = closed_form.outage(cfg.scenario())
     print(f"case={int(r.case)}")
     _json_dump(_artifact(cfg, "classify", _result_to_dict(r)), args.out)
@@ -395,6 +412,7 @@ def _cmd_classify(cfg: RunConfig, args) -> int:
 
 
 def _cmd_analyze(cfg: RunConfig, args) -> int:
+    cfg.require_closed_form_model()
     s = cfg.scenario()
     r = closed_form.outage(s)
     print(f"case={int(r.case)} p_out={r.p_out:.6f} p_in={r.p_in:.6f}")
@@ -427,6 +445,7 @@ def _cmd_mc(cfg: RunConfig, args) -> int:
 
 def _make_evaluator(cfg: RunConfig, args):
     if args.evaluator == "closed_form":
+        cfg.require_closed_form_model()
         return sweep.closed_form_evaluator()
     if args.evaluator == "quadrature":
         return sweep.quadrature_evaluator(cfg.assumptions(),
@@ -435,12 +454,9 @@ def _make_evaluator(cfg: RunConfig, args):
 
 
 def _cmd_sweep(cfg: RunConfig, args) -> int:
-    lo = args.alpha_min_deg if args.alpha_min_deg is not None \
-        else cfg.get("sweep.alpha_min_deg")
-    hi = args.alpha_max_deg if args.alpha_max_deg is not None \
-        else cfg.get("sweep.alpha_max_deg")
-    step = args.alpha_step_deg if args.alpha_step_deg is not None \
-        else cfg.get("sweep.alpha_step_deg")
+    lo = cfg.get("sweep.alpha_min_deg")
+    hi = cfg.get("sweep.alpha_max_deg")
+    step = cfg.get("sweep.alpha_step_deg")
     if step <= 0 or hi < lo:
         raise ConfigError("sweep grid needs alpha_min <= alpha_max, step > 0")
     grid_deg = []
@@ -478,9 +494,9 @@ def _cmd_sweep(cfg: RunConfig, args) -> int:
 
 
 def _cmd_optimize(cfg: RunConfig, args) -> int:
-    lo = args.lo_deg if args.lo_deg is not None else cfg.get("optimize.lo_deg")
-    hi = args.hi_deg if args.hi_deg is not None else cfg.get("optimize.hi_deg")
-    tol = args.tol_deg if args.tol_deg is not None else cfg.get("optimize.tol_deg")
+    lo = cfg.get("optimize.lo_deg")
+    hi = cfg.get("optimize.hi_deg")
+    tol = cfg.get("optimize.tol_deg")
     template = cfg.scenario(alpha_deg=lo)
     ev = _make_evaluator(cfg, args)
     res = sweep.find_optimal_alpha(template, math.radians(lo),
@@ -513,8 +529,8 @@ def _cmd_heatmap(cfg: RunConfig, args) -> int:
 
 
 def _cmd_validate(cfg: RunConfig, args) -> int:
-    alphas = (_parse_floats(args.alphas_deg) if args.alphas_deg
-              else cfg.get("validate.alphas_deg"))
+    cfg.require_closed_form_model()
+    alphas = cfg.get("validate.alphas_deg")
     if not alphas:
         raise ConfigError("validate needs at least one uptilt (--alphas-deg)")
     nx, nz = cfg.get("validate.nx"), cfg.get("validate.nz")

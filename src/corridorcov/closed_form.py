@@ -1,197 +1,125 @@
-"""The six closed-form outage expressions, dispatched on the classified
-uptilt regime.
+"""Closed-form outage of the linear-border model: one exact band integral.
 
-Each case function is a direct transcription of the final algebraic form
-(not re-derived from the region integrals). The expressions implicitly
-assume their region boundaries fall inside [h1, h2] in increasing order;
-where a computed corner height lands outside, it is clamped onto the chain
-and the event is reported in the result diagnostics (the clamped value
-equals the region-truncated integral, and equals the printed form whenever
-the assumptions hold).
+The model. BS-1..BS-4 sit at x = 0, d1, -d1, 2 d1; inside the half corridor
+[0, d1/2] x [h1, h2] that is also their order by distance, because every
+perpendicular bisector of two of them lies on x = 0 or x = d1/2. A point is
+in a BS's beam when its elevation from that BS lies strictly inside
+(alpha, alpha + beta). The cell rule:
+
+- no BS in beam: outage;
+- the serving BS is the nearest in-beam BS and the interferer the next
+  nearest; a lone in-beam BS covers the point;
+- otherwise the point is covered iff it lies on the serving BS's side of the
+  pair's border chord.
+
+The chord rule is the same for every (serving, interferer) pair: the chord
+joins the z = 0 and z = h2 crossings of the threshold circle
+|p - x_i|^2 = tau |p - x_s|^2 on the side of the serving BS that faces the
+half corridor (``geometry._border_chord``). BS-1/BS-2 and BS-2/BS-3 give the
+paper's borders d2-d3 and d4-d5; the other pairs get the same construction.
+Noise is not modelled.
+
+Why the integral is exact. Every boundary is a line x = c + m z: the sides
+x = 0 and x = d1/2, the four beam-edge rays x = x_b +- z cot(alpha) and
+x = x_b +- z cot(alpha + beta) of each BS, and the six chords. Between two
+consecutive event heights (h1, h2 and every crossing of two lines inside
+them) the order of the lines is fixed, so every cell between neighbouring
+lines keeps its in-beam set, pair and chord side, and its width is linear in
+z. The covered length is then linear in z over the band, and its value at
+the band's mid-height times the band's height is the band's covered area.
+
+Domain: ``CorridorScenario.require_analytic`` (0 < alpha, alpha + beta <
+pi/2, tau > 1) and chords that exist up to h2; a corridor too tall for them
+raises ``GeometryInfeasible``.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
+
+import numpy as np
 
 from .geometry import (
     BorderlineGeometry,
     CaseId,
-    CornerHeights,
     CorridorScenario,
     CrossingHeights,
+    _border_chord,
     borderline_geometry,
     classify_case,
-    corner_heights,
     cot,
     crossing_heights,
 )
 
 
+# the six (serving, interferer) pairs: BS i against a farther BS j > i
+_PAIRS = np.triu_indices(4, 1)
+# every two of the 24 lines: 2 sides, 4 beam edges of 4 BSs, 6 chords
+_LINE_PAIRS = np.triu_indices(2 + 16 + 6, 1)
+
+
 @dataclass(frozen=True)
 class ClosedFormResult:
-    """Outage probability with its classification and audit intermediates.
-
-    p_in + p_out == 1 exactly. raw_p_in keeps the unclamped expression value
-    (it can stray outside [0, 1] near approximation-breaking geometries);
-    value_clamped flags when it did. clamped lists boundary-height clamps.
-    """
+    """Outage probability with its uptilt case and geometry intermediates.
+    p_in + p_out == 1."""
 
     p_out: float
     p_in: float
     case: CaseId
-    raw_p_in: float
-    value_clamped: bool
-    clamped: tuple[str, ...]
     borderline: BorderlineGeometry
     crossing: CrossingHeights
-    corners: CornerHeights
-    case_forced: bool = False
 
 
-def _chain_clamp(names_values: list[tuple[str, float]], lo: float,
-                 hi: float) -> tuple[list[float], tuple[str, ...]]:
-    """Clamp an ordered boundary chain into [lo, hi], keeping it monotone."""
-    out: list[float] = []
-    events: list[str] = []
-    prev = lo
-    for name, value in names_values:
-        clamped = min(max(value, prev), hi)
-        if not math.isclose(clamped, value, rel_tol=0.0, abs_tol=1e-9):
-            events.append(f"{name}:{value:.6g}->{clamped:.6g}")
-        out.append(clamped)
-        prev = clamped
-    return out, tuple(events)
-
-
-def _check_finite(case: CaseId, **terms: float) -> None:
-    for name, value in terms.items():
-        if not math.isfinite(value):
-            raise ValueError(
-                f"non-finite intermediate {name}={value!r} while evaluating "
-                f"case {int(case)}")
-
-
-def _evaluate(s: CorridorScenario, case: CaseId, b: BorderlineGeometry,
-              ch: CrossingHeights, c: CornerHeights) -> tuple[float, tuple[str, ...]]:
-    """Raw coverage value of one case expression plus clamp diagnostics."""
+def _covered_fraction(s: CorridorScenario) -> float:
+    """Covered share of the half corridor under the cell rule."""
     d1, h1, h2 = s.d1, s.h1, s.h2
-    ct_a = cot(s.alpha)
-    ct_ab = cot(s.alpha + s.beta)
-    ct_g1 = cot(b.gamma1)
-    ct_g2 = cot(b.gamma2)
-    d2, d4 = b.d2, b.d4
-    span = h2 - h1
-    den = d1 * span
-    _check_finite(case, ct_a=ct_a, ct_ab=ct_ab, ct_g1=ct_g1, ct_g2=ct_g2,
-                  h3=ch.h3, h4=ch.h4, h_c3=c.h_c3, h_c4=c.h_c4,
-                  h_c5=c.h_c5, h_c6=c.h_c6)
+    half = d1 / 2.0
+    bs = np.array([0.0, d1, -d1, 2.0 * d1])  # nearest first
+    inner, outer = cot(s.alpha + s.beta), cot(s.alpha)
+    # chord[i, j] = (x at z = 0, slope) of BS i serving against BS j
+    chord = np.zeros((4, 4, 2))
+    for i, j in zip(*_PAIRS):
+        x0, x2 = _border_chord(s, bs[i], bs[j])
+        chord[i, j] = x0, (x2 - x0) / h2
+    c = np.concatenate([[0.0, half], np.repeat(bs, 4), chord[_PAIRS][:, 0]])
+    m = np.concatenate([[0.0, 0.0],
+                        np.tile([inner, -inner, outer, -outer], 4),
+                        chord[_PAIRS][:, 1]])
 
-    if case is CaseId.CASE_1:
-        if c.h_c4 > h1:
-            # The printed case-1 form assumes the neighbor BSs' lower beam
-            # edges stay below the corridor (h_c4 <= h1), i.e. that the
-            # second interferer reaches every corridor height. When h_c4
-            # rises above the floor, an interference-free served strip
-            # appears at the bottom; the case-2 region structure with its
-            # first region truncated empty is the exact evaluation there.
-            p_in, ev = _evaluate(s, CaseId.CASE_2, b, ch, c)
-            return p_in, ("case1_low_edge_regions",) + ev
-        (hc3,), ev = _chain_clamp([("h_c3", c.h_c3)], h1, h2)
-        p_in = ((h1 ** 2 - hc3 ** 2) * ct_ab / den
-                - (h1 + h2) / d1 * ct_g1
-                + 2.0 * d2 / d1
-                + (hc3 ** 2 - h2 ** 2) * ct_g2 / den
-                - 2.0 * d4 * (h2 - hc3) / den)
-        return p_in, ev
+    a, b = _LINE_PAIRS
+    crossing = m[a] != m[b]
+    z_cross = (c[b] - c[a])[crossing] / (m[a] - m[b])[crossing]
+    # repeated heights only add bands of zero height
+    z = np.sort(np.concatenate(
+        [[h1, h2], z_cross[(z_cross > h1) & (z_cross < h2)]]))
+    z_mid = 0.5 * (z[1:] + z[:-1])
 
-    if case is CaseId.CASE_2:
-        (h4, hc4, hc5), ev = _chain_clamp(
-            [("h4", ch.h4), ("h_c4", c.h_c4), ("h_c5", c.h_c5)], h1, h2)
-        p_out = (1.0
-                 - (h1 ** 2 - h4 ** 2) * ct_ab / den
-                 + (h1 + h2) / d1 * ct_g1
-                 - 2.0 * d2 / d1
-                 - (hc4 ** 2 - h4 ** 2) * ct_a / den
-                 + 2.0 * (hc4 - h4) / span
-                 - (hc4 ** 2 - hc5 ** 2) * ct_a / den
-                 - 2.0 * (hc5 - hc4) / span
-                 - (hc5 ** 2 - h2 ** 2) * ct_g2 / den
-                 + 2.0 * d4 * (h2 - hc5) / den)
-        return 1.0 - p_out, ev
-
-    if case is CaseId.CASE_3:
-        (h3, hc6, h4, hc4, hc5), ev = _chain_clamp(
-            [("h3", ch.h3), ("h_c6", c.h_c6), ("h4", ch.h4),
-             ("h_c4", c.h_c4), ("h_c5", c.h_c5)], h1, h2)
-        p_out = (1.0
-                 - (h3 ** 2 - h1 ** 2) * (-ct_ab + ct_a) / den
-                 + (hc6 ** 2 - h3 ** 2) * (ct_ab + ct_a) / den
-                 - 2.0 * (hc6 - h3) / span
-                 + (h2 ** 2 - hc6 ** 2) * ct_g1 / den
-                 - 2.0 * d2 * (h2 - hc6) / den
-                 + (h4 ** 2 - hc6 ** 2) * ct_ab / den
-                 - (hc4 ** 2 - h4 ** 2) * ct_a / den
-                 + 2.0 * (hc4 - h4) / span
-                 + (hc5 ** 2 - hc4 ** 2) * ct_a / den
-                 - 2.0 * (hc5 - hc4) / span
-                 + (h2 ** 2 - hc5 ** 2) * ct_g2 / den
-                 + 2.0 * d4 * (h2 - hc5) / den)
-        return 1.0 - p_out, ev
-
-    if case is CaseId.CASE_4:
-        (h3, hc6, h4), ev = _chain_clamp(
-            [("h3", ch.h3), ("h_c6", c.h_c6), ("h4", ch.h4)], h1, h2)
-        p_out = (1.0
-                 - (h3 ** 2 - h1 ** 2) * (-ct_ab + ct_a) / den
-                 + (hc6 ** 2 - h3 ** 2) * (ct_ab + ct_a) / den
-                 - 2.0 * (hc6 - h3) / span
-                 + (h2 ** 2 - hc6 ** 2) * ct_g1 / den
-                 - 2.0 * d2 * (h2 - hc6) / den
-                 + (h4 ** 2 - hc6 ** 2) * ct_ab / den
-                 - (h2 ** 2 - h4 ** 2) * ct_a / den
-                 + 2.0 * (h2 - h4) / span)
-        return 1.0 - p_out, ev
-
-    if case is CaseId.CASE_5:
-        (h3, hc6), ev = _chain_clamp(
-            [("h3", ch.h3), ("h_c6", c.h_c6)], h1, h2)
-        p_out = (1.0
-                 - (h3 ** 2 - h1 ** 2) * (-ct_ab + ct_a) / den
-                 + (hc6 ** 2 - h3 ** 2) * (ct_ab + ct_a) / den
-                 - 2.0 * (hc6 - h3) / span
-                 + (h2 ** 2 - hc6 ** 2) * (ct_ab + ct_g1) / den
-                 - 2.0 * d2 * (h2 - hc6) / den)
-        return 1.0 - p_out, ev
-
-    if case is CaseId.CASE_6:
-        p_in = (h2 + h1) / d1 * (-ct_ab + ct_a)
-        return p_in, ()
-
-    raise ValueError(f"unknown case {case!r}")
+    x = np.sort(np.clip(c + m * z_mid[:, None], 0.0, half), axis=1)
+    x_mid = 0.5 * (x[:, 1:] + x[:, :-1])                   # band x cell
+    dist = np.abs(x_mid[..., None] - bs)                    # band x cell x BS
+    zz = z_mid[:, None, None]
+    in_beam = (zz * inner < dist) & (dist < zz * outer)
+    rank = in_beam.cumsum(axis=-1)   # reaches k at the k-th nearest in beam
+    n_in = rank[..., -1]
+    serving = (rank == 1).argmax(axis=-1)
+    interferer = (rank == 2).argmax(axis=-1)
+    x0, slope = np.moveaxis(chord[serving, interferer], -1, 0)
+    border = x0 + slope * z_mid[:, None]
+    # each chord crosses z = 0 on its serving BS's corridor side: BS-1 and
+    # BS-3 lie left of their chords, BS-2 and BS-4 right of theirs
+    serving_side = np.where(bs[serving] < half, x_mid < border, x_mid > border)
+    covered = (n_in == 1) | ((n_in > 1) & serving_side)
+    length = (np.diff(x, axis=1) * covered).sum(axis=1)
+    # min(): rounding in the summed widths must not lift p_in above 1
+    return min(float(length @ np.diff(z)) / (half * (h2 - h1)), 1.0)
 
 
-def outage(s: CorridorScenario, force_case: CaseId | None = None) -> ClosedFormResult:
-    """Classify the scenario, evaluate the matching closed form and return
+def outage(s: CorridorScenario) -> ClosedFormResult:
+    """Classify the scenario and integrate the linear-border model; returns
     the outage probability with intermediates. Deterministic."""
-    case = force_case if force_case is not None else classify_case(s)
+    case = classify_case(s)
     b = borderline_geometry(s)
     ch = crossing_heights(s)
-    c = corner_heights(s, b)
-    raw_p_in, clamp_events = _evaluate(s, case, b, ch, c)
-    if not math.isfinite(raw_p_in):
-        raise ValueError(f"case {int(case)} expression evaluated non-finite")
-    p_in = min(max(raw_p_in, 0.0), 1.0)
-    return ClosedFormResult(
-        p_out=1.0 - p_in,
-        p_in=p_in,
-        case=case,
-        raw_p_in=raw_p_in,
-        value_clamped=(p_in != raw_p_in),
-        clamped=clamp_events,
-        borderline=b,
-        crossing=ch,
-        corners=c,
-        case_forced=force_case is not None,
-    )
+    p_in = _covered_fraction(s)
+    return ClosedFormResult(p_out=1.0 - p_in, p_in=p_in, case=case,
+                            borderline=b, crossing=ch)

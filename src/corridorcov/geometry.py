@@ -1,5 +1,5 @@
-"""Corridor layout, beam-crossing and corner heights, coverage borderlines
-and the six-regime classifier.
+"""Corridor layout, beam-crossing heights, coverage borderlines and the
+six-regime classifier.
 
 Geometry convention: base stations sit on the x axis at height 0 (the BS
 antenna height is the origin of all heights). BS-1 is at x = 0, BS-2 at
@@ -31,10 +31,6 @@ class TauOutOfRange(GeometryError):
 class GeometryInfeasible(GeometryError):
     """A borderline discriminant is negative (corridor too tall for the
     linear-borderline construction)."""
-
-
-class DegenerateGeometry(GeometryError):
-    """A corner-height denominator vanished."""
 
 
 class CaseUndefined(GeometryError):
@@ -122,22 +118,6 @@ class BorderlineGeometry:
     gamma2: float
 
 
-@dataclass(frozen=True)
-class CornerHeights:
-    """Heights of the labeled region corners used by the closed forms.
-
-    h_c3: first border-region corner on BS-1's upper beam edge.
-    h_c4: height of BS-2's lower beam edge above BS-1 (= d1 tan alpha).
-    h_c5: second border meets BS-3's lower beam edge.
-    h_c6: first border meets BS-2's lower beam edge.
-    """
-
-    h_c3: float
-    h_c4: float
-    h_c5: float
-    h_c6: float
-
-
 class CaseId(enum.IntEnum):
     """The six uptilt regimes, in increasing-uptilt order."""
 
@@ -157,61 +137,52 @@ def crossing_heights(s: CorridorScenario) -> CrossingHeights:
     return CrossingHeights(h3=h3, h4=h4)
 
 
+def _border_chord(s: CorridorScenario, x_serving: float,
+                  x_interferer: float) -> tuple[float, float]:
+    """Abscissae at z = 0 and z = h2 of the linearized border of a
+    (serving, interferer) pair.
+
+    The border is the threshold circle |p - x_i|^2 = tau |p - x_s|^2 around
+    the serving BS. At each height it has two crossings; the chord takes the
+    branch whose z = 0 crossing lies on the side of the serving BS that faces
+    the half corridor [0, d1/2]. With u = x - x_s and D = x_i - x_s a crossing
+    solves (tau - 1) u^2 + 2 D u - (D^2 - (tau - 1) z^2) = 0; both roots are
+    taken in their cancellation-free forms, so tau -> 1+ stays accurate.
+    """
+    d = x_interferer - x_serving
+    toward_corridor = 1.0 if x_serving < s.d1 / 2.0 else -1.0
+    # the near root lies toward the interferer, the far one behind x_s
+    near = math.copysign(1.0, d) == toward_corridor
+    t1 = s.tau - 1.0
+    out = []
+    for z in (0.0, s.h2):
+        disc = s.tau * d * d - t1 * t1 * z * z
+        if disc < 0:
+            raise GeometryInfeasible(
+                f"border of the BSs at x={x_serving:g} m and x={x_interferer:g} m "
+                f"has a negative discriminant ({disc:.6g}): corridor too tall "
+                "for the linear borderline")
+        q = d + math.copysign(math.sqrt(disc), d)
+        out.append(x_serving + ((d * d - t1 * z * z) / q if near else -q / t1))
+    return out[0], out[1]
+
+
 def borderline_geometry(s: CorridorScenario) -> BorderlineGeometry:
-    """Border abscissae d2..d5 and inclinations gamma1/gamma2 from the
-    simplified (squared-distance-ratio) threshold equations."""
+    """Border abscissae d2..d5 and inclinations gamma1/gamma2: BS-1 serving
+    against BS-2, and BS-2 serving against BS-3."""
     s.require_analytic()
-    d1, h2, tau = s.d1, s.h2, s.tau
-    sq = math.sqrt(tau)
-    d2 = d1 / (sq + 1.0)
-    d4 = (sq - 1.0) * d1 / (sq + 1.0)
-
-    disc3 = d1 ** 2 - (1.0 - tau) ** 2 * h2 ** 2 - d1 ** 2 * (1.0 - tau)
-    if disc3 < 0:
-        raise GeometryInfeasible(
-            "first-border discriminant negative: corridor too tall for the "
-            f"linear borderline (disc={disc3:.6g})")
-    d3 = (d1 - math.sqrt(disc3)) / (1.0 - tau)
-
-    disc5 = (1.0 + tau) ** 2 * d1 ** 2 - (1.0 - tau) ** 2 * (h2 ** 2 + d1 ** 2)
-    if disc5 < 0:
-        raise GeometryInfeasible(
-            "second-border discriminant negative: corridor too tall for the "
-            f"linear borderline (disc={disc5:.6g})")
-    d5 = (-(1.0 + tau) * d1 + math.sqrt(disc5)) / (1.0 - tau)
-
-    gamma1 = math.atan(h2 / (d2 - d3))
-    gamma2 = math.atan(h2 / (d5 - d4))
+    d2, d3 = _border_chord(s, 0.0, s.d1)
+    d4, d5 = _border_chord(s, s.d1, -s.d1)
+    gamma1 = math.atan(s.h2 / (d2 - d3))
+    gamma2 = math.atan(s.h2 / (d5 - d4))
     return BorderlineGeometry(d2=d2, d3=d3, d4=d4, d5=d5,
                               gamma1=gamma1, gamma2=gamma2)
 
 
-def corner_heights(s: CorridorScenario, b: BorderlineGeometry) -> CornerHeights:
-    """Heights of the labeled corner points c3..c6."""
-    s.require_analytic()
-    ct_a = cot(s.alpha)
-    ct_ab = cot(s.alpha + s.beta)
-    ct_g1 = cot(b.gamma1)
-    ct_g2 = cot(b.gamma2)
-    dens = {
-        "h_c3": ct_ab - ct_g2,
-        "h_c5": ct_g2 - ct_a,
-        "h_c6": ct_g1 - ct_a,
-    }
-    for name, den in dens.items():
-        if abs(den) < 1e-12:
-            raise DegenerateGeometry(f"{name} denominator vanished ({den:.3g})")
-    return CornerHeights(
-        h_c3=b.d4 / dens["h_c3"],
-        h_c4=s.d1 * math.tan(s.alpha),
-        h_c5=(-b.d4 - s.d1) / dens["h_c5"],
-        h_c6=(b.d2 - s.d1) / dens["h_c6"],
-    )
-
-
 def classify_case(s: CorridorScenario) -> CaseId:
     """Pick the uptilt regime from the inequalities among h1, h2, h3, h4 and
-    h_c4. Conditions are evaluated in order 1..6; equalities within
+    h_c4 = d1 tan(alpha), the height of BS-2's lower beam edge above BS-1.
+    Conditions are evaluated in order 1..6; equalities within
     CASE_TIE_TOL_M resolve to the lower case id."""
     ch = crossing_heights(s)
     h1, h2, h3, h4 = s.h1, s.h2, ch.h3, ch.h4

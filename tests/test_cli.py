@@ -2,7 +2,8 @@ import json
 
 import pytest
 
-from corridorcov import cli
+from corridorcov import cli, closed_form
+from corridorcov.defaults import reference_scenario
 
 
 def _reject_constant(name):
@@ -100,14 +101,31 @@ def test_configuration_error_exits_1(tmp_path, capsys):
     assert "unknown configuration key" in capsys.readouterr().err
 
 
-def test_validation_failure_exits_2(tmp_path):
-    # away from beta = 40, tau = 2 dB the closed form misses the oracles
+SMALL_VALIDATE = "validate.nx=96\nvalidate.nz=96\nvalidate.samples=20000\n"
+
+
+def test_validate_passes_off_the_reference_beam(tmp_path):
     cfg = tmp_path / "small.cfg"
-    cfg.write_text("validate.nx=96\nvalidate.nz=96\nvalidate.samples=20000\n")
+    cfg.write_text(SMALL_VALIDATE)
+    code, art = _run(["--config", str(cfg), "--beta-deg", "20", "--tau-db",
+                      "5", "validate", "--alphas-deg", "2,8,14,20"], tmp_path)
+    assert code == 0
+    assert art["passed"] is True
+
+
+def test_validation_failure_exits_2(tmp_path):
+    # at -30 dBm the link is noise-limited: the oracles see outage
+    # everywhere, and the closed form does not model noise
+    cfg = tmp_path / "small.cfg"
+    cfg.write_text(SMALL_VALIDATE + "radio.p_tx_dbm=-30\n")
     code, art = _run(["--config", str(cfg), "--beta-deg", "20", "--tau-db",
                       "5", "validate", "--alphas-deg", "2,8,14,20"], tmp_path)
     assert code == 2
     assert art["passed"] is False
+    for row in art["rows"]:
+        assert row["quadrature"] == row["mc"] == 1.0
+        s = reference_scenario(row["alpha_deg"], 20, tau_db=5)
+        assert row["closed_form"] == closed_form.outage(s).p_out < 1.0
 
 
 @pytest.mark.parametrize("flag, cfg_text", [
@@ -172,3 +190,61 @@ def test_optimize_json_records_history(tmp_path):
     assert {"alpha_deg": art["alpha_star_deg"], "p_out": art["p_out"]} in history
     assert {"alpha_star_deg", "p_out", "n_evaluations", "not_unimodal",
             "evaluator"} <= set(art)
+
+
+@pytest.mark.parametrize("argv, config", [
+    (["sweep", "--alpha-min-deg", "10", "--alpha-max-deg", "11",
+      "--alpha-step-deg", "0.5", "--format", "json"],
+     {"sweep.alpha_min_deg": 10.0, "sweep.alpha_max_deg": 11.0,
+      "sweep.alpha_step_deg": 0.5}),
+    (["optimize", "--lo-deg", "10", "--hi-deg", "20", "--tol-deg", "1"],
+     {"optimize.lo_deg": 10.0, "optimize.hi_deg": 20.0,
+      "optimize.tol_deg": 1.0}),
+    (["validate", "--alphas-deg", "13"],
+     {"validate.alphas_deg": [13.0]}),
+], ids=["sweep", "optimize", "validate"])
+def test_artifact_records_subcommand_flags(argv, config, tmp_path):
+    cfg = tmp_path / "small.cfg"
+    cfg.write_text(SMALL_VALIDATE)
+    code, art = _run(["--config", str(cfg), "--beta-deg", "40", *argv],
+                     tmp_path)
+    assert code == 0
+    assert {k: art["config"][k] for k in config} == config
+    if "curve" in art:
+        assert [row["alpha_deg"] for row in art["curve"]] == [10.0, 10.5, 11.0]
+    if "history" in art:
+        assert art["history"][0]["alpha_deg"] == pytest.approx(10.0)
+    if "rows" in art:
+        assert [row["alpha_deg"] for row in art["rows"]] == [13.0]
+
+
+@pytest.mark.parametrize("model", [
+    "model.assoc=nearest", "model.interference=sum", "model.beam=cosine",
+    "model.pathloss=a2g", "model.bs_positions=0,1000",
+], ids=["nearest", "sum", "cosine", "a2g", "bs_positions"])
+@pytest.mark.parametrize("command", [
+    ["analyze"], ["classify"], ["validate"],
+    ["sweep", "--evaluator", "closed_form"],
+    ["optimize", "--evaluator", "closed_form"],
+], ids=["analyze", "classify", "validate", "sweep", "optimize"])
+def test_closed_form_rejects_models_it_does_not_cover(model, command,
+                                                      tmp_path, capsys):
+    cfg = tmp_path / "model.cfg"
+    cfg.write_text(model + "\n")
+    out = tmp_path / "out.json"
+    code = cli.main(["--config", str(cfg), "--beta-deg", "40", "--alpha-deg",
+                     "13", *command, "--out", str(out)])
+    assert code == 1
+    captured = capsys.readouterr()
+    assert "the closed form needs" in captured.err
+    assert "p_out" not in captured.out and not out.exists()
+
+
+@pytest.mark.parametrize("evaluator", ["quadrature", "mc"])
+def test_numeric_evaluators_accept_every_model(evaluator, tmp_path):
+    code, art = _run(["--beta-deg", "40", "--assoc", "nearest", "--beam",
+                      "cosine", "--pathloss", "a2g", "--interference", "sum",
+                      "--samples", "5000", "--grid-nx", "64", "--grid-nz",
+                      "64", "optimize", "--evaluator", evaluator, "--lo-deg",
+                      "10", "--hi-deg", "20", "--tol-deg", "4"], tmp_path)
+    assert code == 0 and art["evaluator"] == evaluator

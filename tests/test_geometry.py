@@ -10,9 +10,9 @@ from corridorcov.geometry import (
     GeometryError,
     GeometryInfeasible,
     TauOutOfRange,
+    _border_chord,
     borderline_geometry,
     classify_case,
-    corner_heights,
     crossing_heights,
 )
 
@@ -93,8 +93,23 @@ def test_borderline_infeasible_above_first_border_height():
     b = borderline_geometry(below)
     assert b.d3 < b.d2
     above = reference_scenario(13, 40, tau_db=5.0, h2=h_max * (1 + 1e-9))
-    with pytest.raises(GeometryInfeasible, match="first-border"):
+    with pytest.raises(GeometryInfeasible, match="x=0 m and x=1000 m"):
         borderline_geometry(above)
+
+
+@pytest.mark.parametrize("tau_db", [0.5, 2.0, 10.0])
+def test_every_pair_chord_lies_on_its_threshold_circle(tau_db):
+    # BS-1..BS-4 in distance order from the half corridor; the z = 0
+    # crossing lies on the serving BS's side facing [0, d1/2]
+    s = reference_scenario(13, 40, tau_db=tau_db)
+    bs = (0.0, s.d1, -s.d1, 2.0 * s.d1)
+    for i, x_s in enumerate(bs):
+        for x_i in bs[i + 1:]:
+            x0, x2 = _border_chord(s, x_s, x_i)
+            for x, z in ((x0, 0.0), (x2, s.h2)):
+                assert ((x - x_i) ** 2 + z ** 2) == pytest.approx(
+                    s.tau * ((x - x_s) ** 2 + z ** 2), rel=1e-9)
+            assert (x0 > x_s) == (x_s < s.d1 / 2)
 
 
 def test_borderline_d2_decreases_with_tau():
@@ -106,36 +121,10 @@ def test_borderline_d2_decreases_with_tau():
     assert all(b < a for a, b in zip(d2s, d2s[1:]))
 
 
-def test_corner_heights_frozen():
-    # frozen from the two-line-intersection oracle
-    s = reference_scenario(13, 40)
-    c = corner_heights(s, borderline_geometry(s))
-    assert c.h_c4 == pytest.approx(230.868191, abs=1e-4)
-    assert c.h_c5 == pytest.approx(259.420520, abs=1e-4)
-    assert c.h_c6 == pytest.approx(130.779981, abs=1e-4)
-    ch = crossing_heights(s)
-    assert c.h_c4 < c.h_c5 < s.h2
-    assert ch.h3 < c.h_c6 < ch.h4
-
-    s8 = reference_scenario(8, 40)
-    c8 = corner_heights(s8, borderline_geometry(s8))
-    assert c8.h_c3 == pytest.approx(132.433318, abs=1e-4)
-
-
-def test_h_c4_tan_identity():
-    s = reference_scenario(45.0 - 1e-9, 1e-9)  # beta -> 0 analytic edge
-    c = corner_heights(s, borderline_geometry(s))
-    assert c.h_c4 == pytest.approx(s.d1, rel=1e-6)
-
-
-def test_crossing_and_corner_monotone_in_alpha():
-    h3s, hc4s = [], []
-    for a in np.arange(2, 38, 1.0):
-        s = reference_scenario(a, 40)
-        h3s.append(crossing_heights(s).h3)
-        hc4s.append(corner_heights(s, borderline_geometry(s)).h_c4)
+def test_crossing_height_monotone_in_alpha():
+    h3s = [crossing_heights(reference_scenario(a, 40)).h3
+           for a in np.arange(2, 38, 1.0)]
     assert all(b > a for a, b in zip(h3s, h3s[1:]))
-    assert all(b > a for a, b in zip(hc4s, hc4s[1:]))
 
 
 @pytest.mark.parametrize("alpha_deg,expected", [
@@ -172,14 +161,8 @@ def test_classify_requires_analytic_domain():
         classify_case(reference_scenario(-6, 40))
 
 
-def _corner_heights_of(s):
-    # the borderline of a valid scenario, so only s can fail the check
-    return corner_heights(s, borderline_geometry(reference_scenario(13, 40)))
-
-
-@pytest.mark.parametrize("fn", [crossing_heights, borderline_geometry,
-                                _corner_heights_of],
-                         ids=["crossing", "borderline", "corners"])
+@pytest.mark.parametrize("fn", [crossing_heights, borderline_geometry],
+                         ids=["crossing", "borderline"])
 @pytest.mark.parametrize("kwargs, error", [
     (dict(alpha_deg=-2.0), GeometryError),        # downtilt
     (dict(alpha_deg=0.0), GeometryError),         # boresight on the horizon
