@@ -3,22 +3,26 @@ machine-readable outputs.
 
 Configuration merges a config file (flat ``section.key=value`` lines or
 JSON, nested or flat) with command-line flag overrides; unknown keys are
-errors. Angles are degrees and powers dB/dBm at this boundary only. Every
-artifact embeds the fully resolved configuration. Scenario and model flags
-may be given before or after the subcommand; given in both places, the
-later one wins.
+errors. Each key is declared once, in `KEYS`: its parser, default, choices
+and, if it has one, its flag and help; one parser reads it from the file
+and from the flag. Angles are degrees and powers dB/dBm at this boundary
+only. Every artifact embeds the fully resolved configuration. Key flags may
+be given before or after the subcommand (the later one wins), the
+``sweep.*``, ``optimize.*`` and ``validate.*`` ones only after their own.
 
 Exit codes:
 
 - 0: success.
 - 1: configuration error: an unreadable or malformed config file, an
-  unknown key, a bad value (including one that a model or evaluator
-  rejects with a ValueError), a scenario outside a model's domain, or a
-  closed-form command given a link model the closed form does not cover.
+  unknown key, a bad value in the file (NaN, an infinity, a boolean for a
+  number, a non-integral number for an integer key, a value outside the
+  key's choices), a value that a model or evaluator rejects with a
+  ValueError, a scenario outside a model's domain, or a closed-form
+  command given a link model the closed form does not cover.
 - 2: validation failure: ``validate`` found an evaluator disagreeing with
   the closed form beyond its tolerance.
-- 3: usage error: an unknown subcommand or flag, or a flag value argparse
-  cannot parse.
+- 3: usage error: an unknown subcommand or flag, or a bad flag value, as
+  the key's parser judges it in the file.
 """
 
 from __future__ import annotations
@@ -27,6 +31,7 @@ import argparse
 import json
 import math
 import sys
+from typing import Callable, NamedTuple
 
 from . import closed_form, defaults, heatmap, sweep
 from .geometry import CorridorScenario
@@ -49,71 +54,113 @@ from .propagation import (
 EXIT_USAGE = 3
 
 
-class ConfigError(ValueError):
-    pass
+class ConfigError(ValueError, argparse.ArgumentTypeError):
+    """A bad configuration. As an ArgumentTypeError it makes argparse report
+    a flag value that a key's parser rejects as a usage error."""
 
 
-def _parse_bool(text: str) -> bool:
-    t = text.strip().lower()
+def _float(value) -> float:
+    """A finite float from text or a JSON number, not a boolean."""
+    try:
+        x = math.nan if isinstance(value, bool) else float(value)
+    except (TypeError, ValueError, OverflowError):
+        x = math.nan
+    if not math.isfinite(x):
+        raise ConfigError(f"not a finite number: {value!r}")
+    return x
+
+
+def _int(value) -> int:
+    """An int from integer text or an integral JSON number (1e6 is
+    1000000), not a boolean."""
+    if isinstance(value, float) and value.is_integer():
+        return int(value)
+    try:
+        if not isinstance(value, (bool, float)):
+            return int(value)
+    except (TypeError, ValueError):
+        pass
+    raise ConfigError(f"not an integer: {value!r}")
+
+
+def _bool(value) -> bool:
+    if isinstance(value, bool):
+        return value
+    t = str(value).strip().lower()
     if t in ("true", "1", "yes"):
         return True
     if t in ("false", "0", "no"):
         return False
-    raise ConfigError(f"not a boolean: {text!r}")
+    raise ConfigError(f"not a boolean: {value!r}")
 
 
-def _parse_floats(text: str) -> tuple[float, ...]:
-    return tuple(float(p) for p in str(text).split(",") if p.strip())
+def _floats(value) -> tuple[float, ...]:
+    """Finite floats from comma-separated text or a JSON list."""
+    if isinstance(value, (list, tuple)):
+        return tuple(_float(x) for x in value)
+    return tuple(_float(p) for p in str(value).split(",") if p.strip())
 
 
-# key -> (parser, default). None default means "unset".
-KNOWN_KEYS: dict = {
-    "scenario.d1_m": (float, defaults.D1_M),
-    "scenario.h1_m": (float, defaults.H1_M),
-    "scenario.h2_m": (float, defaults.H2_M),
-    "scenario.alpha_deg": (float, None),
-    "scenario.beta_deg": (float, None),
-    "scenario.tau_db": (float, defaults.TAU_DB),
-    "radio.p_tx_dbm": (float, defaults.P_TX_DBM),
-    "radio.carrier_hz": (float, defaults.CARRIER_HZ),
-    "radio.bandwidth_hz": (float, defaults.BANDWIDTH_HZ),
-    "radio.noise_figure_db": (float, defaults.NOISE_FIGURE_DB),
-    "radio.thermal_noise_dbm_hz": (float, defaults.THERMAL_NOISE_DBM_HZ),
-    "model.beam": (str, "rect"),
-    "model.nt": (int, None),
-    "model.peak_gain_db": (float, None),
-    "model.pathloss": (str, "fspl"),
-    "model.assoc": (str, "strongest"),
-    "model.interference": (str, "dominant"),
-    "model.include_noise": (_parse_bool, True),
-    "model.los_mode": (str, "expectation"),
-    "model.a2g_a": (float, 4.88),
-    "model.a2g_b": (float, 0.43),
-    "model.a2g_eta_los_db": (float, 0.1),
-    "model.a2g_eta_nlos_db": (float, 21.0),
-    "model.bs_positions": (_parse_floats, None),
-    "mc.samples": (int, 1_000_000),
-    "mc.seed": (int, 0),
-    "grid.nx": (int, 501),
-    "grid.nz": (int, 301),
-    "sweep.alpha_min_deg": (float, 2.0),
-    "sweep.alpha_max_deg": (float, 38.0),
-    "sweep.alpha_step_deg": (float, 1.0),
-    "optimize.lo_deg": (float, 2.0),
-    "optimize.hi_deg": (float, 38.0),
-    "optimize.tol_deg": (float, 0.05),
-    "validate.alphas_deg": (_parse_floats, (8.0, 13.0, 17.0, 25.0)),
-    "validate.nx": (int, 2001),
-    "validate.nz": (int, 2001),
-    "validate.samples": (int, 1_000_000),
-}
+def _values(kind) -> tuple[str, ...]:
+    return tuple(member.value for member in kind)
 
-_CHOICES = {
-    "model.beam": ("rect", "cosine"),
-    "model.pathloss": ("fspl", "a2g"),
-    "model.assoc": ("strongest", "nearest"),
-    "model.interference": ("dominant", "sum"),
-    "model.los_mode": ("expectation", "bernoulli"),
+
+class _Key(NamedTuple):
+    """A configuration key; a None default means "unset"."""
+
+    parse: Callable
+    default: object = None
+    flag: str | None = None
+    help: str = ""
+    choices: tuple[str, ...] | None = None
+
+
+# The flags of these sections' keys follow the subcommand of the same name.
+_SUBCOMMAND_SECTIONS = ("sweep", "optimize", "validate")
+
+KEYS: dict[str, _Key] = {
+    "scenario.alpha_deg": _Key(_float, None, "--alpha-deg", "antenna uptilt, degrees"),
+    "scenario.beta_deg": _Key(_float, None, "--beta-deg", "beamwidth, degrees"),
+    "scenario.d1_m": _Key(_float, defaults.D1_M, "--d1", "BS spacing, m"),
+    "scenario.h1_m": _Key(_float, defaults.H1_M, "--h1", "corridor bottom height, m"),
+    "scenario.h2_m": _Key(_float, defaults.H2_M, "--h2", "corridor top height, m"),
+    "scenario.tau_db": _Key(_float, defaults.TAU_DB, "--tau-db", "SINR threshold, dB"),
+    "radio.p_tx_dbm": _Key(_float, LinkBudget.p_tx_dbm),
+    "radio.carrier_hz": _Key(_float, LinkBudget.carrier_hz),
+    "radio.bandwidth_hz": _Key(_float, LinkBudget.bandwidth_hz),
+    "radio.noise_figure_db": _Key(_float, LinkBudget.noise_figure_db),
+    "radio.thermal_noise_dbm_hz": _Key(_float, LinkBudget.thermal_noise_dbm_hz),
+    "model.assoc": _Key(str, "strongest", "--assoc", "BS association",
+                        _values(Association)),
+    "model.beam": _Key(str, "rect", "--beam", "beam pattern", _values(BeamKind)),
+    "model.nt": _Key(_int, None, "--nt", "cosine-beam element count"),
+    "model.pathloss": _Key(str, "fspl", "--pathloss", "path-loss model",
+                           ("fspl", "a2g")),
+    "model.interference": _Key(str, "dominant", "--interference", "interference model",
+                               _values(InterferenceMode)),
+    "model.peak_gain_db": _Key(_float),
+    "model.include_noise": _Key(_bool, True),
+    "model.los_mode": _Key(str, "expectation", choices=_values(LosMode)),
+    "model.a2g_a": _Key(_float, AirToGroundPathLoss.a),
+    "model.a2g_b": _Key(_float, AirToGroundPathLoss.b),
+    "model.a2g_eta_los_db": _Key(_float, AirToGroundPathLoss.eta_los_db),
+    "model.a2g_eta_nlos_db": _Key(_float, AirToGroundPathLoss.eta_nlos_db),
+    "model.bs_positions": _Key(_floats),
+    "mc.samples": _Key(_int, 1_000_000, "--samples", "Monte Carlo sample count"),
+    "mc.seed": _Key(_int, 0, "--seed", "Monte Carlo seed"),
+    "grid.nx": _Key(_int, 501, "--grid-nx", "quadrature/heatmap x cells"),
+    "grid.nz": _Key(_int, 301, "--grid-nz", "quadrature/heatmap z cells"),
+    "sweep.alpha_min_deg": _Key(_float, 2.0, "--alpha-min-deg", "first uptilt, degrees"),
+    "sweep.alpha_max_deg": _Key(_float, 38.0, "--alpha-max-deg", "last uptilt, degrees"),
+    "sweep.alpha_step_deg": _Key(_float, 1.0, "--alpha-step-deg", "uptilt step, degrees"),
+    "optimize.lo_deg": _Key(_float, 2.0, "--lo-deg", "lowest uptilt, degrees"),
+    "optimize.hi_deg": _Key(_float, 38.0, "--hi-deg", "highest uptilt, degrees"),
+    "optimize.tol_deg": _Key(_float, 0.05, "--tol-deg", "uptilt tolerance, degrees"),
+    "validate.alphas_deg": _Key(_floats, (8.0, 13.0, 17.0, 25.0), "--alphas-deg",
+                                "comma-separated uptilt list"),
+    "validate.nx": _Key(_int, 2001),
+    "validate.nz": _Key(_int, 2001),
+    "validate.samples": _Key(_int, 1_000_000),
 }
 
 
@@ -128,9 +175,8 @@ def _flatten(prefix: str, obj, out: dict) -> None:
 def _read_config_file(path: str) -> dict:
     with open(path, "r", encoding="utf-8") as fh:
         text = fh.read()
-    stripped = text.lstrip()
     raw: dict = {}
-    if stripped.startswith("{"):
+    if text.lstrip().startswith("{"):
         _flatten("", json.loads(text), raw)
         return raw
     for lineno, line in enumerate(text.splitlines(), 1):
@@ -144,35 +190,23 @@ def _read_config_file(path: str) -> dict:
     return raw
 
 
-def _coerce(parser, value):
-    if parser is _parse_bool:
-        return value if isinstance(value, bool) else _parse_bool(str(value))
-    if parser is _parse_floats:
-        if isinstance(value, (list, tuple)):
-            return tuple(float(x) for x in value)
-        return _parse_floats(value)
-    return parser(value)
-
-
 class RunConfig:
     """Fully resolved configuration: defaults <- config file <- flags."""
 
     def __init__(self, raw: dict):
-        self.values: dict = {}
+        self.values = {key: k.default for key, k in KEYS.items()}
         for key, value in raw.items():
-            if key not in KNOWN_KEYS:
+            if key not in KEYS:
                 raise ConfigError(f"unknown configuration key: {key}")
-            parser, _ = KNOWN_KEYS[key]
+            k = KEYS[key]
             try:
-                parsed = _coerce(parser, value)
-            except (TypeError, ValueError) as exc:
-                raise ConfigError(f"bad value for {key}: {value!r} ({exc})")
-            if key in _CHOICES and parsed not in _CHOICES[key]:
+                parsed = k.parse(value)
+            except ValueError as exc:
+                raise ConfigError(f"bad value for {key}: {exc}") from None
+            if k.choices and parsed not in k.choices:
                 raise ConfigError(
-                    f"{key} must be one of {_CHOICES[key]}, got {parsed!r}")
+                    f"{key} must be one of {k.choices}, got {parsed!r}")
             self.values[key] = parsed
-        for key, (_, default) in KNOWN_KEYS.items():
-            self.values.setdefault(key, default)
 
     def get(self, key: str):
         return self.values[key]
@@ -185,60 +219,39 @@ class RunConfig:
         return value
 
     def resolved(self) -> dict:
-        out = {}
-        for key in sorted(KNOWN_KEYS):
-            v = self.values[key]
-            if v is None:
-                continue
-            out[key] = list(v) if isinstance(v, tuple) else v
-        return out
+        return {key: list(v) if isinstance(v, tuple) else v
+                for key, v in sorted(self.values.items()) if v is not None}
+
+    def _fields(self, prefix: str) -> dict:
+        """The keys under `prefix`, named by the model field they set."""
+        return {key[len(prefix):]: v for key, v in self.values.items()
+                if key.startswith(prefix)}
 
     # ---- typed builders -------------------------------------------------
 
-    def link_budget(self) -> LinkBudget:
-        return LinkBudget(
-            p_tx_dbm=self.get("radio.p_tx_dbm"),
-            carrier_hz=self.get("radio.carrier_hz"),
-            bandwidth_hz=self.get("radio.bandwidth_hz"),
-            noise_figure_db=self.get("radio.noise_figure_db"),
-            thermal_noise_dbm_hz=self.get("radio.thermal_noise_dbm_hz"),
-        )
-
     def scenario(self, alpha_deg: float | None = None) -> CorridorScenario:
         alpha = alpha_deg if alpha_deg is not None else self.require("scenario.alpha_deg")
-        beta = self.require("scenario.beta_deg")
-        try:
-            return CorridorScenario(
-                d1=self.get("scenario.d1_m"),
-                h1=self.get("scenario.h1_m"),
-                h2=self.get("scenario.h2_m"),
-                alpha=math.radians(alpha),
-                beta=math.radians(beta),
-                tau=float(db_to_linear(self.get("scenario.tau_db"))),
-                radio=self.link_budget(),
-            )
-        except ValueError as exc:
-            raise ConfigError(str(exc))
-
-    def pathloss(self):
-        if self.get("model.pathloss") == "a2g":
-            return AirToGroundPathLoss(
-                a=self.get("model.a2g_a"), b=self.get("model.a2g_b"),
-                eta_los_db=self.get("model.a2g_eta_los_db"),
-                eta_nlos_db=self.get("model.a2g_eta_nlos_db"))
-        return FreeSpacePathLoss()
+        return CorridorScenario(
+            d1=self.get("scenario.d1_m"),
+            h1=self.get("scenario.h1_m"),
+            h2=self.get("scenario.h2_m"),
+            alpha=math.radians(alpha),
+            beta=math.radians(self.require("scenario.beta_deg")),
+            tau=float(db_to_linear(self.get("scenario.tau_db"))),
+            radio=LinkBudget(**self._fields("radio.")),
+        )
 
     def assumptions(self) -> OracleAssumptions:
         """Model assumptions; the beam is built at each scenario's tilt."""
         return OracleAssumptions(
             association=Association(self.get("model.assoc")),
-            interference=(InterferenceMode.DOMINANT_ONLY
-                          if self.get("model.interference") == "dominant"
-                          else InterferenceMode.SUM_ALL),
+            interference=InterferenceMode(self.get("model.interference")),
             beam=BeamKind(self.get("model.beam")),
             peak_gain_db=self.get("model.peak_gain_db"),
             n_elements=self.get("model.nt"),
-            pathloss=self.pathloss(),
+            pathloss=(AirToGroundPathLoss(**self._fields("model.a2g_"))
+                      if self.get("model.pathloss") == "a2g"
+                      else FreeSpacePathLoss()),
             include_noise=self.get("model.include_noise"),
             bs_positions=self.get("model.bs_positions"),
         )
@@ -249,9 +262,9 @@ class RunConfig:
         loss and the four reference BSs."""
         for key in ("model.assoc", "model.interference", "model.beam",
                     "model.pathloss"):
-            if self.get(key) != KNOWN_KEYS[key][1]:
+            if self.get(key) != KEYS[key].default:
                 raise ConfigError(
-                    f"the closed form needs {key}={KNOWN_KEYS[key][1]}, got "
+                    f"the closed form needs {key}={KEYS[key].default}, got "
                     f"{self.get(key)} (the oracle and mc commands and "
                     "evaluators model it)")
         if self.get("model.bs_positions") is not None:
@@ -267,32 +280,6 @@ class RunConfig:
         )
 
 
-_FLAG_TO_KEY = {
-    "alpha_deg": "scenario.alpha_deg",
-    "beta_deg": "scenario.beta_deg",
-    "d1": "scenario.d1_m",
-    "h1": "scenario.h1_m",
-    "h2": "scenario.h2_m",
-    "tau_db": "scenario.tau_db",
-    "assoc": "model.assoc",
-    "beam": "model.beam",
-    "nt": "model.nt",
-    "pathloss": "model.pathloss",
-    "interference": "model.interference",
-    "samples": "mc.samples",
-    "seed": "mc.seed",
-    "grid_nx": "grid.nx",
-    "grid_nz": "grid.nz",
-    "alpha_min_deg": "sweep.alpha_min_deg",
-    "alpha_max_deg": "sweep.alpha_max_deg",
-    "alpha_step_deg": "sweep.alpha_step_deg",
-    "lo_deg": "optimize.lo_deg",
-    "hi_deg": "optimize.hi_deg",
-    "tol_deg": "optimize.tol_deg",
-    "alphas_deg": "validate.alphas_deg",
-}
-
-
 class _Parser(argparse.ArgumentParser):
     """argparse with usage errors on their own exit code, EXIT_USAGE."""
 
@@ -301,36 +288,27 @@ class _Parser(argparse.ArgumentParser):
         self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")
 
 
+def _add_key_flags(p: argparse.ArgumentParser, command: str | None) -> None:
+    """Add the flags of the keys that subcommand `command` owns, or for None
+    of the keys whose flags go before and after it, each stored under its
+    key. An absent flag stores nothing (SUPPRESS), so that a value given
+    before the subcommand or in the config file stands."""
+    for key, k in KEYS.items():
+        section = key.partition(".")[0]
+        owner = section if section in _SUBCOMMAND_SECTIONS else None
+        if k.flag and owner == command:
+            metavar = None if k.choices else k.flag[2:].replace("-", "_").upper()
+            p.add_argument(k.flag, dest=key, type=k.parse, choices=k.choices,
+                           default=argparse.SUPPRESS, metavar=metavar,
+                           help=f"{k.help} ({key})")
+
+
 def _add_global_flags(p: argparse.ArgumentParser, default) -> None:
     """Flags accepted before and after the subcommand. After it, the default
     is SUPPRESS, so that an absent flag keeps the value given before it."""
     p.add_argument("--config", default=default,
                    help="config file (key=value lines or JSON)")
-    p.add_argument("--alpha-deg", type=float, default=default,
-                   help="antenna uptilt, degrees")
-    p.add_argument("--beta-deg", type=float, default=default,
-                   help="beamwidth, degrees")
-    p.add_argument("--d1", type=float, default=default, help="BS spacing, m")
-    p.add_argument("--h1", type=float, default=default,
-                   help="corridor bottom height, m")
-    p.add_argument("--h2", type=float, default=default,
-                   help="corridor top height, m")
-    p.add_argument("--tau-db", type=float, default=default,
-                   help="SINR threshold, dB")
-    p.add_argument("--assoc", choices=["strongest", "nearest"], default=default)
-    p.add_argument("--beam", choices=["rect", "cosine"], default=default)
-    p.add_argument("--nt", type=int, default=default,
-                   help="cosine-beam element count")
-    p.add_argument("--pathloss", choices=["fspl", "a2g"], default=default)
-    p.add_argument("--interference", choices=["dominant", "sum"],
-                   default=default)
-    p.add_argument("--samples", type=int, default=default,
-                   help="Monte Carlo sample count")
-    p.add_argument("--seed", type=int, default=default, help="Monte Carlo seed")
-    p.add_argument("--grid-nx", type=int, default=default,
-                   help="quadrature/heatmap x cells")
-    p.add_argument("--grid-nz", type=int, default=default,
-                   help="quadrature/heatmap z cells")
+    _add_key_flags(p, None)
     p.add_argument("--out", default=default,
                    help="output artifact path (heatmap: path prefix)")
     p.add_argument("--format", choices=["csv", "json"],
@@ -348,31 +326,13 @@ def build_parser() -> argparse.ArgumentParser:
     _add_global_flags(common, argparse.SUPPRESS)
 
     sub = p.add_subparsers(dest="command", required=True)
-    sub.add_parser("classify", parents=[common],
-                   help="uptilt case id + geometry intermediates")
-    sub.add_parser("analyze", parents=[common],
-                   help="closed-form outage probability")
-    sub.add_parser("oracle", parents=[common],
-                   help="quadrature coverage probability")
-    sub.add_parser("mc", parents=[common], help="Monte Carlo outage estimate")
-    for name in ("sweep", "optimize"):
-        sp = sub.add_parser(name, parents=[common], help=f"uptilt {name}")
-        sp.add_argument("--evaluator",
-                        choices=["closed_form", "quadrature", "mc"],
-                        default="closed_form")
-        if name == "sweep":
-            sp.add_argument("--alpha-min-deg", type=float)
-            sp.add_argument("--alpha-max-deg", type=float)
-            sp.add_argument("--alpha-step-deg", type=float)
-        else:
-            sp.add_argument("--lo-deg", type=float)
-            sp.add_argument("--hi-deg", type=float)
-            sp.add_argument("--tol-deg", type=float)
-    sub.add_parser("heatmap", parents=[common],
-                   help="SINR field CSV + PPM image")
-    vp = sub.add_parser("validate", parents=[common],
-                        help="closed-form / quadrature / MC triangle check")
-    vp.add_argument("--alphas-deg", help="comma-separated uptilt list")
+    for name, (_, text) in _COMMANDS.items():
+        sp = sub.add_parser(name, parents=[common], help=text)
+        if name in ("sweep", "optimize"):
+            sp.add_argument("--evaluator",
+                            choices=["closed_form", "quadrature", "mc"],
+                            default="closed_form")
+        _add_key_flags(sp, name)
     return p
 
 
@@ -569,15 +529,16 @@ def _cmd_validate(cfg: RunConfig, args) -> int:
     return 0 if ok else 2
 
 
+# name -> (command, help)
 _COMMANDS = {
-    "classify": _cmd_classify,
-    "analyze": _cmd_analyze,
-    "oracle": _cmd_oracle,
-    "mc": _cmd_mc,
-    "sweep": _cmd_sweep,
-    "optimize": _cmd_optimize,
-    "heatmap": _cmd_heatmap,
-    "validate": _cmd_validate,
+    "classify": (_cmd_classify, "uptilt case id + geometry intermediates"),
+    "analyze": (_cmd_analyze, "closed-form outage probability"),
+    "oracle": (_cmd_oracle, "quadrature coverage probability"),
+    "mc": (_cmd_mc, "Monte Carlo outage estimate"),
+    "sweep": (_cmd_sweep, "uptilt sweep"),
+    "optimize": (_cmd_optimize, "uptilt optimize"),
+    "heatmap": (_cmd_heatmap, "SINR field CSV + PPM image"),
+    "validate": (_cmd_validate, "closed-form / quadrature / MC triangle check"),
 }
 
 
@@ -587,12 +548,9 @@ def main(argv: list[str] | None = None) -> int:
     try:
         if args.config:
             raw.update(_read_config_file(args.config))
-        for flag, key in _FLAG_TO_KEY.items():
-            value = getattr(args, flag, None)
-            if value is not None:
-                raw[key] = value
+        raw.update((k, v) for k, v in vars(args).items() if k in KEYS)
         cfg = RunConfig(raw)
-        return _COMMANDS[args.command](cfg, args)
+        return _COMMANDS[args.command][0](cfg, args)
     except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

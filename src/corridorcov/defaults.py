@@ -1,8 +1,8 @@
 """Reference simulation settings shared by the CLI and the test suite.
 
-These are the default corridor and link-budget values; the peak sector gain
-follows the usual wide-sector rule of 297.6/beta dB for a beamwidth of beta
-degrees.
+These are the default corridor values; the link budget's are the
+`LinkBudget` field defaults. The peak sector gain follows the usual
+wide-sector rule of 297.6/beta dB for a beamwidth of beta degrees.
 """
 
 from __future__ import annotations
@@ -16,11 +16,6 @@ D1_M = 1000.0
 H1_M = 100.0
 H2_M = 300.0
 TAU_DB = 2.0
-P_TX_DBM = 30.0
-CARRIER_HZ = 3e9
-BANDWIDTH_HZ = 20e6
-THERMAL_NOISE_DBM_HZ = -174.0
-NOISE_FIGURE_DB = 9.0
 
 # Default uptilt sweep grid, degrees.
 ALPHA_GRID_DEG = [float(a) for a in range(2, 39)]
@@ -31,26 +26,14 @@ def peak_gain_db(beta_rad: float) -> float:
     return 297.6 / math.degrees(beta_rad)
 
 
-def link_budget(**overrides) -> LinkBudget:
-    params = dict(
-        p_tx_dbm=P_TX_DBM,
-        carrier_hz=CARRIER_HZ,
-        bandwidth_hz=BANDWIDTH_HZ,
-        noise_figure_db=NOISE_FIGURE_DB,
-        thermal_noise_dbm_hz=THERMAL_NOISE_DBM_HZ,
-    )
-    params.update(overrides)
-    return LinkBudget(**params)
-
-
 def reference_scenario(alpha_deg: float, beta_deg: float, *,
                        d1=D1_M, h1=H1_M, h2=H2_M, tau_db=TAU_DB,
-                       radio: LinkBudget | None = None) -> CorridorScenario:
+                       radio: LinkBudget = LinkBudget()) -> CorridorScenario:
     """Corridor scenario at the reference settings with the given tilt."""
     return CorridorScenario(
         d1=d1, h1=h1, h2=h2,
         alpha=math.radians(alpha_deg),
         beta=math.radians(beta_deg),
         tau=10.0 ** (tau_db / 10.0),
-        radio=radio if radio is not None else link_budget(),
+        radio=radio,
     )

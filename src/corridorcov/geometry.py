@@ -60,6 +60,10 @@ class CorridorScenario:
     radio: LinkBudget = field(default_factory=LinkBudget)
 
     def __post_init__(self):
+        for name in ("d1", "h1", "h2", "alpha", "beta", "tau"):
+            value = getattr(self, name)
+            if not math.isfinite(value):
+                raise ValueError(f"{name} must be finite, got {value}")
         if self.d1 <= 0:
             raise ValueError(f"d1 must be positive, got {self.d1}")
         if not (0 < self.h1 < self.h2):

@@ -9,7 +9,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .geometry import CorridorScenario
-from .oracle import OracleAssumptions, _row_blocks, evaluate_sinr
+from .oracle import OracleAssumptions, _midpoints, _row_blocks, evaluate_sinr
 from .propagation import _Workspace
 
 # Fixed dB clamp of the image color ramp, for reproducible bytes.
@@ -43,13 +43,11 @@ class SinrField:
 
     @property
     def x_centers(self) -> np.ndarray:
-        dx = (self.x_max - self.x_min) / self.nx
-        return self.x_min + (np.arange(self.nx) + 0.5) * dx
+        return _midpoints(self.x_min, self.x_max, self.nx)
 
     @property
     def z_centers(self) -> np.ndarray:
-        dz = (self.z_max - self.z_min) / self.nz
-        return self.z_min + (np.arange(self.nz) + 0.5) * dz
+        return _midpoints(self.z_min, self.z_max, self.nz)
 
 
 def sinr_field(s: CorridorScenario, a: OracleAssumptions, nx: int, nz: int,
@@ -65,10 +63,8 @@ def sinr_field(s: CorridorScenario, a: OracleAssumptions, nx: int, nz: int,
     z_min, z_max = z_range if z_range is not None else (0.0, s.h2)
     if not (x_max > x_min and z_max > z_min and nx > 0 and nz > 0):
         raise ValueError("field ranges must be positive and counts > 0")
-    dx = (x_max - x_min) / nx
-    dz = (z_max - z_min) / nz
-    xs = x_min + (np.arange(nx) + 0.5) * dx
-    zs = z_min + (np.arange(nz) + 0.5) * dz
+    xs = _midpoints(x_min, x_max, nx)
+    zs = _midpoints(z_min, z_max, nz)
 
     sinr_db = np.empty((nz, nx), dtype=float)
     serving = np.empty((nz, nx), dtype=np.int64)

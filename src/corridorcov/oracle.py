@@ -257,12 +257,9 @@ def _row_blocks(xs, zs):
         yield rows, np.broadcast_to(xs, shape), np.broadcast_to(z, shape)
 
 
-def _corridor_axes(s: CorridorScenario, n_x: int, n_z: int):
-    dx = (s.d1 / 2.0) / n_x
-    dz = (s.h2 - s.h1) / n_z
-    xs = (np.arange(n_x) + 0.5) * dx
-    zs = s.h1 + (np.arange(n_z) + 0.5) * dz
-    return xs, zs
+def _midpoints(lo: float, hi: float, n: int) -> np.ndarray:
+    """Centers of the n equal cells of [lo, hi]."""
+    return lo + (np.arange(n) + 0.5) * ((hi - lo) / n)
 
 
 def coverage_by_quadrature(s: CorridorScenario, a: OracleAssumptions,
@@ -274,7 +271,8 @@ def coverage_by_quadrature(s: CorridorScenario, a: OracleAssumptions,
     calls; a new one when None."""
     if n_x < 64 or n_z < 64:
         raise ValueError(f"need n_x, n_z >= 64, got {n_x} x {n_z}")
-    xs, zs = _corridor_axes(s, n_x, n_z)
+    xs = _midpoints(0.0, s.d1 / 2.0, n_x)
+    zs = _midpoints(s.h1, s.h2, n_z)
     work = _Workspace() if work is None else work
     covered = 0
     for _, x, z in _row_blocks(xs, zs):

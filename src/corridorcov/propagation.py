@@ -105,6 +105,13 @@ class LinkBudget:
     noise_figure_db: float = 9.0
     thermal_noise_dbm_hz: float = -174.0
 
+    def __post_init__(self):
+        for name, value in vars(self).items():
+            if not math.isfinite(value):
+                raise ValueError(f"{name} must be finite, got {value}")
+            if value <= 0 and name in ("carrier_hz", "bandwidth_hz"):
+                raise ValueError(f"{name} must be positive, got {value}")
+
     @property
     def wavelength_m(self) -> float:
         return SPEED_OF_LIGHT / self.carrier_hz

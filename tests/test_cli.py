@@ -77,12 +77,19 @@ def test_classify_outside_the_analytic_domain_exits_1(tmp_path, capsys):
     ["analyze", "--no-such-flag"],
     ["--beam", "pencil", "analyze"],
     ["sweep", "--evaluator", "guess"],
+    # non-finite flag values; the first made the sweep grid grow forever
+    ["--beta-deg", "40", "sweep", "--alpha-max-deg", "inf"],
+    ["--beta-deg", "40", "sweep", "--alpha-step-deg", "nan"],
+    ["--tau-db", "nan", "--beta-deg", "40", "sweep"],
+    ["--beta-deg", "40", "validate", "--alphas-deg", "13,inf"],
+    ["--beta-deg", "40", "validate", "--alphas-deg", "13,x"],
 ])
 def test_usage_errors_exit_3(argv, capsys):
     with pytest.raises(SystemExit) as exc:
         cli.main(argv)
     assert exc.value.code == cli.EXIT_USAGE == 3
-    assert "usage:" in capsys.readouterr().err
+    captured = capsys.readouterr()
+    assert "usage:" in captured.err and captured.out == ""
 
 
 def test_help_exits_0(capsys):
@@ -146,20 +153,88 @@ def test_validate_without_uptilts_exits_1(flag, cfg_text, tmp_path, capsys):
     assert not out.exists()
 
 
-@pytest.mark.parametrize("argv, message", [
-    (["--beam", "cosine", "--nt", "1", "oracle"], "element count"),
-    (["--grid-nx", "10", "oracle"], "n_x, n_z >= 64"),
-    (["--samples", "0", "mc"], "n_samples"),
-    (["--grid-nx", "0", "heatmap"], "counts > 0"),
+@pytest.mark.parametrize("config, argv, message", [
+    ("", ["--beam", "cosine", "--nt", "1", "oracle"], "element count"),
+    ("", ["--grid-nx", "10", "oracle"], "n_x, n_z >= 64"),
+    ("", ["--samples", "0", "mc"], "n_samples"),
+    ("", ["--grid-nx", "0", "heatmap"], "counts > 0"),
+    # config file values that are not finite, integral or numbers
+    ("radio.p_tx_dbm=nan", ["--grid-nx", "64", "--grid-nz", "64", "sweep",
+                            "--evaluator", "quadrature"], "radio.p_tx_dbm"),
+    ("radio.p_tx_dbm=nan", ["heatmap"], "radio.p_tx_dbm"),
+    ("scenario.h2_m=inf", ["mc"], "scenario.h2_m"),
+    ("model.bs_positions=0,inf", ["oracle"], "model.bs_positions"),
+    ("validate.alphas_deg=13,nan", ["validate"], "validate.alphas_deg"),
+    ('{"mc": {"samples": 2000.9}}', ["mc"], "mc.samples"),
+    ('{"mc": {"seed": true}}', ["mc"], "mc.seed"),
+    ('{"scenario": {"tau_db": false}}', ["analyze"], "scenario.tau_db"),
 ])
-def test_rejected_model_values_exit_1(argv, message, tmp_path, capsys):
-    # a ValueError from a model or evaluator is a bad value, not a crash
-    code = cli.main(["--beta-deg", "40", "--alpha-deg", "13", *argv,
-                     "--out", str(tmp_path / "out")])
+def test_rejected_model_values_exit_1(config, argv, message, tmp_path,
+                                      capsys):
+    # a value that a key's parser, a model or an evaluator rejects is a bad
+    # value, not a crash
+    cfg = tmp_path / "model.cfg"
+    cfg.write_text(config)
+    code = cli.main(["--config", str(cfg), "--beta-deg", "40", "--alpha-deg",
+                     "13", *argv, "--out", str(tmp_path / "out")])
     assert code == 1
-    err = capsys.readouterr().err
-    assert err.startswith("error: ") and message in err
-    assert "Traceback" not in err
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: ") and message in captured.err
+    assert "Traceback" not in captured.err
+    assert captured.out == "" and list(tmp_path.iterdir()) == [cfg]
+
+
+def test_json_config_takes_integral_numbers(tmp_path):
+    cfg = tmp_path / "int.json"
+    cfg.write_text('{"mc": {"samples": 1e6, "seed": 3.0}}')
+    code, art = _run(["--config", str(cfg), "--beta-deg", "40",
+                      "--alpha-deg", "13", "analyze"], tmp_path)
+    assert code == 0
+    assert art["config"]["mc.samples"] == 1_000_000
+    assert type(art["config"]["mc.seed"]) is int
+
+
+# A value other than the default for every key that has a flag.
+FLAG_VALUES = {
+    "scenario.alpha_deg": "12.5", "scenario.beta_deg": "35",
+    "scenario.d1_m": "900", "scenario.h1_m": "120", "scenario.h2_m": "280",
+    "scenario.tau_db": "3", "model.assoc": "nearest", "model.beam": "cosine",
+    "model.nt": "8", "model.pathloss": "a2g", "model.interference": "sum",
+    "mc.samples": "3000", "mc.seed": "7", "grid.nx": "64", "grid.nz": "64",
+    "sweep.alpha_min_deg": "30", "sweep.alpha_max_deg": "5",
+    "sweep.alpha_step_deg": "9", "optimize.lo_deg": "10",
+    "optimize.hi_deg": "20", "optimize.tol_deg": "1",
+    "validate.alphas_deg": "13",
+}
+
+
+@pytest.mark.parametrize("key", [k for k, v in cli.KEYS.items() if v.flag])
+def test_flag_sets_its_key_as_the_config_file_does(key, tmp_path, capsys):
+    flag = cli.KEYS[key].flag
+    section = key.partition(".")[0]
+    # keys outside the subcommand sections go to mc, which takes any model
+    command = section if section in ("sweep", "optimize", "validate") else "mc"
+    with pytest.raises(SystemExit) as exc:
+        cli.main([command, "--help"])
+    assert exc.value.code == 0
+    help_text = capsys.readouterr().out
+    assert flag in help_text and f"({key})" in help_text
+
+    base = ("scenario.beta_deg=40\nscenario.alpha_deg=13\nmc.samples=2000\n"
+            + SMALL_VALIDATE)
+    by_flag, by_line = tmp_path / "flag.cfg", tmp_path / "line.cfg"
+    by_flag.write_text(base)
+    by_line.write_text(base + f"{key}={FLAG_VALUES[key]}\n")
+    extra = ["--format", "json"] if command == "sweep" else []
+    flag_run = _run(["--config", str(by_flag), command, *extra,
+                     flag, FLAG_VALUES[key]], tmp_path, "flag.json")
+    line_run = _run(["--config", str(by_line), command, *extra],
+                    tmp_path, "line.json")
+    assert flag_run[0] == line_run[0] == 0
+    assert flag_run[1] == line_run[1]
+    value = flag_run[1]["config"][key]
+    assert type(value) is type(line_run[1]["config"][key])
+    assert value != cli.RunConfig({}).resolved().get(key)
 
 
 def test_sweep_json_records_failure_reasons(tmp_path):

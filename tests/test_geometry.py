@@ -185,3 +185,11 @@ def test_scenario_validation():
         reference_scenario(13, 40, h1=300, h2=100)
     with pytest.raises(ValueError):
         CorridorScenario(d1=1000, h1=100, h2=300, alpha=0.1, beta=0.5, tau=0.0)
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("name", ["d1", "h1", "h2", "alpha", "beta", "tau"])
+def test_scenario_rejects_non_finite_fields(name, value):
+    # NaN passes every order test, so it needs its own check
+    with pytest.raises(ValueError, match=f"{name} must be finite"):
+        reference_scenario(13, 40).replace(**{name: value})

@@ -150,6 +150,18 @@ def test_noise_power():
         noise_power_dbm(-174.0, 0.0, 9.0)
 
 
+@pytest.mark.parametrize("name, value", [
+    *((name, value) for name in ("p_tx_dbm", "carrier_hz", "bandwidth_hz",
+                                 "noise_figure_db", "thermal_noise_dbm_hz")
+      for value in (math.nan, math.inf, -math.inf)),
+    ("carrier_hz", 0.0), ("carrier_hz", -3e9), ("bandwidth_hz", 0.0),
+])
+def test_link_budget_rejects_values_outside_its_domain(name, value):
+    # a zero carrier divided by zero; a negative one gave a silent number
+    with pytest.raises(ValueError, match=f"{name} must be"):
+        LinkBudget(**{name: value})
+
+
 def test_link_budget_derived():
     lb = LinkBudget()
     assert lb.p_tx_w == pytest.approx(1.0)
