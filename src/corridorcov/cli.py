@@ -53,6 +53,9 @@ from .propagation import (
 
 EXIT_USAGE = 3
 
+# The most uptilts a sweep evaluates; more is a typo in the step or range.
+MAX_SWEEP_POINTS = 100_000
+
 
 class ConfigError(ValueError, argparse.ArgumentTypeError):
     """A bad configuration. As an ArgumentTypeError it makes argparse report
@@ -419,6 +422,10 @@ def _cmd_sweep(cfg: RunConfig, args) -> int:
     step = cfg.get("sweep.alpha_step_deg")
     if step <= 0 or hi < lo:
         raise ConfigError("sweep grid needs alpha_min <= alpha_max, step > 0")
+    # the points the loop below takes, within one of rounding
+    if (hi - lo) / step > MAX_SWEEP_POINTS:
+        raise ConfigError(f"sweep grid of about {(hi - lo) / step + 1:.3g} "
+                          f"uptilts exceeds {MAX_SWEEP_POINTS}")
     grid_deg = []
     a = lo
     while a <= hi + 1e-9:

@@ -9,7 +9,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .geometry import CorridorScenario
-from .oracle import OracleAssumptions, _midpoints, _row_blocks, evaluate_sinr
+from .oracle import (
+    OracleAssumptions,
+    _grid_rows,
+    _midpoints,
+    _sum_blocks,
+    evaluate_sinr,
+)
 from .propagation import _Workspace
 
 # Fixed dB clamp of the image color ramp, for reproducible bytes.
@@ -54,7 +60,8 @@ def sinr_field(s: CorridorScenario, a: OracleAssumptions, nx: int, nz: int,
                x_range: tuple[float, float] | None = None,
                z_range: tuple[float, float] | None = None) -> SinrField:
     """Evaluate the SINR field on cell centers in blocks of whole rows (the
-    row-block loop the quadrature uses); deterministic row fill.
+    row-block loop the quadrature uses); each block fills its own rows, so
+    the field does not depend on the thread that evaluated them.
 
     Defaults cover the half corridor width and the full height from the BS
     antenna level: x in [0, d1/2], z in [0, h2].
@@ -68,14 +75,18 @@ def sinr_field(s: CorridorScenario, a: OracleAssumptions, nx: int, nz: int,
 
     sinr_db = np.empty((nz, nx), dtype=float)
     serving = np.empty((nz, nx), dtype=np.int64)
-    work = _Workspace()
-    for rows, x, z in _row_blocks(xs, zs):
-        idx, val = evaluate_sinr(x, z, s, a, work=work)
-        db = sinr_db[rows]
+
+    def fill(lo, hi, w):
+        x, z = _grid_rows(xs, zs, lo, hi)
+        idx, val = evaluate_sinr(x, z, s, a, work=w)
+        db = sinr_db[lo:hi]
         with np.errstate(divide="ignore"):
             np.log10(val, out=db)
         db *= 10.0
-        serving[rows] = idx
+        serving[lo:hi] = idx
+        return 0
+
+    _sum_blocks(nz, nx, fill, _Workspace())
     return SinrField(x_min=x_min, x_max=x_max, z_min=z_min, z_max=z_max,
                      nx=nx, nz=nz, sinr_db=sinr_db, serving=serving,
                      scenario=s, assumptions=a)

@@ -1,16 +1,23 @@
 """Monte Carlo outage estimation with uniform UAV sampling.
 
 Reproducibility contract: the random stream is the counter-based Philox
-generator keyed by the seed, drawn in order, and sample i consumes the
-draws [i * k, (i + 1) * k) of it, where k = 2 position draws (x, then z)
-plus, in Bernoulli LoS mode with the air-to-ground model, one LoS draw per
-base station. Free-space loss has no LoS state, so Bernoulli and
-expectation mode draw the same stream with it and give the same result.
-Samples are evaluated in blocks of BLOCK_POINTS, and each block's outage
-count is an integer, so the result depends only on (scenario, config),
-never on the block size. The draws, the scaled positions and the kernel's
-temporaries live in one workspace that every block reuses, and that the
-caller may reuse across calls; what it held before cannot change a result.
+generator keyed by the seed, and sample i consumes the draws
+[i * k, (i + 1) * k) of it, where k = 2 position draws (x, then z) plus,
+in Bernoulli LoS mode with the air-to-ground model, one LoS draw per base
+station. Free-space loss has no LoS state, so Bernoulli and expectation
+mode draw the same stream with it and give the same result.
+
+Samples are evaluated in blocks (`oracle._sum_blocks`), on as many threads
+as the row-block loops use. A block does not read on from where the block
+before it stopped: the block of samples [lo, hi) opens its own Philox
+generator at the counter step that holds draw lo * k (Philox yields four
+draws per step) and throws away the draws of that step before it. So each
+sample reads its own draws whatever the block size, the worker count or
+the order in which blocks run, and each block's outage count is an
+integer: the result depends only on (scenario, config). Each thread keeps
+its draws, the scaled positions and the kernel's temporaries in a
+workspace that every block it runs reuses, and that the caller may reuse
+across calls; what it held before cannot change a result.
 """
 
 from __future__ import annotations
@@ -22,7 +29,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .geometry import CorridorScenario
-from .oracle import BLOCK_POINTS, OracleAssumptions, evaluate_sinr
+from .oracle import OracleAssumptions, _sum_blocks, evaluate_sinr
 from .propagation import AirToGroundPathLoss, _Workspace
 
 
@@ -64,22 +71,27 @@ def estimate_outage(s: CorridorScenario, m: McConfig, work=None) -> McResult:
     confidence interval. `work` is a `_Workspace` to reuse across calls; a
     new one when None."""
     dps = _draws_per_sample(s, m)
-    rng = np.random.Generator(np.random.Philox(key=m.seed))
-    work = _Workspace() if work is None else work
-    outages = 0
-    for lo in range(0, m.n_samples, BLOCK_POINTS):
-        size = min(BLOCK_POINTS, m.n_samples - lo)
-        u = rng.random(out=work.take("u", (size, dps)))
-        d_x = np.multiply(u[:, 0], s.d1 / 2.0, out=work.take("d_x", (size,)))
-        h_x = np.multiply(u[:, 1], s.h2 - s.h1, out=work.take("h_x", (size,)))
+
+    def block_outages(lo, hi, w):
+        # Philox yields 4 draws per counter step: start at the step that
+        # holds draw lo * dps and throw away the draws before it
+        start = lo * dps
+        bits = np.random.Philox(key=m.seed, counter=start // 4)
+        bits.random_raw(start % 4)
+        size = hi - lo
+        u = np.random.Generator(bits).random(out=w.take("u", (size, dps)))
+        d_x = np.multiply(u[:, 0], s.d1 / 2.0, out=w.take("d_x", (size,)))
+        h_x = np.multiply(u[:, 1], s.h2 - s.h1, out=w.take("h_x", (size,)))
         h_x += s.h1
         los_uniforms = u[:, 2:].T if dps > 2 else None
         _, val = evaluate_sinr(d_x, h_x, s, m.assumptions,
-                               los_uniforms=los_uniforms, work=work)
-        missed = np.less(val, s.tau, out=work.take("missed", (size,), bool))
-        outages += int(np.count_nonzero(missed))
+                               los_uniforms=los_uniforms, work=w)
+        missed = np.less(val, s.tau, out=w.take("missed", (size,), bool))
+        return int(np.count_nonzero(missed))
+
     n = m.n_samples
-    p = outages / n
+    work = _Workspace() if work is None else work
+    p = _sum_blocks(n, 1, block_outages, work) / n
     se = math.sqrt(p * (1.0 - p) / n)
     ci = (max(0.0, p - 1.96 * se), min(1.0, p + 1.96 * se))
     return McResult(p_out=p, std_err=se, ci95=ci, n=n, seed=m.seed)

@@ -25,19 +25,27 @@ never a tiled copy; the kernel cuts them back to the row and the column
 cost one cell each. Every array argument of the kernel and of the models
 still has one value per cell.
 
-Workspace. Grids are cut into blocks of whole rows of about BLOCK_POINTS
-cells (64k), so that the kernel's temporaries, a few arrays of 512 KiB,
-stay in cache; the Monte Carlo sampler evaluates its samples in blocks of
-the same size. The quadrature, the heatmap and the sampler each allocate
-one `propagation._Workspace` per call and pass it to every block: the
-kernel and the models write each block-sized temporary into its named
-buffers with numpy ``out=``, so blocks after the first allocate nothing.
-(A block-sized temporary that is freed goes back to the OS, and its pages
+Blocks, threads and workspaces. Grids are cut into blocks of whole rows,
+and the Monte Carlo sampler's samples into runs, by one loop,
+`_sum_blocks`. It runs on up to _WORKERS threads, one per CPU the process
+may use, the caller's thread among them; each takes the next block off a
+shared counter. A block holds about BLOCK_POINTS // _WORKERS cells, so the
+cells in flight stay near BLOCK_POINTS (64k) and the kernel's temporaries,
+a few arrays of 256-512 KiB per thread, stay in cache. The worker count is
+capped so no block falls below MIN_BLOCK_POINTS cells (32k): two workers
+today.
+
+Each thread has its own `propagation._Workspace`: the caller's thread uses
+the one the caller passes (a new one when None), and each extra thread a
+new one per call. The kernel and the models write each block-sized
+temporary into named buffers of the thread's workspace with numpy
+``out=``, so blocks after a thread's first allocate nothing. (A
+block-sized temporary that is freed goes back to the OS, and its pages
 fault in again on the next block.) Callers that evaluate many uptilts (the
 sweep evaluators, `validate`) pass one workspace to every quadrature and
 Monte Carlo call. The serving indices and SINR that `evaluate_sinr`
-returns are views into the workspace, valid until the next call that is
-given the same one.
+returns are views into the workspace it was given, valid until the next
+call that is given the same one.
 
 Decision identity. Against the direct evaluation with ``hypot``,
 ``arctan2``, an argmax and a masked copy, the kernel's arithmetic differs
@@ -48,11 +56,20 @@ and on the pinned quadrature and Monte Carlo outputs of the benchmark.
 The in-place forms keep every operation's operands and their order, so
 the SINR values equal those of the same kernel with a new array per
 temporary bit for bit (tests/sinr_reference.py keeps that one too).
+
+Each cell goes through the same elementwise operations whichever block
+and thread hold it, and a workspace's earlier contents are overwritten
+before they are read. The quadrature and the sampler add integer counts
+per block, and the heatmap's blocks fill disjoint rows, so no result
+depends on the worker count, the block size or the order in which blocks
+finish (tests/test_workers.py checks 1, 2 and 3 workers).
 """
 
 from __future__ import annotations
 
 import enum
+import os
+import threading
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -73,8 +90,24 @@ from .propagation import (
     suggested_element_count,
 )
 
-# Cells per block of the row-block loop.
+# Cells in flight in a row-block loop, summed over its threads.
 BLOCK_POINTS = 1 << 16
+# The fewest cells per block: on smaller blocks the threads spend the gain
+# of a second core on handing the interpreter lock to each other.
+MIN_BLOCK_POINTS = 1 << 15
+
+
+def _cpu_count() -> int:
+    """CPUs this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        return os.cpu_count() or 1
+
+
+# Threads of a row-block loop, the caller's included: one per CPU, as many
+# as keep blocks of MIN_BLOCK_POINTS cells.
+_WORKERS = max(1, min(_cpu_count(), BLOCK_POINTS // MIN_BLOCK_POINTS))
 
 
 class Association(enum.Enum):
@@ -244,17 +277,57 @@ def evaluate_sinr(x, z, s: CorridorScenario, a: OracleAssumptions,
     return serving, sinr
 
 
-def _row_blocks(xs, zs):
-    """Cut the grid xs x zs into blocks of whole rows, about BLOCK_POINTS
-    cells each. Yields (row slice, x, z): x is the grid's one row and z the
-    block's column, each a `np.broadcast_to` view at the block's shape (no
-    copy), which the kernel cuts back to the row and the column."""
-    rows_per_block = max(1, BLOCK_POINTS // xs.size)
-    for k0 in range(0, zs.size, rows_per_block):
-        rows = slice(k0, k0 + rows_per_block)
-        z = zs[rows, None]
-        shape = (z.size, xs.size)
-        yield rows, np.broadcast_to(xs, shape), np.broadcast_to(z, shape)
+def _sum_blocks(n, cells_each, fn, work):
+    """Sum of the integers fn(lo, hi, w) over the blocks [lo, hi) that cut
+    range(n) into runs of about BLOCK_POINTS // _WORKERS cells, where each
+    item is `cells_each` cells (a grid row, or one sample).
+
+    Up to _WORKERS threads take blocks off a shared counter, the caller's
+    thread among them, so the cells in flight stay near BLOCK_POINTS. The
+    caller's thread evaluates into `work`, each extra thread into a new
+    workspace of its own; a single block runs in the caller's thread
+    alone. An exception in any block
+    stops the others from taking more and is raised here once every
+    thread has been joined.
+    """
+    size = max(1, BLOCK_POINTS // _WORKERS // cells_each)
+    workers = min(_WORKERS, -(-n // size))
+    starts = iter(range(0, n, size))
+    lock = threading.Lock()
+    sums = [0] * workers
+    failed = []
+
+    def run(i, w):
+        try:
+            while not failed:
+                with lock:
+                    lo = next(starts, None)
+                if lo is None:
+                    return
+                sums[i] += fn(lo, min(lo + size, n), w)
+        except BaseException as exc:  # raised again in the caller
+            failed.append(exc)
+
+    threads = [threading.Thread(target=run, args=(i, _Workspace()))
+               for i in range(1, workers)]
+    for t in threads:
+        t.start()
+    run(0, work)
+    for t in threads:
+        t.join()
+    if failed:
+        raise failed[0]
+    return sum(sums)
+
+
+def _grid_rows(xs, zs, lo, hi):
+    """Rows lo..hi of the grid xs x zs as (x, z): x is the grid's one row
+    and z the rows' column, each a `np.broadcast_to` view at the block's
+    shape (no copy), which the kernel cuts back to the row and the
+    column."""
+    z = zs[lo:hi, None]
+    shape = (z.size, xs.size)
+    return np.broadcast_to(xs, shape), np.broadcast_to(z, shape)
 
 
 def _midpoints(lo: float, hi: float, n: int) -> np.ndarray:
@@ -273,10 +346,12 @@ def coverage_by_quadrature(s: CorridorScenario, a: OracleAssumptions,
         raise ValueError(f"need n_x, n_z >= 64, got {n_x} x {n_z}")
     xs = _midpoints(0.0, s.d1 / 2.0, n_x)
     zs = _midpoints(s.h1, s.h2, n_z)
+
+    def covered(lo, hi, w):
+        x, z = _grid_rows(xs, zs, lo, hi)
+        _, val = evaluate_sinr(x, z, s, a, work=w)
+        hit = np.greater_equal(val, s.tau, out=w.take("hit", val.shape, bool))
+        return int(np.count_nonzero(hit))
+
     work = _Workspace() if work is None else work
-    covered = 0
-    for _, x, z in _row_blocks(xs, zs):
-        _, val = evaluate_sinr(x, z, s, a, work=work)
-        hit = np.greater_equal(val, s.tau, out=work.take("hit", val.shape, bool))
-        covered += int(np.count_nonzero(hit))
-    return covered / float(n_x * n_z)
+    return _sum_blocks(n_z, n_x, covered, work) / float(n_x * n_z)

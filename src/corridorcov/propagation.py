@@ -80,11 +80,16 @@ def _buffer(buf, shape):
 
 
 def db_to_linear(x_db):
-    return 10.0 ** (np.asarray(x_db, dtype=float) / 10.0)
+    """Linear ratio of x_db decibels; +inf past the float range, which the
+    caller's finite checks reject."""
+    with np.errstate(over="ignore"):
+        return 10.0 ** (np.asarray(x_db, dtype=float) / 10.0)
 
 
 def dbm_to_watts(p_dbm):
-    return 10.0 ** ((np.asarray(p_dbm, dtype=float) - 30.0) / 10.0)
+    """Watts of p_dbm; +inf past the float range, as in `db_to_linear`."""
+    with np.errstate(over="ignore"):
+        return 10.0 ** ((np.asarray(p_dbm, dtype=float) - 30.0) / 10.0)
 
 
 def noise_power_dbm(thermal_noise_dbm_hz: float, bandwidth_hz: float,
@@ -111,6 +116,15 @@ class LinkBudget:
                 raise ValueError(f"{name} must be finite, got {value}")
             if value <= 0 and name in ("carrier_hz", "bandwidth_hz"):
                 raise ValueError(f"{name} must be positive, got {value}")
+        # finite inputs whose linear values leave the float range: an
+        # infinite power or loss, or a zero one, turns SINR into NaN
+        per_m = 4.0 * math.pi / self.wavelength_m
+        for name, value in (("wavelength_m", self.wavelength_m),
+                            ("free-space loss at 1 m", per_m * per_m),
+                            ("p_tx_w", self.p_tx_w), ("noise_w", self.noise_w)):
+            if not (math.isfinite(value) and value > 0):
+                raise ValueError(f"{name} must be finite and positive, "
+                                 f"got {value}")
 
     @property
     def wavelength_m(self) -> float:
@@ -258,8 +272,7 @@ class AirToGroundPathLoss:
     eta_nlos_db: float = 21.0
 
     def __post_init__(self):
-        with np.errstate(over="ignore"):
-            etas = db_to_linear([self.eta_los_db, self.eta_nlos_db])
+        etas = db_to_linear([self.eta_los_db, self.eta_nlos_db])
         if not np.all(np.isfinite(etas)):
             raise ValueError("excess loss must be finite, got "
                              f"{self.eta_los_db} and {self.eta_nlos_db} dB")

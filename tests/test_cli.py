@@ -1,4 +1,6 @@
 import json
+import threading
+import warnings
 
 import pytest
 
@@ -168,6 +170,11 @@ def test_validate_without_uptilts_exits_1(flag, cfg_text, tmp_path, capsys):
     ('{"mc": {"samples": 2000.9}}', ["mc"], "mc.samples"),
     ('{"mc": {"seed": true}}', ["mc"], "mc.seed"),
     ('{"scenario": {"tau_db": false}}', ["analyze"], "scenario.tau_db"),
+    # finite values past the float range: numpy's overflow warning came
+    # before the error, and the carrier's NaN SINR read as p_out=1, exit 0
+    ("", ["--tau-db", "1e6", "analyze"], "tau must be finite"),
+    ("radio.carrier_hz=1e-300", ["--grid-nx", "64", "--grid-nz", "64",
+                                 "oracle"], "wavelength_m"),
 ])
 def test_rejected_model_values_exit_1(config, argv, message, tmp_path,
                                       capsys):
@@ -175,13 +182,29 @@ def test_rejected_model_values_exit_1(config, argv, message, tmp_path,
     # value, not a crash
     cfg = tmp_path / "model.cfg"
     cfg.write_text(config)
-    code = cli.main(["--config", str(cfg), "--beta-deg", "40", "--alpha-deg",
-                     "13", *argv, "--out", str(tmp_path / "out")])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = cli.main(["--config", str(cfg), "--beta-deg", "40",
+                         "--alpha-deg", "13", *argv, "--out",
+                         str(tmp_path / "out")])
     assert code == 1
     captured = capsys.readouterr()
     assert captured.err.startswith("error: ") and message in captured.err
     assert "Traceback" not in captured.err
     assert captured.out == "" and list(tmp_path.iterdir()) == [cfg]
+
+
+def test_oversized_sweep_grid_exits_1_at_once(capsys):
+    # the grid's points are counted before any is built: a 1e-9 degree
+    # step asks for 3.6e10 of them
+    codes = []
+    run = threading.Thread(target=lambda: codes.append(cli.main(
+        ["--beta-deg", "40", "sweep", "--alpha-step-deg", "1e-9"])),
+        daemon=True)
+    run.start()
+    run.join(timeout=10)
+    assert not run.is_alive() and codes == [1]
+    assert "exceeds 100000" in capsys.readouterr().err
 
 
 def test_json_config_takes_integral_numbers(tmp_path):

@@ -3,7 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from corridorcov import closed_form, monte_carlo
+from stream_reference import outage_of_one_stream
+from corridorcov import closed_form, oracle
 from corridorcov.defaults import reference_scenario
 from corridorcov.monte_carlo import LosMode, McConfig, McResult, estimate_outage
 from corridorcov.oracle import (
@@ -30,24 +31,12 @@ _DRAW_CONFIGS = {
 }
 
 
-def _outage_of_one_stream(s, cfg, dps):
-    """p_out recomputed from row i of Philox(key=seed).random((n, dps)):
-    x, z, then the per-BS LoS uniforms."""
-    n = cfg.n_samples
-    u = np.random.Generator(np.random.Philox(key=cfg.seed)).random((n, dps))
-    x = (s.d1 / 2.0) * u[:, 0]
-    z = s.h1 + (s.h2 - s.h1) * u[:, 1]
-    los = u[:, 2:].T if dps > 2 else None
-    _, val = evaluate_sinr(x, z, s, cfg.assumptions, los_uniforms=los)
-    return np.count_nonzero(val < s.tau) / n
-
-
 @pytest.mark.parametrize("dps", [2, 6])
 def test_draw_order_is_one_philox_stream(dps):
     # n crosses a block boundary
     s = reference_scenario(13, 40)
     cfg = McConfig(n_samples=BLOCK_POINTS + 3, seed=9, **_DRAW_CONFIGS[dps])
-    assert estimate_outage(s, cfg).p_out == _outage_of_one_stream(s, cfg, dps)
+    assert estimate_outage(s, cfg).p_out == outage_of_one_stream(s, cfg, dps)
 
 
 @pytest.mark.parametrize("n", [1, 3, BLOCK_POINTS - 1, BLOCK_POINTS,
@@ -59,7 +48,7 @@ def test_block_edges_read_one_stream(n):
     cfg = McConfig(n_samples=n, seed=3, **_DRAW_CONFIGS[6])
     r = estimate_outage(s, cfg)
     assert r.n == n
-    assert r.p_out == _outage_of_one_stream(s, cfg, 6)
+    assert r.p_out == outage_of_one_stream(s, cfg, 6)
 
 
 def test_estimate_matches_closed_form():
@@ -119,8 +108,10 @@ def test_block_size_cannot_change_result(monkeypatch, dps):
     s = reference_scenario(13, 40)
     cfg = McConfig(n_samples=70_001, seed=7, **_DRAW_CONFIGS[dps])
     results = []
+    # one worker, so that each block holds exactly BLOCK_POINTS samples
+    monkeypatch.setattr(oracle, "_WORKERS", 1)
     for block in (4096, 4097, 65536):
-        monkeypatch.setattr(monte_carlo, "BLOCK_POINTS", block)
+        monkeypatch.setattr(oracle, "BLOCK_POINTS", block)
         results.append(estimate_outage(s, cfg))
     assert results[0] == results[1] == results[2]
 

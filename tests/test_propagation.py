@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -160,6 +161,34 @@ def test_link_budget_rejects_values_outside_its_domain(name, value):
     # a zero carrier divided by zero; a negative one gave a silent number
     with pytest.raises(ValueError, match=f"{name} must be"):
         LinkBudget(**{name: value})
+
+
+@pytest.mark.parametrize("name, value, derived", [
+    ("carrier_hz", 1e-300, "wavelength_m"),
+    ("carrier_hz", 1e-290, "free-space loss at 1 m"),
+    ("carrier_hz", 1e300, "free-space loss at 1 m"),
+    ("p_tx_dbm", 1e6, "p_tx_w"),
+    ("p_tx_dbm", -1e6, "p_tx_w"),
+    ("thermal_noise_dbm_hz", -1e6, "noise_w"),
+    ("noise_figure_db", 1e6, "noise_w"),
+])
+def test_link_budget_rejects_values_outside_the_float_range(name, value,
+                                                            derived):
+    # finite inputs whose watts or loss are 0 or inf: a 1e-300 Hz carrier
+    # made every SINR NaN and p_out read 1, with exit 0
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match=f"{derived} must be finite and "
+                                             "positive"):
+            LinkBudget(**{name: value})
+
+
+def test_db_conversions_overflow_to_inf_without_a_warning():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert db_to_linear(1e6) == math.inf
+        assert dbm_to_watts(1e6) == math.inf
+        assert db_to_linear(-1e6) == 0.0
 
 
 def test_link_budget_derived():
