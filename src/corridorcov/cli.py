@@ -464,6 +464,11 @@ def _cmd_optimize(cfg: RunConfig, args) -> int:
     lo = cfg.get("optimize.lo_deg")
     hi = cfg.get("optimize.hi_deg")
     tol = cfg.get("optimize.tol_deg")
+    if not lo < hi:
+        raise ConfigError("optimize needs optimize.lo_deg < optimize.hi_deg, "
+                          f"got {lo:g} and {hi:g} degrees")
+    if tol <= 0:
+        raise ConfigError(f"optimize.tol_deg must be positive, got {tol:g}")
     template = cfg.scenario(alpha_deg=lo)
     ev = _make_evaluator(cfg, args)
     res = sweep.find_optimal_alpha(template, math.radians(lo),

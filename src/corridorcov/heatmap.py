@@ -60,8 +60,8 @@ def sinr_field(s: CorridorScenario, a: OracleAssumptions, nx: int, nz: int,
                x_range: tuple[float, float] | None = None,
                z_range: tuple[float, float] | None = None) -> SinrField:
     """Evaluate the SINR field on cell centers in blocks of whole rows (the
-    row-block loop the quadrature uses); each block fills its own rows, so
-    the field does not depend on the thread that evaluated them.
+    row-block loop the quadrature uses, in the caller's thread); each block
+    fills its own rows.
 
     Defaults cover the half corridor width and the full height from the BS
     antenna level: x in [0, d1/2], z in [0, h2].

@@ -7,17 +7,21 @@ in Bernoulli LoS mode with the air-to-ground model, one LoS draw per base
 station. Free-space loss has no LoS state, so Bernoulli and expectation
 mode draw the same stream with it and give the same result.
 
-Samples are evaluated in blocks (`oracle._sum_blocks`), on as many threads
-as the row-block loops use. A block does not read on from where the block
-before it stopped: the block of samples [lo, hi) opens its own Philox
-generator at the counter step that holds draw lo * k (Philox yields four
-draws per step) and throws away the draws of that step before it. So each
-sample reads its own draws whatever the block size, the worker count or
-the order in which blocks run, and each block's outage count is an
-integer: the result depends only on (scenario, config). Each thread keeps
-its draws, the scaled positions and the kernel's temporaries in a
-workspace that every block it runs reuses, and that the caller may reuse
-across calls; what it held before cannot change a result.
+Samples are evaluated in blocks (`oracle._sum_blocks`), on one thread per
+CPU (two at most): unlike the grid loops of the quadrature and the
+heatmap, which stay on the caller's thread, the Philox draws scale over a
+second core. Within a block, a base station whose lobe reaches none of the
+block's samples is skipped after its gain (see `oracle`), and the serving
+index is not formed. A block does not read on from where the block before
+it stopped: the block of samples [lo, hi) opens its own Philox generator
+at the counter step that holds draw lo * k (Philox yields four draws per
+step) and throws away the draws of that step before it. So each sample
+reads its own draws whatever the block size, the worker count or the order
+in which blocks run, and each block's outage count is an integer: the
+result depends only on (scenario, config). Each thread keeps its draws,
+the scaled positions and the kernel's temporaries in a workspace that
+every block it runs reuses, and that the caller may reuse across calls;
+what it held before cannot change a result.
 """
 
 from __future__ import annotations
@@ -85,13 +89,14 @@ def estimate_outage(s: CorridorScenario, m: McConfig, work=None) -> McResult:
         h_x += s.h1
         los_uniforms = u[:, 2:].T if dps > 2 else None
         _, val = evaluate_sinr(d_x, h_x, s, m.assumptions,
-                               los_uniforms=los_uniforms, work=w)
+                               los_uniforms=los_uniforms, work=w,
+                               with_serving=False)
         missed = np.less(val, s.tau, out=w.take("missed", (size,), bool))
         return int(np.count_nonzero(missed))
 
     n = m.n_samples
     work = _Workspace() if work is None else work
-    p = _sum_blocks(n, 1, block_outages, work) / n
+    p = _sum_blocks(n, 1, block_outages, work, threaded=True) / n
     se = math.sqrt(p * (1.0 - p) / n)
     ci = (max(0.0, p - 1.96 * se), min(1.0, p + 1.96 * se))
     return McResult(p_out=p, std_err=se, ci95=ci, n=n, seed=m.seed)

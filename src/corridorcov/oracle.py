@@ -14,38 +14,57 @@ described in `propagation`), once per BS per call. It never builds a
 (base stations x points) power matrix: strongest association keeps a
 running (serving, strongest interferer) pair, or a running sum of all
 powers under SUM_ALL interference, and nearest association reads the
-serving power out of the same pass.
+serving power out of the same pass. The serving index is formed only for
+callers that read it (the heatmap); the quadrature and the sampler ask
+for the SINR alone.
 
 Broadcast grid. x and z broadcast against each other, and the results take
 their broadcast shape. The row-block loop passes a grid's one row of x and
 the block's column of z as `np.broadcast_to` views at the block's shape,
 never a tiled copy; the kernel cuts them back to the row and the column
-(`propagation._compact`), so ``h``, ``h**2`` and the rectangular beam's
-``tan(edge) * h`` cost one row per BS, and only ``r2`` and what follows it
-cost one cell each. Every array argument of the kernel and of the models
-still has one value per cell.
+(`propagation._compact`), so ``h`` and ``h**2`` cost one row per BS, and
+only ``r2`` and what follows it cost one cell each. Every array argument
+of the kernel and of the models still has one value per cell.
+
+Lit windows and dark base stations. A BS adds power only where its lobe
+reaches, and a zero power changes no step of any reduction (the strongest
+pair, the sum, the nearest BS's power). On a grid block the beam names the
+columns outside of which no cell of the block can be lit
+(`_lit_columns`, from the block's extreme heights and the same rounded
+products as its lobe test). ``r2``, the path loss, the power and the
+reduction then run on those columns only, through views of the running
+state; the beam's ``gain`` still covers the whole block and writes zeros
+outside the window. On sample points, a BS whose gain is zero at every
+point of the block is skipped after its gain. The positive-distance check
+of the path-loss models still covers every cell and every BS: on a grid it
+is made once per BS on the least ``r2`` of the block,
+``min(h**2) + min(z**2)``, which is exact because rounding is monotone.
 
 Blocks, threads and workspaces. Grids are cut into blocks of whole rows,
 and the Monte Carlo sampler's samples into runs, by one loop,
-`_sum_blocks`. It runs on up to _WORKERS threads, one per CPU the process
-may use, the caller's thread among them; each takes the next block off a
-shared counter. A block holds about BLOCK_POINTS // _WORKERS cells, so the
-cells in flight stay near BLOCK_POINTS (64k) and the kernel's temporaries,
-a few arrays of 256-512 KiB per thread, stay in cache. The worker count is
-capped so no block falls below MIN_BLOCK_POINTS cells (32k): two workers
-today.
+`_sum_blocks`, so the cells in flight stay near BLOCK_POINTS (64k) and the
+kernel's temporaries stay in cache. Grid blocks run one after another in
+the caller's thread: a second thread made them slower, not faster (on 2
+cores, 0.48-0.62 s against 0.41-0.44 s for the four 2001 x 2001
+quadratures of `validate`). Monte Carlo blocks, whose Philox draws do
+scale over two cores, run on up to _WORKERS threads, one per CPU the
+process may use, the caller's among them; each takes the next block off a
+shared counter, and a block holds about BLOCK_POINTS // _WORKERS samples.
+The worker count is capped so no block falls below MIN_BLOCK_POINTS
+samples (32k): two workers today.
 
 Each thread has its own `propagation._Workspace`: the caller's thread uses
 the one the caller passes (a new one when None), and each extra thread a
 new one per call. The kernel and the models write each block-sized
 temporary into named buffers of the thread's workspace with numpy
-``out=``, so blocks after a thread's first allocate nothing. (A
-block-sized temporary that is freed goes back to the OS, and its pages
-fault in again on the next block.) Callers that evaluate many uptilts (the
-sweep evaluators, `validate`) pass one workspace to every quadrature and
-Monte Carlo call. The serving indices and SINR that `evaluate_sinr`
-returns are views into the workspace it was given, valid until the next
-call that is given the same one.
+``out=``, so blocks after a thread's first allocate nothing; a window's
+temporaries are views into the same buffers. (A block-sized temporary
+that is freed goes back to the OS, and its pages fault in again on the
+next block.) Callers that evaluate many uptilts (the sweep evaluators,
+`validate`) pass one workspace to every quadrature and Monte Carlo call.
+The serving indices and SINR that `evaluate_sinr` returns are views into
+the workspace it was given, valid until the next call that is given the
+same one.
 
 Decision identity. Against the direct evaluation with ``hypot``,
 ``arctan2``, an argmax and a masked copy, the kernel's arithmetic differs
@@ -55,14 +74,18 @@ in the test suite (tests/sinr_reference.py keeps the direct evaluation)
 and on the pinned quadrature and Monte Carlo outputs of the benchmark.
 The in-place forms keep every operation's operands and their order, so
 the SINR values equal those of the same kernel with a new array per
-temporary bit for bit (tests/sinr_reference.py keeps that one too).
+temporary, which evaluates every BS on every cell, bit for bit
+(tests/sinr_reference.py keeps that one too). A cell outside a BS's
+window, or a sample of a skipped BS, has gain exactly 0, so the power the
+full evaluation gives it, 0 * p_tx / pl, is +0 whenever the path loss is
+a positive number, and adding it changes nothing.
 
 Each cell goes through the same elementwise operations whichever block
 and thread hold it, and a workspace's earlier contents are overwritten
 before they are read. The quadrature and the sampler add integer counts
 per block, and the heatmap's blocks fill disjoint rows, so no result
 depends on the worker count, the block size or the order in which blocks
-finish (tests/test_workers.py checks 1, 2 and 3 workers).
+finish (tests/test_workers.py checks 1, 2 and 3 Monte Carlo workers).
 """
 
 from __future__ import annotations
@@ -92,8 +115,9 @@ from .propagation import (
 
 # Cells in flight in a row-block loop, summed over its threads.
 BLOCK_POINTS = 1 << 16
-# The fewest cells per block: on smaller blocks the threads spend the gain
-# of a second core on handing the interpreter lock to each other.
+# The fewest samples per Monte Carlo block: on smaller blocks the threads
+# spend the gain of a second core on handing the interpreter lock to each
+# other.
 MIN_BLOCK_POINTS = 1 << 15
 
 
@@ -105,8 +129,8 @@ def _cpu_count() -> int:
         return os.cpu_count() or 1
 
 
-# Threads of a row-block loop, the caller's included: one per CPU, as many
-# as keep blocks of MIN_BLOCK_POINTS cells.
+# Threads of the Monte Carlo block loop, the caller's included: one per
+# CPU, as many as keep blocks of MIN_BLOCK_POINTS samples.
 _WORKERS = max(1, min(_cpu_count(), BLOCK_POINTS // MIN_BLOCK_POINTS))
 
 
@@ -176,8 +200,15 @@ def _nearest(x, positions, work):
     return nearest
 
 
+def _require_distance(r2_min):
+    """Raise the path-loss models' error if the least squared distance is
+    not positive (NaN passes, as it does there)."""
+    if r2_min <= 0:
+        raise ValueError("path loss requires a positive distance")
+
+
 def evaluate_sinr(x, z, s: CorridorScenario, a: OracleAssumptions,
-                  los_uniforms=None, work=None):
+                  los_uniforms=None, work=None, with_serving=True):
     """Serving index and linear SINR at points (x, z), in the shape that x
     and z broadcast to.
 
@@ -188,7 +219,8 @@ def evaluate_sinr(x, z, s: CorridorScenario, a: OracleAssumptions,
     power the serving index falls back to the nearest BS and the SINR is 0.
     With `los_uniforms` (n_bs, points) and an air-to-ground model, each
     link's LoS state is the Bernoulli draw u < P_LoS instead of the
-    expectation mixture.
+    expectation mixture. With `with_serving` false the serving index is not
+    formed and None stands in its place.
 
     Every temporary, and both results, live in the buffers of `work` (a
     `_Workspace`; a new one when None), so the results are views that the
@@ -207,6 +239,10 @@ def evaluate_sinr(x, z, s: CorridorScenario, a: OracleAssumptions,
     p_tx = s.radio.p_tx_w
     strongest = a.association is Association.STRONGEST
     dominant = a.interference is InterferenceMode.DOMINANT_ONLY
+    # a grid block, x one row and z one column: each BS is evaluated on
+    # the columns its lobe can reach only (LoS draws take the full path)
+    grid = (x.ndim == z.ndim == 2 and x.shape[0] == z.shape[1] == 1
+            and not draw_los)
 
     h = work.take("h", x.shape)
     z2 = np.multiply(z, z, out=work.take("z2", z.shape))
@@ -214,51 +250,70 @@ def evaluate_sinr(x, z, s: CorridorScenario, a: OracleAssumptions,
     p = work.take("p", shape)          # gain, then received power
     pl = work.take("pl", shape)        # path loss, then scratch
     mask = work.take("mask", shape, bool)
-    los = work.take("los", shape, bool) if draw_los else None
-    serving = work.take("serving", shape, np.intp)
     p_serv = work.take("p_serv", shape)  # under STRONGEST, the strongest so far
     other = work.take("other", shape)    # strongest non-serving power, or sum of all
     p_serv.fill(0.0)
     other.fill(0.0)
-    if strongest:
-        serving.fill(0)
-    else:
+    serving = work.take("serving", shape, np.intp) if with_serving else None
+    if not strongest:
         nearest = _nearest(x, positions, work)
-        np.copyto(serving, nearest)
         mine = work.take("mine", x.shape, bool)
+        if with_serving:
+            np.copyto(serving, nearest)
+    elif with_serving:
+        serving.fill(0)
+    cols, cells = None, Ellipsis
     for i, pos in enumerate(positions):
         np.subtract(x, pos, out=h)
         np.abs(h, out=h)
-        # r2 = h*h + z2; h*h has h's shape and borrows the head of p
-        np.add(np.multiply(h, h, out=work.take("p", x.shape)), z2, out=r2)
+        # h*h has h's shape and borrows the head of p
+        hh = np.multiply(h, h, out=work.take("p", x.shape))
+        if grid:
+            # the least r2 of the block: rounding is monotone
+            _require_distance(hh.min() + z2.min())
+            cols = beam._lit_columns(h, z, work)
+            cells = (Ellipsis, cols)
+        np.add(hh[cells], z2, out=r2[cells])
         h_cells = np.broadcast_to(h, shape)  # a view: one value per cell
-        beam.gain(h_cells, z, r2, out=p, work=work)
+        beam.gain(h_cells, z, r2, out=p, work=work, cols=cols)
+        # a BS that lights no cell adds a power of 0, which changes no
+        # step below
+        if grid:
+            if cols.start == cols.stop:
+                continue
+        elif not p.any():
+            _require_distance(r2.min())
+            continue
+        p_i, pl_i = p[cells], pl[cells]
         if draw_los:
+            los = work.take("los", shape, bool)
             np.less(los_uniforms[i], pathloss.p_los(h_cells, z, out=pl), out=los)
             pathloss.loss(h_cells, z, r2, lam, los_state=los, out=pl, work=work)
         else:
-            pathloss.loss(h_cells, z, r2, lam, out=pl, work=work)
-        p *= p_tx
-        p /= pl
+            pathloss.loss(h_cells[cells], z, r2[cells], lam, out=pl_i, work=work)
+        p_i *= p_tx
+        p_i /= pl_i
+        best, rest = p_serv[cells], other[cells]
         if not dominant:
-            other += p
+            rest += p_i
         if strongest:
             if dominant:
                 # the runner-up is the larger of itself and min(best, p)
-                np.maximum(other, np.minimum(p_serv, p, out=pl), out=other)
-            # serving = i where p > p_serv; serving < i so far, so that is
-            # max(serving, i * (p > p_serv)), with no branch per point. pl
-            # is free again and holds i * (p > p_serv).
-            won = np.multiply(np.greater(p, p_serv, out=mask), i,
-                              out=pl.view(np.intp))
-            np.maximum(serving, won, out=serving)
-            np.maximum(p_serv, p, out=p_serv)
+                np.maximum(rest, np.minimum(best, p_i, out=pl_i), out=rest)
+            if with_serving:
+                # serving = i where p > best; serving < i so far, so that
+                # is max(serving, i * (p > best)), with no branch per
+                # point. pl is free again and holds i * (p > best).
+                won = np.multiply(np.greater(p_i, best, out=mask[cells]), i,
+                                  out=pl_i.view(np.intp))
+                np.maximum(serving[cells], won, out=serving[cells])
+            np.maximum(best, p_i, out=best)
         else:
-            np.equal(nearest, i, out=mine)
-            np.copyto(p_serv, p, where=mine)
+            is_mine = np.equal(nearest[cells], i, out=mine[cells])
+            np.copyto(best, p_i, where=is_mine)
             if dominant:
-                np.copyto(p, 0.0, where=mine)
-                np.maximum(other, p, out=other)
+                np.copyto(p_i, 0.0, where=is_mine)
+                np.maximum(rest, p_i, out=rest)
     if not dominant:
         other -= p_serv
     noise = s.radio.noise_w if a.include_noise else 0.0
@@ -270,28 +325,29 @@ def evaluate_sinr(x, z, s: CorridorScenario, a: OracleAssumptions,
     # 0/0: no power, no noise, no interference
     np.copyto(sinr, 0.0, where=np.isnan(sinr, out=mask))
 
-    if strongest:
+    if strongest and with_serving:
         dead = np.equal(p_serv, 0.0, out=mask)
         if dead.any():
             np.copyto(serving, _nearest(x, positions, work), where=dead)
     return serving, sinr
 
 
-def _sum_blocks(n, cells_each, fn, work):
+def _sum_blocks(n, cells_each, fn, work, threaded=False):
     """Sum of the integers fn(lo, hi, w) over the blocks [lo, hi) that cut
-    range(n) into runs of about BLOCK_POINTS // _WORKERS cells, where each
+    range(n) into runs of about BLOCK_POINTS // workers cells, where each
     item is `cells_each` cells (a grid row, or one sample).
 
-    Up to _WORKERS threads take blocks off a shared counter, the caller's
-    thread among them, so the cells in flight stay near BLOCK_POINTS. The
-    caller's thread evaluates into `work`, each extra thread into a new
-    workspace of its own; a single block runs in the caller's thread
-    alone. An exception in any block
-    stops the others from taking more and is raised here once every
-    thread has been joined.
+    The blocks run in the caller's thread, one after another, into
+    `work`. If `threaded`, up to _WORKERS threads take them off a shared
+    counter instead, the caller's thread among them, so the cells in
+    flight stay near BLOCK_POINTS; each extra thread evaluates into a new
+    workspace of its own, and a single block runs in the caller's thread
+    alone. An exception in any block stops the others from taking more
+    and is raised here once every thread has been joined.
     """
-    size = max(1, BLOCK_POINTS // _WORKERS // cells_each)
-    workers = min(_WORKERS, -(-n // size))
+    workers = _WORKERS if threaded else 1
+    size = max(1, BLOCK_POINTS // workers // cells_each)
+    workers = min(workers, -(-n // size))
     starts = iter(range(0, n, size))
     lock = threading.Lock()
     sums = [0] * workers
@@ -349,7 +405,7 @@ def coverage_by_quadrature(s: CorridorScenario, a: OracleAssumptions,
 
     def covered(lo, hi, w):
         x, z = _grid_rows(xs, zs, lo, hi)
-        _, val = evaluate_sinr(x, z, s, a, work=w)
+        _, val = evaluate_sinr(x, z, s, a, work=w, with_serving=False)
         hit = np.greater_equal(val, s.tau, out=w.take("hit", val.shape, bool))
         return int(np.count_nonzero(hit))
 

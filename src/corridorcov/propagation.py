@@ -13,13 +13,25 @@ it needs from them:
 - ``AirToGroundPathLoss`` spends an ``arctan2`` on its LoS probability
   only, in both the expectation and the Bernoulli mode.
 
-The SINR kernel (``oracle.evaluate_sinr``) calls ``gain`` and ``loss`` once
-per base station. ``h``, ``z`` and ``r2`` broadcast against each other. On a
-grid ``h`` varies along the row and ``z`` down the column only: the kernel
-passes ``h`` as a `np.broadcast_to` view of one row at the block's shape,
-so each argument still holds one value per cell, and ``z`` as one column.
-A model that does arithmetic on ``h`` or ``z`` alone first cuts such a
-view back to its row (`_compact`), so that work costs one row per block.
+The SINR kernel (``oracle.evaluate_sinr``) calls ``gain`` once per base
+station, and ``loss`` once per base station whose lobe can reach a cell
+of the block (on a grid, on its lit window only; see below). ``h``,
+``z`` and ``r2`` broadcast against each other. On a grid ``h`` varies
+along the row and ``z`` down the column only: the kernel passes ``h`` as a
+`np.broadcast_to` view of one row at the block's shape, so each argument
+still holds one value per cell, and ``z`` as one column. A model that
+does arithmetic on ``h`` or ``z`` alone first cuts such a view back to its
+row (`_compact`), so that work costs one row per block.
+
+Lit windows. Each beam has a private ``_lit_columns(h, z, work)``: for a
+grid block with row ``h`` and column ``z`` it returns the slice of columns
+outside of which no cell can be lit. It is formed from the block's
+extreme heights with the same rounded operations as the lobe test, so it
+is a guarantee, not an estimate. The kernel passes that slice to ``gain``
+as ``cols``, and ``gain`` then evaluates the lobe on those columns only
+(reading ``r2`` there only) and writes zeros in the others; the kernel
+forms ``r2`` and calls ``loss`` on the window alone. Called without
+``cols``, ``gain`` evaluates every cell.
 
 Buffers. Every model method takes an optional ``out``, a float array of the
 broadcast shape that receives the result and is returned, and an optional
@@ -72,6 +84,31 @@ def _compact(a):
         return a
     return a[tuple(slice(None, 1) if step == 0 else slice(None)
                    for step in a.strides)]
+
+
+def _window(out, cols):
+    """The columns `cols` (a slice of the last axis) of `out`, all of it
+    when None, after zeros are written to the columns outside them."""
+    if cols is None:
+        return out
+    out[..., :cols.start] = 0.0
+    out[..., cols.stop:] = 0.0
+    return out[..., cols]
+
+
+def _cut(a, cols):
+    """The columns `cols` of `a`, all of it when None."""
+    return a if cols is None else a[..., cols]
+
+
+def _span(dark):
+    """The slice from the first to past the last False of a one-row
+    boolean array; empty if every entry is True."""
+    dark = dark.reshape(-1)
+    first = int(dark.argmin())
+    if dark[first]:
+        return slice(0, 0)
+    return slice(first, dark.size - int(dark[::-1].argmin()))
 
 
 def _buffer(buf, shape):
@@ -156,7 +193,7 @@ class RectangularBeam:
         if not (math.isfinite(self.peak_gain) and self.peak_gain >= 0.0):
             raise ValueError(f"peak gain must be finite and >= 0, got {self.peak_gain}")
 
-    def gain(self, h, z, r2, out=None, work=None):
+    def gain(self, h, z, r2, out=None, work=None, cols=None):
         """Peak gain where the elevation atan2(z, h) lies strictly between
         alpha and alpha + beta, zero elsewhere (edges excluded).
 
@@ -166,6 +203,8 @@ class RectangularBeam:
         lobe entirely beyond it is empty. `r2` is not needed. The products
         tan(edge)*h have the shape of `h`, one row on a grid. The gain is
         the 0/1 lobe indicator times the peak gain, exact for a finite one.
+        `cols`, from `_lit_columns`, limits the test to those columns of
+        the last axis and writes zeros in the others.
         """
         h = np.asarray(h, dtype=float)
         z = np.asarray(z, dtype=float)
@@ -175,20 +214,40 @@ class RectangularBeam:
         if lo >= HALF_PI or hi <= -HALF_PI:
             out.fill(0.0)
             return out
+        lit, h = _window(out, cols), _cut(h, cols)
         work = _Workspace() if work is None else work
         edge = work.take("beam.edge", h.shape)
-        inside = work.take("beam.inside", out.shape, bool)
+        inside = work.take("beam.inside", lit.shape, bool)
         if lo >= -HALF_PI:
             np.greater(z, np.multiply(h, math.tan(lo), out=edge), out=inside)
         else:
             inside.fill(True)
         if hi <= HALF_PI:
-            below = work.take("beam.below", out.shape, bool)
+            below = work.take("beam.below", lit.shape, bool)
             np.less(z, np.multiply(h, math.tan(hi), out=edge), out=below)
             inside &= below
-        np.copyto(out, inside)
-        out *= self.peak_gain
+        np.multiply(inside, self.peak_gain, out=lit)
         return out
+
+    def _lit_columns(self, h, z, work):
+        """Columns of the grid block with row `h` and column `z` outside
+        of which no cell is lit, as a slice. A column is dark if no z of
+        the block lies above its lower edge product or none below its
+        upper one, formed as the lobe test in `gain` forms them."""
+        lo, hi = self.alpha, self.alpha + self.beta
+        if lo >= HALF_PI or hi <= -HALF_PI:
+            return slice(0, 0)
+        edge = work.take("beam.edge", h.shape)
+        dark = work.take("beam.dark", h.shape, bool)
+        dark.fill(False)
+        if lo >= -HALF_PI:
+            np.less_equal(z.max(), np.multiply(h, math.tan(lo), out=edge),
+                          out=dark)
+        if hi <= HALF_PI:
+            dark |= np.greater_equal(
+                z.min(), np.multiply(h, math.tan(hi), out=edge),
+                out=work.take("beam.past", h.shape, bool))
+        return _span(dark)
 
 
 @dataclass(frozen=True)
@@ -208,18 +267,16 @@ class CosineBeam:
         if self.n_elements < 2:
             raise ValueError(f"element count must be >= 2, got {self.n_elements}")
 
-    def gain(self, h, z, r2, out=None, work=None):
+    def gain(self, h, z, r2, out=None, work=None, cols=None):
         """Gain at the elevation whose cosine is h / sqrt(r2); `z` is not
-        needed."""
+        needed. `cols`, from `_lit_columns`, limits the evaluation to those
+        columns of the last axis and writes zeros in the others."""
         h = np.asarray(h, dtype=float)
         r2 = np.asarray(r2, dtype=float)
-        x = _buffer(out, np.broadcast_shapes(h.shape, r2.shape))
-        h = _compact(h)
+        out = _buffer(out, np.broadcast_shapes(h.shape, r2.shape))
+        x = _window(out, cols)
         work = _Workspace() if work is None else work
-        np.sqrt(r2, out=x)
-        np.divide(h, x, out=x)                  # cos(theta)
-        x -= math.cos(self.alpha + self.beta / 2.0)
-        x /= 2.0
+        self._offset(_cut(_compact(h), cols), _cut(r2, cols), out=x)
         inside = np.less_equal(np.abs(x, out=work.take("beam.abs_x", x.shape)),
                                1.0 / self.n_elements,
                                out=work.take("beam.inside", x.shape, bool))
@@ -229,7 +286,33 @@ class CosineBeam:
         np.square(g, out=g)
         g *= self.n_elements
         np.copyto(g, 0.0, where=np.logical_not(inside, out=inside))
-        return g
+        return out
+
+    def _offset(self, h, r2, out):
+        """x = (h / sqrt(r2) - cos(alpha + beta/2)) / 2, written to `out`."""
+        np.sqrt(r2, out=out)
+        np.divide(h, out, out=out)               # cos(theta)
+        out -= math.cos(self.alpha + self.beta / 2.0)
+        out /= 2.0
+        return out
+
+    def _lit_columns(self, h, z, work):
+        """Columns of the grid block with row `h` and column `z` outside
+        of which no cell is lit, as a slice. Each rounding in x of
+        r2 = h*h + z*z is monotone, so x does not grow with z*z, and a
+        column's x lie between its values at the block's largest and
+        smallest z*z. The column is dark if x is below -1/N at the
+        smallest z*z or above 1/N at the largest."""
+        z2 = np.multiply(z, z, out=work.take("beam.z2", z.shape))
+        hh = np.multiply(h, h, out=work.take("beam.hh", h.shape))
+        x = work.take("beam.x", h.shape)
+        bound = 1.0 / self.n_elements
+        dark = work.take("beam.dark", h.shape, bool)
+        self._offset(h, np.add(hh, z2.min(), out=x), out=x)
+        np.less(x, -bound, out=dark)
+        self._offset(h, np.add(hh, z2.max(), out=x), out=x)
+        dark |= np.greater(x, bound, out=work.take("beam.past", h.shape, bool))
+        return _span(dark)
 
 
 BeamPattern = RectangularBeam | CosineBeam
@@ -284,7 +367,7 @@ class AirToGroundPathLoss:
         needed."""
         p = _buffer(out, np.broadcast_shapes(np.shape(h), np.shape(z)))
         np.arctan2(z, h, out=p)
-        np.degrees(p, out=p)
+        p *= 180.0 / math.pi  # np.degrees, bit for bit
         p -= self.a
         p *= -self.b
         np.exp(p, out=p)

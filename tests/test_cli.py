@@ -194,6 +194,26 @@ def test_rejected_model_values_exit_1(config, argv, message, tmp_path,
     assert captured.out == "" and list(tmp_path.iterdir()) == [cfg]
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["--lo-deg", "20", "--hi-deg", "20"], "optimize needs "
+     "optimize.lo_deg < optimize.hi_deg, got 20 and 20 degrees"),
+    (["--lo-deg", "30", "--hi-deg", "10"], "optimize needs "
+     "optimize.lo_deg < optimize.hi_deg, got 30 and 10 degrees"),
+    (["--tol-deg", "-1"], "optimize.tol_deg must be positive, got -1"),
+], ids=["empty", "reversed", "negative-tol"])
+def test_bad_optimize_range_exits_1_in_degrees(argv, message, tmp_path,
+                                               capsys):
+    # the range is checked where the keys are read, not after the
+    # conversion to radians
+    out = tmp_path / "optimize.json"
+    code = cli.main(["--beta-deg", "40", "optimize", *argv,
+                     "--out", str(out)])
+    assert code == 1
+    captured = capsys.readouterr()
+    assert captured.err == f"error: {message}\n"
+    assert captured.out == "" and not out.exists()
+
+
 def test_oversized_sweep_grid_exits_1_at_once(capsys):
     # the grid's points are counted before any is built: a 1e-9 degree
     # step asks for 3.6e10 of them

@@ -205,3 +205,26 @@ def test_quadrature_blocks_allocate_no_temporaries():
     before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
     coverage_by_quadrature(s, a, 2001, 501)
     assert resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before < 1000
+
+
+def test_strongest_association_beats_nearest():
+    # the paper's headline claim, on the quadrature at beta = 40 deg,
+    # tau = 2 dB, dominant interference: associating with the strongest BS
+    # never loses coverage against the nearest BS, gains it where two
+    # lobes overlap in the corridor (2 and 13 deg), and changes nothing
+    # once they no longer do (25 deg)
+    p_out = {}
+    for alpha_deg in (2, 8, 13, 17, 25):
+        s = reference_scenario(alpha_deg, 40)
+        p_out[alpha_deg] = [
+            1.0 - coverage_by_quadrature(
+                s, OracleAssumptions(association=assoc,
+                                     interference=InterferenceMode.DOMINANT_ONLY),
+                201, 101)
+            for assoc in (Association.STRONGEST, Association.NEAREST)]
+    for strongest, nearest in p_out.values():
+        assert strongest <= nearest
+    for alpha_deg in (2, 13):
+        strongest, nearest = p_out[alpha_deg]
+        assert strongest < nearest
+    assert p_out[25][0] == p_out[25][1]

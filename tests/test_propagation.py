@@ -133,6 +133,27 @@ def test_a2g_sigmoid_saturates_overhead():
     assert a2g.p_los(h, z) < 0.25
 
 
+def test_p_los_degree_multiply_is_np_degrees():
+    # p_los turns radians into degrees with one multiply by 180/pi, which
+    # must round as np.degrees does: on magnitudes from subnormal to near
+    # the float range, on random bit patterns, and on every elevation
+    rng = np.random.default_rng(2)
+    mags = 10.0 ** np.arange(-320.0, 306.0, 2.0)
+    v = np.concatenate([np.outer(mags, rng.uniform(1.0, 10.0, 500)).ravel(),
+                        rng.standard_normal(100_000)])
+    v = np.concatenate([v, -v])
+    bits = rng.integers(0, 2**63, 200_000, dtype=np.uint64).view(np.float64)
+    for x in (v, bits[np.isfinite(bits)]):
+        with np.errstate(over="ignore"):
+            assert np.array_equal(x * (180.0 / math.pi), np.degrees(x))
+    a2g = AirToGroundPathLoss()
+    theta = np.linspace(-math.pi / 2, math.pi / 2, 100_001)
+    h, z = np.cos(theta), np.sin(theta)
+    want = 1.0 / (1.0 + a2g.a * np.exp(
+        -a2g.b * (np.degrees(np.arctan2(z, h)) - a2g.a)))
+    assert np.array_equal(a2g.p_los(h, z), want)
+
+
 def test_a2g_bernoulli_states():
     a2g = AirToGroundPathLoss()
     lam = 0.1

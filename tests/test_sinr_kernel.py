@@ -4,7 +4,9 @@ decisions, SINR values equal to rounding. Against the allocating kernel it
 grew from, on flattened points, and the models of that kernel: equal bit
 for bit, on points, on broadcast grids and through a reused workspace."""
 
+import dataclasses
 import itertools
+import math
 
 import numpy as np
 import pytest
@@ -201,3 +203,172 @@ def test_sinr_field_is_bit_identical_to_the_allocating_kernel():
         db = 10.0 * np.log10(val)
     assert np.array_equal(f.serving.ravel(), srv)
     assert np.array_equal(f.sinr_db.ravel(), db)
+
+
+# Tilts for the lit windows: alpha <= 0 (and alpha = 0, a flat lower
+# edge), alpha + beta at and past 90 degrees, a lobe reaching below -90,
+# lobes entirely above 90 and below -90 degrees, and a regular one
+WINDOW_TILTS = [(13.0, 40.0), (-5.0, 40.0), (0.0, 40.0), (50.0, 40.0),
+                (60.0, 40.0), (-100.0, 130.0), (95.0, 30.0), (-130.0, 30.0)]
+# rectangular, and cosine lobes of N = 2 and N = 4000 elements: the widest
+# one and one far narrower than a grid column
+WINDOW_BEAMS = {"rect": dict(beam=BeamKind.RECT),
+                "cosine-2": dict(beam=BeamKind.COSINE, n_elements=2),
+                "cosine-4000": dict(beam=BeamKind.COSINE, n_elements=4000)}
+# x rows with every BS inside them (so h is V-shaped) and rows on one side
+# of them; z columns from below the BS height to the corridor top. Single
+# columns and single rows, one exactly above a BS.
+WINDOW_GRIDS = {
+    "wide": (np.linspace(-1500.0, 2500.0, 81), np.linspace(-150.5, 400.5, 29)),
+    "half-corridor": (np.linspace(0.5, 499.5, 64), np.linspace(100.5, 299.5, 31)),
+    "one-column": (np.array([1000.0]), np.linspace(0.5, 400.5, 17)),
+    "one-row": (np.linspace(-1500.0, 2500.0, 81), np.array([150.0])),
+    "one-cell": (np.array([250.0]), np.array([150.0])),
+}
+GRID_MATRIX = list(itertools.product(Association, InterferenceMode,
+                                     LOSS_MODES, (True, False)))
+
+
+@pytest.mark.parametrize("beam", sorted(WINDOW_BEAMS))
+@pytest.mark.parametrize("grid", sorted(WINDOW_GRIDS))
+@pytest.mark.parametrize("assoc,interference,loss,noise", GRID_MATRIX)
+def test_lit_windows_are_bit_identical_to_the_allocating_kernel(
+        assoc, interference, loss, noise, grid, beam):
+    # a row of x and a column of z take the windowed path (with Bernoulli
+    # LoS draws, the full one); the allocating kernel evaluates every BS on
+    # every flattened point
+    xs, zs = WINDOW_GRIDS[grid]
+    shape = (zs.size, xs.size)
+    pathloss = FreeSpacePathLoss() if loss == "fspl" else AirToGroundPathLoss()
+    a = OracleAssumptions(association=assoc, interference=interference,
+                          pathloss=pathloss, include_noise=noise,
+                          **WINDOW_BEAMS[beam])
+    u = (np.random.default_rng(5).random((4, *shape))
+         if loss == "a2g-bernoulli" else None)
+    work = _Workspace()
+    for alpha_deg, beta_deg in WINDOW_TILTS:
+        s = reference_scenario(alpha_deg, beta_deg)
+        srv_ref, val_ref = ref.allocating_evaluate_sinr(
+            np.tile(xs, zs.size), np.repeat(zs, xs.size), s, a,
+            los_uniforms=None if u is None else u.reshape(4, -1))
+        srv, val = evaluate_sinr(xs[None, :], zs[:, None], s, a,
+                                 los_uniforms=u, work=work)
+        assert np.array_equal(srv.ravel(), srv_ref)
+        assert np.array_equal(val.ravel(), val_ref)
+        none, val = evaluate_sinr(xs[None, :], zs[:, None], s, a,
+                                  los_uniforms=u, work=work,
+                                  with_serving=False)
+        assert none is None
+        assert np.array_equal(val.ravel(), val_ref)
+
+
+def test_window_grids_reach_dark_partial_and_full_windows():
+    # the grids above do hold empty windows, windows cut inside the row,
+    # and windows that fill it
+    work = _Workspace()
+    spans = set()
+    for beam in WINDOW_BEAMS.values():
+        for alpha_deg, beta_deg in WINDOW_TILTS:
+            s = reference_scenario(alpha_deg, beta_deg)
+            b = OracleAssumptions(**beam).resolve_beam(s)
+            for xs, zs in WINDOW_GRIDS.values():
+                for pos in OracleAssumptions().resolve_positions(s):
+                    cols = b._lit_columns(np.abs(xs - pos)[None, :],
+                                          zs[:, None], work)
+                    n = cols.stop - cols.start
+                    spans.add("dark" if n == 0 else
+                              "full" if n == xs.size else "cut")
+    assert spans == {"dark", "cut", "full"}
+
+
+@pytest.mark.parametrize("beam", sorted(WINDOW_BEAMS))
+@pytest.mark.parametrize("alpha_deg,beta_deg", WINDOW_TILTS)
+def test_no_cell_outside_the_window_is_lit(beam, alpha_deg, beta_deg):
+    # the window against the lobe test itself, on a fine grid around
+    # one BS: every lit cell lies inside it, and its first and last
+    # columns hold a lit cell whenever the block spans one height (one of
+    # them exactly on a column's lower edge product, which is dark). The
+    # gain given the window is the whole gain, zeros outside included.
+    s = reference_scenario(alpha_deg, beta_deg)
+    b = OracleAssumptions(**WINDOW_BEAMS[beam]).resolve_beam(s)
+    work = _Workspace()
+    xs = np.linspace(-800.0, 1900.0, 1351)
+    h = np.abs(xs - 500.25)[None, :]
+    on_edge = np.multiply(h[:, 1000], math.tan(s.alpha))
+    for zs in (np.linspace(-300.5, 700.5, 64), np.linspace(60.5, 70.5, 3),
+               np.array([150.0]), on_edge):
+        z = zs[:, None]
+        r2 = h * h + z * z
+        g = b.gain(h, z, r2)
+        cols = b._lit_columns(h, z, work)
+        out = np.full(r2.shape, np.nan)
+        assert b.gain(h, z, r2, out=out, work=work, cols=cols) is out
+        assert np.array_equal(out, g)
+        lit = np.flatnonzero(g.any(axis=0))
+        if lit.size:
+            assert cols.start <= lit[0] and lit[-1] < cols.stop
+        if zs.size == 1:
+            assert cols.stop - cols.start == (lit[-1] + 1 - lit[0]
+                                              if lit.size else 0)
+
+
+@pytest.mark.parametrize("assoc,interference,beam,loss,noise", MATRIX)
+def test_dark_base_stations_are_skipped_bit_for_bit(
+        assoc, interference, beam, loss, noise):
+    # Monte Carlo samples in the half corridor: at 25 degrees the BSs at
+    # -d1 and 2 d1 (and d1, for a 20-element cosine lobe) light none of
+    # them, so their power is never formed; at 8 degrees every BS is lit
+    rng = np.random.default_rng(11)
+    x = rng.uniform(0.0, 500.0, 5000)
+    z = rng.uniform(100.0, 300.0, 5000)
+    a, u = _case(assoc, interference, beam, loss, noise, x.size)
+    if beam is BeamKind.COSINE:
+        a = dataclasses.replace(a, n_elements=20)
+    for alpha_deg in (8.0, 25.0):
+        s = reference_scenario(alpha_deg, 40.0)
+        srv_ref, val_ref = ref.allocating_evaluate_sinr(x, z, s, a,
+                                                        los_uniforms=u)
+        srv, val = evaluate_sinr(x, z, s, a, los_uniforms=u)
+        assert np.array_equal(srv, srv_ref)
+        assert np.array_equal(val, val_ref)
+        _, val = evaluate_sinr(x, z, s, a, los_uniforms=u, with_serving=False)
+        assert np.array_equal(val, val_ref)
+    b = a.resolve_beam(s)
+    dark = [pos for pos in a.resolve_positions(s)
+            if not b.gain(np.abs(x - pos), z, (x - pos) ** 2 + z * z).any()]
+    assert dark == ([-1000.0, 2000.0] if beam is BeamKind.RECT
+                    else [-1000.0, 1000.0, 2000.0])
+
+
+@pytest.mark.parametrize("beam", [BeamKind.RECT, BeamKind.COSINE])
+def test_zero_distance_raises_in_an_unlit_cell(beam):
+    # the one cell (0, 0) sits on BS-1 and no lobe reaches it; the
+    # distance is checked for every BS, lit or not
+    s = reference_scenario(13.0, 40.0)
+    a = OracleAssumptions(beam=beam)
+    with pytest.raises(ValueError, match="positive distance"):
+        sinr_field(s, a, 1, 1, x_range=(-1.0, 1.0), z_range=(-1.0, 1.0))
+    # and on sample points, where BS-1 lights neither point (the cosine
+    # gain's 0/0 at the BS is NaN, as it always was)
+    with pytest.raises(ValueError, match="positive distance"), \
+            np.errstate(invalid="ignore"):
+        evaluate_sinr(np.array([0.0, 0.0]), np.array([0.0, -50.0]), s, a)
+
+
+@pytest.mark.parametrize("nx,nz", [(1, 300), (70001, 2)])
+def test_single_column_and_single_row_blocks(nx, nz):
+    # one column of 64k rows per block, and rows longer than a block, one
+    # row per block
+    s = reference_scenario(13.0, 40.0)
+    for a in (OracleAssumptions(),
+              OracleAssumptions(beam=BeamKind.COSINE,
+                                pathloss=AirToGroundPathLoss(),
+                                association=Association.NEAREST)):
+        f = sinr_field(s, a, nx, nz, x_range=(-1500.0, 2500.0),
+                       z_range=(-50.0, 400.0))
+        srv, val = ref.allocating_evaluate_sinr(
+            np.tile(f.x_centers, nz), np.repeat(f.z_centers, nx), s, a)
+        with np.errstate(divide="ignore"):
+            db = 10.0 * np.log10(val)
+        assert np.array_equal(f.serving.ravel(), srv)
+        assert np.array_equal(f.sinr_db.ravel(), db)

@@ -1,6 +1,6 @@
-"""The shared row-block loop (`oracle._sum_blocks`): results that do not
-depend on the worker count, errors raised in the caller, and no thread
-left running."""
+"""The shared row-block loop (`oracle._sum_blocks`): Monte Carlo results
+that do not depend on the worker count, grid loops in the caller's thread,
+errors raised in the caller, and no thread left running."""
 
 import itertools
 import sys
@@ -61,34 +61,20 @@ def test_mc_does_not_depend_on_the_worker_count(monkeypatch, n, seed, dps):
     assert results[0].p_out == outage_of_one_stream(s, cfg, dps)
 
 
-@pytest.mark.parametrize("model", sorted(_MODELS))
-def test_quadrature_counts_do_not_depend_on_the_worker_count(monkeypatch,
-                                                             model):
-    # 501 x 301 cells: 3, 5 and 7 blocks; one workspace passes through
-    # every worker count, as the sweep evaluators pass theirs
-    s = reference_scenario(13, 40)
-    a = _MODELS[model]
-    work = _Workspace()
-    results = []
-    for workers in (3, *WORKER_COUNTS):
-        monkeypatch.setattr(oracle, "_WORKERS", workers)
-        results.append(coverage_by_quadrature(s, a, 501, 301, work=work))
-    assert len(set(results)) == 1
+def test_grid_loops_start_no_thread(monkeypatch):
+    # only Monte Carlo blocks, whose Philox draws scale over two cores,
+    # go to a second thread; the quadrature and the heatmap run every
+    # block, several here, in the caller's thread
+    monkeypatch.setattr(oracle, "_WORKERS", 2)
 
+    def no_thread(*args, **kwargs):
+        raise AssertionError("a grid loop started a thread")
 
-@pytest.mark.parametrize("model", sorted(_MODELS))
-@pytest.mark.parametrize("nx, nz", [(1001, 601), (25000, 5)])
-def test_sinr_field_does_not_depend_on_the_worker_count(monkeypatch, model,
-                                                        nx, nz):
-    # 25000-cell rows are wider than a block: one row per block
+    monkeypatch.setattr(threading, "Thread", no_thread)
     s = reference_scenario(13, 40)
-    fields = []
-    for workers in WORKER_COUNTS:
-        monkeypatch.setattr(oracle, "_WORKERS", workers)
-        fields.append(heatmap.sinr_field(s, _MODELS[model], nx, nz))
-    for f in fields[1:]:
-        np.testing.assert_array_equal(f.sinr_db, fields[0].sinr_db)
-        np.testing.assert_array_equal(f.serving, fields[0].serving)
+    for a in _MODELS.values():
+        coverage_by_quadrature(s, a, 501, 301)
+        heatmap.sinr_field(s, a, 1001, 601)
 
 
 def test_every_block_runs_once_on_more_workers_than_cores(monkeypatch):
@@ -110,7 +96,7 @@ def test_every_block_runs_once_on_more_workers_than_cores(monkeypatch):
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
-        total = _sum_blocks(n, 1, count, _Workspace())
+        total = _sum_blocks(n, 1, count, _Workspace(), threaded=True)
     finally:
         sys.setswitchinterval(interval)
     assert total == n
@@ -128,7 +114,7 @@ def test_a_single_block_runs_in_the_callers_thread(monkeypatch):
         threads.append((threading.current_thread(), threading.active_count()))
         return hi - lo
 
-    assert _sum_blocks(100, 64, block, _Workspace()) == 100
+    assert _sum_blocks(100, 64, block, _Workspace(), threaded=True) == 100
     assert threads == [(caller, before)]
 
 
@@ -172,10 +158,10 @@ def test_a_worker_error_reaches_the_caller_unchanged(monkeypatch, caller):
 
 def test_cli_maps_a_worker_error_to_exit_1(monkeypatch, tmp_path, capsys):
     monkeypatch.setattr(oracle, "_WORKERS", 2)
-    _raise_on_third_call(monkeypatch, oracle)
-    out = tmp_path / "oracle.json"
-    code = cli.main(["--beta-deg", "40", "--alpha-deg", "13", "oracle",
-                     "--out", str(out)])
+    _raise_on_third_call(monkeypatch, monte_carlo)
+    out = tmp_path / "mc.json"
+    code = cli.main(["--beta-deg", "40", "--alpha-deg", "13",
+                     "--samples", "200001", "mc", "--out", str(out)])
     assert code == 1
     captured = capsys.readouterr()
     assert captured.err == "error: third block\n"
