@@ -10,7 +10,10 @@ closed forms.
 How the kernel works. For each base station in turn it forms
 ``h = |x - x_BS|`` and ``r2 = h**2 + z**2`` and passes ``(h, z, r2)`` to the
 beam's ``gain`` and the path-loss model's ``loss`` (the protocol is
-described in `propagation`), once per BS per call. It never builds a
+described in `propagation`), once per BS per call. In Bernoulli LoS mode
+the caller passes each link's LoS state, drawn and tested against
+``p_los`` by the Monte Carlo sampler (`monte_carlo.los_states`); the
+kernel only picks each link's excess loss by it. It never builds a
 (base stations x points) power matrix: strongest association keeps a
 running (serving, strongest interferer) pair, or a running sum of all
 powers under SUM_ALL interference, and nearest association reads the
@@ -31,14 +34,16 @@ reaches, and a zero power changes no step of any reduction (the strongest
 pair, the sum, the nearest BS's power). On a grid block the beam names the
 columns outside of which no cell of the block can be lit
 (`_lit_columns`, from the block's extreme heights and the same rounded
-products as its lobe test). ``r2``, the path loss, the power and the
-reduction then run on those columns only, through views of the running
-state; the beam's ``gain`` still covers the whole block and writes zeros
-outside the window. On sample points, a BS whose gain is zero at every
-point of the block is skipped after its gain. The positive-distance check
-of the path-loss models still covers every cell and every BS: on a grid it
-is made once per BS on the least ``r2`` of the block,
-``min(h**2) + min(z**2)``, which is exact because rounding is monotone.
+products as its lobe test). ``r2``, the path loss (given LoS states, on
+their columns too), the power and the reduction then run on those columns
+only, through views of the running state; the beam's ``gain`` still
+covers the whole block and writes zeros outside the window. On sample
+points, a BS whose gain is zero at every point of the block is skipped
+after its gain. The positive-distance check of the path-loss models still
+covers every cell and every BS: on a grid it is made once per BS on the
+least ``r2`` of the block, ``min(h**2) + min(z**2)``, which is exact
+because rounding is monotone, and the loss is told so (``checked=True``)
+and does not pass over the window's ``r2`` again.
 
 Blocks, threads and workspaces. Grids are cut into blocks of whole rows,
 and the Monte Carlo sampler's samples into runs, by one loop,
@@ -46,12 +51,15 @@ and the Monte Carlo sampler's samples into runs, by one loop,
 kernel's temporaries stay in cache. Grid blocks run one after another in
 the caller's thread: a second thread made them slower, not faster (on 2
 cores, 0.48-0.62 s against 0.41-0.44 s for the four 2001 x 2001
-quadratures of `validate`). Monte Carlo blocks, whose Philox draws do
-scale over two cores, run on up to _WORKERS threads, one per CPU the
-process may use, the caller's among them; each takes the next block off a
-shared counter, and a block holds about BLOCK_POINTS // _WORKERS samples.
-The worker count is capped so no block falls below MIN_BLOCK_POINTS
-samples (32k): two workers today.
+quadratures of `validate`). Streamed Monte Carlo blocks, whose Philox
+draws do scale over two cores, run on up to _WORKERS threads, one per CPU
+the process may use, the caller's among them; each takes the next block
+off a shared counter, and a block holds about BLOCK_POINTS // _WORKERS
+samples. The worker count is capped so no block falls below
+MIN_BLOCK_POINTS samples (32k): two workers today. Samples that the Monte
+Carlo evaluator of sweeps holds across uptilts, with no draws left to
+share, run in the caller's thread in blocks of their own
+(`monte_carlo.SampleSet`).
 
 Each thread has its own `propagation._Workspace`: the caller's thread uses
 the one the caller passes (a new one when None), and each extra thread a
@@ -108,6 +116,7 @@ from .propagation import (
     PathLossModel,
     RectangularBeam,
     _compact,
+    _require_distance,
     _Workspace,
     db_to_linear,
     suggested_element_count,
@@ -200,15 +209,8 @@ def _nearest(x, positions, work):
     return nearest
 
 
-def _require_distance(r2_min):
-    """Raise the path-loss models' error if the least squared distance is
-    not positive (NaN passes, as it does there)."""
-    if r2_min <= 0:
-        raise ValueError("path loss requires a positive distance")
-
-
 def evaluate_sinr(x, z, s: CorridorScenario, a: OracleAssumptions,
-                  los_uniforms=None, work=None, with_serving=True):
+                  los_states=None, work=None, with_serving=True):
     """Serving index and linear SINR at points (x, z), in the shape that x
     and z broadcast to.
 
@@ -217,8 +219,9 @@ def evaluate_sinr(x, z, s: CorridorScenario, a: OracleAssumptions,
     single non-serving power (DOMINANT_ONLY) or their sum (SUM_ALL). With no
     noise and no interference the SINR is +inf. Where no BS delivers any
     power the serving index falls back to the nearest BS and the SINR is 0.
-    With `los_uniforms` (n_bs, points) and an air-to-ground model, each
-    link's LoS state is the Bernoulli draw u < P_LoS instead of the
+    With `los_states`, booleans (n_bs, *shape) as
+    `monte_carlo.los_states` forms them, and an air-to-ground model, each
+    link takes its drawn LoS or NLoS excess loss instead of the
     expectation mixture. With `with_serving` false the serving index is not
     formed and None stands in its place.
 
@@ -234,15 +237,14 @@ def evaluate_sinr(x, z, s: CorridorScenario, a: OracleAssumptions,
     positions = a.resolve_positions(s)
     beam = a.resolve_beam(s)
     pathloss = a.pathloss
-    draw_los = los_uniforms is not None and isinstance(pathloss, AirToGroundPathLoss)
+    drawn = los_states is not None and isinstance(pathloss, AirToGroundPathLoss)
     lam = s.radio.wavelength_m
     p_tx = s.radio.p_tx_w
     strongest = a.association is Association.STRONGEST
     dominant = a.interference is InterferenceMode.DOMINANT_ONLY
     # a grid block, x one row and z one column: each BS is evaluated on
-    # the columns its lobe can reach only (LoS draws take the full path)
-    grid = (x.ndim == z.ndim == 2 and x.shape[0] == z.shape[1] == 1
-            and not draw_los)
+    # the columns its lobe can reach only
+    grid = x.ndim == z.ndim == 2 and x.shape[0] == z.shape[1] == 1
 
     h = work.take("h", x.shape)
     z2 = np.multiply(z, z, out=work.take("z2", z.shape))
@@ -285,12 +287,14 @@ def evaluate_sinr(x, z, s: CorridorScenario, a: OracleAssumptions,
             _require_distance(r2.min())
             continue
         p_i, pl_i = p[cells], pl[cells]
-        if draw_los:
-            los = work.take("los", shape, bool)
-            np.less(los_uniforms[i], pathloss.p_los(h_cells, z, out=pl), out=los)
-            pathloss.loss(h_cells, z, r2, lam, los_state=los, out=pl, work=work)
+        # a grid's distances are checked above
+        if drawn:
+            pathloss.loss(h_cells[cells], z, r2[cells], lam,
+                          los_state=los_states[i][cells], out=pl_i,
+                          work=work, checked=grid)
         else:
-            pathloss.loss(h_cells[cells], z, r2[cells], lam, out=pl_i, work=work)
+            pathloss.loss(h_cells[cells], z, r2[cells], lam, out=pl_i,
+                          work=work, checked=grid)
         p_i *= p_tx
         p_i /= pl_i
         best, rest = p_serv[cells], other[cells]

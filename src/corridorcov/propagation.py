@@ -38,7 +38,10 @@ broadcast shape that receives the result and is returned, and an optional
 ``work``, a `_Workspace` that its block-sized scratch arrays are taken
 from. The kernel passes buffers it reuses from block to block, so a block
 allocates no temporaries; a model called on its own allocates what it is
-not given. The in-place forms keep every operation's operands and order,
+not given. ``loss`` raises a ValueError unless every ``r2`` is positive; a
+caller that has made that check already (the kernel, on a grid block's
+least ``r2``) passes ``checked=True``, and the model does not pass over
+``r2`` again. The in-place forms keep every operation's operands and order,
 so their values are bit-identical to the plain expressions in the
 docstrings.
 
@@ -51,7 +54,7 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -114,6 +117,13 @@ def _span(dark):
 def _buffer(buf, shape):
     """`buf`, or a new float array of `shape` if it is None."""
     return np.empty(shape) if buf is None else buf
+
+
+def _require_distance(r2_min):
+    """Raise the path-loss models' error if the least squared distance is
+    not positive (NaN passes, as it does ``r2 <= 0``)."""
+    if r2_min <= 0:
+        raise ValueError("path loss requires a positive distance")
 
 
 def db_to_linear(x_db):
@@ -331,12 +341,13 @@ class FreeSpacePathLoss:
     """PL = (4 pi R / lambda)^2 = (4 pi / lambda)^2 * R^2; independent of
     elevation."""
 
-    def loss(self, h, z, r2, wavelength_m, out=None, work=None):
+    def loss(self, h, z, r2, wavelength_m, out=None, work=None,
+             checked=False):
         """Linear path loss from the squared distance `r2`; `h`, `z` and
         `work` are not needed."""
         r2 = np.asarray(r2, dtype=float)
-        if r2.size and r2.min() <= 0:  # NaN passes, as it does `r2 <= 0`
-            raise ValueError("path loss requires a positive distance")
+        if r2.size and not checked:
+            _require_distance(r2.min())
         return np.multiply(r2, (4.0 * math.pi / wavelength_m) ** 2, out=out)
 
 
@@ -353,12 +364,19 @@ class AirToGroundPathLoss:
     b: float = 0.43
     eta_los_db: float = 0.1
     eta_nlos_db: float = 21.0
+    # the linear excess losses, formed once; they follow from the dB
+    # fields, so they take no part in eq and hash
+    _eta_los: float = field(init=False, repr=False, compare=False)
+    _eta_nlos: float = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        etas = db_to_linear([self.eta_los_db, self.eta_nlos_db])
-        if not np.all(np.isfinite(etas)):
+        eta_los = float(db_to_linear(self.eta_los_db))
+        eta_nlos = float(db_to_linear(self.eta_nlos_db))
+        if not (math.isfinite(eta_los) and math.isfinite(eta_nlos)):
             raise ValueError("excess loss must be finite, got "
                              f"{self.eta_los_db} and {self.eta_nlos_db} dB")
+        object.__setattr__(self, "_eta_los", eta_los)
+        object.__setattr__(self, "_eta_nlos", eta_nlos)
 
     def p_los(self, h, z, out=None, work=None):
         """LoS probability at elevation atan2(z, h); the sigmoid takes the
@@ -375,7 +393,8 @@ class AirToGroundPathLoss:
         p += 1.0
         return np.divide(1.0, p, out=p)
 
-    def loss(self, h, z, r2, wavelength_m, los_state=None, out=None, work=None):
+    def loss(self, h, z, r2, wavelength_m, los_state=None, out=None,
+             work=None, checked=False):
         """Linear path loss, (p * eta_los + (1 - p) * eta_nlos) * pl_fs with
         p = p_los(h, z). If `los_state` (boolean, broadcastable) is given,
         each link uses its drawn LoS/NLoS state instead,
@@ -386,8 +405,8 @@ class AirToGroundPathLoss:
         out = _buffer(out, shape)
         work = _Workspace() if work is None else work
         tmp = work.take("a2g.tmp", shape)
-        eta_los = float(db_to_linear(self.eta_los_db))
-        eta_nlos = float(db_to_linear(self.eta_nlos_db))
+        eta_los, eta_nlos = self._eta_los, self._eta_nlos
+        fspl = FreeSpacePathLoss()
         if los_state is not None:
             # where(los_state, eta_los, eta_nlos) as f * eta_los
             # + (1 - f) * eta_nlos with f = los_state in {0, 1}: exact for
@@ -398,14 +417,14 @@ class AirToGroundPathLoss:
             tmp *= eta_nlos
             eta *= eta_los
             eta += tmp
-            pl_fs = FreeSpacePathLoss().loss(h, z, r2, wavelength_m, out=tmp)
+            pl_fs = fspl.loss(h, z, r2, wavelength_m, out=tmp, checked=checked)
             return np.multiply(eta, pl_fs, out=out)
         p = self.p_los(h, z, out=out)
         np.subtract(1.0, p, out=tmp)
         tmp *= eta_nlos
         p *= eta_los
         p += tmp
-        pl_fs = FreeSpacePathLoss().loss(h, z, r2, wavelength_m, out=tmp)
+        pl_fs = fspl.loss(h, z, r2, wavelength_m, out=tmp, checked=checked)
         return np.multiply(p, pl_fs, out=out)
 
 

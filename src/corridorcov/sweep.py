@@ -9,7 +9,7 @@ from typing import Callable
 
 from . import closed_form
 from .geometry import CorridorScenario
-from .monte_carlo import McConfig, estimate_outage
+from .monte_carlo import McConfig, SampleSet, estimate_outage
 from .oracle import OracleAssumptions, coverage_by_quadrature
 from .propagation import _Workspace
 
@@ -48,11 +48,20 @@ def quadrature_evaluator(assumptions: OracleAssumptions | None = None,
 def mc_evaluator(config: McConfig) -> Evaluator:
     """Monte Carlo objective. The config seed is reused at every uptilt
     (common random numbers), which keeps sweep curves and bracketing
-    decisions coherent under the sampling noise."""
+    decisions coherent under the sampling noise.
+
+    The uptilt moves the beam's lobe only, so the samples (positions and,
+    in Bernoulli mode, LoS states) are drawn once, into a `SampleSet` the
+    evaluator keeps, and every uptilt is evaluated from them on the
+    caller's thread. A scenario that changes the samples (the corridor,
+    the BS positions) draws them anew. Each value equals that of
+    `estimate_outage(s, config)` bit for bit."""
     work = _Workspace()  # one for every evaluation; calls run one at a time
+    samples = SampleSet()
 
     def fn(s: CorridorScenario) -> tuple[float, None]:
-        return estimate_outage(s, config, work=work).p_out, None
+        r = estimate_outage(s, config, work=work, samples=samples)
+        return r.p_out, None
     return Evaluator("mc", fn)
 
 

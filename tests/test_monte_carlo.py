@@ -1,12 +1,21 @@
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
 from stream_reference import outage_of_one_stream
-from corridorcov import closed_form, oracle
+from corridorcov import closed_form, monte_carlo, oracle
 from corridorcov.defaults import reference_scenario
-from corridorcov.monte_carlo import LosMode, McConfig, McResult, estimate_outage
+from corridorcov.monte_carlo import (
+    HELD_BLOCK,
+    LosMode,
+    McConfig,
+    McResult,
+    SampleSet,
+    estimate_outage,
+    los_states,
+)
 from corridorcov.oracle import (
     BLOCK_POINTS,
     Association,
@@ -160,8 +169,9 @@ def test_bernoulli_collapses_when_etas_equal():
     rng = np.random.default_rng(8)
     x = rng.uniform(0, 500, 5000)
     z = rng.uniform(100, 300, 5000)
-    u = rng.random((4, 5000))
-    _, v_drawn = evaluate_sinr(x, z, s, base, los_uniforms=u)
+    los = los_states(x, z, base.resolve_positions(s), pl_eq,
+                     rng.random((4, 5000)))
+    _, v_drawn = evaluate_sinr(x, z, s, base, los_states=los)
     _, v_mix = evaluate_sinr(x, z, s, base)
     np.testing.assert_allclose(v_drawn, v_mix, rtol=1e-12)
     # estimator level: the two modes read different stream layouts, so they
@@ -203,3 +213,74 @@ def test_config_validation():
 def test_result_fields():
     r = McResult(p_out=0.25, std_err=0.001, ci95=(0.248, 0.252), n=10, seed=1)
     assert 0 <= r.ci95[0] <= r.p_out <= r.ci95[1] <= 1
+
+
+# the held-path matrix: free space, air-to-ground in expectation mode, and
+# Bernoulli LoS draws with four and with three base stations
+_HELD_MODELS = {
+    "fspl": _DRAW_CONFIGS[2],
+    "a2g": dict(assumptions=OracleAssumptions(pathloss=AirToGroundPathLoss())),
+    "a2g-bernoulli-4": _DRAW_CONFIGS[6],
+    "a2g-bernoulli-3": _DRAW_CONFIGS[5],
+}
+
+
+@pytest.mark.parametrize("model", sorted(_HELD_MODELS))
+@pytest.mark.parametrize("n", [1, 7, 8, 9, HELD_BLOCK - 1, HELD_BLOCK,
+                               HELD_BLOCK + 1, 200_001])
+def test_held_samples_give_the_streamed_result(n, model):
+    # one sample set per seed, read at every uptilt (with LoS bits packed
+    # across a last partial byte and a last short block), against the
+    # blocks that draw as they go
+    for seed in (0, 3, 7):
+        cfg = McConfig(n_samples=n, seed=seed, **_HELD_MODELS[model])
+        samples = SampleSet()
+        for alpha_deg in (-5.0, 8.0, 13.0, 25.0):
+            s = reference_scenario(alpha_deg, 40)
+            assert (estimate_outage(s, cfg, samples=samples)
+                    == estimate_outage(s, cfg))
+
+
+def test_a_changed_sample_key_draws_anew(monkeypatch):
+    # the uptilt, beamwidth, threshold and reduction leave the samples as
+    # they are; the corridor, the seed, the sample count, the BS positions
+    # and the LoS model each draw them again, and give the streamed result
+    draws = []
+    real = monte_carlo._draw_block
+
+    def counting(s, m, dps, lo, hi, w):
+        draws.append(lo)
+        return real(s, m, dps, lo, hi, w)
+
+    monkeypatch.setattr(monte_carlo, "_draw_block", counting)
+    s = reference_scenario(13, 40)
+    a = _DRAW_CONFIGS[6]["assumptions"]
+    cfg = McConfig(n_samples=HELD_BLOCK + 5, seed=3, **_DRAW_CONFIGS[6])
+    samples = SampleSet()
+
+    def held_draws(s, cfg):
+        before = len(draws)
+        r = estimate_outage(s, cfg, samples=samples)
+        held = draws[before:]
+        assert r == estimate_outage(s, cfg)
+        return held
+
+    assert held_draws(s, cfg) == [0, HELD_BLOCK]
+    same = [(reference_scenario(8, 40), cfg),
+            (reference_scenario(13, 30, tau_db=5.0), cfg),
+            (s, dataclasses.replace(cfg, assumptions=dataclasses.replace(
+                a, interference=InterferenceMode.SUM_ALL,
+                association=Association.NEAREST)))]
+    for s_same, cfg_same in same:
+        assert held_draws(s_same, cfg_same) == []
+    changed = [(s.replace(h2=280.0), cfg),
+               (s, dataclasses.replace(cfg, seed=4)),
+               (s, dataclasses.replace(cfg, n_samples=HELD_BLOCK + 6)),
+               (s, dataclasses.replace(cfg, assumptions=dataclasses.replace(
+                   a, bs_positions=(-1000.0, 0.0, 900.0, 2000.0)))),
+               (s, dataclasses.replace(cfg, assumptions=dataclasses.replace(
+                   a, pathloss=AirToGroundPathLoss(a=5.0))))]
+    for s_new, cfg_new in changed:
+        # each differs from (s, cfg) in one key field only
+        assert held_draws(s_new, cfg_new) == [0, HELD_BLOCK]
+        assert held_draws(s, cfg) == [0, HELD_BLOCK]

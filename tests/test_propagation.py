@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import warnings
 
@@ -109,6 +110,36 @@ def test_fspl_frozen():
     assert 10 * math.log10(pl) == pytest.approx(95.9696, abs=1e-3)
     with pytest.raises(ValueError):
         FreeSpacePathLoss().loss(0.0, 0.0, 0.0, lam)
+
+
+def test_checked_loss_skips_only_the_distance_check():
+    # the kernel passes checked=True where it has checked a grid block's
+    # least r2 itself; the values are those of the checked call
+    lam = 0.1
+    h, z = np.array([30.0, 0.0]), np.array([40.0, 0.0])
+    r2 = h * h + z * z
+    for model in (FreeSpacePathLoss(), AirToGroundPathLoss()):
+        with pytest.raises(ValueError, match="positive distance"):
+            model.loss(h, z, r2, lam)
+        assert np.array_equal(model.loss(h[:1], z[:1], r2[:1], lam, checked=True),
+                              model.loss(h[:1], z[:1], r2[:1], lam))
+        model.loss(h, z, r2, lam, checked=True)
+
+
+def test_a2g_linear_etas_are_formed_once_outside_eq_and_hash():
+    # the model is part of the Monte Carlo sample key, so it must compare
+    # and hash by its four parameters alone
+    m = AirToGroundPathLoss(eta_los_db=1.5, eta_nlos_db=23.0)
+    assert (m._eta_los, m._eta_nlos) == (float(db_to_linear(1.5)),
+                                         float(db_to_linear(23.0)))
+    twin = AirToGroundPathLoss(eta_los_db=1.5, eta_nlos_db=23.0)
+    assert m == twin and hash(m) == hash(twin)
+    assert m != AirToGroundPathLoss(eta_los_db=1.5, eta_nlos_db=22.0)
+    assert "_eta" not in repr(m)
+    assert [f.name for f in dataclasses.fields(m) if f.compare] == [
+        "a", "b", "eta_los_db", "eta_nlos_db"]
+    moved = dataclasses.replace(m, eta_nlos_db=20.0)
+    assert moved._eta_nlos == float(db_to_linear(20.0))
 
 
 def test_a2g_mixture_collapses_when_etas_equal():

@@ -14,6 +14,7 @@ import pytest
 import sinr_reference as ref
 from corridorcov.defaults import reference_scenario
 from corridorcov.heatmap import sinr_field
+from corridorcov.monte_carlo import los_states
 from corridorcov.oracle import (
     Association,
     BeamKind,
@@ -63,7 +64,9 @@ MATRIX = list(itertools.product(Association, InterferenceMode, BeamKind,
 
 
 def _case(assoc, interference, beam, loss, noise, n_points):
-    """Assumptions of one matrix case and its LoS uniforms (or None)."""
+    """Assumptions of one matrix case and its LoS uniforms (or None), which
+    the reference turns into LoS states itself and the kernel takes from
+    `_states`."""
     pathloss = FreeSpacePathLoss() if loss == "fspl" else AirToGroundPathLoss()
     u = (np.random.default_rng(5).random((4, n_points))
          if loss == "a2g-bernoulli" else None)
@@ -72,13 +75,20 @@ def _case(assoc, interference, beam, loss, noise, n_points):
     return a, u
 
 
+def _states(x, z, s, a, u):
+    """The LoS states the sampler forms from uniforms u, or None."""
+    if u is None:
+        return None
+    return los_states(x, z, a.resolve_positions(s), a.pathloss, u)
+
+
 @pytest.mark.parametrize("assoc,interference,beam,loss,noise", MATRIX)
 def test_kernel_matches_reference(assoc, interference, beam, loss, noise):
     x, z = _points()
     a, u = _case(assoc, interference, beam, loss, noise, x.size)
     for alpha_deg, beta_deg in TILTS:
         s = reference_scenario(alpha_deg, beta_deg)
-        srv, val = evaluate_sinr(x, z, s, a, los_uniforms=u)
+        srv, val = evaluate_sinr(x, z, s, a, los_states=_states(x, z, s, a, u))
         srv_ref, val_ref = ref.evaluate_sinr(x, z, s, a, los_uniforms=u)
         assert np.array_equal(srv, srv_ref)
         assert np.array_equal(val >= s.tau, val_ref >= s.tau)
@@ -124,8 +134,9 @@ def test_kernel_is_bit_identical_to_the_allocating_kernel(
     scenarios.append(reference_scenario(13.0, 40.0, radio=LinkBudget(p_tx_dbm=23.0)))
     for s in scenarios:
         srv_ref, val_ref = ref.allocating_evaluate_sinr(x, z, s, a, los_uniforms=u)
+        los = _states(x, z, s, a, u)
         for w in (None, work):
-            srv, val = evaluate_sinr(x, z, s, a, los_uniforms=u, work=w)
+            srv, val = evaluate_sinr(x, z, s, a, los_states=los, work=w)
             assert np.array_equal(srv, srv_ref)
             assert np.array_equal(val, val_ref)
 
@@ -234,9 +245,9 @@ GRID_MATRIX = list(itertools.product(Association, InterferenceMode,
 @pytest.mark.parametrize("assoc,interference,loss,noise", GRID_MATRIX)
 def test_lit_windows_are_bit_identical_to_the_allocating_kernel(
         assoc, interference, loss, noise, grid, beam):
-    # a row of x and a column of z take the windowed path (with Bernoulli
-    # LoS draws, the full one); the allocating kernel evaluates every BS on
-    # every flattened point
+    # a row of x and a column of z take the windowed path, LoS states
+    # included; the allocating kernel evaluates every BS on every
+    # flattened point
     xs, zs = WINDOW_GRIDS[grid]
     shape = (zs.size, xs.size)
     pathloss = FreeSpacePathLoss() if loss == "fspl" else AirToGroundPathLoss()
@@ -251,12 +262,13 @@ def test_lit_windows_are_bit_identical_to_the_allocating_kernel(
         srv_ref, val_ref = ref.allocating_evaluate_sinr(
             np.tile(xs, zs.size), np.repeat(zs, xs.size), s, a,
             los_uniforms=None if u is None else u.reshape(4, -1))
+        los = _states(xs[None, :], zs[:, None], s, a, u)
         srv, val = evaluate_sinr(xs[None, :], zs[:, None], s, a,
-                                 los_uniforms=u, work=work)
+                                 los_states=los, work=work)
         assert np.array_equal(srv.ravel(), srv_ref)
         assert np.array_equal(val.ravel(), val_ref)
         none, val = evaluate_sinr(xs[None, :], zs[:, None], s, a,
-                                  los_uniforms=u, work=work,
+                                  los_states=los, work=work,
                                   with_serving=False)
         assert none is None
         assert np.array_equal(val.ravel(), val_ref)
@@ -328,10 +340,11 @@ def test_dark_base_stations_are_skipped_bit_for_bit(
         s = reference_scenario(alpha_deg, 40.0)
         srv_ref, val_ref = ref.allocating_evaluate_sinr(x, z, s, a,
                                                         los_uniforms=u)
-        srv, val = evaluate_sinr(x, z, s, a, los_uniforms=u)
+        los = _states(x, z, s, a, u)
+        srv, val = evaluate_sinr(x, z, s, a, los_states=los)
         assert np.array_equal(srv, srv_ref)
         assert np.array_equal(val, val_ref)
-        _, val = evaluate_sinr(x, z, s, a, los_uniforms=u, with_serving=False)
+        _, val = evaluate_sinr(x, z, s, a, los_states=los, with_serving=False)
         assert np.array_equal(val, val_ref)
     b = a.resolve_beam(s)
     dark = [pos for pos in a.resolve_positions(s)
@@ -353,6 +366,21 @@ def test_zero_distance_raises_in_an_unlit_cell(beam):
     with pytest.raises(ValueError, match="positive distance"), \
             np.errstate(invalid="ignore"):
         evaluate_sinr(np.array([0.0, 0.0]), np.array([0.0, -50.0]), s, a)
+
+
+@pytest.mark.parametrize("loss", LOSS_MODES)
+def test_zero_distance_raises_in_a_lit_cell(loss):
+    # 1e-200 m from BS-1 at 45 degrees of elevation, inside the lobe: the
+    # squared distance underflows to 0. On a grid the kernel checks the
+    # block's least r2 and tells the loss so; on samples the loss checks.
+    s = reference_scenario(13.0, 40.0)
+    a, u = _case(Association.STRONGEST, InterferenceMode.DOMINANT_ONLY,
+                 BeamKind.RECT, loss, True, 1)
+    tiny = np.array([1e-200])
+    for x, z in ((tiny, tiny), (tiny[None, :], tiny[:, None])):
+        assert a.resolve_beam(s).gain(x, z, x * x + z * z).all()
+        with pytest.raises(ValueError, match="positive distance"):
+            evaluate_sinr(x, z, s, a, los_states=_states(x, z, s, a, u))
 
 
 @pytest.mark.parametrize("nx,nz", [(1, 300), (70001, 2)])

@@ -6,8 +6,9 @@ import pytest
 from corridorcov import closed_form
 from corridorcov.defaults import ALPHA_GRID_DEG, reference_scenario
 from corridorcov.geometry import classify_case
-from corridorcov.monte_carlo import McConfig
+from corridorcov.monte_carlo import LosMode, McConfig, estimate_outage
 from corridorcov.oracle import BeamKind, OracleAssumptions
+from corridorcov.propagation import AirToGroundPathLoss
 from corridorcov.sweep import (
     Evaluator,
     closed_form_evaluator,
@@ -92,6 +93,20 @@ def test_mc_sweep_seed_noise_within_binomial_budget():
     for v1, v2 in zip(c1.p_out, c2.p_out):
         se = math.sqrt(v1 * (1 - v1) / n + v2 * (1 - v2) / n)
         assert abs(v1 - v2) <= 4 * se
+
+
+def test_mc_sweep_equals_estimate_outage_per_point():
+    # the evaluator draws one sample set for the whole sweep; each point
+    # equals a streamed estimate of its own, bit for bit
+    template = reference_scenario(10, 40)
+    grid = [a * D2R for a in (-5, 8, 13, 18, 25)]
+    bernoulli = dict(assumptions=OracleAssumptions(pathloss=AirToGroundPathLoss()),
+                     los_mode=LosMode.BERNOULLI)
+    for cfg in (McConfig(n_samples=70_001, seed=4),
+                McConfig(n_samples=70_001, seed=4, **bernoulli)):
+        curve = sweep_alpha(template, grid, mc_evaluator(cfg))
+        assert curve.p_out == [estimate_outage(template.replace(alpha=a), cfg).p_out
+                               for a in grid]
 
 
 def test_quadrature_evaluator_tracks_closed_form():

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from stream_reference import outage_of_one_stream
-from corridorcov import cli, heatmap, monte_carlo, oracle
+from corridorcov import cli, heatmap, monte_carlo, oracle, sweep
 from corridorcov.defaults import reference_scenario
 from corridorcov.monte_carlo import LosMode, McConfig, estimate_outage
 from corridorcov.oracle import (
@@ -75,6 +75,26 @@ def test_grid_loops_start_no_thread(monkeypatch):
     for a in _MODELS.values():
         coverage_by_quadrature(s, a, 501, 301)
         heatmap.sinr_field(s, a, 1001, 601)
+
+
+def test_held_samples_start_no_thread(monkeypatch):
+    # the Monte Carlo evaluator of sweeps and searches draws its samples
+    # once and evaluates every block, several here, in the caller's
+    # thread; streaming the same config would start one
+    monkeypatch.setattr(oracle, "_WORKERS", 2)
+
+    def no_thread(*args, **kwargs):
+        raise AssertionError("Monte Carlo started a thread")
+
+    monkeypatch.setattr(threading, "Thread", no_thread)
+    s = reference_scenario(13, 40)
+    for kw in _MC_CONFIGS.values():
+        cfg = McConfig(n_samples=200_001, seed=1, **kw)
+        evaluator = sweep.mc_evaluator(cfg)
+        for alpha_deg in (8, 13):
+            evaluator.fn(reference_scenario(alpha_deg, 40))
+        with pytest.raises(AssertionError, match="started a thread"):
+            estimate_outage(s, cfg)
 
 
 def test_every_block_runs_once_on_more_workers_than_cores(monkeypatch):
