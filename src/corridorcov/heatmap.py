@@ -76,9 +76,11 @@ def sinr_field(s: CorridorScenario, a: OracleAssumptions, nx: int, nz: int,
     sinr_db = np.empty((nz, nx), dtype=float)
     serving = np.empty((nz, nx), dtype=np.int64)
 
-    def fill(lo, hi, w):
+    work = _Workspace()
+
+    def fill(lo, hi):
         x, z = _grid_rows(xs, zs, lo, hi)
-        idx, val = evaluate_sinr(x, z, s, a, work=w)
+        idx, val = evaluate_sinr(x, z, s, a, work=work)
         db = sinr_db[lo:hi]
         with np.errstate(divide="ignore"):
             np.log10(val, out=db)
@@ -86,7 +88,7 @@ def sinr_field(s: CorridorScenario, a: OracleAssumptions, nx: int, nz: int,
         serving[lo:hi] = idx
         return 0
 
-    _sum_blocks(nz, nx, fill, _Workspace())
+    _sum_blocks(nz, nx, fill)
     return SinrField(x_min=x_min, x_max=x_max, z_min=z_min, z_max=z_max,
                      nx=nx, nz=nz, sinr_db=sinr_db, serving=serving,
                      scenario=s, assumptions=a)

@@ -14,31 +14,29 @@ scales x and z to the half corridor, and in Bernoulli mode turns each
 link's uniform u into its LoS state, u < p_los(|x - x_BS|, z)
 (`los_states`, the package's one LoS test). The SINR kernel takes the
 states, not the uniforms. So each sample reads its own draws whatever the
-block size, the worker count or the order in which blocks run, and each
-block's outage count is an integer: the result depends only on
-(scenario, config).
+block size or the order in which blocks run, and each block's outage
+count is an integer: the result depends only on (scenario, config).
 
 The samples come from one of two sources, with the same result bit for
 bit:
 
 - Streamed (`estimate_outage` without a sample set; the `mc` and
-  `validate` commands): each block draws its samples as it is evaluated
-  (`oracle._sum_blocks`), on one thread per CPU (two at most), since the
-  Philox draws scale over a second core. Each thread keeps its draws, the
-  scaled positions and the kernel's temporaries in a workspace that every
-  block it runs reuses, and that the caller may reuse across calls; what
-  it held before cannot change a result. Nothing outlives the call.
+  `validate` commands): each block of BLOCK_POINTS samples draws them as
+  it is evaluated, in the caller's thread (`oracle._sum_blocks`). The
+  draws, the scaled positions and the kernel's temporaries live in one
+  workspace that every block reuses, and that the caller may reuse across
+  calls; what it held before cannot change a result. Nothing outlives
+  the call.
 - Held (`estimate_outage` with a `SampleSet`; the Monte Carlo evaluator of
   `sweep` and `optimize`, which evaluates one sample set at many
   uptilts): the samples are drawn once, block by block, into the set,
   which keeps x and z as floats and the LoS states packed to bits, 16.5 B
   a sample with four base stations. Every uptilt is then evaluated from
-  them in blocks of HELD_BLOCK, on the caller's thread, since no Philox
-  work is left to share. The set draws again only when the sample key
-  changes: (seed, sample count, draws per sample, d1, h1, h2, the
-  resolved BS positions, the path-loss model). The uptilt, beamwidth,
-  threshold, link budget, beam, association, interference and noise
-  take no part in the draws.
+  them in blocks of HELD_BLOCK, in the caller's thread. The set draws
+  again only when the sample key changes: (seed, sample count, draws per
+  sample, d1, h1, h2, the resolved BS positions, the path-loss model).
+  The uptilt, beamwidth, threshold, link budget, beam, association,
+  interference and noise take no part in the draws.
 
 Within a block, a base station whose lobe reaches none of the block's
 samples is skipped after its gain (see `oracle`), and the serving index is
@@ -58,11 +56,11 @@ from .geometry import CorridorScenario
 from .oracle import OracleAssumptions, _sum_blocks, evaluate_sinr
 from .propagation import AirToGroundPathLoss, _Workspace
 
-# Samples per block of a held sample set (`SampleSet`), whose blocks run
-# one after another on the caller's thread. The kernel's temporaries grow
-# with it, on top of the held samples: the peak RSS of the benchmark's
-# 500k-sample Bernoulli optimizer is 44.8 MiB at 16k, 46.1 MiB at 32k and
-# 48.7 MiB at 64k, against 45.1 MiB when every uptilt streams its draws.
+# Samples per block of a held sample set (`SampleSet`). The kernel's
+# temporaries grow with it, on top of the held samples: the peak RSS of
+# the benchmark's 500k-sample Bernoulli optimizer is 44.8 MiB at 16k,
+# 46.1 MiB at 32k and 48.7 MiB at 64k, against 45.1 MiB when every uptilt
+# streams its draws.
 HELD_BLOCK = 1 << 14
 
 
@@ -191,19 +189,19 @@ def estimate_outage(s: CorridorScenario, m: McConfig, work=None,
                     samples: SampleSet | None = None) -> McResult:
     """Estimated outage probability with binomial standard error and a 95%
     confidence interval. `work` is a `_Workspace` to reuse across calls; a
-    new one when None. Without `samples` each block draws its samples as
-    it is evaluated, on up to `oracle._WORKERS` threads; with a
-    `SampleSet`, the samples are drawn into it unless it holds them
-    already, and read from it in blocks of HELD_BLOCK on the caller's
-    thread. The result is the same bit for bit."""
+    new one when None. Without `samples` each block of BLOCK_POINTS
+    samples draws them as it is evaluated; with a `SampleSet`, the samples
+    are drawn into it unless it holds them already, and read from it in
+    blocks of HELD_BLOCK. Either way the blocks run one after another in
+    the caller's thread, and the result is the same bit for bit."""
     dps = _draws_per_sample(s, m)
     n = m.n_samples
     a = m.assumptions
     work = _Workspace() if work is None else work
     if samples is None:
-        def block_outages(lo, hi, w):
-            return _outages(s, a, *_draw_block(s, m, dps, lo, hi, w), w)
-        missed = _sum_blocks(n, 1, block_outages, work, threaded=True)
+        def block_outages(lo, hi):
+            return _outages(s, a, *_draw_block(s, m, dps, lo, hi, work), work)
+        missed = _sum_blocks(n, 1, block_outages)
     else:
         samples._draw(s, m, dps)
         missed = sum(

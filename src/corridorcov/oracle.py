@@ -15,11 +15,11 @@ the caller passes each link's LoS state, drawn and tested against
 ``p_los`` by the Monte Carlo sampler (`monte_carlo.los_states`); the
 kernel only picks each link's excess loss by it. It never builds a
 (base stations x points) power matrix: strongest association keeps a
-running (serving, strongest interferer) pair, or a running sum of all
-powers under SUM_ALL interference, and nearest association reads the
-serving power out of the same pass. The serving index is formed only for
-callers that read it (the heatmap); the quadrature and the sampler ask
-for the SINR alone.
+running (serving, strongest interferer) pair, or under SUM_ALL
+interference the serving power and a running sum of the powers that lose
+to it, and nearest association reads the serving power out of the same
+pass. The serving index is formed only for callers that read it (the
+heatmap); the quadrature and the sampler ask for the SINR alone.
 
 Broadcast grid. x and z broadcast against each other, and the results take
 their broadcast shape. The row-block loop passes a grid's one row of x and
@@ -45,27 +45,18 @@ least ``r2`` of the block, ``min(h**2) + min(z**2)``, which is exact
 because rounding is monotone, and the loss is told so (``checked=True``)
 and does not pass over the window's ``r2`` again.
 
-Blocks, threads and workspaces. Grids are cut into blocks of whole rows,
-and the Monte Carlo sampler's samples into runs, by one loop,
+Blocks and workspaces. Grids are cut into blocks of whole rows, and the
+streamed Monte Carlo sampler's samples into runs, by one loop,
 `_sum_blocks`, so the cells in flight stay near BLOCK_POINTS (64k) and the
-kernel's temporaries stay in cache. Grid blocks run one after another in
-the caller's thread: a second thread made them slower, not faster (on 2
-cores, 0.48-0.62 s against 0.41-0.44 s for the four 2001 x 2001
-quadratures of `validate`). Streamed Monte Carlo blocks, whose Philox
-draws do scale over two cores, run on up to _WORKERS threads, one per CPU
-the process may use, the caller's among them; each takes the next block
-off a shared counter, and a block holds about BLOCK_POINTS // _WORKERS
-samples. The worker count is capped so no block falls below
-MIN_BLOCK_POINTS samples (32k): two workers today. Samples that the Monte
-Carlo evaluator of sweeps holds across uptilts, with no draws left to
-share, run in the caller's thread in blocks of their own
+kernel's temporaries stay in cache. The blocks run one after another in
+the caller's thread. Samples that the Monte Carlo evaluator of sweeps
+holds across uptilts run in blocks of their own
 (`monte_carlo.SampleSet`).
 
-Each thread has its own `propagation._Workspace`: the caller's thread uses
-the one the caller passes (a new one when None), and each extra thread a
-new one per call. The kernel and the models write each block-sized
-temporary into named buffers of the thread's workspace with numpy
-``out=``, so blocks after a thread's first allocate nothing; a window's
+Each call evaluates into one `propagation._Workspace`, the one the caller
+passes (a new one when None). The kernel and the models write each
+block-sized temporary into named buffers of the workspace with numpy
+``out=``, so blocks after the first allocate nothing; a window's
 temporaries are views into the same buffers. (A block-sized temporary
 that is freed goes back to the OS, and its pages fault in again on the
 next block.) Callers that evaluate many uptilts (the sweep evaluators,
@@ -89,18 +80,16 @@ full evaluation gives it, 0 * p_tx / pl, is +0 whenever the path loss is
 a positive number, and adding it changes nothing.
 
 Each cell goes through the same elementwise operations whichever block
-and thread hold it, and a workspace's earlier contents are overwritten
-before they are read. The quadrature and the sampler add integer counts
-per block, and the heatmap's blocks fill disjoint rows, so no result
-depends on the worker count, the block size or the order in which blocks
-finish (tests/test_workers.py checks 1, 2 and 3 Monte Carlo workers).
+holds it, and a workspace's earlier contents are overwritten before they
+are read. The quadrature and the sampler add integer counts per block,
+and the heatmap's blocks fill disjoint rows, so no result depends on the
+block size (tests/test_monte_carlo.py checks Monte Carlo blocks that start
+off Philox's 4-draw steps).
 """
 
 from __future__ import annotations
 
 import enum
-import os
-import threading
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -122,25 +111,8 @@ from .propagation import (
     suggested_element_count,
 )
 
-# Cells in flight in a row-block loop, summed over its threads.
+# Cells in flight in a row-block loop.
 BLOCK_POINTS = 1 << 16
-# The fewest samples per Monte Carlo block: on smaller blocks the threads
-# spend the gain of a second core on handing the interpreter lock to each
-# other.
-MIN_BLOCK_POINTS = 1 << 15
-
-
-def _cpu_count() -> int:
-    """CPUs this process may run on."""
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:  # no affinity call on this platform
-        return os.cpu_count() or 1
-
-
-# Threads of the Monte Carlo block loop, the caller's included: one per
-# CPU, as many as keep blocks of MIN_BLOCK_POINTS samples.
-_WORKERS = max(1, min(_cpu_count(), BLOCK_POINTS // MIN_BLOCK_POINTS))
 
 
 class Association(enum.Enum):
@@ -253,7 +225,9 @@ def evaluate_sinr(x, z, s: CorridorScenario, a: OracleAssumptions,
     pl = work.take("pl", shape)        # path loss, then scratch
     mask = work.take("mask", shape, bool)
     p_serv = work.take("p_serv", shape)  # under STRONGEST, the strongest so far
-    other = work.take("other", shape)    # strongest non-serving power, or sum of all
+    other = work.take("other", shape)    # strongest non-serving power, or sum
+    # what loses to the serving power joins the interference
+    join = np.maximum if dominant else np.add
     p_serv.fill(0.0)
     other.fill(0.0)
     serving = work.take("serving", shape, np.intp) if with_serving else None
@@ -298,12 +272,10 @@ def evaluate_sinr(x, z, s: CorridorScenario, a: OracleAssumptions,
         p_i *= p_tx
         p_i /= pl_i
         best, rest = p_serv[cells], other[cells]
-        if not dominant:
-            rest += p_i
         if strongest:
-            if dominant:
-                # the runner-up is the larger of itself and min(best, p)
-                np.maximum(rest, np.minimum(best, p_i, out=pl_i), out=rest)
+            # the smaller of best and p loses to the serving power: the
+            # runner-up if above the one so far, or one more summand
+            join(rest, np.minimum(best, p_i, out=pl_i), out=rest)
             if with_serving:
                 # serving = i where p > best; serving < i so far, so that
                 # is max(serving, i * (p > best)), with no branch per
@@ -315,11 +287,8 @@ def evaluate_sinr(x, z, s: CorridorScenario, a: OracleAssumptions,
         else:
             is_mine = np.equal(nearest[cells], i, out=mine[cells])
             np.copyto(best, p_i, where=is_mine)
-            if dominant:
-                np.copyto(p_i, 0.0, where=is_mine)
-                np.maximum(rest, p_i, out=rest)
-    if not dominant:
-        other -= p_serv
+            np.copyto(p_i, 0.0, where=is_mine)
+            join(rest, p_i, out=rest)
     noise = s.radio.noise_w if a.include_noise else 0.0
 
     sinr = other
@@ -336,48 +305,14 @@ def evaluate_sinr(x, z, s: CorridorScenario, a: OracleAssumptions,
     return serving, sinr
 
 
-def _sum_blocks(n, cells_each, fn, work, threaded=False):
-    """Sum of the integers fn(lo, hi, w) over the blocks [lo, hi) that cut
-    range(n) into runs of about BLOCK_POINTS // workers cells, where each
-    item is `cells_each` cells (a grid row, or one sample).
-
-    The blocks run in the caller's thread, one after another, into
-    `work`. If `threaded`, up to _WORKERS threads take them off a shared
-    counter instead, the caller's thread among them, so the cells in
-    flight stay near BLOCK_POINTS; each extra thread evaluates into a new
-    workspace of its own, and a single block runs in the caller's thread
-    alone. An exception in any block stops the others from taking more
-    and is raised here once every thread has been joined.
-    """
-    workers = _WORKERS if threaded else 1
-    size = max(1, BLOCK_POINTS // workers // cells_each)
-    workers = min(workers, -(-n // size))
-    starts = iter(range(0, n, size))
-    lock = threading.Lock()
-    sums = [0] * workers
-    failed = []
-
-    def run(i, w):
-        try:
-            while not failed:
-                with lock:
-                    lo = next(starts, None)
-                if lo is None:
-                    return
-                sums[i] += fn(lo, min(lo + size, n), w)
-        except BaseException as exc:  # raised again in the caller
-            failed.append(exc)
-
-    threads = [threading.Thread(target=run, args=(i, _Workspace()))
-               for i in range(1, workers)]
-    for t in threads:
-        t.start()
-    run(0, work)
-    for t in threads:
-        t.join()
-    if failed:
-        raise failed[0]
-    return sum(sums)
+def _sum_blocks(n, cells_each, fn):
+    """Sum of the integers fn(lo, hi) over the blocks [lo, hi) that cut
+    range(n) into runs of BLOCK_POINTS // cells_each items (at least one),
+    where each item is `cells_each` cells (a grid row, or one sample). The
+    blocks run one after another in the caller's thread; each caller's
+    `fn` closes over its own workspace."""
+    size = max(1, BLOCK_POINTS // cells_each)
+    return sum(fn(lo, min(lo + size, n)) for lo in range(0, n, size))
 
 
 def _grid_rows(xs, zs, lo, hi):
@@ -407,11 +342,13 @@ def coverage_by_quadrature(s: CorridorScenario, a: OracleAssumptions,
     xs = _midpoints(0.0, s.d1 / 2.0, n_x)
     zs = _midpoints(s.h1, s.h2, n_z)
 
-    def covered(lo, hi, w):
+    work = _Workspace() if work is None else work
+
+    def covered(lo, hi):
         x, z = _grid_rows(xs, zs, lo, hi)
-        _, val = evaluate_sinr(x, z, s, a, work=w, with_serving=False)
-        hit = np.greater_equal(val, s.tau, out=w.take("hit", val.shape, bool))
+        _, val = evaluate_sinr(x, z, s, a, work=work, with_serving=False)
+        hit = np.greater_equal(val, s.tau,
+                               out=work.take("hit", val.shape, bool))
         return int(np.count_nonzero(hit))
 
-    work = _Workspace() if work is None else work
-    return _sum_blocks(n_z, n_x, covered, work) / float(n_x * n_z)
+    return _sum_blocks(n_z, n_x, covered) / float(n_x * n_z)

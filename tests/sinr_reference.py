@@ -11,9 +11,11 @@ quadrature row loop with its 2M-point blocks.
 
 `allocating_evaluate_sinr` is the `(h, z, r2)` kernel as it was before it
 took a reusable workspace: the same operations on flattened points, each
-temporary a new array. It is kept verbatim, so the workspace kernel must
-match it bit for bit. `allocating_gain`, `allocating_loss` and
-`allocating_p_los` are the model methods of that kernel, likewise verbatim.
+temporary a new array. It is kept verbatim but for its SUM_ALL
+interference, which sums the powers that lose to the serving one as the
+kernel now does (not total - serving, which cancels), so the workspace
+kernel must match it bit for bit. `allocating_gain`, `allocating_loss` and
+`allocating_p_los` are the model methods of that kernel, verbatim.
 """
 
 import math
@@ -118,12 +120,13 @@ def evaluate_sinr(x, z, s, a, los_uniforms=None):
         serving = nearest
 
     p_serv = powers[serving, cols]
+    masked = powers.copy()
     if a.interference is InterferenceMode.DOMINANT_ONLY:
-        masked = powers.copy()
         masked[serving, cols] = -np.inf
         interference = np.max(masked, axis=0)
     else:
-        interference = powers.sum(axis=0) - p_serv
+        masked[serving, cols] = 0.0
+        interference = masked.sum(axis=0)
     noise = s.radio.noise_w if a.include_noise else 0.0
     denom = interference + noise
 
@@ -243,7 +246,8 @@ def allocating_evaluate_sinr(x, z, s: CorridorScenario, a: OracleAssumptions,
     z2 = z * z
     serving = np.zeros(x.size, dtype=np.intp) if strongest else _nearest(x, positions)
     p_serv = np.zeros(x.size)  # under STRONGEST, the strongest power so far
-    other = np.zeros(x.size)   # strongest non-serving power, or sum of all
+    other = np.zeros(x.size)   # strongest non-serving power, or their sum
+    join = np.maximum if dominant else np.add
     for i, pos in enumerate(positions):
         h = np.abs(x - pos)
         r2 = h * h
@@ -256,22 +260,16 @@ def allocating_evaluate_sinr(x, z, s: CorridorScenario, a: OracleAssumptions,
             pl = pathloss.loss(h, z, r2, lam)
         p = p_tx * g
         p /= pl
-        if not dominant:
-            other += p
         if strongest:
-            if dominant:
-                # the runner-up is the larger of itself and min(best, p)
-                np.maximum(other, np.minimum(p_serv, p), out=other)
+            # the smaller of the strongest so far and p is not served
+            join(other, np.minimum(p_serv, p), out=other)
             np.copyto(serving, i, where=p > p_serv)
             np.maximum(p_serv, p, out=p_serv)
         else:
             mine = serving == i
             np.copyto(p_serv, p, where=mine)
-            if dominant:
-                p[mine] = 0.0
-                np.maximum(other, p, out=other)
-    if not dominant:
-        other -= p_serv
+            p[mine] = 0.0
+            join(other, p, out=other)
     noise = s.radio.noise_w if a.include_noise else 0.0
 
     with np.errstate(divide="ignore", invalid="ignore"):

@@ -113,16 +113,19 @@ def test_free_space_draws_no_los_uniforms():
 
 
 @pytest.mark.parametrize("dps", sorted(_DRAW_CONFIGS))
-def test_block_size_cannot_change_result(monkeypatch, dps):
+@pytest.mark.parametrize("seed", [0, 3, 7])
+@pytest.mark.parametrize("n", [1, 3, 65537, 200001])
+def test_block_size_cannot_change_result(monkeypatch, n, seed, dps):
+    # blocks of 4097 and 21845 samples start off the multiples of
+    # Philox's 4 draws per counter step
     s = reference_scenario(13, 40)
-    cfg = McConfig(n_samples=70_001, seed=7, **_DRAW_CONFIGS[dps])
+    cfg = McConfig(n_samples=n, seed=seed, **_DRAW_CONFIGS[dps])
     results = []
-    # one worker, so that each block holds exactly BLOCK_POINTS samples
-    monkeypatch.setattr(oracle, "_WORKERS", 1)
-    for block in (4096, 4097, 65536):
+    for block in (4096, 4097, 21845, 65536):
         monkeypatch.setattr(oracle, "BLOCK_POINTS", block)
         results.append(estimate_outage(s, cfg))
-    assert results[0] == results[1] == results[2]
+    assert all(r == results[0] for r in results)
+    assert results[0].p_out == outage_of_one_stream(s, cfg, dps)
 
 
 def test_same_seed_same_result_distinct_seeds_differ():

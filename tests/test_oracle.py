@@ -6,8 +6,10 @@ import sys
 import numpy as np
 import pytest
 
+from corridorcov import cli, heatmap, monte_carlo, oracle
 from corridorcov.defaults import reference_scenario
 from corridorcov.geometry import borderline_geometry
+from corridorcov.monte_carlo import McConfig, estimate_outage
 from corridorcov.oracle import (
     Association,
     BeamKind,
@@ -251,3 +253,49 @@ def test_strongest_association_beats_nearest():
         else:
             assert best_s.alpha < best_n.alpha
             assert best_s.p_out < best_n.p_out
+
+
+def _raise_on_third_call(monkeypatch, module):
+    """Make `module`'s kernel raise a ValueError on its third call, that
+    is in the third block of a row-block loop; returns that error."""
+    kernel = module.evaluate_sinr
+    calls = itertools.count(1)
+    err = ValueError("third block")
+
+    def failing(*args, **kwargs):
+        if next(calls) == 3:
+            raise err
+        return kernel(*args, **kwargs)
+
+    monkeypatch.setattr(module, "evaluate_sinr", failing)
+    return err
+
+
+_CALLERS = {
+    "quadrature": (oracle, lambda s: coverage_by_quadrature(
+        s, OracleAssumptions(), 501, 301)),
+    "mc": (monte_carlo, lambda s: estimate_outage(
+        s, McConfig(n_samples=200_001))),
+    "heatmap": (heatmap, lambda s: heatmap.sinr_field(
+        s, OracleAssumptions(), 1001, 601)),
+}
+
+
+@pytest.mark.parametrize("caller", sorted(_CALLERS))
+def test_a_block_error_reaches_the_caller_unchanged(monkeypatch, caller):
+    module, run = _CALLERS[caller]
+    err = _raise_on_third_call(monkeypatch, module)
+    with pytest.raises(ValueError) as info:
+        run(reference_scenario(13, 40))
+    assert info.value is err
+
+
+def test_cli_maps_a_block_error_to_exit_1(monkeypatch, tmp_path, capsys):
+    _raise_on_third_call(monkeypatch, monte_carlo)
+    out = tmp_path / "mc.json"
+    code = cli.main(["--beta-deg", "40", "--alpha-deg", "13",
+                     "--samples", "200001", "mc", "--out", str(out)])
+    assert code == 1
+    captured = capsys.readouterr()
+    assert captured.err == "error: third block\n"
+    assert captured.out == "" and not out.exists()

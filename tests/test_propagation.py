@@ -321,10 +321,12 @@ def test_sum_mode_never_exceeds_dominant():
                 include_noise=noise))
             _, v_sum = evaluate_sinr(x, z, s, OracleAssumptions(
                 interference=InterferenceMode.SUM_ALL, include_noise=noise))
-            # the sum is formed as total - serving, which can round below
-            # the largest interferer by a few ulp of the total
-            assert np.all(v_sum <= v_dom * (1.0 + 1e-12))
-            assert np.any(v_sum < v_dom)
+            assert np.all(v_sum <= v_dom)
+            if alpha == 25.0:
+                # one interferer at most reaches these points
+                np.testing.assert_array_equal(v_sum, v_dom)
+            else:
+                assert np.any(v_sum < v_dom)
 
 
 def test_sinr_monotonicity():
