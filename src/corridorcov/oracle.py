@@ -26,24 +26,33 @@ their broadcast shape. The row-block loop passes a grid's one row of x and
 the block's column of z as `np.broadcast_to` views at the block's shape,
 never a tiled copy; the kernel cuts them back to the row and the column
 (`propagation._compact`), so ``h`` and ``h**2`` cost one row per BS, and
-only ``r2`` and what follows it cost one cell each. Every array argument
-of the kernel and of the models still has one value per cell.
+only ``r2`` and what follows it cost one cell each, of the BS's window on a
+grid block (below). The kernel hands ``gain`` the row of ``h`` as a view at
+the block's shape and ``loss`` that view cut to the window, so the
+benchmark's tracer, which counts a call's points by its first array
+argument, counts gain points in block cells and loss points in window
+cells.
 
 Lit windows and dark base stations. A BS adds power only where its lobe
 reaches, and a zero power changes no step of any reduction (the strongest
 pair, the sum, the nearest BS's power). On a grid block the beam names the
 columns outside of which no cell of the block can be lit
 (`_lit_columns`, from the block's extreme heights and the same rounded
-products as its lobe test). ``r2``, the path loss (given LoS states, on
-their columns too), the power and the reduction then run on those columns
-only, through views of the running state; the beam's ``gain`` still
-covers the whole block and writes zeros outside the window. On sample
-points, a BS whose gain is zero at every point of the block is skipped
-after its gain. The positive-distance check of the path-loss models still
-covers every cell and every BS: on a grid it is made once per BS on the
-least ``r2`` of the block, ``min(h**2) + min(z**2)``, which is exact
-because rounding is monotone, and the loss is told so (``checked=True``)
-and does not pass over the window's ``r2`` again.
+products as its lobe test). ``r2``, the gain, the path loss (given LoS
+states, on their columns too) and the power are then formed in buffers of
+the window's own shape, the block's rows by the window's columns, so each
+of their passes runs over contiguous memory. Only the running serving and
+interference state stays block-wide; the reduction updates it through a
+column view of the window. The beam's ``gain`` writes the window alone,
+and the rectangular beam fills the peak gain on the window's fully lit
+columns with no test per cell (`RectangularBeam._lit_core`). On sample
+points the window is the whole block, and a BS whose gain is zero at
+every point of the block is skipped after its gain. The positive-distance
+check of the path-loss models still covers every cell and every BS: on a
+grid it is made once per BS on the least ``r2`` of the block,
+``min(h**2) + min(z**2)``, which is exact because rounding is monotone,
+and the loss is told so (``checked=True``) and does not pass over the
+window's ``r2`` again.
 
 Blocks and workspaces. Grids are cut into blocks of whole rows, and the
 streamed Monte Carlo sampler's samples into runs, by one loop,
@@ -55,11 +64,13 @@ holds across uptilts run in blocks of their own
 
 Each call evaluates into one `propagation._Workspace`, the one the caller
 passes (a new one when None). The kernel and the models write each
-block-sized temporary into named buffers of the workspace with numpy
-``out=``, so blocks after the first allocate nothing; a window's
-temporaries are views into the same buffers. (A block-sized temporary
-that is freed goes back to the OS, and its pages fault in again on the
-next block.) Callers that evaluate many uptilts (the sweep evaluators,
+temporary into named buffers of the workspace with numpy ``out=``, so
+blocks after the first allocate nothing. The kernel sizes the window
+buffers (``r2``, ``p``, ``pl``) for the whole block once per call and
+then takes each window's temporaries as the contiguous head of the same
+buffers, so no window allocates either. (A block-sized temporary that is
+freed goes back to the OS, and its pages fault in again on the next
+block.) Callers that evaluate many uptilts (the sweep evaluators,
 `validate`) pass one workspace to every quadrature and Monte Carlo call.
 The serving indices and SINR that `evaluate_sinr` returns are views into
 the workspace it was given, valid until the next call that is given the
@@ -220,9 +231,10 @@ def evaluate_sinr(x, z, s: CorridorScenario, a: OracleAssumptions,
 
     h = work.take("h", x.shape)
     z2 = np.multiply(z, z, out=work.take("z2", z.shape))
-    r2 = work.take("r2", shape)
-    p = work.take("p", shape)          # gain, then received power
-    pl = work.take("pl", shape)        # path loss, then scratch
+    # r2, p (gain, then received power) and pl (path loss, then scratch)
+    # are taken at each window's shape from buffers sized for the block
+    for name in ("r2", "p", "pl"):
+        work.take(name, shape)
     mask = work.take("mask", shape, bool)
     p_serv = work.take("p_serv", shape)  # under STRONGEST, the strongest so far
     other = work.take("other", shape)    # strongest non-serving power, or sum
@@ -238,7 +250,7 @@ def evaluate_sinr(x, z, s: CorridorScenario, a: OracleAssumptions,
             np.copyto(serving, nearest)
     elif with_serving:
         serving.fill(0)
-    cols, cells = None, Ellipsis
+    cols, cells, window = None, Ellipsis, shape
     for i, pos in enumerate(positions):
         np.subtract(x, pos, out=h)
         np.abs(h, out=h)
@@ -249,9 +261,11 @@ def evaluate_sinr(x, z, s: CorridorScenario, a: OracleAssumptions,
             _require_distance(hh.min() + z2.min())
             cols = beam._lit_columns(h, z, work)
             cells = (Ellipsis, cols)
-        np.add(hh[cells], z2, out=r2[cells])
+            window = (shape[0], cols.stop - cols.start)
+        r2 = np.add(hh[cells], z2, out=work.take("r2", window))
         h_cells = np.broadcast_to(h, shape)  # a view: one value per cell
-        beam.gain(h_cells, z, r2, out=p, work=work, cols=cols)
+        p = beam.gain(h_cells, z, r2, out=work.take("p", window), work=work,
+                      cols=cols)
         # a BS that lights no cell adds a power of 0, which changes no
         # step below
         if grid:
@@ -260,35 +274,36 @@ def evaluate_sinr(x, z, s: CorridorScenario, a: OracleAssumptions,
         elif not p.any():
             _require_distance(r2.min())
             continue
-        p_i, pl_i = p[cells], pl[cells]
+        pl = work.take("pl", window)
         # a grid's distances are checked above
         if drawn:
-            pathloss.loss(h_cells[cells], z, r2[cells], lam,
-                          los_state=los_states[i][cells], out=pl_i,
+            pathloss.loss(h_cells[cells], z, r2, lam,
+                          los_state=los_states[i][cells], out=pl,
                           work=work, checked=grid)
         else:
-            pathloss.loss(h_cells[cells], z, r2[cells], lam, out=pl_i,
-                          work=work, checked=grid)
-        p_i *= p_tx
-        p_i /= pl_i
+            pathloss.loss(h_cells[cells], z, r2, lam, out=pl, work=work,
+                          checked=grid)
+        p *= p_tx
+        p /= pl
         best, rest = p_serv[cells], other[cells]
         if strongest:
             # the smaller of best and p loses to the serving power: the
             # runner-up if above the one so far, or one more summand
-            join(rest, np.minimum(best, p_i, out=pl_i), out=rest)
+            join(rest, np.minimum(best, p, out=pl), out=rest)
             if with_serving:
                 # serving = i where p > best; serving < i so far, so that
                 # is max(serving, i * (p > best)), with no branch per
                 # point. pl is free again and holds i * (p > best).
-                won = np.multiply(np.greater(p_i, best, out=mask[cells]), i,
-                                  out=pl_i.view(np.intp))
+                won = np.multiply(
+                    np.greater(p, best, out=work.take("mask", window, bool)),
+                    i, out=pl.view(np.intp))
                 np.maximum(serving[cells], won, out=serving[cells])
-            np.maximum(best, p_i, out=best)
+            np.maximum(best, p, out=best)
         else:
             is_mine = np.equal(nearest[cells], i, out=mine[cells])
-            np.copyto(best, p_i, where=is_mine)
-            np.copyto(p_i, 0.0, where=is_mine)
-            join(rest, p_i, out=rest)
+            np.copyto(best, p, where=is_mine)
+            np.copyto(p, 0.0, where=is_mine)
+            join(rest, p, out=rest)
     noise = s.radio.noise_w if a.include_noise else 0.0
 
     sinr = other

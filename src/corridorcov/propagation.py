@@ -18,32 +18,41 @@ station, and ``loss`` once per base station whose lobe can reach a cell
 of the block (on a grid, on its lit window only; see below). ``h``,
 ``z`` and ``r2`` broadcast against each other. On a grid ``h`` varies
 along the row and ``z`` down the column only: the kernel passes ``h`` as a
-`np.broadcast_to` view of one row at the block's shape, so each argument
-still holds one value per cell, and ``z`` as one column. A model that
-does arithmetic on ``h`` or ``z`` alone first cuts such a view back to its
-row (`_compact`), so that work costs one row per block.
+`np.broadcast_to` view of one row, at the block's shape to ``gain`` and
+cut to the window to ``loss``, and ``z`` as one column. A model that does
+arithmetic on ``h`` or ``z`` alone first cuts such a view back to its row
+(`_compact`), so that work costs one row per block.
 
 Lit windows. Each beam has a private ``_lit_columns(h, z, work)``: for a
 grid block with row ``h`` and column ``z`` it returns the slice of columns
 outside of which no cell can be lit. It is formed from the block's
 extreme heights with the same rounded operations as the lobe test, so it
 is a guarantee, not an estimate. The kernel passes that slice to ``gain``
-as ``cols``, and ``gain`` then evaluates the lobe on those columns only
-(reading ``r2`` there only) and writes zeros in the others; the kernel
-forms ``r2`` and calls ``loss`` on the window alone. Called without
+as ``cols``. ``h`` stays the block-shaped row view, while ``r2`` and
+``out`` have the window's shape (the block's rows by the columns of
+``cols``), and ``gain`` evaluates the lobe there and writes nothing
+outside the window. The kernel forms ``r2`` and calls ``loss`` on the
+window alone. The rectangular beam also finds the window's fully lit
+columns (``_lit_core``), where every height of the block lies strictly
+between the edge products of the lobe test: it fills the peak gain there
+and tests cell by cell only on the fringe columns on either side, when
+those fully lit columns are contiguous (a BS inside the row can split
+them in two; then every window column is tested). Called without
 ``cols``, ``gain`` evaluates every cell.
 
 Buffers. Every model method takes an optional ``out``, a float array of the
-broadcast shape that receives the result and is returned, and an optional
-``work``, a `_Workspace` that its block-sized scratch arrays are taken
-from. The kernel passes buffers it reuses from block to block, so a block
-allocates no temporaries; a model called on its own allocates what it is
-not given. ``loss`` raises a ValueError unless every ``r2`` is positive; a
-caller that has made that check already (the kernel, on a grid block's
-least ``r2``) passes ``checked=True``, and the model does not pass over
-``r2`` again. The in-place forms keep every operation's operands and order,
-so their values are bit-identical to the plain expressions in the
-docstrings.
+broadcast shape (the window's, given ``cols``) that receives the result
+and is returned, and an optional ``work``, a `_Workspace` that its scratch
+arrays are taken from at the shape they are needed in, so a window's
+scratch is contiguous as well. The kernel passes buffers it reuses from
+block to block, so a block allocates no temporaries; a model called on its
+own allocates what it is not given. ``loss`` raises a ValueError unless
+every ``r2`` is positive; a caller that has made that check already (the
+kernel, on a grid block's least ``r2``) passes ``checked=True``, and the
+model does not pass over ``r2`` again. The in-place forms keep every
+operation's operands and order, so their values are bit-identical to the
+plain expressions in the docstrings; the peak gain filled on fully lit
+columns is the value the lobe test gives them, 1.0 times the peak gain.
 
 All powers are combined in linear watts; dB/dBm conversions happen only at
 I/O boundaries. Angles are radians. Every function accepts scalars or numpy
@@ -87,16 +96,6 @@ def _compact(a):
         return a
     return a[tuple(slice(None, 1) if step == 0 else slice(None)
                    for step in a.strides)]
-
-
-def _window(out, cols):
-    """The columns `cols` (a slice of the last axis) of `out`, all of it
-    when None, after zeros are written to the columns outside them."""
-    if cols is None:
-        return out
-    out[..., :cols.start] = 0.0
-    out[..., cols.stop:] = 0.0
-    return out[..., cols]
 
 
 def _cut(a, cols):
@@ -156,6 +155,11 @@ class LinkBudget:
     bandwidth_hz: float = 20e6
     noise_figure_db: float = 9.0
     thermal_noise_dbm_hz: float = -174.0
+    # the linear values, formed once; they follow from the fields above,
+    # so they take no part in eq and hash
+    wavelength_m: float = field(init=False, repr=False, compare=False)
+    p_tx_w: float = field(init=False, repr=False, compare=False)
+    noise_w: float = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         for name, value in vars(self).items():
@@ -165,30 +169,23 @@ class LinkBudget:
                 raise ValueError(f"{name} must be positive, got {value}")
         # finite inputs whose linear values leave the float range: an
         # infinite power or loss, or a zero one, turns SINR into NaN
-        per_m = 4.0 * math.pi / self.wavelength_m
-        for name, value in (("wavelength_m", self.wavelength_m),
-                            ("free-space loss at 1 m", per_m * per_m),
-                            ("p_tx_w", self.p_tx_w), ("noise_w", self.noise_w)):
+        wavelength_m = SPEED_OF_LIGHT / self.carrier_hz
+        per_m = 4.0 * math.pi / wavelength_m
+        linear = {"wavelength_m": wavelength_m,
+                  "free-space loss at 1 m": per_m * per_m,
+                  "p_tx_w": float(dbm_to_watts(self.p_tx_dbm)),
+                  "noise_w": float(dbm_to_watts(self.noise_dbm))}
+        for name, value in linear.items():
             if not (math.isfinite(value) and value > 0):
                 raise ValueError(f"{name} must be finite and positive, "
                                  f"got {value}")
-
-    @property
-    def wavelength_m(self) -> float:
-        return SPEED_OF_LIGHT / self.carrier_hz
-
-    @property
-    def p_tx_w(self) -> float:
-        return float(dbm_to_watts(self.p_tx_dbm))
+        for name in ("wavelength_m", "p_tx_w", "noise_w"):
+            object.__setattr__(self, name, linear[name])
 
     @property
     def noise_dbm(self) -> float:
         return noise_power_dbm(self.thermal_noise_dbm_hz, self.bandwidth_hz,
                                self.noise_figure_db)
-
-    @property
-    def noise_w(self) -> float:
-        return float(dbm_to_watts(self.noise_dbm))
 
 
 @dataclass(frozen=True)
@@ -213,51 +210,82 @@ class RectangularBeam:
         lobe entirely beyond it is empty. `r2` is not needed. The products
         tan(edge)*h have the shape of `h`, one row on a grid. The gain is
         the 0/1 lobe indicator times the peak gain, exact for a finite one.
-        `cols`, from `_lit_columns`, limits the test to those columns of
-        the last axis and writes zeros in the others.
+
+        With `cols` (from `_lit_columns`), `h` is a grid block's row (or
+        its view at the block's shape) and `z` its column, and `out` has
+        the window's shape: the block's rows by the columns of `cols`.
+        Nothing outside the window is written. The window's fully lit
+        columns (`_lit_core`) take the peak gain with no test per cell.
         """
-        h = np.asarray(h, dtype=float)
-        z = np.asarray(z, dtype=float)
+        h = _cut(_compact(np.asarray(h, dtype=float)), cols)
+        z = _compact(np.asarray(z, dtype=float))
         out = _buffer(out, np.broadcast_shapes(h.shape, z.shape))
-        h, z = _compact(h), _compact(z)
         lo, hi = self.alpha, self.alpha + self.beta
         if lo >= HALF_PI or hi <= -HALF_PI:
             out.fill(0.0)
             return out
-        lit, h = _window(out, cols), _cut(h, cols)
         work = _Workspace() if work is None else work
+        if cols is None:
+            return self._lobe(h, z, out, work)
+        if out.size == 0:
+            return out
+        core = self._lit_core(h, z, work)
+        out[..., core] = self.peak_gain
+        for fringe in (slice(0, core.start), slice(core.stop, h.shape[-1])):
+            if fringe.start < fringe.stop:
+                self._lobe(h[..., fringe], z, out[..., fringe], work)
+        return out
+
+    def _lobe(self, h, z, out, work):
+        """The lobe test of `gain`, cell by cell, written to `out`."""
+        lo, hi = self.alpha, self.alpha + self.beta
         edge = work.take("beam.edge", h.shape)
-        inside = work.take("beam.inside", lit.shape, bool)
+        inside = work.take("beam.inside", out.shape, bool)
         if lo >= -HALF_PI:
             np.greater(z, np.multiply(h, math.tan(lo), out=edge), out=inside)
         else:
             inside.fill(True)
         if hi <= HALF_PI:
-            below = work.take("beam.below", lit.shape, bool)
+            below = work.take("beam.below", out.shape, bool)
             np.less(z, np.multiply(h, math.tan(hi), out=edge), out=below)
             inside &= below
-        np.multiply(inside, self.peak_gain, out=lit)
-        return out
+        return np.multiply(inside, self.peak_gain, out=out)
+
+    def _unlit(self, h, top, bottom, work):
+        """Booleans in the shape of row `h`: True where a height `top` is
+        not above the lower edge product or `bottom` not below the upper
+        one, the products formed as the lobe test forms them."""
+        lo, hi = self.alpha, self.alpha + self.beta
+        edge = work.take("beam.edge", h.shape)
+        unlit = work.take("beam.unlit", h.shape, bool)
+        unlit.fill(False)
+        if lo >= -HALF_PI:
+            np.less_equal(top, np.multiply(h, math.tan(lo), out=edge),
+                          out=unlit)
+        if hi <= HALF_PI:
+            unlit |= np.greater_equal(
+                bottom, np.multiply(h, math.tan(hi), out=edge),
+                out=work.take("beam.past", h.shape, bool))
+        return unlit
 
     def _lit_columns(self, h, z, work):
         """Columns of the grid block with row `h` and column `z` outside
         of which no cell is lit, as a slice. A column is dark if no z of
         the block lies above its lower edge product or none below its
-        upper one, formed as the lobe test in `gain` forms them."""
+        upper one."""
         lo, hi = self.alpha, self.alpha + self.beta
         if lo >= HALF_PI or hi <= -HALF_PI:
             return slice(0, 0)
-        edge = work.take("beam.edge", h.shape)
-        dark = work.take("beam.dark", h.shape, bool)
-        dark.fill(False)
-        if lo >= -HALF_PI:
-            np.less_equal(z.max(), np.multiply(h, math.tan(lo), out=edge),
-                          out=dark)
-        if hi <= HALF_PI:
-            dark |= np.greater_equal(
-                z.min(), np.multiply(h, math.tan(hi), out=edge),
-                out=work.take("beam.past", h.shape, bool))
-        return _span(dark)
+        return _span(self._unlit(h, z.max(), z.min(), work))
+
+    def _lit_core(self, h, z, work):
+        """Columns of the grid block with row `h` and column `z` where
+        every cell is lit, as a slice; empty unless those columns are
+        contiguous. A column is fully lit if every z of the block lies
+        above its lower edge product and below its upper one."""
+        part = self._unlit(h, z.min(), z.max(), work)
+        core = _span(part)
+        return slice(0, 0) if part[..., core].any() else core
 
 
 @dataclass(frozen=True)
@@ -279,14 +307,15 @@ class CosineBeam:
 
     def gain(self, h, z, r2, out=None, work=None, cols=None):
         """Gain at the elevation whose cosine is h / sqrt(r2); `z` is not
-        needed. `cols`, from `_lit_columns`, limits the evaluation to those
-        columns of the last axis and writes zeros in the others."""
-        h = np.asarray(h, dtype=float)
+        needed. With `cols` (from `_lit_columns`), `h` is a grid block's
+        row (or its view at the block's shape), and `r2` and `out` have
+        the window's shape: the block's rows by the columns of `cols`.
+        Nothing outside the window is written."""
+        h = _cut(_compact(np.asarray(h, dtype=float)), cols)
         r2 = np.asarray(r2, dtype=float)
-        out = _buffer(out, np.broadcast_shapes(h.shape, r2.shape))
-        x = _window(out, cols)
+        x = _buffer(out, np.broadcast_shapes(h.shape, r2.shape))
         work = _Workspace() if work is None else work
-        self._offset(_cut(_compact(h), cols), _cut(r2, cols), out=x)
+        self._offset(h, r2, out=x)
         inside = np.less_equal(np.abs(x, out=work.take("beam.abs_x", x.shape)),
                                1.0 / self.n_elements,
                                out=work.take("beam.inside", x.shape, bool))
@@ -296,7 +325,7 @@ class CosineBeam:
         np.square(g, out=g)
         g *= self.n_elements
         np.copyto(g, 0.0, where=np.logical_not(inside, out=inside))
-        return out
+        return g
 
     def _offset(self, h, r2, out):
         """x = (h / sqrt(r2) - cos(alpha + beta/2)) / 2, written to `out`."""

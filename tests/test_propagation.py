@@ -5,9 +5,11 @@ import warnings
 import numpy as np
 import pytest
 
+from corridorcov import propagation
 from corridorcov.defaults import reference_scenario
 from corridorcov.oracle import OracleAssumptions, evaluate_sinr
 from corridorcov.propagation import (
+    SPEED_OF_LIGHT,
     AirToGroundPathLoss,
     CosineBeam,
     FreeSpacePathLoss,
@@ -140,6 +142,35 @@ def test_a2g_linear_etas_are_formed_once_outside_eq_and_hash():
         "a", "b", "eta_los_db", "eta_nlos_db"]
     moved = dataclasses.replace(m, eta_nlos_db=20.0)
     assert moved._eta_nlos == float(db_to_linear(20.0))
+
+
+def test_link_budget_linear_values_are_formed_once_outside_eq_and_hash(
+        monkeypatch):
+    # the kernel reads them on every block, and reading them converts
+    # nothing; the scenario is part of the Monte Carlo sample key, so the
+    # budget compares and hashes by its five parameters alone
+    lb = LinkBudget(p_tx_dbm=23.0, carrier_hz=2e9, noise_figure_db=7.0)
+    want = (SPEED_OF_LIGHT / 2e9, float(dbm_to_watts(23.0)),
+            float(dbm_to_watts(lb.noise_dbm)))
+    monkeypatch.setattr(propagation, "dbm_to_watts", None)
+    assert (lb.wavelength_m, lb.p_tx_w, lb.noise_w) == want
+    assert type(lb.p_tx_w) is float and type(lb.noise_w) is float
+    monkeypatch.undo()
+    twin = LinkBudget(p_tx_dbm=23.0, carrier_hz=2e9, noise_figure_db=7.0)
+    assert lb == twin and hash(lb) == hash(twin)
+    assert lb != LinkBudget(p_tx_dbm=23.0, carrier_hz=2e9)
+    assert "wavelength_m" not in repr(lb) and "_w=" not in repr(lb)
+    assert [f.name for f in dataclasses.fields(lb) if f.compare] == [
+        "p_tx_dbm", "carrier_hz", "bandwidth_hz", "noise_figure_db",
+        "thermal_noise_dbm_hz"]
+    with pytest.raises(TypeError):
+        LinkBudget(p_tx_w=2.0)
+    moved = dataclasses.replace(lb, p_tx_dbm=33.0, carrier_hz=3e9,
+                                bandwidth_hz=10e6)
+    assert moved.p_tx_w == float(dbm_to_watts(33.0))
+    assert moved.wavelength_m == SPEED_OF_LIGHT / 3e9
+    assert moved.noise_w == float(dbm_to_watts(moved.noise_dbm))
+    assert moved.noise_w != lb.noise_w
 
 
 def test_a2g_mixture_collapses_when_etas_equal():

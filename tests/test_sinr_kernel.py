@@ -228,13 +228,21 @@ WINDOW_BEAMS = {"rect": dict(beam=BeamKind.RECT),
                 "cosine-4000": dict(beam=BeamKind.COSINE, n_elements=4000)}
 # x rows with every BS inside them (so h is V-shaped) and rows on one side
 # of them; z columns from below the BS height to the corridor top. Single
-# columns and single rows, one exactly above a BS.
+# columns and single rows, one exactly above a BS. For the rectangular
+# lobe's fully lit columns: a row past the last BS whose windows have a
+# fully lit core with a fringe on either side, a narrow band of heights
+# around BS-1 that lights columns fully on both sides of it (not
+# contiguous), and a row on one side of the last BS.
 WINDOW_GRIDS = {
     "wide": (np.linspace(-1500.0, 2500.0, 81), np.linspace(-150.5, 400.5, 29)),
     "half-corridor": (np.linspace(0.5, 499.5, 64), np.linspace(100.5, 299.5, 31)),
     "one-column": (np.array([1000.0]), np.linspace(0.5, 400.5, 17)),
     "one-row": (np.linspace(-1500.0, 2500.0, 81), np.array([150.0])),
     "one-cell": (np.array([250.0]), np.array([150.0])),
+    "core-fringes": (np.linspace(2050.5, 3549.5, 60),
+                     np.linspace(100.5, 299.5, 9)),
+    "split-core": (np.linspace(-600.5, 600.5, 97), np.linspace(100.5, 150.5, 5)),
+    "one-row-one-side": (np.linspace(2000.5, 3500.5, 61), np.array([150.0])),
 }
 GRID_MATRIX = list(itertools.product(Association, InterferenceMode,
                                      LOSS_MODES, (True, False)))
@@ -274,33 +282,58 @@ def test_lit_windows_are_bit_identical_to_the_allocating_kernel(
         assert np.array_equal(val.ravel(), val_ref)
 
 
+def _core_case(g, cols, core):
+    """How the fully lit core `core` of the window `cols` lies, given the
+    gain `g` of the whole block."""
+    full = np.flatnonzero(g.all(axis=0)[cols])
+    if full.size and full[-1] + 1 - full[0] != full.size:
+        return "split"
+    n = cols.stop - cols.start
+    if 0 < core.start and core.stop < n:
+        return "fringes"
+    if g.shape[0] == 1 and core == slice(0, n):
+        return "one row"
+    return None
+
+
 def test_window_grids_reach_dark_partial_and_full_windows():
     # the grids above do hold empty windows, windows cut inside the row,
-    # and windows that fill it
+    # and windows that fill it; and rectangular windows whose fully lit
+    # core has a fringe on either side, windows whose fully lit columns
+    # are not contiguous, and one-row windows that are all core
     work = _Workspace()
-    spans = set()
+    spans, cores = set(), set()
     for beam in WINDOW_BEAMS.values():
         for alpha_deg, beta_deg in WINDOW_TILTS:
             s = reference_scenario(alpha_deg, beta_deg)
             b = OracleAssumptions(**beam).resolve_beam(s)
             for xs, zs in WINDOW_GRIDS.values():
+                z = zs[:, None]
                 for pos in OracleAssumptions().resolve_positions(s):
-                    cols = b._lit_columns(np.abs(xs - pos)[None, :],
-                                          zs[:, None], work)
+                    h = np.abs(xs - pos)[None, :]
+                    cols = b._lit_columns(h, z, work)
                     n = cols.stop - cols.start
                     spans.add("dark" if n == 0 else
                               "full" if n == xs.size else "cut")
+                    if isinstance(b, RectangularBeam) and n:
+                        core = b._lit_core(h[:, cols], z, work)
+                        cores.add(_core_case(b.gain(h, z, h * h + z * z),
+                                             cols, core))
     assert spans == {"dark", "cut", "full"}
+    assert cores >= {"fringes", "split", "one row"}
 
 
 @pytest.mark.parametrize("beam", sorted(WINDOW_BEAMS))
 @pytest.mark.parametrize("alpha_deg,beta_deg", WINDOW_TILTS)
 def test_no_cell_outside_the_window_is_lit(beam, alpha_deg, beta_deg):
     # the window against the lobe test itself, on a fine grid around
-    # one BS: every lit cell lies inside it, and its first and last
-    # columns hold a lit cell whenever the block spans one height (one of
-    # them exactly on a column's lower edge product, which is dark). The
-    # gain given the window is the whole gain, zeros outside included.
+    # one BS: the whole block's gain is zero outside the window, and its
+    # first and last columns hold a lit cell whenever the block spans one
+    # height (one of them exactly on a column's lower edge product, which
+    # is dark). Given the window, gain takes r2 and out at the window's
+    # shape and gives the whole gain's values on the window's columns.
+    # The rectangular lobe's core is every fully lit column, when those
+    # are contiguous.
     s = reference_scenario(alpha_deg, beta_deg)
     b = OracleAssumptions(**WINDOW_BEAMS[beam]).resolve_beam(s)
     work = _Workspace()
@@ -313,15 +346,23 @@ def test_no_cell_outside_the_window_is_lit(beam, alpha_deg, beta_deg):
         r2 = h * h + z * z
         g = b.gain(h, z, r2)
         cols = b._lit_columns(h, z, work)
-        out = np.full(r2.shape, np.nan)
-        assert b.gain(h, z, r2, out=out, work=work, cols=cols) is out
-        assert np.array_equal(out, g)
+        assert not g[:, :cols.start].any() and not g[:, cols.stop:].any()
+        out = np.full((zs.size, cols.stop - cols.start), np.nan)
+        h_block = np.broadcast_to(h, r2.shape)  # as the kernel passes it
+        assert b.gain(h_block, z, r2[:, cols], out=out, work=work,
+                      cols=cols) is out
+        assert np.array_equal(out, g[:, cols])
         lit = np.flatnonzero(g.any(axis=0))
-        if lit.size:
-            assert cols.start <= lit[0] and lit[-1] < cols.stop
         if zs.size == 1:
             assert cols.stop - cols.start == (lit[-1] + 1 - lit[0]
                                               if lit.size else 0)
+        if isinstance(b, RectangularBeam) and lit.size:
+            full = np.flatnonzero(g.all(axis=0)[cols])
+            core = b._lit_core(h[:, cols], z, work)
+            if full.size and full[-1] + 1 - full[0] == full.size:
+                assert core == slice(full[0], full[-1] + 1)
+            else:
+                assert core.start == core.stop
 
 
 @pytest.mark.parametrize("assoc,interference,beam,loss,noise", MATRIX)
