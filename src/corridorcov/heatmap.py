@@ -77,10 +77,12 @@ def sinr_field(s: CorridorScenario, a: OracleAssumptions, nx: int, nz: int,
     serving = np.empty((nz, nx), dtype=np.int64)
 
     work = _Workspace()
+    beam, positions = a.resolve_beam(s), a.resolve_positions(s)
 
     def fill(lo, hi):
         x, z = _grid_rows(xs, zs, lo, hi)
-        idx, val = evaluate_sinr(x, z, s, a, work=work)
+        idx, val = evaluate_sinr(x, z, s, a, work=work, beam=beam,
+                                 positions=positions)
         db = sinr_db[lo:hi]
         with np.errstate(divide="ignore"):
             np.log10(val, out=db)

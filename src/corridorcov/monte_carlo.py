@@ -7,41 +7,54 @@ in Bernoulli LoS mode with the air-to-ground model, one LoS draw per base
 station. Free-space loss has no LoS state, so Bernoulli and expectation
 mode draw the same stream with it and give the same result.
 
-One helper, `_draw_block`, draws the samples [lo, hi): it opens its own
-Philox generator at the counter step that holds draw lo * k (Philox yields
-four draws per step) and throws away the draws of that step before it,
-scales x and z to the half corridor, and in Bernoulli mode turns each
-link's uniform u into its LoS state, u < p_los(|x - x_BS|, z)
-(`los_states`, the package's one LoS test). The SINR kernel takes the
-states, not the uniforms. So each sample reads its own draws whatever the
-block size or the order in which blocks run, and each block's outage
-count is an integer: the result depends only on (scenario, config).
+One helper, `_uniforms`, reads the draws of samples [lo, hi): it opens
+its own Philox generator at the counter step that holds draw lo * k
+(Philox yields four draws per step) and throws away the draws of that step
+before it. `_samples` scales x and z to the half corridor and in Bernoulli
+mode turns each link's uniform u into its LoS state,
+u < p_los(|x - x_BS|, z) (`los_states`, the package's one LoS test). The
+SINR kernel takes the states, not the uniforms. So each sample reads its
+own draws whatever the block size or the order in which blocks run, and
+each block's outage count is an integer: the result depends only on
+(scenario, config), not on the order in which the samples are evaluated.
 
 The samples come from one of two sources, with the same result bit for
 bit:
 
 - Streamed (`estimate_outage` without a sample set; the `mc` and
   `validate` commands): each block of BLOCK_POINTS samples draws them as
-  it is evaluated, in the caller's thread (`oracle._sum_blocks`). The
-  draws, the scaled positions and the kernel's temporaries live in one
-  workspace that every block reuses, and that the caller may reuse across
-  calls; what it held before cannot change a result. Nothing outlives
-  the call.
+  it is evaluated (`_draw_block`), in the caller's thread
+  (`oracle._sum_blocks`). The draws, the scaled positions and the
+  kernel's temporaries live in one workspace that every block reuses, and
+  that the caller may reuse across calls; what it held before cannot
+  change a result. Nothing outlives the call.
 - Held (`estimate_outage` with a `SampleSet`; the Monte Carlo evaluator of
   `sweep` and `optimize`, which evaluates one sample set at many
-  uptilts): the samples are drawn once, block by block, into the set,
-  which keeps x and z as floats and the LoS states packed to bits, 16.5 B
-  a sample with four base stations. Every uptilt is then evaluated from
-  them in blocks of HELD_BLOCK, in the caller's thread. The set draws
-  again only when the sample key changes: (seed, sample count, draws per
-  sample, d1, h1, h2, the resolved BS positions, the path-loss model).
-  The uptilt, beamwidth, threshold, link budget, beam, association,
-  interference and noise take no part in the draws.
+  uptilts): the samples are drawn once into the set, which keeps x and z
+  as floats and, in Bernoulli mode, the LoS states as one byte a sample
+  with bit i the state of BS i (ceil(n_bs / 8) bytes with more than eight
+  base stations): 17 B a sample with four. The set holds them in
+  K = ceil(n / HELD_BLOCK) slabs of x, the samples whose x draw u has
+  min(floor(u * K), K - 1) = j in slab j, each slab sorted by z. The
+  draw reads the stream twice, in blocks of DRAW_BLOCK (`_draw_slabs`):
+  the first pass counts the samples of each slab, the second writes each
+  sample straight to its slab's next free place; then each slab is
+  sorted (`_z_order`). So no permutation of the whole set and no second
+  copy of it exist at any time. Every uptilt is then evaluated slab by slab, in the caller's
+  thread, where the kernel evaluates each base station on the samples
+  its lobe can reach only (`evaluate_sinr(..., slab=True)`): x bounds
+  the slab's distances to the BS, and its lit window is a run of the
+  sorted heights. The set draws again only when the sample key changes:
+  (seed, sample count, draws per sample, d1, h1, h2, the resolved BS
+  positions, the path-loss model). The uptilt, beamwidth, threshold, link
+  budget, beam, association, interference and noise take no part in the
+  draws.
 
-Within a block, a base station whose lobe reaches none of the block's
-samples is skipped after its gain (see `oracle`), and the serving index is
-not formed. The LoS states are formed for every base station, lit or not,
-since a held set serves every uptilt.
+Each call resolves the beam and the BS positions once and hands them to
+the kernel for every block. Within a block, a base station whose lobe
+reaches none of the block's samples is skipped (see `oracle`), and the
+serving index is not formed. The LoS states are formed for every base
+station, lit or not, since a held set serves every uptilt.
 """
 
 from __future__ import annotations
@@ -56,12 +69,15 @@ from .geometry import CorridorScenario
 from .oracle import OracleAssumptions, _sum_blocks, evaluate_sinr
 from .propagation import AirToGroundPathLoss, _Workspace
 
-# Samples per block of a held sample set (`SampleSet`). The kernel's
-# temporaries grow with it, on top of the held samples: the peak RSS of
-# the benchmark's 500k-sample Bernoulli optimizer is 44.8 MiB at 16k,
-# 46.1 MiB at 32k and 48.7 MiB at 64k, against 45.1 MiB when every uptilt
-# streams its draws.
+# Samples, on average, per slab of a held sample set (`SampleSet`). The
+# kernel's temporaries grow with it, on top of the held samples; they are
+# sized once for the largest slab (`_Workspace.reserve`), since a slab's
+# windows come in many sizes.
 HELD_BLOCK = 1 << 14
+# Samples per block of a held set's draw. The draw's buffers grow with it,
+# on top of the held samples, which are all written by the draw's last
+# block.
+DRAW_BLOCK = 1 << 13
 
 
 class LosMode(enum.Enum):
@@ -90,10 +106,10 @@ class McResult:
     seed: int
 
 
-def _draws_per_sample(s: CorridorScenario, m: McConfig) -> int:
+def _draws_per_sample(m: McConfig, positions) -> int:
     if (m.los_mode is LosMode.BERNOULLI
             and isinstance(m.assumptions.pathloss, AirToGroundPathLoss)):
-        return 2 + len(m.assumptions.resolve_positions(s))
+        return 2 + len(positions)
     return 2
 
 
@@ -115,74 +131,155 @@ def los_states(x, z, positions, pathloss: AirToGroundPathLoss, u,
     return out
 
 
-def _draw_block(s: CorridorScenario, m: McConfig, dps, lo, hi, w):
-    """x, z and the LoS states (None with two draws per sample) of samples
-    [lo, hi), in buffers of the workspace `w`."""
+def _uniforms(m: McConfig, dps, lo, hi, w):
+    """The draws of samples [lo, hi), one row of `dps` a sample, in a
+    buffer of the workspace `w`."""
     # Philox yields 4 draws per counter step: start at the step that holds
     # draw lo * dps and throw away the draws before it
     start = lo * dps
     bits = np.random.Philox(key=m.seed, counter=start // 4)
     bits.random_raw(start % 4)
-    size = hi - lo
-    u = np.random.Generator(bits).random(out=w.take("u", (size, dps)))
+    return np.random.Generator(bits).random(out=w.take("u", (hi - lo, dps)))
+
+
+def _samples(s: CorridorScenario, m: McConfig, u, w, positions):
+    """x, z and the LoS states (None with two draws per sample) of the
+    samples whose draws are the rows of `u`, in buffers of `w`."""
+    size, dps = u.shape
     d_x = np.multiply(u[:, 0], s.d1 / 2.0, out=w.take("d_x", (size,)))
     h_x = np.multiply(u[:, 1], s.h2 - s.h1, out=w.take("h_x", (size,)))
     h_x += s.h1
     if dps == 2:
         return d_x, h_x, None
-    a = m.assumptions
-    los = los_states(d_x, h_x, a.resolve_positions(s), a.pathloss, u[:, 2:].T,
+    los = los_states(d_x, h_x, positions, m.assumptions.pathloss, u[:, 2:].T,
                      out=w.take("los", (dps - 2, size), bool), work=w)
     return d_x, h_x, los
 
 
-def _outages(s: CorridorScenario, a: OracleAssumptions, x, z, los, w) -> int:
-    """Number of the samples (x, z), with LoS states `los`, in outage."""
-    _, val = evaluate_sinr(x, z, s, a, los_states=los, work=w,
-                           with_serving=False)
-    missed = np.less(val, s.tau, out=w.take("missed", val.shape, bool))
-    return int(np.count_nonzero(missed))
+def _draw_block(s: CorridorScenario, m: McConfig, dps, lo, hi, w, positions):
+    """x, z and the LoS states (None with two draws per sample) of samples
+    [lo, hi), in buffers of the workspace `w`."""
+    return _samples(s, m, _uniforms(m, dps, lo, hi, w), w, positions)
+
+
+def _slab_index(u_x, k, w):
+    """The x-slab of each sample of a held set of `k` slabs,
+    min(floor(u_x * k), k - 1) from its uniform x draw `u_x`, in a buffer
+    of `w`. Below 2**16 slabs the indices are 16-bit, which numpy sorts
+    by radix."""
+    slab = w.take("slab", u_x.shape, np.uint16 if k < 1 << 16 else np.intp)
+    # u_x * k lies in [0, k], and the cast to an integer rounds toward
+    # zero, which is floor
+    np.multiply(u_x, k, out=slab, casting="unsafe")
+    return np.minimum(slab, k - 1, out=slab)
+
+
+def _pack(los, w):
+    """LoS states (n_bs, size) as bytes (ceil(n_bs / 8), size), bit i % 8
+    of row i // 8 the state of BS i, in a buffer of `w`."""
+    packed = w.take("packed", (-(-len(los) // 8), los.shape[1]), np.uint8)
+    bit = w.take("packed.bit", los.shape[1:], np.uint8)
+    packed.fill(0)
+    for i, state in enumerate(los):
+        packed[i >> 3] |= np.left_shift(state.view(np.uint8), i & 7, out=bit)
+    return packed
+
+
+def _z_order(z):
+    """The order that sorts the heights `z`, all positive, by a stable
+    radix sort of their bits, 16 at a time from the lowest: positive
+    floats order as their bit patterns do. The 16-bit sort is the one the
+    slab indices use, where a float sort would map another 256 KiB of
+    numpy's code into the process, which its peak RSS counts."""
+    digits = z.astype("<f8", copy=False).view("<u2").reshape(-1, 4)
+    order = np.argsort(digits[:, 0], kind="stable")
+    for d in (1, 2, 3):
+        order = order[np.argsort(digits[order, d], kind="stable")]
+    return order
+
+
+def _draw_slabs(s: CorridorScenario, m: McConfig, dps, positions):
+    """x, z, the LoS bytes (None with two draws per sample) and the slab
+    starts of the samples of (s, m), in K = ceil(n / HELD_BLOCK) slabs of
+    x; slab j holds samples [starts[j], starts[j + 1]) in no set order.
+    The samples are drawn twice, in blocks of DRAW_BLOCK: the first pass
+    counts the samples of each slab, the second writes each one to its
+    slab's next free place. The draws' buffers are freed on return."""
+    n = m.n_samples
+    k = -(-n // HELD_BLOCK)
+    blocks = [(lo, min(lo + DRAW_BLOCK, n)) for lo in range(0, n, DRAW_BLOCK)]
+    work = _Workspace()
+    starts = np.zeros(k + 1, np.intp)
+    for lo, hi in blocks:
+        slab = _slab_index(_uniforms(m, dps, lo, hi, work)[:, 0], k, work)
+        starts[1:] += np.bincount(slab, minlength=k)
+    np.cumsum(starts, out=starts)
+    x, z = np.empty(n), np.empty(n)
+    los = np.empty((-(-(dps - 2) // 8), n), np.uint8) if dps > 2 else None
+    free = starts[:-1].copy()   # the next free place of each slab
+    for lo, hi in blocks:
+        u = _uniforms(m, dps, lo, hi, work)
+        slab = _slab_index(u[:, 0], k, work)
+        d_x, h_x, drawn = _samples(s, m, u, work, positions)
+        counts = np.bincount(slab, minlength=k)
+        # in slab order, the block's p-th sample is the (p - first[j])-th
+        # of its slab j, and goes to free[j] plus that
+        first = np.cumsum(counts) - counts
+        places = np.repeat(free - first, counts)
+        places += np.arange(hi - lo)
+        dest = work.take("dest", slab.shape, np.intp)
+        dest[np.argsort(slab, kind="stable")] = places
+        x[dest] = d_x
+        z[dest] = h_x
+        if los is not None:
+            for row, bits in zip(los, _pack(drawn, work)):
+                row[dest] = bits
+        free += counts
+    return x, z, los, starts
 
 
 class SampleSet:
     """The samples of one Monte Carlo config, held to be evaluated at many
     uptilts. `estimate_outage` draws them into it when its sample key
-    changes: x and z as floats, and in Bernoulli mode each link's LoS state
-    packed to one bit (16.5 B a sample with four base stations)."""
+    changes: x and z as floats and, in Bernoulli mode, the LoS states as
+    one byte a sample with a bit per BS (17 B a sample with up to eight
+    base stations), in K = ceil(n / HELD_BLOCK) slabs of x, each sorted by
+    z (see the module notes)."""
 
     def __init__(self):
         self._key = None
-        self._x = self._z = self._los = None
+        self._x = self._z = self._los = self._starts = self._largest = None
 
-    def _draw(self, s: CorridorScenario, m: McConfig, dps):
+    def _draw(self, s: CorridorScenario, m: McConfig, dps, positions):
         """Draw the samples of (s, m) unless they are held already."""
         a = m.assumptions
-        key = (m.seed, m.n_samples, dps, s.d1, s.h1, s.h2,
-               a.resolve_positions(s), a.pathloss)
+        key = (m.seed, m.n_samples, dps, s.d1, s.h1, s.h2, positions,
+               a.pathloss)
         if key == self._key:
             return
         # one set at a time, and none after a draw that fails
-        self._key = self._x = self._z = self._los = None
-        n = m.n_samples
-        x, z = np.empty(n), np.empty(n)
-        los = np.empty((dps - 2, -(-n // 8)), np.uint8) if dps > 2 else None
-        # the draws' own buffers, freed before the samples are evaluated
-        work = _Workspace()
-        for lo in range(0, n, HELD_BLOCK):
-            hi = min(lo + HELD_BLOCK, n)
-            x[lo:hi], z[lo:hi], drawn = _draw_block(s, m, dps, lo, hi, work)
-            if los is not None:
-                los[:, lo // 8:-(-hi // 8)] = np.packbits(drawn, axis=1)
+        self._key = self._x = self._z = self._los = self._starts = None
+        x, z, los, starts = _draw_slabs(s, m, dps, positions)
+        # then each slab is sorted by z, which moves its x and LoS bytes
+        largest = int((starts[1:] - starts[:-1]).max())
+        buf = np.empty(largest)
+        for lo, hi in zip(starts[:-1], starts[1:]):
+            order = _z_order(z[lo:hi])
+            for held in (x, z) if los is None else (x, z, *los):
+                part = buf.view(held.dtype)[:hi - lo]
+                # indices in range: "clip" writes to `part` unbuffered
+                np.take(held[lo:hi], order, out=part, mode="clip")
+                held[lo:hi] = part
         self._key, self._x, self._z, self._los = key, x, z, los
+        self._starts, self._largest = starts, largest
 
-    def _block(self, lo, hi):
-        """x, z and the LoS states (or None) of samples [lo, hi), where lo
-        is a multiple of 8."""
+    def _slabs(self):
+        """x, z and the LoS bytes (or None) of each non-empty slab."""
         los = self._los
-        if los is not None:
-            los = np.unpackbits(los[:, lo // 8:-(-hi // 8)], axis=1,
-                                count=hi - lo).view(bool)
-        return self._x[lo:hi], self._z[lo:hi], los
+        for lo, hi in zip(self._starts[:-1], self._starts[1:]):
+            if lo < hi:
+                yield (self._x[lo:hi], self._z[lo:hi],
+                       None if los is None else los[:, lo:hi])
 
 
 def estimate_outage(s: CorridorScenario, m: McConfig, work=None,
@@ -191,22 +288,31 @@ def estimate_outage(s: CorridorScenario, m: McConfig, work=None,
     confidence interval. `work` is a `_Workspace` to reuse across calls; a
     new one when None. Without `samples` each block of BLOCK_POINTS
     samples draws them as it is evaluated; with a `SampleSet`, the samples
-    are drawn into it unless it holds them already, and read from it in
-    blocks of HELD_BLOCK. Either way the blocks run one after another in
-    the caller's thread, and the result is the same bit for bit."""
-    dps = _draws_per_sample(s, m)
-    n = m.n_samples
+    are drawn into it unless it holds them already, and evaluated slab by
+    slab. Either way the blocks run one after another in the caller's
+    thread, and the result is the same bit for bit."""
     a = m.assumptions
+    positions = a.resolve_positions(s)
+    beam = a.resolve_beam(s)
+    dps = _draws_per_sample(m, positions)
+    n = m.n_samples
     work = _Workspace() if work is None else work
+
+    def outages(x, z, los, slab=False):
+        _, val = evaluate_sinr(x, z, s, a, los_states=los, work=work,
+                               with_serving=False, beam=beam,
+                               positions=positions, slab=slab)
+        missed = np.less(val, s.tau, out=work.take("missed", val.shape, bool))
+        return int(np.count_nonzero(missed))
+
     if samples is None:
-        def block_outages(lo, hi):
-            return _outages(s, a, *_draw_block(s, m, dps, lo, hi, work), work)
-        missed = _sum_blocks(n, 1, block_outages)
+        missed = _sum_blocks(n, 1, lambda lo, hi: outages(
+            *_draw_block(s, m, dps, lo, hi, work, positions)))
     else:
-        samples._draw(s, m, dps)
-        missed = sum(
-            _outages(s, a, *samples._block(lo, min(lo + HELD_BLOCK, n)), work)
-            for lo in range(0, n, HELD_BLOCK))
+        samples._draw(s, m, dps, positions)
+        # every window fits the largest slab
+        work.reserve(samples._largest)
+        missed = sum(outages(*held, slab=True) for held in samples._slabs())
     p = missed / n
     se = math.sqrt(p * (1.0 - p) / n)
     ci = (max(0.0, p - 1.96 * se), min(1.0, p + 1.96 * se))

@@ -45,22 +45,37 @@ of their passes runs over contiguous memory. Only the running serving and
 interference state stays block-wide; the reduction updates it through a
 column view of the window. The beam's ``gain`` writes the window alone,
 and the rectangular beam fills the peak gain on the window's fully lit
-columns with no test per cell (`RectangularBeam._lit_core`). On sample
-points the window is the whole block, and a BS whose gain is zero at
-every point of the block is skipped after its gain. The positive-distance
-check of the path-loss models still covers every cell and every BS: on a
-grid it is made once per BS on the least ``r2`` of the block,
-``min(h**2) + min(z**2)``, which is exact because rounding is monotone,
-and the loss is told so (``checked=True``) and does not pass over the
-window's ``r2`` again.
+columns with no test per cell (`RectangularBeam._lit_core`). A slab of
+held Monte Carlo samples (``slab=True``: 1-D samples sorted by height,
+see `monte_carlo.SampleSet`) gets its windows the same way in one
+dimension: the slab's extreme x bound each BS's distances to its
+samples, to ``[0, far]`` when the BS lies inside the slab's x range, and
+the beam names the run of sorted heights outside of which no sample can
+be lit (``_lit_samples``, a search of the heights for the edge products
+at those two distances) and, for the rectangular beam, the run inside it
+where every sample is lit. ``h``, ``r2``, the gain, the path loss (and
+the link's LoS bit) and the power are then formed on that run only. On
+other sample points the window is the whole block. On sample points, a
+slab's included, a BS whose gain is zero at every point of its window is
+skipped after its gain. The positive-distance check of the path-loss
+models still covers every cell and every BS: on a grid it is made once
+per BS on the least ``r2`` of the block, ``min(h**2) + min(z**2)``,
+which is exact because rounding is monotone; on a slab on the same bound
+from its least distance and least height, and on every sample's ``r2``
+only where that bound is not positive. The loss is told so
+(``checked=True``) and does not pass over the window's ``r2`` again.
 
 Blocks and workspaces. Grids are cut into blocks of whole rows, and the
 streamed Monte Carlo sampler's samples into runs, by one loop,
 `_sum_blocks`, so the cells in flight stay near BLOCK_POINTS (64k) and the
 kernel's temporaries stay in cache. The blocks run one after another in
 the caller's thread. Samples that the Monte Carlo evaluator of sweeps
-holds across uptilts run in blocks of their own
-(`monte_carlo.SampleSet`).
+holds across uptilts run slab by slab (`monte_carlo.SampleSet`). Each
+field and Monte Carlo call resolves the beam and the BS positions once
+and passes them to the kernel for every block. The quadrature leaves
+that to the kernel, once per block (316 calls in a `validate` at the
+defaults, about 4 ms): `perfbench/selftest.py` holds `evaluate_sinr` as
+its only traced child.
 
 Each call evaluates into one `propagation._Workspace`, the one the caller
 passes (a new one when None). The kernel and the models write each
@@ -74,7 +89,9 @@ block.) Callers that evaluate many uptilts (the sweep evaluators,
 `validate`) pass one workspace to every quadrature and Monte Carlo call.
 The serving indices and SINR that `evaluate_sinr` returns are views into
 the workspace it was given, valid until the next call that is given the
-same one.
+same one. The held Monte Carlo path reserves every buffer of its
+workspace at its largest slab (`_Workspace.reserve`), since slabs and
+windows come in many sizes.
 
 Decision identity. Against the direct evaluation with ``hypot``,
 ``arctan2``, an argmax and a masked copy, the kernel's arithmetic differs
@@ -192,8 +209,26 @@ def _nearest(x, positions, work):
     return nearest
 
 
+def _h_range(x_lo, x_hi, pos):
+    """Least and greatest horizontal distance |x - pos| over x in
+    [x_lo, x_hi], formed as the kernel forms h (each rounding is
+    monotone): 0 is the least when pos lies in the range."""
+    near, far = sorted((abs(x_lo - pos), abs(x_hi - pos)))
+    return (0.0 if x_lo <= pos <= x_hi else near), far
+
+
+def _bit(row, bit, work):
+    """Bit `bit` of each byte of `row`, as booleans in a buffer of
+    `work`."""
+    out = np.bitwise_and(row, 1 << bit,
+                         out=work.take("los.bit", row.shape, np.uint8))
+    return np.minimum(out, 1, out=out).view(bool)
+
+
 def evaluate_sinr(x, z, s: CorridorScenario, a: OracleAssumptions,
-                  los_states=None, work=None, with_serving=True):
+                  los_states=None, work=None, with_serving=True,
+                  beam: BeamPattern | None = None,
+                  positions: tuple[float, ...] | None = None, slab=False):
     """Serving index and linear SINR at points (x, z), in the shape that x
     and z broadcast to.
 
@@ -208,6 +243,15 @@ def evaluate_sinr(x, z, s: CorridorScenario, a: OracleAssumptions,
     expectation mixture. With `with_serving` false the serving index is not
     formed and None stands in its place.
 
+    `beam` and `positions` are what `a.resolve_beam(s)` and
+    `a.resolve_positions(s)` give, formed here when None; a caller that
+    evaluates many blocks of one scenario forms them once. With `slab`,
+    x and z are 1-D samples with z ascending (a slab of a
+    `monte_carlo.SampleSet`), each BS is evaluated on the samples its lobe
+    can reach only, and `los_states`, if given, holds a byte per sample for
+    eight BSs: (ceil(n_bs / 8), n) bytes, bit i % 8 of row i // 8 the
+    state of BS i.
+
     Every temporary, and both results, live in the buffers of `work` (a
     `_Workspace`; a new one when None), so the results are views that the
     next call with the same workspace overwrites.
@@ -217,8 +261,8 @@ def evaluate_sinr(x, z, s: CorridorScenario, a: OracleAssumptions,
     shape = np.broadcast_shapes(x.shape, z.shape)
     x, z = _compact(x), _compact(z)
     work = _Workspace() if work is None else work
-    positions = a.resolve_positions(s)
-    beam = a.resolve_beam(s)
+    positions = a.resolve_positions(s) if positions is None else positions
+    beam = a.resolve_beam(s) if beam is None else beam
     pathloss = a.pathloss
     drawn = los_states is not None and isinstance(pathloss, AirToGroundPathLoss)
     lam = s.radio.wavelength_m
@@ -229,8 +273,14 @@ def evaluate_sinr(x, z, s: CorridorScenario, a: OracleAssumptions,
     # the columns its lobe can reach only
     grid = x.ndim == z.ndim == 2 and x.shape[0] == z.shape[1] == 1
 
-    h = work.take("h", x.shape)
-    z2 = np.multiply(z, z, out=work.take("z2", z.shape))
+    if slab:
+        x_lo, x_hi = float(x.min()), float(x.max())
+        # z ascends: its least square is at an end, or 0 if z changes sign
+        z_lo, z_hi = float(z[0]), float(z[-1])
+        z2_least = (min(z_lo * z_lo, z_hi * z_hi) if z_lo >= 0 or z_hi <= 0
+                    else 0.0)
+    else:
+        z2 = np.multiply(z, z, out=work.take("z2", z.shape))
     # r2, p (gain, then received power) and pl (path loss, then scratch)
     # are taken at each window's shape from buffers sized for the block
     for name in ("r2", "p", "pl"):
@@ -250,39 +300,66 @@ def evaluate_sinr(x, z, s: CorridorScenario, a: OracleAssumptions,
             np.copyto(serving, nearest)
     elif with_serving:
         serving.fill(0)
-    cols, cells, window = None, Ellipsis, shape
+    # cells: the window in the block-wide arrays; part: the window in
+    # those with the shape of h (a grid's row, or a slab's window itself)
+    cols = core = None
+    cells = part = Ellipsis
+    window = shape
+    xw, zw = x, z
     for i, pos in enumerate(positions):
-        np.subtract(x, pos, out=h)
+        if slab:
+            near, far = _h_range(x_lo, x_hi, pos)
+            # every r2 is at least near**2 + min(z**2), rounding being
+            # monotone; a bound that is not positive settles nothing
+            if not near * near + z2_least > 0:
+                h = np.subtract(x, pos, out=work.take("h", x.shape))
+                hh = np.multiply(h, h, out=work.take("p", x.shape))
+                hh += np.multiply(z, z, out=work.take("r2", x.shape))
+                _require_distance(hh.min())
+            cells, core = beam._lit_samples(near, far, z)
+            if cells.start == cells.stop:
+                continue
+            xw, zw = x[cells], z[cells]
+            window = zw.shape
+        h = np.subtract(xw, pos, out=work.take("h", xw.shape))
         np.abs(h, out=h)
         # h*h has h's shape and borrows the head of p
-        hh = np.multiply(h, h, out=work.take("p", x.shape))
+        hh = np.multiply(h, h, out=work.take("p", h.shape))
         if grid:
             # the least r2 of the block: rounding is monotone
             _require_distance(hh.min() + z2.min())
             cols = beam._lit_columns(h, z, work)
-            cells = (Ellipsis, cols)
+            cells = part = (Ellipsis, cols)
             window = (shape[0], cols.stop - cols.start)
-        r2 = np.add(hh[cells], z2, out=work.take("r2", window))
-        h_cells = np.broadcast_to(h, shape)  # a view: one value per cell
-        p = beam.gain(h_cells, z, r2, out=work.take("p", window), work=work,
-                      cols=cols)
+        if slab:
+            # a slab holds no z2 buffer: z*z goes to r2 first
+            r2 = np.multiply(zw, zw, out=work.take("r2", window))
+            np.add(hh, r2, out=r2)
+        else:
+            r2 = np.add(hh[part], z2, out=work.take("r2", window))
+        # a view: one value per cell
+        h_cells = h if slab else np.broadcast_to(h, shape)
+        p = beam.gain(h_cells, zw, r2, out=work.take("p", window), work=work,
+                      cols=cols, core=core)
         # a BS that lights no cell adds a power of 0, which changes no
         # step below
         if grid:
             if cols.start == cols.stop:
                 continue
         elif not p.any():
-            _require_distance(r2.min())
+            if not slab:
+                _require_distance(r2.min())
             continue
         pl = work.take("pl", window)
-        # a grid's distances are checked above
+        # the distances of a grid and a slab are checked above
         if drawn:
-            pathloss.loss(h_cells[cells], z, r2, lam,
-                          los_state=los_states[i][cells], out=pl,
-                          work=work, checked=grid)
+            los = (_bit(los_states[i >> 3, cells], i & 7, work) if slab
+                   else los_states[i][cells])
+            pathloss.loss(h_cells[part], zw, r2, lam, los_state=los, out=pl,
+                          work=work, checked=grid or slab)
         else:
-            pathloss.loss(h_cells[cells], z, r2, lam, out=pl, work=work,
-                          checked=grid)
+            pathloss.loss(h_cells[part], zw, r2, lam, out=pl, work=work,
+                          checked=grid or slab)
         p *= p_tx
         p /= pl
         best, rest = p_serv[cells], other[cells]

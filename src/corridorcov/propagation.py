@@ -14,8 +14,10 @@ it needs from them:
   only, in both the expectation and the Bernoulli mode.
 
 The SINR kernel (``oracle.evaluate_sinr``) calls ``gain`` once per base
-station, and ``loss`` once per base station whose lobe can reach a cell
-of the block (on a grid, on its lit window only; see below). ``h``,
+station (on a slab of held samples, once per base station whose lit
+window is not empty), and ``loss`` once per base station whose lobe does
+reach a cell of the block, each on the BS's lit window only where the
+block has one (a grid or a slab; see below). ``h``,
 ``z`` and ``r2`` broadcast against each other. On a grid ``h`` varies
 along the row and ``z`` down the column only: the kernel passes ``h`` as a
 `np.broadcast_to` view of one row, at the block's shape to ``gain`` and
@@ -40,6 +42,16 @@ those fully lit columns are contiguous (a BS inside the row can split
 them in two; then every window column is tested). Called without
 ``cols``, ``gain`` evaluates every cell.
 
+Each beam also has ``_lit_samples(h_near, h_far, z)`` for a slab of
+samples sorted by height ``z`` whose distances to the BS lie in
+``[h_near, h_far]``: the run of samples outside of which none can be lit,
+and the run inside it where every one is, by a search of ``z`` for the
+edge products at the two distances (the rectangular beam; the cosine
+beam names the whole slab and no such run). The kernel then passes
+``h``, ``z``, ``r2`` and ``out`` at the window's shape, one value per
+sample, and the fully lit run as ``core``: the rectangular beam fills
+the peak gain there and tests the samples on either side of it.
+
 Buffers. Every model method takes an optional ``out``, a float array of the
 broadcast shape (the window's, given ``cols``) that receives the result
 and is returned, and an optional ``work``, a `_Workspace` that its scratch
@@ -48,7 +60,8 @@ scratch is contiguous as well. The kernel passes buffers it reuses from
 block to block, so a block allocates no temporaries; a model called on its
 own allocates what it is not given. ``loss`` raises a ValueError unless
 every ``r2`` is positive; a caller that has made that check already (the
-kernel, on a grid block's least ``r2``) passes ``checked=True``, and the
+kernel, on a grid block's or a slab's least ``r2``) passes
+``checked=True``, and the
 model does not pass over ``r2`` again. The in-place forms keep every
 operation's operands and order, so their values are bit-identical to the
 plain expressions in the docstrings; the peak gain filled on fully lit
@@ -79,12 +92,19 @@ class _Workspace:
 
     def __init__(self):
         self._buffers = {}
+        self._least = 0
+
+    def reserve(self, n):
+        """Make each buffer made from now on hold at least `n` cells, so
+        that a buffer taken at many sizes up to n is made once, not once
+        per larger size (whose pages, freed, the process keeps)."""
+        self._least = max(self._least, n)
 
     def take(self, name, shape, dtype=float):
         n = math.prod(shape)
         buf = self._buffers.get(name)
         if buf is None or buf.size < n or buf.dtype != dtype:
-            buf = self._buffers[name] = np.empty(n, dtype)
+            buf = self._buffers[name] = np.empty(max(n, self._least), dtype)
         return buf[:n].reshape(shape)
 
 
@@ -101,6 +121,12 @@ def _compact(a):
 def _cut(a, cols):
     """The columns `cols` of `a`, all of it when None."""
     return a if cols is None else a[..., cols]
+
+
+def _part(a, part):
+    """The slice `part` of the last axis of `a`, or all of `a` if that
+    axis has length 1 (a grid's column of heights, which broadcasts)."""
+    return a if a.shape[-1] == 1 else a[..., part]
 
 
 def _span(dark):
@@ -200,7 +226,7 @@ class RectangularBeam:
         if not (math.isfinite(self.peak_gain) and self.peak_gain >= 0.0):
             raise ValueError(f"peak gain must be finite and >= 0, got {self.peak_gain}")
 
-    def gain(self, h, z, r2, out=None, work=None, cols=None):
+    def gain(self, h, z, r2, out=None, work=None, cols=None, core=None):
         """Peak gain where the elevation atan2(z, h) lies strictly between
         alpha and alpha + beta, zero elsewhere (edges excluded).
 
@@ -216,6 +242,11 @@ class RectangularBeam:
         the window's shape: the block's rows by the columns of `cols`.
         Nothing outside the window is written. The window's fully lit
         columns (`_lit_core`) take the peak gain with no test per cell.
+
+        With `core` (from `_lit_samples`), `h`, `z` and `out` are the
+        window of a slab of samples sorted by height, and the slice
+        `core` of them is fully lit: it takes the peak gain, and only the
+        samples on either side of it are tested.
         """
         h = _cut(_compact(np.asarray(h, dtype=float)), cols)
         z = _compact(np.asarray(z, dtype=float))
@@ -225,21 +256,25 @@ class RectangularBeam:
             out.fill(0.0)
             return out
         work = _Workspace() if work is None else work
-        if cols is None:
+        if cols is None and core is None:
             return self._lobe(h, z, out, work)
         if out.size == 0:
             return out
-        core = self._lit_core(h, z, work)
+        if core is None:
+            core = self._lit_core(h, z, work)
         out[..., core] = self.peak_gain
-        for fringe in (slice(0, core.start), slice(core.stop, h.shape[-1])):
+        for fringe in (slice(0, core.start), slice(core.stop, out.shape[-1])):
             if fringe.start < fringe.stop:
-                self._lobe(h[..., fringe], z, out[..., fringe], work)
+                self._lobe(_part(h, fringe), _part(z, fringe),
+                           out[..., fringe], work)
         return out
 
     def _lobe(self, h, z, out, work):
         """The lobe test of `gain`, cell by cell, written to `out`."""
         lo, hi = self.alpha, self.alpha + self.beta
-        edge = work.take("beam.edge", h.shape)
+        # the edge products have the shape of h; when that is out's, out
+        # holds them until the gain is written
+        edge = out if out.shape == h.shape else work.take("beam.edge", h.shape)
         inside = work.take("beam.inside", out.shape, bool)
         if lo >= -HALF_PI:
             np.greater(z, np.multiply(h, math.tan(lo), out=edge), out=inside)
@@ -287,6 +322,42 @@ class RectangularBeam:
         core = _span(part)
         return slice(0, 0) if part[..., core].any() else core
 
+    def _lit_samples(self, h_near, h_far, z):
+        """Samples of a slab, sorted by height `z`, that the lobe can
+        reach from a BS whose horizontal distance to each of them lies in
+        [h_near, h_far], as a slice; and the slice of that window where
+        every sample is lit, counted from the window's start.
+
+        The edge product h * tan(edge) is monotone in h, each rounding
+        being monotone, so over the slab it lies between its values at
+        h_near and h_far, formed as the lobe test forms them (a tan below
+        zero, downtilt, swaps the two). A sample can be lit only above the
+        lesser lower product and below the greater upper one, and is lit
+        above the greater lower product and below the lesser upper one;
+        an edge beyond 90 degrees does not bind."""
+        lo, hi = self.alpha, self.alpha + self.beta
+        n = z.shape[-1]
+        if lo >= HALF_PI or hi <= -HALF_PI:
+            return slice(0, 0), slice(0, 0)
+        start = core_start = 0
+        stop = core_stop = n
+        if lo >= -HALF_PI:
+            t = math.tan(lo)
+            ends = (h_near * t, h_far * t)
+            start = int(z.searchsorted(min(ends), side="right"))
+            core_start = int(z.searchsorted(max(ends), side="right"))
+        if hi <= HALF_PI:
+            t = math.tan(hi)
+            ends = (h_near * t, h_far * t)
+            stop = int(z.searchsorted(max(ends), side="left"))
+            core_stop = int(z.searchsorted(min(ends), side="left"))
+        if stop <= start:
+            return slice(0, 0), slice(0, 0)
+        if core_stop <= core_start:
+            return slice(start, stop), slice(0, 0)
+        return slice(start, stop), slice(core_start - start,
+                                         core_stop - start)
+
 
 @dataclass(frozen=True)
 class CosineBeam:
@@ -305,12 +376,13 @@ class CosineBeam:
         if self.n_elements < 2:
             raise ValueError(f"element count must be >= 2, got {self.n_elements}")
 
-    def gain(self, h, z, r2, out=None, work=None, cols=None):
+    def gain(self, h, z, r2, out=None, work=None, cols=None, core=None):
         """Gain at the elevation whose cosine is h / sqrt(r2); `z` is not
         needed. With `cols` (from `_lit_columns`), `h` is a grid block's
         row (or its view at the block's shape), and `r2` and `out` have
         the window's shape: the block's rows by the columns of `cols`.
-        Nothing outside the window is written."""
+        Nothing outside the window is written. `core` is None, as
+        `_lit_samples` gives it: no sample is known to be lit."""
         h = _cut(_compact(np.asarray(h, dtype=float)), cols)
         r2 = np.asarray(r2, dtype=float)
         x = _buffer(out, np.broadcast_shapes(h.shape, r2.shape))
@@ -352,6 +424,12 @@ class CosineBeam:
         self._offset(h, np.add(hh, z2.max(), out=x), out=x)
         dark |= np.greater(x, bound, out=work.take("beam.past", h.shape, bool))
         return _span(dark)
+
+    def _lit_samples(self, h_near, h_far, z):
+        """The window of a slab sorted by height `z` (see
+        `RectangularBeam._lit_samples`): the whole slab, and no fully lit
+        core."""
+        return slice(0, z.shape[-1]), None
 
 
 BeamPattern = RectangularBeam | CosineBeam

@@ -8,6 +8,7 @@ from stream_reference import outage_of_one_stream
 from corridorcov import closed_form, monte_carlo, oracle
 from corridorcov.defaults import reference_scenario
 from corridorcov.monte_carlo import (
+    DRAW_BLOCK,
     HELD_BLOCK,
     LosMode,
     McConfig,
@@ -19,6 +20,7 @@ from corridorcov.monte_carlo import (
 from corridorcov.oracle import (
     BLOCK_POINTS,
     Association,
+    BeamKind,
     OracleAssumptions,
     coverage_by_quadrature,
     evaluate_sinr,
@@ -218,44 +220,120 @@ def test_result_fields():
     assert 0 <= r.ci95[0] <= r.p_out <= r.ci95[1] <= 1
 
 
+def _bernoulli(**kw):
+    return dict(assumptions=OracleAssumptions(pathloss=AirToGroundPathLoss(),
+                                              **kw),
+                los_mode=LosMode.BERNOULLI)
+
+
 # the held-path matrix: free space, air-to-ground in expectation mode, and
-# Bernoulli LoS draws with four and with three base stations
+# Bernoulli LoS draws with four and with three base stations; a BS inside
+# the half corridor (so inside some slabs' x range), the cosine beam,
+# nearest association, the sum of the interference, and nine base
+# stations (two LoS bytes a sample)
 _HELD_MODELS = {
     "fspl": _DRAW_CONFIGS[2],
     "a2g": dict(assumptions=OracleAssumptions(pathloss=AirToGroundPathLoss())),
     "a2g-bernoulli-4": _DRAW_CONFIGS[6],
     "a2g-bernoulli-3": _DRAW_CONFIGS[5],
+    "bs-inside": _bernoulli(bs_positions=(-1000.0, 250.0, 1000.0, 2000.0)),
+    "cosine": dict(assumptions=OracleAssumptions(
+        beam=BeamKind.COSINE, pathloss=AirToGroundPathLoss())),
+    "nearest-sum": _bernoulli(association=Association.NEAREST,
+                              interference=InterferenceMode.SUM_ALL),
+    "sum": _bernoulli(interference=InterferenceMode.SUM_ALL),
+    "nine-bs": _bernoulli(bs_positions=tuple(
+        1000.0 * i for i in range(-4, 5))),
 }
+# (alpha, beta) in degrees: downtilt, regular uptilts, and a lobe past 90
+# degrees
+_HELD_TILTS = [(-5.0, 40.0), (8.0, 40.0), (13.0, 40.0), (25.0, 40.0),
+               (60.0, 40.0)]
 
 
 @pytest.mark.parametrize("model", sorted(_HELD_MODELS))
 @pytest.mark.parametrize("n", [1, 7, 8, 9, HELD_BLOCK - 1, HELD_BLOCK,
                                HELD_BLOCK + 1, 200_001])
 def test_held_samples_give_the_streamed_result(n, model):
-    # one sample set per seed, read at every uptilt (with LoS bits packed
-    # across a last partial byte and a last short block), against the
-    # blocks that draw as they go
+    # one sample set per seed, read at every uptilt (in one slab, or in
+    # slabs of unequal size), against the blocks that draw as they go
     for seed in (0, 3, 7):
         cfg = McConfig(n_samples=n, seed=seed, **_HELD_MODELS[model])
         samples = SampleSet()
-        for alpha_deg in (-5.0, 8.0, 13.0, 25.0):
-            s = reference_scenario(alpha_deg, 40)
+        for tilt in _HELD_TILTS:
+            s = reference_scenario(*tilt)
             assert (estimate_outage(s, cfg, samples=samples)
                     == estimate_outage(s, cfg))
+
+
+@pytest.mark.parametrize("model", ["a2g-bernoulli-4", "bs-inside", "nine-bs"])
+@pytest.mark.parametrize("block", [1, 2, 5])
+@pytest.mark.parametrize("n", [1, 2, 3, 40])
+def test_held_slabs_may_be_empty(monkeypatch, n, block, model):
+    # with held blocks of a few samples there are as many slabs as blocks,
+    # and some of them are empty
+    monkeypatch.setattr(monte_carlo, "HELD_BLOCK", block)
+    cfg = McConfig(n_samples=n, seed=5, **_HELD_MODELS[model])
+    samples = SampleSet()
+    for tilt in _HELD_TILTS:
+        s = reference_scenario(*tilt)
+        assert (estimate_outage(s, cfg, samples=samples)
+                == estimate_outage(s, cfg))
+    sizes = np.diff(samples._starts)
+    assert sizes.size == -(-n // block) and sizes.sum() == n
+    if n == 40 and block == 1:
+        assert 0 in sizes and sizes.max() > 1
+
+
+@pytest.mark.parametrize("draw_block", [1000, DRAW_BLOCK, 4 * HELD_BLOCK])
+@pytest.mark.parametrize("model", ["fspl", "a2g-bernoulli-4", "nine-bs"])
+def test_held_set_is_the_drawn_samples_in_x_slabs_sorted_by_z(
+        monkeypatch, model, draw_block):
+    # every drawn sample is held once, with its own LoS states; slab j
+    # holds the samples whose x draw u has floor(u * K) = j, sorted by z,
+    # whether a draw block holds part of a slab, or all of them
+    monkeypatch.setattr(monte_carlo, "DRAW_BLOCK", draw_block)
+    n = 3 * HELD_BLOCK + 17
+    cfg = McConfig(n_samples=n, seed=2, **_HELD_MODELS[model])
+    s = reference_scenario(13.0, 40.0)
+    positions = cfg.assumptions.resolve_positions(s)
+    dps = monte_carlo._draws_per_sample(cfg, positions)
+    samples = SampleSet()
+    samples._draw(s, cfg, dps, positions)
+    k = -(-n // HELD_BLOCK)
+    u = np.random.Generator(np.random.Philox(key=cfg.seed)).random((n, dps))
+    x, z, los = monte_carlo._samples(s, cfg, u, _Workspace(), positions)
+    starts = samples._starts
+    assert starts[0] == 0 and starts[-1] == n and starts.size == k + 1
+    slab = np.minimum(np.floor(u[:, 0] * k), k - 1)
+    for j, (lo, hi) in enumerate(zip(starts[:-1], starts[1:])):
+        mine = slab == j
+        order = np.argsort(z[mine], kind="stable")
+        assert hi - lo == np.count_nonzero(mine)
+        assert np.array_equal(samples._z[lo:hi], z[mine][order])
+        assert np.array_equal(samples._x[lo:hi], x[mine][order])
+        if los is None:
+            assert samples._los is None
+        else:
+            held = np.unpackbits(samples._los[:, lo:hi], axis=0,
+                                 count=len(positions), bitorder="little")
+            assert np.array_equal(held.view(bool), los[:, mine][:, order])
 
 
 def test_a_changed_sample_key_draws_anew(monkeypatch):
     # the uptilt, beamwidth, threshold and reduction leave the samples as
     # they are; the corridor, the seed, the sample count, the BS positions
-    # and the LoS model each draw them again, and give the streamed result
+    # and the LoS model each draw them again, and give the streamed result.
+    # A held draw reads every block twice: once to size the slabs, once
+    # to fill them.
     draws = []
-    real = monte_carlo._draw_block
+    real = monte_carlo._uniforms
 
-    def counting(s, m, dps, lo, hi, w):
+    def counting(m, dps, lo, hi, w):
         draws.append(lo)
-        return real(s, m, dps, lo, hi, w)
+        return real(m, dps, lo, hi, w)
 
-    monkeypatch.setattr(monte_carlo, "_draw_block", counting)
+    monkeypatch.setattr(monte_carlo, "_uniforms", counting)
     s = reference_scenario(13, 40)
     a = _DRAW_CONFIGS[6]["assumptions"]
     cfg = McConfig(n_samples=HELD_BLOCK + 5, seed=3, **_DRAW_CONFIGS[6])
@@ -268,7 +346,8 @@ def test_a_changed_sample_key_draws_anew(monkeypatch):
         assert r == estimate_outage(s, cfg)
         return held
 
-    assert held_draws(s, cfg) == [0, HELD_BLOCK]
+    twice = list(range(0, HELD_BLOCK + 5, DRAW_BLOCK)) * 2
+    assert held_draws(s, cfg) == twice
     same = [(reference_scenario(8, 40), cfg),
             (reference_scenario(13, 30, tau_db=5.0), cfg),
             (s, dataclasses.replace(cfg, assumptions=dataclasses.replace(
@@ -285,5 +364,29 @@ def test_a_changed_sample_key_draws_anew(monkeypatch):
                    a, pathloss=AirToGroundPathLoss(a=5.0))))]
     for s_new, cfg_new in changed:
         # each differs from (s, cfg) in one key field only
-        assert held_draws(s_new, cfg_new) == [0, HELD_BLOCK]
-        assert held_draws(s, cfg) == [0, HELD_BLOCK]
+        assert held_draws(s_new, cfg_new) == twice
+        assert held_draws(s, cfg) == twice
+
+
+@pytest.mark.parametrize("k", [1, 3, 65535, 65536, 70001])
+def test_slab_index_is_the_floor_of_u_times_k(k):
+    # 16-bit indices below 2**16 slabs, machine integers from there on;
+    # the largest draw below 1 stays in the last slab
+    u = np.array([0.0, 0.25, 0.5, 0.999999, 1.0 - 2.0 ** -53])
+    got = monte_carlo._slab_index(u, k, _Workspace())
+    assert got.dtype == (np.uint16 if k < 1 << 16 else np.intp)
+    assert np.array_equal(got, np.minimum(np.floor(u * k), k - 1))
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_z_order_is_the_stable_sort_of_positive_heights(seed):
+    # heights over many binades, equal heights, the least subnormal and
+    # zero, in any order: the radix sort of their bits is the stable sort
+    rng = np.random.default_rng(seed)
+    z = np.concatenate([rng.random(3000) * 300.0 + 1e-3,
+                        np.exp(rng.uniform(-700.0, 700.0, 3000)),
+                        np.full(50, 150.0), np.full(5, 5e-324), [0.0],
+                        np.repeat(rng.random(40) * 100.0, 3)])
+    rng.shuffle(z)
+    assert np.array_equal(monte_carlo._z_order(z),
+                          np.argsort(z, kind="stable"))

@@ -299,3 +299,26 @@ def test_cli_maps_a_block_error_to_exit_1(monkeypatch, tmp_path, capsys):
     captured = capsys.readouterr()
     assert captured.err == "error: third block\n"
     assert captured.out == "" and not out.exists()
+
+
+def test_beam_and_positions_are_resolved_once_per_call(monkeypatch):
+    # a field and a Monte Carlo estimate of many blocks (or slabs) each
+    # form the beam and the BS positions once, not per block
+    calls = []
+    for name in ("resolve_beam", "resolve_positions"):
+        def counting(self, s, real=getattr(OracleAssumptions, name),
+                     name=name):
+            calls.append(name)
+            return real(self, s)
+        monkeypatch.setattr(OracleAssumptions, name, counting)
+    s = reference_scenario(13.0, 40.0)
+    a = OracleAssumptions(beam=BeamKind.COSINE)
+    n = 3 * oracle.BLOCK_POINTS + 5
+    samples = monte_carlo.SampleSet()
+    for run in (lambda: heatmap.sinr_field(s, a, 301, 700),
+                lambda: estimate_outage(s, McConfig(n_samples=n, assumptions=a)),
+                lambda: estimate_outage(s, McConfig(n_samples=n, assumptions=a),
+                                        samples=samples)):
+        calls.clear()
+        run()
+        assert sorted(calls) == ["resolve_beam", "resolve_positions"]

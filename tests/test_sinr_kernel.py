@@ -14,11 +14,12 @@ import pytest
 import sinr_reference as ref
 from corridorcov.defaults import reference_scenario
 from corridorcov.heatmap import sinr_field
-from corridorcov.monte_carlo import los_states
+from corridorcov.monte_carlo import _pack, los_states
 from corridorcov.oracle import (
     Association,
     BeamKind,
     OracleAssumptions,
+    _h_range,
     coverage_by_quadrature,
     evaluate_sinr,
 )
@@ -365,6 +366,89 @@ def test_no_cell_outside_the_window_is_lit(beam, alpha_deg, beta_deg):
                 assert core.start == core.stop
 
 
+# x ranges of slabs around a BS at 500.25: on either side of it, holding
+# it, far wider than a slab, and one distance only (on the BS and off it)
+SLAB_XS = [(400.0, 480.0), (520.0, 2000.0), (450.0, 550.0), (-800.0, 1900.0),
+           (500.25, 500.25), (600.0, 600.0)]
+
+
+@pytest.mark.parametrize("alpha_deg,beta_deg", WINDOW_TILTS)
+def test_slab_window_holds_every_lit_sample(alpha_deg, beta_deg):
+    # random slabs sorted by z, with heights of either sign and heights
+    # exactly on the edge products at the slab's least and greatest
+    # distance from the BS: the rectangular gain is exactly 0 outside the
+    # window and exactly the peak on its core, and given the core, gain
+    # gives the whole gain's values on the window. With one distance the
+    # window is exactly the lit samples, all of them core.
+    s = reference_scenario(alpha_deg, beta_deg)
+    b = OracleAssumptions().resolve_beam(s)
+    pos = 500.25
+    rng = np.random.default_rng(int(alpha_deg + 200))
+    work = _Workspace()
+    for x_lo, x_hi in SLAB_XS:
+        near, far = _h_range(x_lo, x_hi, pos)
+        edges = [h * math.tan(e) for h in (near, far)
+                 for e in (s.alpha, s.alpha + s.beta)]
+        z = np.sort(np.concatenate([rng.uniform(-700.0, 700.0, 400), edges]))
+        x = rng.uniform(x_lo, x_hi, z.size)
+        x[:2] = x_lo, x_hi
+        h = np.abs(x - pos)
+        r2 = h * h + z * z
+        g = b.gain(h, z, r2)
+        window, core = b._lit_samples(near, far, z)
+        assert not g[:window.start].any() and not g[window.stop:].any()
+        assert np.all(g[window][core] == b.peak_gain)
+        out = np.full(window.stop - window.start, np.nan)
+        assert b.gain(h[window], z[window], r2[window], out=out, work=work,
+                      core=core) is out
+        assert np.array_equal(out, g[window])
+        if x_lo == x_hi:
+            lit = np.flatnonzero(g)
+            assert window == (slice(lit[0], lit[-1] + 1) if lit.size
+                              else slice(0, 0))
+            assert core == slice(0, window.stop - window.start)
+
+
+def _slab(x_lo, x_hi, z_lo, z_hi, n):
+    """n samples with x uniform in [x_lo, x_hi] and z in [z_lo, z_hi],
+    sorted by z."""
+    rng = np.random.default_rng(n)
+    return rng.uniform(x_lo, x_hi, n), np.sort(rng.uniform(z_lo, z_hi, n))
+
+
+# slabs in the half corridor on one side of every BS and holding BS-1, one
+# that spans every BS and heights of either sign, and one sample
+SLABS = [(100.0, 130.0, 100.0, 300.0, 3000), (-20.0, 40.0, 100.0, 300.0, 3000),
+         (-1500.0, 2500.0, -150.0, 400.0, 3000),
+         (250.0, 250.0, 150.0, 150.0, 1)]
+
+
+@pytest.mark.parametrize("assoc,interference,beam,loss,noise", MATRIX)
+def test_slabs_are_bit_identical_to_the_allocating_kernel(
+        assoc, interference, beam, loss, noise):
+    # sorted slabs take the windowed sample path, LoS states as the held
+    # sample set packs them; the allocating kernel evaluates every BS on
+    # every sample
+    work = _Workspace()
+    for x_lo, x_hi, z_lo, z_hi, n in SLABS:
+        x, z = _slab(x_lo, x_hi, z_lo, z_hi, n)
+        a, u = _case(assoc, interference, beam, loss, noise, n)
+        for tilt in TILTS:
+            s = reference_scenario(*tilt)
+            srv_ref, val_ref = ref.allocating_evaluate_sinr(x, z, s, a,
+                                                            los_uniforms=u)
+            los = _states(x, z, s, a, u)
+            packed = None if los is None else _pack(los, _Workspace())
+            srv, val = evaluate_sinr(x, z, s, a, los_states=packed, work=work,
+                                     slab=True)
+            assert np.array_equal(srv, srv_ref)
+            assert np.array_equal(val, val_ref)
+            none, val = evaluate_sinr(x, z, s, a, los_states=packed,
+                                      work=work, with_serving=False, slab=True)
+            assert none is None
+            assert np.array_equal(val, val_ref)
+
+
 @pytest.mark.parametrize("assoc,interference,beam,loss,noise", MATRIX)
 def test_dark_base_stations_are_skipped_bit_for_bit(
         assoc, interference, beam, loss, noise):
@@ -407,6 +491,10 @@ def test_zero_distance_raises_in_an_unlit_cell(beam):
     with pytest.raises(ValueError, match="positive distance"), \
             np.errstate(invalid="ignore"):
         evaluate_sinr(np.array([0.0, 0.0]), np.array([0.0, -50.0]), s, a)
+    # and in a slab, where the sample on BS-1 lies outside every window
+    with pytest.raises(ValueError, match="positive distance"):
+        evaluate_sinr(np.array([0.0, 0.0, 5.0]), np.array([-50.0, 0.0, 9.0]),
+                      s, a, slab=True)
 
 
 @pytest.mark.parametrize("loss", LOSS_MODES)
@@ -422,6 +510,10 @@ def test_zero_distance_raises_in_a_lit_cell(loss):
         assert a.resolve_beam(s).gain(x, z, x * x + z * z).all()
         with pytest.raises(ValueError, match="positive distance"):
             evaluate_sinr(x, z, s, a, los_states=_states(x, z, s, a, u))
+    los = _states(tiny, tiny, s, a, u)
+    with pytest.raises(ValueError, match="positive distance"):
+        evaluate_sinr(tiny, tiny, s, a, slab=True,
+                      los_states=None if los is None else _pack(los, _Workspace()))
 
 
 @pytest.mark.parametrize("nx,nz", [(1, 300), (70001, 2)])
