@@ -13,34 +13,36 @@ its own Philox generator at the counter step that holds draw lo * k
 before it. `_samples` scales x and z to the half corridor and in Bernoulli
 mode turns each link's uniform u into its LoS state,
 u < p_los(|x - x_BS|, z) (`los_states`, the package's one LoS test). The
-SINR kernel takes the states, not the uniforms. So each sample reads its
-own draws whatever the block size or the order in which blocks run, and
-each block's outage count is an integer: the result depends only on
-(scenario, config), not on the order in which the samples are evaluated.
+states are bits, one byte a sample with bit i the state of BS i
+(ceil(n_bs / 8) bytes with more than eight base stations), the one layout
+the SINR kernel reads; it takes the states, not the uniforms. So each
+sample reads its own draws whatever the block size or the order in which
+blocks run, and each block's outage count is an integer: the result
+depends only on (scenario, config), not on the order in which the samples
+are evaluated.
 
 The samples come from one of two sources, with the same result bit for
 bit:
 
 - Streamed (`estimate_outage` without a sample set; the `mc` and
   `validate` commands): each block of BLOCK_POINTS samples draws them as
-  it is evaluated (`_draw_block`), in the caller's thread
-  (`oracle._sum_blocks`). The draws, the scaled positions and the
-  kernel's temporaries live in one workspace that every block reuses, and
-  that the caller may reuse across calls; what it held before cannot
-  change a result. Nothing outlives the call.
+  it is evaluated, in the caller's thread (`oracle._sum_blocks`). The
+  draws, the scaled positions, the LoS states and the kernel's
+  temporaries live in one workspace that every block reuses, and that
+  the caller may reuse across calls; what it held before cannot change a
+  result. Nothing outlives the call.
 - Held (`estimate_outage` with a `SampleSet`; the Monte Carlo evaluator of
   `sweep` and `optimize`, which evaluates one sample set at many
   uptilts): the samples are drawn once into the set, which keeps x and z
-  as floats and, in Bernoulli mode, the LoS states as one byte a sample
-  with bit i the state of BS i (ceil(n_bs / 8) bytes with more than eight
-  base stations): 17 B a sample with four. The set holds them in
-  K = ceil(n / HELD_BLOCK) slabs of x, the samples whose x draw u has
-  min(floor(u * K), K - 1) = j in slab j, each slab sorted by z. The
-  draw reads the stream twice, in blocks of DRAW_BLOCK (`_draw_slabs`):
-  the first pass counts the samples of each slab, the second writes each
-  sample straight to its slab's next free place; then each slab is
-  sorted (`_z_order`). So no permutation of the whole set and no second
-  copy of it exist at any time. Every uptilt is then evaluated slab by slab, in the caller's
+  as floats and, in Bernoulli mode, the LoS bytes: 17 B a sample with
+  four base stations. The set holds them in K = ceil(n / HELD_BLOCK)
+  slabs of x, the samples whose x draw u has min(floor(u * K), K - 1) = j
+  in slab j, each slab sorted by z. The draw reads the stream twice, in
+  blocks of DRAW_BLOCK (`_draw_slabs`): the first pass counts the samples
+  of each slab, the second writes each sample straight to its slab's
+  next free place; then each slab is sorted (`_z_order`). So no
+  permutation of the whole set and no second copy of it exist at any
+  time. Every uptilt is then evaluated slab by slab, in the caller's
   thread, where the kernel evaluates each base station on the samples
   its lobe can reach only (`evaluate_sinr(..., slab=True)`): x bounds
   the slab's distances to the BS, and its lit window is a run of the
@@ -114,20 +116,26 @@ def _draws_per_sample(m: McConfig, positions) -> int:
 
 
 def los_states(x, z, positions, pathloss: AirToGroundPathLoss, u,
-               out=None, work=None):
-    """LoS state of the link from each BS to each point (x, z), as booleans
-    (n_bs, *shape): u[i] < p_los(|x - positions[i]|, z), with u[i] the
-    link's uniform draw. `out` receives them (a new array when None);
-    `work` is a `_Workspace` for the scratch arrays."""
+               work=None):
+    """LoS state of the link from each BS to each point (x, z), as bytes
+    (ceil(n_bs / 8), *shape): bit i % 8 of row i // 8 is
+    u[i] < p_los(|x - positions[i]|, z), with u[i] the link's uniform
+    draw, and the bits past the last BS are 0. `work` is a `_Workspace`
+    that the states and the scratch arrays are taken from (a new one when
+    None)."""
     shape = np.broadcast_shapes(np.shape(x), np.shape(z))
-    out = np.empty((len(positions), *shape), bool) if out is None else out
     work = _Workspace() if work is None else work
+    out = work.take("los", (-(-len(positions) // 8), *shape), np.uint8)
     h = work.take("los.h", np.shape(x))
     p = work.take("los.p", shape)
+    state = work.take("los.state", shape, bool)
+    bit = work.take("los.shifted", shape, np.uint8)
+    out.fill(0)
     for i, pos in enumerate(positions):
         np.subtract(x, pos, out=h)
         np.abs(h, out=h)
-        np.less(u[i], pathloss.p_los(h, z, out=p), out=out[i])
+        np.less(u[i], pathloss.p_los(h, z, out=p), out=state)
+        out[i >> 3] |= np.left_shift(state.view(np.uint8), i & 7, out=bit)
     return out
 
 
@@ -151,15 +159,8 @@ def _samples(s: CorridorScenario, m: McConfig, u, w, positions):
     h_x += s.h1
     if dps == 2:
         return d_x, h_x, None
-    los = los_states(d_x, h_x, positions, m.assumptions.pathloss, u[:, 2:].T,
-                     out=w.take("los", (dps - 2, size), bool), work=w)
-    return d_x, h_x, los
-
-
-def _draw_block(s: CorridorScenario, m: McConfig, dps, lo, hi, w, positions):
-    """x, z and the LoS states (None with two draws per sample) of samples
-    [lo, hi), in buffers of the workspace `w`."""
-    return _samples(s, m, _uniforms(m, dps, lo, hi, w), w, positions)
+    return d_x, h_x, los_states(d_x, h_x, positions, m.assumptions.pathloss,
+                                u[:, 2:].T, work=w)
 
 
 def _slab_index(u_x, k, w):
@@ -172,17 +173,6 @@ def _slab_index(u_x, k, w):
     # zero, which is floor
     np.multiply(u_x, k, out=slab, casting="unsafe")
     return np.minimum(slab, k - 1, out=slab)
-
-
-def _pack(los, w):
-    """LoS states (n_bs, size) as bytes (ceil(n_bs / 8), size), bit i % 8
-    of row i // 8 the state of BS i, in a buffer of `w`."""
-    packed = w.take("packed", (-(-len(los) // 8), los.shape[1]), np.uint8)
-    bit = w.take("packed.bit", los.shape[1:], np.uint8)
-    packed.fill(0)
-    for i, state in enumerate(los):
-        packed[i >> 3] |= np.left_shift(state.view(np.uint8), i & 7, out=bit)
-    return packed
 
 
 def _z_order(z):
@@ -232,7 +222,7 @@ def _draw_slabs(s: CorridorScenario, m: McConfig, dps, positions):
         x[dest] = d_x
         z[dest] = h_x
         if los is not None:
-            for row, bits in zip(los, _pack(drawn, work)):
+            for row, bits in zip(los, drawn):
                 row[dest] = bits
         free += counts
     return x, z, los, starts
@@ -306,8 +296,8 @@ def estimate_outage(s: CorridorScenario, m: McConfig, work=None,
         return int(np.count_nonzero(missed))
 
     if samples is None:
-        missed = _sum_blocks(n, 1, lambda lo, hi: outages(
-            *_draw_block(s, m, dps, lo, hi, work, positions)))
+        missed = _sum_blocks(n, 1, lambda lo, hi: outages(*_samples(
+            s, m, _uniforms(m, dps, lo, hi, work), work, positions)))
     else:
         samples._draw(s, m, dps, positions)
         # every window fits the largest slab

@@ -12,14 +12,20 @@ How the kernel works. For each base station in turn it forms
 beam's ``gain`` and the path-loss model's ``loss`` (the protocol is
 described in `propagation`), once per BS per call. In Bernoulli LoS mode
 the caller passes each link's LoS state, drawn and tested against
-``p_los`` by the Monte Carlo sampler (`monte_carlo.los_states`); the
-kernel only picks each link's excess loss by it. It never builds a
-(base stations x points) power matrix: strongest association keeps a
-running (serving, strongest interferer) pair, or under SUM_ALL
-interference the serving power and a running sum of the powers that lose
-to it, and nearest association reads the serving power out of the same
-pass. The serving index is formed only for callers that read it (the
+``p_los`` by the Monte Carlo sampler (`monte_carlo.los_states`), as one
+bit per link: the kernel reads BS i's bit of each point and only picks
+the link's excess loss by it. It never builds a (base stations x points)
+power matrix: strongest association keeps a running (serving, strongest
+interferer) pair, or under SUM_ALL interference the serving power and a
+running sum of the powers that lose to it, and nearest association reads
+the serving power out of the same pass. The serving index is formed only for callers that read it (the
 heatmap); the quadrature and the sampler ask for the SINR alone.
+
+Point layouts. The kernel takes three: a grid block (a row of x and a
+column of z, below), a slab of held Monte Carlo samples (``slab=True``:
+1-D samples sorted by height, see `monte_carlo.SampleSet`), and any other
+points, such as a block of streamed samples. Each BS goes through the same
+steps on each of them; only the way its lit window is found differs.
 
 Broadcast grid. x and z broadcast against each other, and the results take
 their broadcast shape. The row-block loop passes a grid's one row of x and
@@ -35,35 +41,35 @@ cells.
 
 Lit windows and dark base stations. A BS adds power only where its lobe
 reaches, and a zero power changes no step of any reduction (the strongest
-pair, the sum, the nearest BS's power). On a grid block the beam names the
-columns outside of which no cell of the block can be lit
-(`_lit_columns`, from the block's extreme heights and the same rounded
-products as its lobe test). ``r2``, the gain, the path loss (given LoS
-states, on their columns too) and the power are then formed in buffers of
-the window's own shape, the block's rows by the window's columns, so each
-of their passes runs over contiguous memory. Only the running serving and
+pair, the sum, the nearest BS's power). The beam names, for each BS, a
+window outside of which no point of the block can be lit, and inside it,
+for the rectangular beam, a fully lit core where every point is lit (or
+None). On a grid block the window is a run of columns and the core a run
+of them (`_lit_columns`, from the row of ``h`` and the block's extreme
+heights, with the same rounded products as the lobe test). On a slab the
+slab's extreme x bound each BS's distances to its samples, to
+``[0, far]`` when the BS lies inside the slab's x range, and the window
+and the core are runs of the sorted heights (`_lit_samples`, a search of
+the heights for the edge products at those two distances). On other
+points the window is the whole block, with no core, and so is every
+window of the cosine beam. ``r2``, the gain, the path loss (and the
+link's LoS bit) and the power are then formed in buffers of the window's
+own shape (a grid's rows by the window's columns), so each of their
+passes runs over contiguous memory. Only the running serving and
 interference state stays block-wide; the reduction updates it through a
-column view of the window. The beam's ``gain`` writes the window alone,
-and the rectangular beam fills the peak gain on the window's fully lit
-columns with no test per cell (`RectangularBeam._lit_core`). A slab of
-held Monte Carlo samples (``slab=True``: 1-D samples sorted by height,
-see `monte_carlo.SampleSet`) gets its windows the same way in one
-dimension: the slab's extreme x bound each BS's distances to its
-samples, to ``[0, far]`` when the BS lies inside the slab's x range, and
-the beam names the run of sorted heights outside of which no sample can
-be lit (``_lit_samples``, a search of the heights for the edge products
-at those two distances) and, for the rectangular beam, the run inside it
-where every sample is lit. ``h``, ``r2``, the gain, the path loss (and
-the link's LoS bit) and the power are then formed on that run only. On
-other sample points the window is the whole block. On sample points, a
-slab's included, a BS whose gain is zero at every point of its window is
-skipped after its gain. The positive-distance check of the path-loss
-models still covers every cell and every BS: on a grid it is made once
-per BS on the least ``r2`` of the block, ``min(h**2) + min(z**2)``,
-which is exact because rounding is monotone; on a slab on the same bound
-from its least distance and least height, and on every sample's ``r2``
-only where that bound is not positive. The loss is told so
-(``checked=True``) and does not pass over the window's ``r2`` again.
+view of the window. ``gain`` fills the peak gain on the core with no test
+per cell and tests the cells on either side of it. A BS whose window is
+empty, or whose gain is zero at every point of a window with no core, is
+skipped after its gain (on a slab, an empty window before it).
+
+Distances. The path-loss models need a positive distance at every point
+of every BS, lit or not, and the kernel checks that once per BS on every
+layout: the block's extreme x bound the BS's least distance ``near``
+(`_h_range`, 0 when the BS lies inside them) and its extreme heights the
+least ``z**2``, and every ``r2`` is at least ``near**2 + min(z**2)``
+because rounding is monotone. Only where that bound is not positive does
+it check every ``r2`` of the block. The loss is told so (``checked=True``)
+and does not pass over the window's ``r2`` again.
 
 Blocks and workspaces. Grids are cut into blocks of whole rows, and the
 streamed Monte Carlo sampler's samples into runs, by one loop,
@@ -237,20 +243,19 @@ def evaluate_sinr(x, z, s: CorridorScenario, a: OracleAssumptions,
     single non-serving power (DOMINANT_ONLY) or their sum (SUM_ALL). With no
     noise and no interference the SINR is +inf. Where no BS delivers any
     power the serving index falls back to the nearest BS and the SINR is 0.
-    With `los_states`, booleans (n_bs, *shape) as
-    `monte_carlo.los_states` forms them, and an air-to-ground model, each
-    link takes its drawn LoS or NLoS excess loss instead of the
-    expectation mixture. With `with_serving` false the serving index is not
-    formed and None stands in its place.
+    With `los_states`, bytes (ceil(n_bs / 8), *shape) with bit i % 8 of
+    row i // 8 the LoS state of BS i, as `monte_carlo.los_states` forms
+    them, and an air-to-ground model, each link takes its drawn LoS or
+    NLoS excess loss instead of the expectation mixture. With
+    `with_serving` false the serving index is not formed and None stands
+    in its place.
 
     `beam` and `positions` are what `a.resolve_beam(s)` and
     `a.resolve_positions(s)` give, formed here when None; a caller that
     evaluates many blocks of one scenario forms them once. With `slab`,
     x and z are 1-D samples with z ascending (a slab of a
-    `monte_carlo.SampleSet`), each BS is evaluated on the samples its lobe
-    can reach only, and `los_states`, if given, holds a byte per sample for
-    eight BSs: (ceil(n_bs / 8), n) bytes, bit i % 8 of row i // 8 the
-    state of BS i.
+    `monte_carlo.SampleSet`), and each BS is evaluated on the samples its
+    lobe can reach only.
 
     Every temporary, and both results, live in the buffers of `work` (a
     `_Workspace`; a new one when None), so the results are views that the
@@ -273,13 +278,14 @@ def evaluate_sinr(x, z, s: CorridorScenario, a: OracleAssumptions,
     # the columns its lobe can reach only
     grid = x.ndim == z.ndim == 2 and x.shape[0] == z.shape[1] == 1
 
-    if slab:
-        x_lo, x_hi = float(x.min()), float(x.max())
-        # z ascends: its least square is at an end, or 0 if z changes sign
-        z_lo, z_hi = float(z[0]), float(z[-1])
-        z2_least = (min(z_lo * z_lo, z_hi * z_hi) if z_lo >= 0 or z_hi <= 0
-                    else 0.0)
-    else:
+    x_lo, x_hi = float(x.min()), float(x.max())
+    # a slab's z ascends
+    z_lo, z_hi = ((float(z[0]), float(z[-1])) if slab
+                  else (float(z.min()), float(z.max())))
+    # the least z**2: at an end, or 0 if z changes sign
+    z2_least = (min(z_lo * z_lo, z_hi * z_hi) if z_lo >= 0 or z_hi <= 0
+                else 0.0)
+    if not slab:
         z2 = np.multiply(z, z, out=work.take("z2", z.shape))
     # r2, p (gain, then received power) and pl (path loss, then scratch)
     # are taken at each window's shape from buffers sized for the block
@@ -307,15 +313,15 @@ def evaluate_sinr(x, z, s: CorridorScenario, a: OracleAssumptions,
     window = shape
     xw, zw = x, z
     for i, pos in enumerate(positions):
+        near, far = _h_range(x_lo, x_hi, pos)
+        # every r2 is at least near**2 + min(z**2), rounding being
+        # monotone; a bound that is not positive settles nothing
+        if not near * near + z2_least > 0:
+            h = np.subtract(x, pos, out=work.take("h", x.shape))
+            r2 = np.multiply(h, h, out=work.take("r2", shape))
+            r2 += np.multiply(z, z, out=work.take("p", z.shape))
+            _require_distance(r2.min())
         if slab:
-            near, far = _h_range(x_lo, x_hi, pos)
-            # every r2 is at least near**2 + min(z**2), rounding being
-            # monotone; a bound that is not positive settles nothing
-            if not near * near + z2_least > 0:
-                h = np.subtract(x, pos, out=work.take("h", x.shape))
-                hh = np.multiply(h, h, out=work.take("p", x.shape))
-                hh += np.multiply(z, z, out=work.take("r2", x.shape))
-                _require_distance(hh.min())
             cells, core = beam._lit_samples(near, far, z)
             if cells.start == cells.stop:
                 continue
@@ -326,9 +332,7 @@ def evaluate_sinr(x, z, s: CorridorScenario, a: OracleAssumptions,
         # h*h has h's shape and borrows the head of p
         hh = np.multiply(h, h, out=work.take("p", h.shape))
         if grid:
-            # the least r2 of the block: rounding is monotone
-            _require_distance(hh.min() + z2.min())
-            cols = beam._lit_columns(h, z, work)
+            cols, core = beam._lit_columns(h, z_lo, z_hi, work)
             cells = part = (Ellipsis, cols)
             window = (shape[0], cols.stop - cols.start)
         if slab:
@@ -342,24 +346,18 @@ def evaluate_sinr(x, z, s: CorridorScenario, a: OracleAssumptions,
         p = beam.gain(h_cells, zw, r2, out=work.take("p", window), work=work,
                       cols=cols, core=core)
         # a BS that lights no cell adds a power of 0, which changes no
-        # step below
-        if grid:
-            if cols.start == cols.stop:
-                continue
-        elif not p.any():
-            if not slab:
-                _require_distance(r2.min())
+        # step below; a fully lit core is lit (or the peak gain is 0, and
+        # evaluating it changes nothing either)
+        if core is None and not p.any():
             continue
         pl = work.take("pl", window)
-        # the distances of a grid and a slab are checked above
         if drawn:
-            los = (_bit(los_states[i >> 3, cells], i & 7, work) if slab
-                   else los_states[i][cells])
+            los = _bit(los_states[i >> 3][cells], i & 7, work)
             pathloss.loss(h_cells[part], zw, r2, lam, los_state=los, out=pl,
-                          work=work, checked=grid or slab)
+                          work=work, checked=True)
         else:
             pathloss.loss(h_cells[part], zw, r2, lam, out=pl, work=work,
-                          checked=grid or slab)
+                          checked=True)
         p *= p_tx
         p /= pl
         best, rest = p_serv[cells], other[cells]

@@ -7,7 +7,8 @@ horizontal distance, ``z`` the height above the BS antenna and
 it needs from them:
 
 - ``RectangularBeam.gain`` tests its lobe edges in tan space,
-  ``tan(alpha)*h < z < tan(alpha + beta)*h``, with no angle computed;
+  ``tan(alpha)*h < z < tan(alpha + beta)*h``, each tan formed once per
+  beam and no angle computed;
 - ``CosineBeam.gain`` takes ``cos(theta) = h / sqrt(r2)``;
 - ``FreeSpacePathLoss.loss`` is ``(4 pi / lambda)**2 * r2``, no square root;
 - ``AirToGroundPathLoss`` spends an ``arctan2`` on its LoS probability
@@ -16,41 +17,39 @@ it needs from them:
 The SINR kernel (``oracle.evaluate_sinr``) calls ``gain`` once per base
 station (on a slab of held samples, once per base station whose lit
 window is not empty), and ``loss`` once per base station whose lobe does
-reach a cell of the block, each on the BS's lit window only where the
-block has one (a grid or a slab; see below). ``h``,
-``z`` and ``r2`` broadcast against each other. On a grid ``h`` varies
-along the row and ``z`` down the column only: the kernel passes ``h`` as a
-`np.broadcast_to` view of one row, at the block's shape to ``gain`` and
-cut to the window to ``loss``, and ``z`` as one column. A model that does
-arithmetic on ``h`` or ``z`` alone first cuts such a view back to its row
-(`_compact`), so that work costs one row per block.
+reach a cell of the block, each on the BS's lit window only (see below).
+``h``, ``z`` and ``r2`` broadcast against each other. On a grid ``h``
+varies along the row and ``z`` down the column only: the kernel passes
+``h`` as a `np.broadcast_to` view of one row, at the block's shape to
+``gain`` and cut to the window to ``loss``, and ``z`` as one column. A
+model that does arithmetic on ``h`` or ``z`` alone first cuts such a view
+back to its row (`_compact`), so that work costs one row per block.
 
-Lit windows. Each beam has a private ``_lit_columns(h, z, work)``: for a
-grid block with row ``h`` and column ``z`` it returns the slice of columns
-outside of which no cell can be lit. It is formed from the block's
-extreme heights with the same rounded operations as the lobe test, so it
-is a guarantee, not an estimate. The kernel passes that slice to ``gain``
-as ``cols``. ``h`` stays the block-shaped row view, while ``r2`` and
-``out`` have the window's shape (the block's rows by the columns of
-``cols``), and ``gain`` evaluates the lobe there and writes nothing
-outside the window. The kernel forms ``r2`` and calls ``loss`` on the
-window alone. The rectangular beam also finds the window's fully lit
-columns (``_lit_core``), where every height of the block lies strictly
-between the edge products of the lobe test: it fills the peak gain there
-and tests cell by cell only on the fringe columns on either side, when
-those fully lit columns are contiguous (a BS inside the row can split
-them in two; then every window column is tested). Called without
-``cols``, ``gain`` evaluates every cell.
+Lit windows. Each beam names, for the points of a block, a window
+outside of which none can be lit and, inside it, a fully lit core, in one
+protocol for two layouts, each giving ``(window, core)``:
 
-Each beam also has ``_lit_samples(h_near, h_far, z)`` for a slab of
-samples sorted by height ``z`` whose distances to the BS lie in
-``[h_near, h_far]``: the run of samples outside of which none can be lit,
-and the run inside it where every one is, by a search of ``z`` for the
-edge products at the two distances (the rectangular beam; the cosine
-beam names the whole slab and no such run). The kernel then passes
-``h``, ``z``, ``r2`` and ``out`` at the window's shape, one value per
-sample, and the fully lit run as ``core``: the rectangular beam fills
-the peak gain there and tests the samples on either side of it.
+- ``_lit_columns(h, z_lo, z_hi, work)``, for a grid block with row ``h``
+  and heights from ``z_lo`` to ``z_hi``: the slice of columns, and the
+  slice of the window's columns where every height of the block lies
+  strictly between the edge products of the lobe test (None unless those columns are contiguous; a
+  BS inside the row can split them in two);
+- ``_lit_samples(h_near, h_far, z)``, for a slab of samples sorted by
+  height ``z`` whose distances to the BS lie in ``[h_near, h_far]``: the
+  run of samples, and the run inside it where every one is lit (or None),
+  by a search of ``z`` for the edge products at the two distances.
+
+The rectangular beam forms both from the same rounded products as its
+lobe test, so they are guarantees, not estimates. The cosine beam names
+the whole block and no core. The kernel passes a grid's columns to
+``gain`` as ``cols``: ``h`` stays the block-shaped row view, while ``r2``
+and ``out`` have the window's shape (the block's rows by the columns of
+``cols``), and ``gain`` writes nothing outside the window. On a slab it
+passes ``h``, ``z``, ``r2`` and ``out`` at the window's shape. Either way
+it passes the core as ``core``: the rectangular beam fills the peak gain
+there and tests cell by cell only on either side of it, and every cell
+when ``core`` is None. Called without ``cols``, ``gain`` evaluates every
+cell.
 
 Buffers. Every model method takes an optional ``out``, a float array of the
 broadcast shape (the window's, given ``cols``) that receives the result
@@ -59,13 +58,12 @@ arrays are taken from at the shape they are needed in, so a window's
 scratch is contiguous as well. The kernel passes buffers it reuses from
 block to block, so a block allocates no temporaries; a model called on its
 own allocates what it is not given. ``loss`` raises a ValueError unless
-every ``r2`` is positive; a caller that has made that check already (the
-kernel, on a grid block's or a slab's least ``r2``) passes
-``checked=True``, and the
-model does not pass over ``r2`` again. The in-place forms keep every
-operation's operands and order, so their values are bit-identical to the
-plain expressions in the docstrings; the peak gain filled on fully lit
-columns is the value the lobe test gives them, 1.0 times the peak gain.
+every ``r2`` is positive; the kernel, which checks that for every block
+(see `oracle`), passes ``checked=True``, and the model does not pass over
+``r2`` again. The in-place forms keep every operation's operands and
+order, so their values are bit-identical to the plain expressions in the
+docstrings; the peak gain filled on fully lit cells is the value the
+lobe test gives them, 1.0 times the peak gain.
 
 All powers are combined in linear watts; dB/dBm conversions happen only at
 I/O boundaries. Angles are radians. Every function accepts scalars or numpy
@@ -221,10 +219,23 @@ class RectangularBeam:
     peak_gain: float  # linear
     alpha: float      # rad, lower edge of the main lobe
     beta: float       # rad, lobe width
+    # tan of each edge, None where the edge lies beyond 90 degrees and so
+    # never binds, and whether the lobe lies entirely beyond 90 degrees;
+    # formed once, they follow from alpha and beta, so they take no part in
+    # eq and hash
+    _t_lo: float | None = field(init=False, repr=False, compare=False)
+    _t_hi: float | None = field(init=False, repr=False, compare=False)
+    _dark: bool = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if not (math.isfinite(self.peak_gain) and self.peak_gain >= 0.0):
             raise ValueError(f"peak gain must be finite and >= 0, got {self.peak_gain}")
+        lo, hi = self.alpha, self.alpha + self.beta
+        object.__setattr__(self, "_t_lo",
+                           math.tan(lo) if lo >= -HALF_PI else None)
+        object.__setattr__(self, "_t_hi",
+                           math.tan(hi) if hi <= HALF_PI else None)
+        object.__setattr__(self, "_dark", lo >= HALF_PI or hi <= -HALF_PI)
 
     def gain(self, h, z, r2, out=None, work=None, cols=None, core=None):
         """Peak gain where the elevation atan2(z, h) lies strictly between
@@ -240,28 +251,22 @@ class RectangularBeam:
         With `cols` (from `_lit_columns`), `h` is a grid block's row (or
         its view at the block's shape) and `z` its column, and `out` has
         the window's shape: the block's rows by the columns of `cols`.
-        Nothing outside the window is written. The window's fully lit
-        columns (`_lit_core`) take the peak gain with no test per cell.
+        Nothing outside the window is written.
 
-        With `core` (from `_lit_samples`), `h`, `z` and `out` are the
-        window of a slab of samples sorted by height, and the slice
-        `core` of them is fully lit: it takes the peak gain, and only the
-        samples on either side of it are tested.
+        With `core` (from `_lit_columns` or `_lit_samples`), the slice
+        `core` of the window's last axis is fully lit: it takes the peak
+        gain, and only the cells on either side of it are tested. With
+        `core` None, every cell is tested.
         """
         h = _cut(_compact(np.asarray(h, dtype=float)), cols)
         z = _compact(np.asarray(z, dtype=float))
         out = _buffer(out, np.broadcast_shapes(h.shape, z.shape))
-        lo, hi = self.alpha, self.alpha + self.beta
-        if lo >= HALF_PI or hi <= -HALF_PI:
+        if self._dark:
             out.fill(0.0)
             return out
         work = _Workspace() if work is None else work
-        if cols is None and core is None:
-            return self._lobe(h, z, out, work)
-        if out.size == 0:
-            return out
         if core is None:
-            core = self._lit_core(h, z, work)
+            return self._lobe(h, z, out, work)
         out[..., core] = self.peak_gain
         for fringe in (slice(0, core.start), slice(core.stop, out.shape[-1])):
             if fringe.start < fringe.stop:
@@ -271,18 +276,17 @@ class RectangularBeam:
 
     def _lobe(self, h, z, out, work):
         """The lobe test of `gain`, cell by cell, written to `out`."""
-        lo, hi = self.alpha, self.alpha + self.beta
         # the edge products have the shape of h; when that is out's, out
         # holds them until the gain is written
         edge = out if out.shape == h.shape else work.take("beam.edge", h.shape)
         inside = work.take("beam.inside", out.shape, bool)
-        if lo >= -HALF_PI:
-            np.greater(z, np.multiply(h, math.tan(lo), out=edge), out=inside)
-        else:
+        if self._t_lo is None:
             inside.fill(True)
-        if hi <= HALF_PI:
+        else:
+            np.greater(z, np.multiply(h, self._t_lo, out=edge), out=inside)
+        if self._t_hi is not None:
             below = work.take("beam.below", out.shape, bool)
-            np.less(z, np.multiply(h, math.tan(hi), out=edge), out=below)
+            np.less(z, np.multiply(h, self._t_hi, out=edge), out=below)
             inside &= below
         return np.multiply(inside, self.peak_gain, out=out)
 
@@ -290,43 +294,44 @@ class RectangularBeam:
         """Booleans in the shape of row `h`: True where a height `top` is
         not above the lower edge product or `bottom` not below the upper
         one, the products formed as the lobe test forms them."""
-        lo, hi = self.alpha, self.alpha + self.beta
         edge = work.take("beam.edge", h.shape)
         unlit = work.take("beam.unlit", h.shape, bool)
         unlit.fill(False)
-        if lo >= -HALF_PI:
-            np.less_equal(top, np.multiply(h, math.tan(lo), out=edge),
+        if self._t_lo is not None:
+            np.less_equal(top, np.multiply(h, self._t_lo, out=edge),
                           out=unlit)
-        if hi <= HALF_PI:
+        if self._t_hi is not None:
             unlit |= np.greater_equal(
-                bottom, np.multiply(h, math.tan(hi), out=edge),
+                bottom, np.multiply(h, self._t_hi, out=edge),
                 out=work.take("beam.past", h.shape, bool))
         return unlit
 
-    def _lit_columns(self, h, z, work):
-        """Columns of the grid block with row `h` and column `z` outside
-        of which no cell is lit, as a slice. A column is dark if no z of
-        the block lies above its lower edge product or none below its
-        upper one."""
-        lo, hi = self.alpha, self.alpha + self.beta
-        if lo >= HALF_PI or hi <= -HALF_PI:
-            return slice(0, 0)
-        return _span(self._unlit(h, z.max(), z.min(), work))
-
-    def _lit_core(self, h, z, work):
-        """Columns of the grid block with row `h` and column `z` where
-        every cell is lit, as a slice; empty unless those columns are
-        contiguous. A column is fully lit if every z of the block lies
-        above its lower edge product and below its upper one."""
-        part = self._unlit(h, z.min(), z.max(), work)
+    def _lit_columns(self, h, z_lo, z_hi, work):
+        """Columns of the grid block with row `h` and heights from `z_lo`
+        to `z_hi` outside of which no cell is lit, as a slice; and the
+        slice of that window where every cell is lit, counted from the
+        window's start, or None if there is no such column or those
+        columns are not contiguous (a BS inside the row can split them in
+        two). A column is dark if `z_hi` is not above its lower edge
+        product or `z_lo` not below its upper one, and fully lit if `z_lo`
+        is above the one and `z_hi` below the other."""
+        if self._dark:
+            return slice(0, 0), None
+        cols = _span(self._unlit(h, z_hi, z_lo, work))
+        if cols.start == cols.stop:
+            return cols, None
+        part = self._unlit(h[..., cols], z_lo, z_hi, work)
         core = _span(part)
-        return slice(0, 0) if part[..., core].any() else core
+        if core.start == core.stop or part[..., core].any():
+            return cols, None
+        return cols, core
 
     def _lit_samples(self, h_near, h_far, z):
         """Samples of a slab, sorted by height `z`, that the lobe can
         reach from a BS whose horizontal distance to each of them lies in
         [h_near, h_far], as a slice; and the slice of that window where
-        every sample is lit, counted from the window's start.
+        every sample is lit, counted from the window's start, or None if
+        there is none.
 
         The edge product h * tan(edge) is monotone in h, each rounding
         being monotone, so over the slab it lies between its values at
@@ -335,26 +340,22 @@ class RectangularBeam:
         lesser lower product and below the greater upper one, and is lit
         above the greater lower product and below the lesser upper one;
         an edge beyond 90 degrees does not bind."""
-        lo, hi = self.alpha, self.alpha + self.beta
-        n = z.shape[-1]
-        if lo >= HALF_PI or hi <= -HALF_PI:
-            return slice(0, 0), slice(0, 0)
+        if self._dark:
+            return slice(0, 0), None
         start = core_start = 0
-        stop = core_stop = n
-        if lo >= -HALF_PI:
-            t = math.tan(lo)
-            ends = (h_near * t, h_far * t)
+        stop = core_stop = z.shape[-1]
+        if self._t_lo is not None:
+            ends = (h_near * self._t_lo, h_far * self._t_lo)
             start = int(z.searchsorted(min(ends), side="right"))
             core_start = int(z.searchsorted(max(ends), side="right"))
-        if hi <= HALF_PI:
-            t = math.tan(hi)
-            ends = (h_near * t, h_far * t)
+        if self._t_hi is not None:
+            ends = (h_near * self._t_hi, h_far * self._t_hi)
             stop = int(z.searchsorted(max(ends), side="left"))
             core_stop = int(z.searchsorted(min(ends), side="left"))
         if stop <= start:
-            return slice(0, 0), slice(0, 0)
+            return slice(0, 0), None
         if core_stop <= core_start:
-            return slice(start, stop), slice(0, 0)
+            return slice(start, stop), None
         return slice(start, stop), slice(core_start - start,
                                          core_stop - start)
 
@@ -378,16 +379,19 @@ class CosineBeam:
 
     def gain(self, h, z, r2, out=None, work=None, cols=None, core=None):
         """Gain at the elevation whose cosine is h / sqrt(r2); `z` is not
-        needed. With `cols` (from `_lit_columns`), `h` is a grid block's
-        row (or its view at the block's shape), and `r2` and `out` have
-        the window's shape: the block's rows by the columns of `cols`.
-        Nothing outside the window is written. `core` is None, as
-        `_lit_samples` gives it: no sample is known to be lit."""
+        needed. With `cols` (from `_lit_columns`, the whole row), `h` is a
+        grid block's row (or its view at the block's shape), and `r2` and
+        `out` have the shape of the block. Its windows hold no fully lit
+        core, so `core` is None (as `_lit_columns` and `_lit_samples` give
+        it) and every cell is evaluated."""
         h = _cut(_compact(np.asarray(h, dtype=float)), cols)
         r2 = np.asarray(r2, dtype=float)
         x = _buffer(out, np.broadcast_shapes(h.shape, r2.shape))
         work = _Workspace() if work is None else work
-        self._offset(h, r2, out=x)
+        np.sqrt(r2, out=x)
+        np.divide(h, x, out=x)                   # cos(theta)
+        x -= math.cos(self.alpha + self.beta / 2.0)
+        x /= 2.0
         inside = np.less_equal(np.abs(x, out=work.take("beam.abs_x", x.shape)),
                                1.0 / self.n_elements,
                                out=work.take("beam.inside", x.shape, bool))
@@ -399,31 +403,11 @@ class CosineBeam:
         np.copyto(g, 0.0, where=np.logical_not(inside, out=inside))
         return g
 
-    def _offset(self, h, r2, out):
-        """x = (h / sqrt(r2) - cos(alpha + beta/2)) / 2, written to `out`."""
-        np.sqrt(r2, out=out)
-        np.divide(h, out, out=out)               # cos(theta)
-        out -= math.cos(self.alpha + self.beta / 2.0)
-        out /= 2.0
-        return out
-
-    def _lit_columns(self, h, z, work):
-        """Columns of the grid block with row `h` and column `z` outside
-        of which no cell is lit, as a slice. Each rounding in x of
-        r2 = h*h + z*z is monotone, so x does not grow with z*z, and a
-        column's x lie between its values at the block's largest and
-        smallest z*z. The column is dark if x is below -1/N at the
-        smallest z*z or above 1/N at the largest."""
-        z2 = np.multiply(z, z, out=work.take("beam.z2", z.shape))
-        hh = np.multiply(h, h, out=work.take("beam.hh", h.shape))
-        x = work.take("beam.x", h.shape)
-        bound = 1.0 / self.n_elements
-        dark = work.take("beam.dark", h.shape, bool)
-        self._offset(h, np.add(hh, z2.min(), out=x), out=x)
-        np.less(x, -bound, out=dark)
-        self._offset(h, np.add(hh, z2.max(), out=x), out=x)
-        dark |= np.greater(x, bound, out=work.take("beam.past", h.shape, bool))
-        return _span(dark)
+    def _lit_columns(self, h, z_lo, z_hi, work):
+        """The window of a grid block with row `h` (see
+        `RectangularBeam._lit_columns`): every column, and no fully lit
+        core."""
+        return slice(0, h.shape[-1]), None
 
     def _lit_samples(self, h_near, h_far, z):
         """The window of a slab sorted by height `z` (see

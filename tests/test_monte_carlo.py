@@ -204,6 +204,43 @@ def test_bernoulli_mode_deterministic():
     assert r1.p_out != r_exp.p_out
 
 
+@pytest.mark.parametrize("positions,outages", [
+    (None, 31715),
+    # two LoS bytes a sample
+    (tuple(1000.0 * i for i in range(-4, 5)), 31994),
+])
+def test_streamed_bernoulli_outages_are_pinned(positions, outages):
+    # streamed blocks draw the LoS states as they go; the counts were
+    # recorded before the states became bytes
+    s = reference_scenario(13, 40)
+    a = OracleAssumptions(pathloss=AirToGroundPathLoss(),
+                          interference=InterferenceMode.SUM_ALL,
+                          bs_positions=positions)
+    n = 100_003
+    r = estimate_outage(s, McConfig(n_samples=n, seed=7, assumptions=a,
+                                    los_mode=LosMode.BERNOULLI))
+    assert r.p_out == outages / n
+
+
+def test_los_states_hold_one_bit_per_link():
+    # nine BSs: BS i in bit i % 8 of byte i // 8, and the second byte's
+    # bits past BS 8 are 0
+    s = reference_scenario(13, 40)
+    pathloss = AirToGroundPathLoss()
+    positions = tuple(1000.0 * i for i in range(-4, 5))
+    rng = np.random.default_rng(21)
+    x = rng.uniform(-500.0, 1500.0, 3000)
+    z = rng.uniform(s.h1, s.h2, 3000)
+    u = rng.random((9, 3000))
+    los = los_states(x, z, positions, pathloss, u)
+    assert los.shape == (2, 3000) and los.dtype == np.uint8
+    for i, pos in enumerate(positions):
+        want = u[i] < pathloss.p_los(np.abs(x - pos), z)
+        assert np.array_equal((los[i // 8] >> (i % 8)) & 1, want)
+    assert not np.any(los[1] & 0b11111110)
+    assert 0 < np.count_nonzero(los[1]) < 3000
+
+
 def test_downtilt_accepted_by_mc():
     s = reference_scenario(-6, 40)
     r = estimate_outage(s, McConfig(n_samples=50_000, seed=1))
@@ -315,9 +352,8 @@ def test_held_set_is_the_drawn_samples_in_x_slabs_sorted_by_z(
         if los is None:
             assert samples._los is None
         else:
-            held = np.unpackbits(samples._los[:, lo:hi], axis=0,
-                                 count=len(positions), bitorder="little")
-            assert np.array_equal(held.view(bool), los[:, mine][:, order])
+            assert np.array_equal(samples._los[:, lo:hi],
+                                  los[:, mine][:, order])
 
 
 def test_a_changed_sample_key_draws_anew(monkeypatch):

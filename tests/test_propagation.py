@@ -173,6 +173,26 @@ def test_link_budget_linear_values_are_formed_once_outside_eq_and_hash(
     assert moved.noise_w != lb.noise_w
 
 
+def test_rectangular_beam_edges_are_formed_once_outside_eq_and_hash():
+    # the tan of each binding edge (None past 90 degrees) and whether the
+    # lobe lies past 90 degrees follow from alpha and beta, and replace
+    # forms them anew
+    b = RectangularBeam(peak_gain=2.0, alpha=13 * D2R, beta=40 * D2R)
+    assert (b._t_lo, b._t_hi, b._dark) == (math.tan(13 * D2R),
+                                           math.tan(53 * D2R), False)
+    assert [f.name for f in dataclasses.fields(b) if f.compare] == [
+        "peak_gain", "alpha", "beta"]
+    assert "_t_lo" not in repr(b)
+    twin = RectangularBeam(peak_gain=2.0, alpha=13 * D2R, beta=40 * D2R)
+    assert b == twin and hash(b) == hash(twin)
+    wide = dataclasses.replace(b, alpha=-100 * D2R, beta=130 * D2R)
+    assert (wide._t_lo, wide._t_hi, wide._dark) == (
+        None, math.tan(wide.alpha + wide.beta), False)
+    high = dataclasses.replace(b, alpha=95 * D2R, beta=30 * D2R)
+    assert high._dark and high._t_hi is None
+    assert dataclasses.replace(b, alpha=-130 * D2R, beta=30 * D2R)._dark
+
+
 def test_a2g_mixture_collapses_when_etas_equal():
     lam = 0.1
     a2g = AirToGroundPathLoss(eta_los_db=3.0, eta_nlos_db=3.0)

@@ -14,7 +14,7 @@ import pytest
 import sinr_reference as ref
 from corridorcov.defaults import reference_scenario
 from corridorcov.heatmap import sinr_field
-from corridorcov.monte_carlo import _pack, los_states
+from corridorcov.monte_carlo import los_states
 from corridorcov.oracle import (
     Association,
     BeamKind,
@@ -289,6 +289,8 @@ def _core_case(g, cols, core):
     full = np.flatnonzero(g.all(axis=0)[cols])
     if full.size and full[-1] + 1 - full[0] != full.size:
         return "split"
+    if core is None:
+        return None
     n = cols.stop - cols.start
     if 0 < core.start and core.stop < n:
         return "fringes"
@@ -312,12 +314,12 @@ def test_window_grids_reach_dark_partial_and_full_windows():
                 z = zs[:, None]
                 for pos in OracleAssumptions().resolve_positions(s):
                     h = np.abs(xs - pos)[None, :]
-                    cols = b._lit_columns(h, z, work)
+                    cols, core = b._lit_columns(h, zs.min(), zs.max(),
+                                                work)
                     n = cols.stop - cols.start
                     spans.add("dark" if n == 0 else
                               "full" if n == xs.size else "cut")
                     if isinstance(b, RectangularBeam) and n:
-                        core = b._lit_core(h[:, cols], z, work)
                         cores.add(_core_case(b.gain(h, z, h * h + z * z),
                                              cols, core))
     assert spans == {"dark", "cut", "full"}
@@ -328,13 +330,14 @@ def test_window_grids_reach_dark_partial_and_full_windows():
 @pytest.mark.parametrize("alpha_deg,beta_deg", WINDOW_TILTS)
 def test_no_cell_outside_the_window_is_lit(beam, alpha_deg, beta_deg):
     # the window against the lobe test itself, on a fine grid around
-    # one BS: the whole block's gain is zero outside the window, and its
-    # first and last columns hold a lit cell whenever the block spans one
-    # height (one of them exactly on a column's lower edge product, which
-    # is dark). Given the window, gain takes r2 and out at the window's
-    # shape and gives the whole gain's values on the window's columns.
-    # The rectangular lobe's core is every fully lit column, when those
-    # are contiguous.
+    # one BS: the whole block's gain is zero outside the window. Given the
+    # window, with its core and without (every cell tested), gain takes
+    # r2 and out at the window's shape and gives the whole gain's values
+    # on the window's columns. The cosine lobe's window is the whole row,
+    # with no core. The rectangular lobe's first and last window columns
+    # hold a lit cell whenever the block spans one height (one of them
+    # exactly on a column's lower edge product, which is dark), and its
+    # core is every fully lit column, when those are contiguous.
     s = reference_scenario(alpha_deg, beta_deg)
     b = OracleAssumptions(**WINDOW_BEAMS[beam]).resolve_beam(s)
     work = _Workspace()
@@ -346,24 +349,27 @@ def test_no_cell_outside_the_window_is_lit(beam, alpha_deg, beta_deg):
         z = zs[:, None]
         r2 = h * h + z * z
         g = b.gain(h, z, r2)
-        cols = b._lit_columns(h, z, work)
+        cols, core = b._lit_columns(h, zs.min(), zs.max(), work)
         assert not g[:, :cols.start].any() and not g[:, cols.stop:].any()
-        out = np.full((zs.size, cols.stop - cols.start), np.nan)
         h_block = np.broadcast_to(h, r2.shape)  # as the kernel passes it
-        assert b.gain(h_block, z, r2[:, cols], out=out, work=work,
-                      cols=cols) is out
-        assert np.array_equal(out, g[:, cols])
+        for given in (core, None):
+            out = np.full((zs.size, cols.stop - cols.start), np.nan)
+            assert b.gain(h_block, z, r2[:, cols], out=out, work=work,
+                          cols=cols, core=given) is out
+            assert np.array_equal(out, g[:, cols])
+        if not isinstance(b, RectangularBeam):
+            assert cols == slice(0, xs.size) and core is None
+            continue
         lit = np.flatnonzero(g.any(axis=0))
         if zs.size == 1:
             assert cols.stop - cols.start == (lit[-1] + 1 - lit[0]
                                               if lit.size else 0)
-        if isinstance(b, RectangularBeam) and lit.size:
+        if lit.size:
             full = np.flatnonzero(g.all(axis=0)[cols])
-            core = b._lit_core(h[:, cols], z, work)
             if full.size and full[-1] + 1 - full[0] == full.size:
                 assert core == slice(full[0], full[-1] + 1)
             else:
-                assert core.start == core.stop
+                assert core is None
 
 
 # x ranges of slabs around a BS at 500.25: on either side of it, holding
@@ -397,7 +403,8 @@ def test_slab_window_holds_every_lit_sample(alpha_deg, beta_deg):
         g = b.gain(h, z, r2)
         window, core = b._lit_samples(near, far, z)
         assert not g[:window.start].any() and not g[window.stop:].any()
-        assert np.all(g[window][core] == b.peak_gain)
+        if core is not None:
+            assert np.all(g[window][core] == b.peak_gain)
         out = np.full(window.stop - window.start, np.nan)
         assert b.gain(h[window], z[window], r2[window], out=out, work=work,
                       core=core) is out
@@ -406,7 +413,8 @@ def test_slab_window_holds_every_lit_sample(alpha_deg, beta_deg):
             lit = np.flatnonzero(g)
             assert window == (slice(lit[0], lit[-1] + 1) if lit.size
                               else slice(0, 0))
-            assert core == slice(0, window.stop - window.start)
+            assert core == (slice(0, window.stop - window.start)
+                            if lit.size else None)
 
 
 def _slab(x_lo, x_hi, z_lo, z_hi, n):
@@ -426,9 +434,8 @@ SLABS = [(100.0, 130.0, 100.0, 300.0, 3000), (-20.0, 40.0, 100.0, 300.0, 3000),
 @pytest.mark.parametrize("assoc,interference,beam,loss,noise", MATRIX)
 def test_slabs_are_bit_identical_to_the_allocating_kernel(
         assoc, interference, beam, loss, noise):
-    # sorted slabs take the windowed sample path, LoS states as the held
-    # sample set packs them; the allocating kernel evaluates every BS on
-    # every sample
+    # sorted slabs take the windowed sample path, LoS states included;
+    # the allocating kernel evaluates every BS on every sample
     work = _Workspace()
     for x_lo, x_hi, z_lo, z_hi, n in SLABS:
         x, z = _slab(x_lo, x_hi, z_lo, z_hi, n)
@@ -438,12 +445,11 @@ def test_slabs_are_bit_identical_to_the_allocating_kernel(
             srv_ref, val_ref = ref.allocating_evaluate_sinr(x, z, s, a,
                                                             los_uniforms=u)
             los = _states(x, z, s, a, u)
-            packed = None if los is None else _pack(los, _Workspace())
-            srv, val = evaluate_sinr(x, z, s, a, los_states=packed, work=work,
+            srv, val = evaluate_sinr(x, z, s, a, los_states=los, work=work,
                                      slab=True)
             assert np.array_equal(srv, srv_ref)
             assert np.array_equal(val, val_ref)
-            none, val = evaluate_sinr(x, z, s, a, los_states=packed,
+            none, val = evaluate_sinr(x, z, s, a, los_states=los,
                                       work=work, with_serving=False, slab=True)
             assert none is None
             assert np.array_equal(val, val_ref)
@@ -500,8 +506,9 @@ def test_zero_distance_raises_in_an_unlit_cell(beam):
 @pytest.mark.parametrize("loss", LOSS_MODES)
 def test_zero_distance_raises_in_a_lit_cell(loss):
     # 1e-200 m from BS-1 at 45 degrees of elevation, inside the lobe: the
-    # squared distance underflows to 0. On a grid the kernel checks the
-    # block's least r2 and tells the loss so; on samples the loss checks.
+    # squared distance underflows to 0. On every layout the kernel checks
+    # the block's r2 where their bound is not positive, and tells the
+    # loss so.
     s = reference_scenario(13.0, 40.0)
     a, u = _case(Association.STRONGEST, InterferenceMode.DOMINANT_ONLY,
                  BeamKind.RECT, loss, True, 1)
@@ -510,10 +517,9 @@ def test_zero_distance_raises_in_a_lit_cell(loss):
         assert a.resolve_beam(s).gain(x, z, x * x + z * z).all()
         with pytest.raises(ValueError, match="positive distance"):
             evaluate_sinr(x, z, s, a, los_states=_states(x, z, s, a, u))
-    los = _states(tiny, tiny, s, a, u)
     with pytest.raises(ValueError, match="positive distance"):
         evaluate_sinr(tiny, tiny, s, a, slab=True,
-                      los_states=None if los is None else _pack(los, _Workspace()))
+                      los_states=_states(tiny, tiny, s, a, u))
 
 
 @pytest.mark.parametrize("nx,nz", [(1, 300), (70001, 2)])
