@@ -1,8 +1,15 @@
 """SINR field over the half-corridor cross-section and CSV/portable-pixmap
-export."""
+export.
+
+Both writers walk the field in blocks of whole rows and build no temporary
+the size of the whole field: the CSV in blocks of about CSV_BLOCK_CELLS
+cells, the image in blocks of about BLOCK_POINTS cells, top image row
+first. A run's peak memory is the field's and one block's.
+"""
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -10,6 +17,7 @@ import numpy as np
 
 from .geometry import CorridorScenario
 from .oracle import (
+    BLOCK_POINTS,
     OracleAssumptions,
     _grid_rows,
     _midpoints,
@@ -21,8 +29,8 @@ from .propagation import _Workspace
 # Fixed dB clamp of the image color ramp, for reproducible bytes.
 DB_CLAMP = (-20.0, 40.0)
 
-# Cells per write_csv block: its byte matrix and mask, about 32 bytes per
-# cell each, stay near 0.25 MiB.
+# Cells per write_csv block: its text matrix, about 32 bytes per cell, and
+# the mask of its shown bytes stay near 0.25 MiB each.
 CSV_BLOCK_CELLS = 8192
 
 
@@ -32,8 +40,9 @@ class SinrField:
 
     sinr_db and serving are (nz, nx) row-major arrays, row k at height
     z_centers[k]; cells with no received power hold -inf and the
-    nearest-by-distance serving index. corridor_band is carried as metadata
-    for overlays (the field's z range may start below the corridor).
+    nearest-by-distance serving index. sinr_field stores serving in the
+    narrowest unsigned integer type that holds every BS index (uint8 up to
+    256 base stations).
     """
 
     x_min: float
@@ -73,11 +82,11 @@ def sinr_field(s: CorridorScenario, a: OracleAssumptions, nx: int, nz: int,
     xs = _midpoints(x_min, x_max, nx)
     zs = _midpoints(z_min, z_max, nz)
 
+    beam, positions = a.resolve_beam(s), a.resolve_positions(s)
     sinr_db = np.empty((nz, nx), dtype=float)
-    serving = np.empty((nz, nx), dtype=np.int64)
+    serving = np.empty((nz, nx), dtype=np.min_scalar_type(len(positions) - 1))
 
     work = _Workspace()
-    beam, positions = a.resolve_beam(s), a.resolve_positions(s)
 
     def fill(lo, hi):
         x, z = _grid_rows(xs, zs, lo, hi)
@@ -124,23 +133,22 @@ def _field_meta(field: SinrField, extra: dict | None = None) -> dict[str, str]:
     return meta
 
 
-def _text_matrix(strings: list[str]) -> tuple[np.ndarray, np.ndarray]:
-    """ASCII strings as a NUL-padded (n, width) byte matrix and the mask of
-    its real bytes."""
+def _words(strings: list[str], width: int = 0) -> np.ndarray:
+    """ASCII strings as rows of 4-byte words, NUL-padded to at least
+    `width` bytes: an (n, words) uint32 array."""
     m = np.array(strings, dtype=bytes)
-    m = m.view(np.uint8).reshape(m.size, m.itemsize)
-    return m, m != 0
+    w = -(-max(m.itemsize, width) // 4) * 4
+    return m.astype(f"S{w}").view(np.uint32).reshape(m.size, w // 4)
 
 
-def _put_digits(line: np.ndarray, shown: np.ndarray, col: int, n: np.ndarray,
-                width: int, always: int) -> None:
-    """Write the `width` lowest decimal digits of the non-negative integers
-    `n`, most significant first, into columns col.. of `line`. A digit is
-    shown if it is not a leading zero or is one of the last `always`."""
-    for i in range(width):
-        place = 10 ** (width - 1 - i)
-        line[:, col + i] = n // place % 10 + 48
-        shown[:, col + i] = (n >= place) if i < width - always else True
+@functools.cache
+def _digit_words() -> tuple[np.ndarray, np.ndarray, np.uint32]:
+    """The word tables of write_csv, built on its first call: the integer
+    parts 0..999 as "ddd." right-aligned after NUL padding, the decimals
+    0..9999 as "dddd", and the sign word "-" after three NULs."""
+    ints = _words([f"{n}.".rjust(4, "\0") for n in range(1000)])[:, 0]
+    decimals = _words([f"{n:04d}" for n in range(10_000)])[:, 0]
+    return ints, decimals, _words(["\0\0\0-"])[0, 0]
 
 
 def write_csv(field: SinrField, path: str, extra_meta: dict | None = None) -> None:
@@ -150,26 +158,35 @@ def write_csv(field: SinrField, path: str, extra_meta: dict | None = None) -> No
     The resolved configuration is embedded as leading '#' comment lines.
 
     The rows are built in blocks of whole field rows of about
-    CSV_BLOCK_CELLS cells: a byte matrix with one fixed column layout per
-    line and a mask of the bytes shown, compacted and written at once. The
-    x and z strings are formatted once each. `sinr_db` is formatted from
-    q = rint(v * 1e4) by integer digits, with the sign of v, so values that
-    round to zero keep Python's "-0.0000".
+    CSV_BLOCK_CELLS cells, one line of 4-byte words per cell: the x words
+    (written once per layout, not once per block), the z words, a sign
+    word, an integer word "ddd.", a decimal word "dddd" and the serving
+    words ",k\\n". Every text is padded with NUL bytes, so the bytes shown
+    are the non-NUL ones, and a block is compacted and written at once.
+    The integer, decimal and serving words are gathered from tables (the
+    integer part right-aligned after its NULs). `sinr_db` is printed from
+    q = rint(t), t = |v| * 1e4, as q // 10**4 and q % 10**4 with the sign
+    of v, so values that round to zero keep Python's "-0.0000".
 
-    Exactness: for |v| < 1e5 the product v * 1e4 is below 1e9 < 2**30, so
-    its rounding error is at most 2**-24 < 6e-8. Unless the product lies
-    within 1e-6 of a half-integer, the exact decimal value rounds the same
-    way, and q is what Python's correctly rounded `.4f` prints. A cell falls
-    back to Python's f"{v:.4f}" if it is not finite, if |v| >= 1e5 or if
-    v * 1e4 lies within 1e-6 of a half-integer.
+    Exactness: t is v's exact product with 10**4 rounded once, by at most
+    half an ulp, which is 2**-30 < 1e-9 for t < 1e7 < 2**24; t - floor(t)
+    and its distance to 0.5 are exact where that distance is small. Unless
+    t lies within 1e-6 of a half-integer, the exact |v| * 10**4 then rounds
+    the same way, and q is what Python's correctly rounded `.4f` prints. A
+    cell falls back to Python's f"{v:.4f}" if it is not finite, if
+    t >= 9999999.5 (its text has four or more integer digits, from about
+    |v| = 1000 on) or if t lies within 1e-6 of a half-integer; the sinr_db
+    words widen to hold the widest fallback text met.
     """
+    ints, decimals, minus = _digit_words()
     nx = field.nx
-    x_txt, x_shown = _text_matrix([f"{x:.6g}," for x in field.x_centers.tolist()])
-    z_txt, z_shown = _text_matrix([f"{z:.6g}," for z in field.z_centers.tolist()])
-    srv_width = len(str(int(field.serving.max())))
-    c_z = x_txt.shape[1]
-    c_sinr = c_z + z_txt.shape[1]
+    x_words = _words([f"{x:.6g}," for x in field.x_centers.tolist()])
+    z_words = _words([f"{z:.6g}," for z in field.z_centers.tolist()])
+    srv_words = _words([f",{k}\n" for k in range(int(field.serving.max()) + 1)])
+    c_z = x_words.shape[1]
+    c_sinr = c_z + z_words.shape[1]
     rows_per_block = max(1, CSV_BLOCK_CELLS // nx)
+    text, w_sinr = None, 3
     with open(path, "wb") as fh:
         for key, value in _field_meta(field, extra_meta).items():
             fh.write(f"# {key}={value}\n".encode("ascii"))
@@ -177,44 +194,34 @@ def write_csv(field: SinrField, path: str, extra_meta: dict | None = None) -> No
         for k0 in range(0, field.nz, rows_per_block):
             rows = slice(k0, k0 + rows_per_block)
             v = field.sinr_db[rows].ravel()
+            t = np.abs(v)
             with np.errstate(invalid="ignore", over="ignore"):
-                t = v * 1e4
-                exact = (np.abs(v) < 1e5) & (np.abs(t - np.floor(t) - 0.5) >= 1e-6)
-            # |q| <= 1e9 fits int32, whose divisions cost half of int64's
-            q = np.abs(np.rint(np.where(exact, t, 0.0))).astype(np.int32)
+                t *= 1e4
+                exact = (t < 9_999_999.5) & (np.abs(t - np.floor(t) - 0.5) >= 1e-6)
+            # q < 1e7 fits int32, whose divisions cost half of int64's
+            ip, dec = np.divmod(np.rint(np.where(exact, t, 0.0)).astype(np.int32),
+                                10_000)
             slow = np.flatnonzero(~exact)
-            fb_txt, fb_shown = _text_matrix([f"{u:.4f}" for u in v[slow].tolist()])
-            # sinr_db columns: sign, 6 integer digits, '.', 4 decimals, and
-            # room for the widest fallback text of the block
-            w_sinr = max(12, fb_txt.shape[1])
-            c_srv = c_sinr + w_sinr
-            width = c_srv + srv_width + 2
-            text = np.empty((v.size // nx, nx, width), dtype=np.uint8)
-            shown = np.empty(text.shape, dtype=bool)
-            text[:, :, :c_z] = x_txt
-            shown[:, :, :c_z] = x_shown
-            text[:, :, c_z:c_sinr] = z_txt[rows, None]
-            shown[:, :, c_z:c_sinr] = z_shown[rows, None]
-            line = text.reshape(v.size, width)
-            ok = shown.reshape(v.size, width)
-            line[:, c_sinr] = ord("-")
-            ok[:, c_sinr] = np.signbit(v)
-            _put_digits(line, ok, c_sinr + 1, q // 10_000, 6, 1)
-            line[:, c_sinr + 7] = ord(".")
-            ok[:, c_sinr + 7] = True
-            _put_digits(line, ok, c_sinr + 8, q % 10_000, 4, 4)
-            ok[:, c_sinr + 12:c_srv] = False
-            if slow.size:
-                ok[slow, c_sinr:c_srv] = False
-                line[slow, c_sinr:c_sinr + fb_txt.shape[1]] = fb_txt
-                ok[slow, c_sinr:c_sinr + fb_txt.shape[1]] = fb_shown
-            line[:, c_srv] = ord(",")
-            ok[:, c_srv] = True
-            _put_digits(line, ok, c_srv + 1, field.serving[rows].ravel(),
-                        srv_width, 1)
-            line[:, -1] = ord("\n")
-            ok[:, -1] = True
-            fh.write(line[ok].tobytes())
+            fallback = [f"{u:.4f}" for u in v[slow].tolist()]
+            wide = -(-max(map(len, fallback), default=0) // 4)
+            if text is None or wide > w_sinr:
+                w_sinr = max(w_sinr, wide)
+                c_srv = c_sinr + w_sinr
+                text = np.zeros((rows_per_block, nx, c_srv + srv_words.shape[1]),
+                                dtype=np.uint32)
+                text[:, :, :c_z] = x_words
+            block = text[:v.size // nx]
+            block[:, :, c_z:c_sinr] = z_words[rows, None]
+            line = block.reshape(v.size, -1)
+            line[:, c_sinr] = np.where(np.signbit(v), minus, 0)
+            line[:, c_sinr + 1] = ints[ip]
+            line[:, c_sinr + 2] = decimals[dec]
+            line[slow, c_sinr:c_srv] = _words(fallback, 4 * w_sinr)
+            line[:, c_srv:] = srv_words[field.serving[rows].ravel()]
+            byte = line.view(np.uint8)
+            fh.write(byte[byte != 0])
+            # fallback words past the third are not rewritten by the next block
+            line[slow, c_sinr + 3:c_srv] = 0
 
 
 def _color_ramp() -> np.ndarray:
@@ -241,23 +248,26 @@ def write_ppm(field: SinrField, path: str, extra_meta: dict | None = None) -> No
     """Binary portable pixmap (P6) of the field, top row = highest z.
 
     Values, +inf included, clamp to DB_CLAMP and map to ramp indices
-    1..255; -inf (no received power) maps to the reserved index 0. The
+    1..255; -inf (no received power) and NaN map to the reserved index 0.
+    The image is mapped and written in blocks of whole rows of about
+    BLOCK_POINTS cells, top image row (the field's last row) first. The
     resolved configuration goes into PPM comment lines, so identical runs
     produce identical bytes."""
     lut = _color_ramp()
     lo, hi = DB_CLAMP
-    level = np.clip(field.sinr_db, lo, hi)
-    level -= lo
-    level /= hi - lo
-    level *= 254
-    np.rint(level, out=level)
-    level += 1
-    index = level.astype(np.uint8)
-    index[np.isneginf(field.sinr_db)] = 0
-    rgb = lut[index[::-1]]  # flip so the image reads height-up
+    rows_per_block = max(1, BLOCK_POINTS // field.nx)
     with open(path, "wb") as fh:
         fh.write(b"P6\n")
         for key, value in _field_meta(field, extra_meta).items():
             fh.write(f"# {key}={value}\n".encode("ascii"))
         fh.write(f"{field.nx} {field.nz}\n255\n".encode("ascii"))
-        fh.write(rgb.tobytes())
+        for k1 in range(field.nz, 0, -rows_per_block):
+            v = field.sinr_db[max(0, k1 - rows_per_block):k1][::-1]
+            level = np.clip(v, lo, hi)
+            level -= lo
+            level /= hi - lo
+            level *= 254
+            np.rint(level, out=level)
+            level += 1
+            level[np.isneginf(v) | np.isnan(v)] = 0
+            fh.write(lut[level.astype(np.uint8)])

@@ -1,13 +1,16 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
 import csv_reference
+import ppm_reference
 from corridorcov import heatmap
 from corridorcov.defaults import reference_scenario
 from corridorcov.geometry import borderline_geometry
 from corridorcov.heatmap import (
+    BLOCK_POINTS,
     CSV_BLOCK_CELLS,
     DB_CLAMP,
     SinrField,
@@ -174,6 +177,15 @@ def test_ppm_ramp_indices_between_the_clamps(tmp_path):
     assert pixels == lut[[1, 1, 2, 128, 254, 255, 255]].tobytes()
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_ppm_nan_cells_get_the_no_signal_color(tmp_path):
+    # NaN has no ramp index; it takes the reserved index 0, as -inf does
+    out = tmp_path / "nan.ppm"
+    write_ppm(_synthetic_field([[math.nan, -math.inf, math.inf, 40.0]]), str(out))
+    pixels = out.read_bytes().rpartition(b"\n255\n")[2]
+    assert pixels == heatmap._color_ramp()[[0, 0, 255, 255]].tobytes()
+
+
 def test_clamp_constants():
     assert DB_CLAMP == (-20.0, 40.0)
 
@@ -242,6 +254,9 @@ def test_csv_matches_reference_on_edge_values(monkeypatch, tmp_path):
         math.inf, -math.inf, math.nan, 1e5, -1e5, 99999.99996, -99999.99996,
         99999.99994, 123456.789, -654321.1234, 999999.99, -9.87654321e12, 1e300,
         -1.7976931348623157e308,
+        # the largest values with three integer digits, and the first past
+        999.0, -999.0, 999.99994, -999.99994, 999.99995, -999.99995,
+        999.99996, -999.99996, 1000.0, -1000.0, 1000.00004,
     ]
     rng = np.random.default_rng(7)
     ties = (rng.integers(-10**8, 10**8, 400) + 0.5) / 1e4
@@ -251,3 +266,77 @@ def test_csv_matches_reference_on_edge_values(monkeypatch, tmp_path):
     serving = rng.integers(0, 12, vals.shape)
     _assert_csv_matches_reference(
         _synthetic_field(vals, serving=serving), tmp_path)
+
+
+
+def test_csv_matches_reference_after_wide_fallback_text(monkeypatch, tmp_path):
+    # a block of one row each: fast cells where an earlier block had
+    # fallback text wider than the sinr_db words it started with
+    monkeypatch.setattr(heatmap, "CSV_BLOCK_CELLS", 4)
+    vals = [[1e300, -math.inf, 5.0, math.nan],
+            [1.5, 2.25, -3.0, 7.0],
+            [1e20, -0.5, 1e300, 2.0],
+            [12.5, 0.0, -1.0, 99.0]]
+    _assert_csv_matches_reference(_synthetic_field(vals), tmp_path)
+
+def _assert_ppm_matches_reference(field, tmp_path):
+    new, ref = tmp_path / "block.ppm", tmp_path / "reference.ppm"
+    write_ppm(field, str(new), extra_meta={"run": "t"})
+    ppm_reference.write_ppm(field, str(ref), extra_meta={"run": "t"})
+    assert new.read_bytes() == ref.read_bytes()
+
+
+# The row-block image writer against the whole-field reference
+# (tests/ppm_reference.py), on fields without NaN cells.
+
+@pytest.mark.parametrize("block_points", [64, BLOCK_POINTS])
+@pytest.mark.parametrize("nx, nz", [(13, 23), (1, 50), (1, 1), (301, 250),
+                                    (70_001, 3)])
+@pytest.mark.parametrize("model", sorted(_FIELD_ASSUMPTIONS))
+def test_ppm_matches_reference_on_fields(monkeypatch, tmp_path, model, nx, nz,
+                                         block_points):
+    # nz not a multiple of the rows per block, rows wider than one block,
+    # nx = 1 and a single cell, at the writer's block size and at one that
+    # makes many small blocks
+    monkeypatch.setattr(heatmap, "BLOCK_POINTS", block_points)
+    rows = max(1, block_points // nx)
+    assert nz % rows != 0 or rows == 1
+    f = sinr_field(reference_scenario(8, 40), _FIELD_ASSUMPTIONS[model], nx, nz)
+    if model == "rect-fspl" and nz > 3:
+        assert np.isneginf(f.sinr_db).any()
+    _assert_ppm_matches_reference(f, tmp_path)
+
+
+# Memory: each writer holds one block at a time, and the field stores its
+# serving indices in the narrowest unsigned type.
+
+def _traced_peak(fn):
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.mark.parametrize("writer", [write_csv, write_ppm])
+def test_writers_peak_below_two_mib(tmp_path, writer):
+    a = _FIELD_ASSUMPTIONS["cosine-a2g"]
+    f = sinr_field(reference_scenario(13, 40), a, 1001, 601)
+    peak = _traced_peak(lambda: writer(f, str(tmp_path / "field")))
+    assert peak < 2 * 2**20
+
+
+def test_serving_is_uint8_for_the_default_base_stations():
+    f = sinr_field(reference_scenario(8, 40), OracleAssumptions(), 80, 30,
+                   x_range=(-1500.0, 2500.0))
+    assert f.serving.dtype == np.uint8
+    assert set(np.unique(f.serving).tolist()) == {0, 1, 2, 3}
+
+
+def test_serving_is_uint16_for_300_base_stations(tmp_path):
+    a = OracleAssumptions(bs_positions=tuple(200.0 * i for i in range(300)))
+    f = sinr_field(reference_scenario(13, 40), a, 599, 20, x_range=(0.0, 59800.0))
+    assert f.serving.dtype == np.uint16
+    assert f.serving.max() >= 100 and f.serving.min() < 10
+    _assert_csv_matches_reference(f, tmp_path)
