@@ -17,9 +17,6 @@ H1_M = 100.0
 H2_M = 300.0
 TAU_DB = 2.0
 
-# Default uptilt sweep grid, degrees.
-ALPHA_GRID_DEG = [float(a) for a in range(2, 39)]
-
 
 def peak_gain_db(beta_rad: float) -> float:
     """Sector peak gain in dB for a given beamwidth: 297.6 / beta_deg."""

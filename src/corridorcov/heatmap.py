@@ -19,7 +19,7 @@ from .geometry import CorridorScenario
 from .oracle import (
     BLOCK_POINTS,
     OracleAssumptions,
-    _grid_rows,
+    _grid_columns,
     _midpoints,
     _sum_blocks,
     evaluate_sinr,
@@ -68,9 +68,9 @@ class SinrField:
 def sinr_field(s: CorridorScenario, a: OracleAssumptions, nx: int, nz: int,
                x_range: tuple[float, float] | None = None,
                z_range: tuple[float, float] | None = None) -> SinrField:
-    """Evaluate the SINR field on cell centers in blocks of whole rows (the
-    row-block loop the quadrature uses, in the caller's thread); each block
-    fills its own rows.
+    """Evaluate the SINR field on cell centers in blocks of whole columns
+    (the block loop the quadrature uses, in the caller's thread); each
+    block fills its own columns.
 
     Defaults cover the half corridor width and the full height from the BS
     antenna level: x in [0, d1/2], z in [0, h2].
@@ -89,17 +89,17 @@ def sinr_field(s: CorridorScenario, a: OracleAssumptions, nx: int, nz: int,
     work = _Workspace()
 
     def fill(lo, hi):
-        x, z = _grid_rows(xs, zs, lo, hi)
+        x, z = _grid_columns(xs, zs, lo, hi)
         idx, val = evaluate_sinr(x, z, s, a, work=work, beam=beam,
-                                 positions=positions)
-        db = sinr_db[lo:hi]
+                                 positions=positions, slab=True)
+        db = sinr_db[:, lo:hi]
         with np.errstate(divide="ignore"):
             np.log10(val, out=db)
         db *= 10.0
-        serving[lo:hi] = idx
+        serving[:, lo:hi] = idx
         return 0
 
-    _sum_blocks(nz, nx, fill)
+    _sum_blocks(nx, nz, fill)
     return SinrField(x_min=x_min, x_max=x_max, z_min=z_min, z_max=z_max,
                      nx=nx, nz=nz, sinr_db=sinr_db, serving=serving,
                      scenario=s, assumptions=a)

@@ -21,58 +21,62 @@ running sum of the powers that lose to it, and nearest association reads
 the serving power out of the same pass. The serving index is formed only for callers that read it (the
 heatmap); the quadrature and the sampler ask for the SINR alone.
 
-Point layouts. The kernel takes three: a grid block (a row of x and a
-column of z, below), a slab of held Monte Carlo samples (``slab=True``:
-1-D samples sorted by height, see `monte_carlo.SampleSet`), and any other
-points, such as a block of streamed samples. Each BS goes through the same
-steps on each of them; only the way its lit window is found differs.
+Point layouts. The kernel takes two: slabs (``slab=True``), whose
+heights ascend along their first axis, and streamed samples, any other
+points. A slab is a slab of held Monte Carlo samples (1-D samples sorted
+by height, see `monte_carlo.SampleSet`) or a grid block of whole columns,
+whose rows are the grid's heights (below). Each BS goes through the same
+steps on both, on a slab's lit window (below), and on streamed samples on
+every point.
 
 Broadcast grid. x and z broadcast against each other, and the results take
-their broadcast shape. The row-block loop passes a grid's one row of x and
-the block's column of z as `np.broadcast_to` views at the block's shape,
-never a tiled copy; the kernel cuts them back to the row and the column
-(`propagation._compact`), so ``h`` and ``h**2`` cost one row per BS, and
-only ``r2`` and what follows it cost one cell each, of the BS's window on a
-grid block (below). The kernel hands ``gain`` the row of ``h`` as a view at
-the block's shape and ``loss`` that view cut to the window, so the
-benchmark's tracer, which counts a call's points by its first array
-argument, counts gain points in block cells and loss points in window
-cells.
+their broadcast shape. The block loop passes a grid's block of columns as
+the columns' row of x and the grid's column of z, as `np.broadcast_to`
+views at the block's shape, never a tiled copy; the kernel cuts them back
+to the row and the column (`propagation._compact`), so ``h`` and ``h**2``
+cost one row per BS, and only ``r2`` and what follows it cost one cell
+each, of the BS's window. The kernel hands ``gain`` the row of ``h`` as a
+view at the block's shape, even for an empty window, and ``loss`` as a
+view at the window's, so the benchmark's tracer, which counts a call's
+points by its first array argument, counts gain points in block cells
+and loss points in window cells.
 
 Lit windows and dark base stations. A BS adds power only where its lobe
 reaches, and a zero power changes no step of any reduction (the strongest
-pair, the sum, the nearest BS's power). The beam names, for each BS, a
-window outside of which no point of the block can be lit, and inside it,
-for the rectangular beam, a fully lit core where every point is lit (or
-None). On a grid block the window is a run of columns and the core a run
-of them (`_lit_columns`, from the row of ``h`` and the block's extreme
-heights, with the same rounded products as the lobe test). On a slab the
-slab's extreme x bound each BS's distances to its samples, to
-``[0, far]`` when the BS lies inside the slab's x range, and the window
-and the core are runs of the sorted heights (`_lit_samples`, a search of
-the heights for the edge products at those two distances). On other
-points the window is the whole block, with no core, and so is every
-window of the cosine beam. ``r2``, the gain, the path loss (and the
+pair, the sum, the nearest BS's power). On a slab the beam names, for
+each BS, a window outside of which no point can be lit and inside it, for
+the rectangular beam, a fully lit core where every point is lit (or
+None). Both are runs of the first axis, found by one search of the
+ascending heights for the edge products at the BS's least and greatest
+distance (`_lit_samples`), which the slab's extreme x bound, to
+``[0, far]`` when the BS lies inside them. The cosine beam's window is
+the whole slab, with no core, and on streamed samples every window is the
+whole block. ``r2 = h*h + z2[window]``, the gain, the path loss (and the
 link's LoS bit) and the power are then formed in buffers of the window's
-own shape (a grid's rows by the window's columns), so each of their
-passes runs over contiguous memory. Only the running serving and
-interference state stays block-wide; the reduction updates it through a
-view of the window. ``gain`` fills the peak gain on the core with no test
-per cell and tests the cells on either side of it. A BS whose window is
+own shape (its rows by a grid block's columns), so each of their passes
+runs over contiguous memory. Only the running serving and interference
+state stays block-wide; the reduction updates it through a view of the
+window's rows. ``gain`` fills the peak gain on the core with no test per
+cell and tests the rows on either side of it. A BS whose window is
 empty, or whose gain is zero at every point of a window with no core, is
-skipped after its gain (on a slab, an empty window before it).
+skipped after its gain (on held samples, an empty window before it).
 
-Distances. The path-loss models need a positive distance at every point
-of every BS, lit or not, and the kernel checks that once per BS on every
-layout: the block's extreme x bound the BS's least distance ``near``
-(`_h_range`, 0 when the BS lies inside them) and its extreme heights the
-least ``z**2``, and every ``r2`` is at least ``near**2 + min(z**2)``
-because rounding is monotone. Only where that bound is not positive does
-it check every ``r2`` of the block. The loss is told so (``checked=True``)
-and does not pass over the window's ``r2`` again.
+Distances. The path-loss models need a positive distance and a finite
+loss at every point of every BS, lit or not, and the kernel checks that
+once per BS on every layout, before it forms any power: the block's
+extreme x bound the BS's least and greatest distance, ``near`` and
+``far`` (`_h_range`; near is 0 when the BS lies inside them), and its
+extreme heights the least and greatest ``z**2``, and every ``r2`` lies
+between ``near**2 + min(z**2)`` and ``far**2 + max(z**2)`` because
+rounding is monotone. The loss at the greater bound must be finite (the
+free-space loss, times the model's `_excess` bound on its excess loss),
+so that no product overflows and reads as a silent outage. Only where
+the lesser bound is not positive does the kernel check every ``r2`` of
+the block. The loss is told so (``checked=True``) and does not pass over
+the window's ``r2`` again.
 
-Blocks and workspaces. Grids are cut into blocks of whole rows, and the
-streamed Monte Carlo sampler's samples into runs, by one loop,
+Blocks and workspaces. Grids are cut into blocks of whole columns, and
+the streamed Monte Carlo sampler's samples into runs, by one loop,
 `_sum_blocks`, so the cells in flight stay near BLOCK_POINTS (64k) and the
 kernel's temporaries stay in cache. The blocks run one after another in
 the caller's thread. Samples that the Monte Carlo evaluator of sweeps
@@ -116,14 +120,15 @@ a positive number, and adding it changes nothing.
 Each cell goes through the same elementwise operations whichever block
 holds it, and a workspace's earlier contents are overwritten before they
 are read. The quadrature and the sampler add integer counts per block,
-and the heatmap's blocks fill disjoint rows, so no result depends on the
-block size (tests/test_monte_carlo.py checks Monte Carlo blocks that start
-off Philox's 4-draw steps).
+and the heatmap's blocks fill disjoint columns, so no result depends on
+the block size (tests/test_monte_carlo.py checks Monte Carlo blocks that
+start off Philox's 4-draw steps).
 """
 
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -139,13 +144,14 @@ from .propagation import (
     PathLossModel,
     RectangularBeam,
     _compact,
+    _part,
     _require_distance,
     _Workspace,
     db_to_linear,
     suggested_element_count,
 )
 
-# Cells in flight in a row-block loop.
+# Cells in flight in a block loop.
 BLOCK_POINTS = 1 << 16
 
 
@@ -253,9 +259,11 @@ def evaluate_sinr(x, z, s: CorridorScenario, a: OracleAssumptions,
     `beam` and `positions` are what `a.resolve_beam(s)` and
     `a.resolve_positions(s)` give, formed here when None; a caller that
     evaluates many blocks of one scenario forms them once. With `slab`,
-    x and z are 1-D samples with z ascending (a slab of a
-    `monte_carlo.SampleSet`), and each BS is evaluated on the samples its
-    lobe can reach only.
+    the heights ascend along the first axis: x and z are 1-D samples
+    sorted by z (a slab of a `monte_carlo.SampleSet`), or a grid block's
+    row of x and column of z (`_grid_columns`), and each BS is evaluated
+    on the samples or rows its lobe can reach only (`_lit_samples`).
+    Without it, each BS is evaluated on every point.
 
     Every temporary, and both results, live in the buffers of `work` (a
     `_Workspace`; a new one when None), so the results are views that the
@@ -274,19 +282,34 @@ def evaluate_sinr(x, z, s: CorridorScenario, a: OracleAssumptions,
     p_tx = s.radio.p_tx_w
     strongest = a.association is Association.STRONGEST
     dominant = a.interference is InterferenceMode.DOMINANT_ONLY
-    # a grid block, x one row and z one column: each BS is evaluated on
-    # the columns its lobe can reach only
-    grid = x.ndim == z.ndim == 2 and x.shape[0] == z.shape[1] == 1
+    # a grid block: x is one row, the same in every row of the block
+    grid = x.ndim == 2
 
     x_lo, x_hi = float(x.min()), float(x.max())
-    # a slab's z ascends
-    z_lo, z_hi = ((float(z[0]), float(z[-1])) if slab
-                  else (float(z.min()), float(z.max())))
-    # the least z**2: at an end, or 0 if z changes sign
+    if slab:
+        # a slab's heights ascend: a held slab's samples, or a grid
+        # block's column
+        heights = z.reshape(len(z))
+        z_lo, z_hi = float(heights[0]), float(heights[-1])
+    else:
+        z_lo, z_hi = float(z.min()), float(z.max())
+    # the least z**2 (at an end, or 0 if z changes sign) and the greatest
     z2_least = (min(z_lo * z_lo, z_hi * z_hi) if z_lo >= 0 or z_hi <= 0
                 else 0.0)
-    if not slab:
-        z2 = np.multiply(z, z, out=work.take("z2", z.shape))
+    z2_most = max(z_lo * z_lo, z_hi * z_hi)
+    ranges = [_h_range(x_lo, x_hi, pos) for pos in positions]
+    for pos, (near, far) in zip(positions, ranges):
+        # every r2 lies between these bounds, rounding being monotone. A
+        # least bound that is not positive settles nothing: the block's r2
+        # are checked then, and cannot overflow below a finite greatest.
+        least, most = near * near + z2_least, far * far + z2_most
+        if not least > 0 and most < math.inf:
+            h = np.subtract(x, pos, out=work.take("h", x.shape))
+            r2 = np.multiply(h, h, out=work.take("r2", shape))
+            r2 += np.multiply(z, z, out=work.take("p", z.shape))
+            least = r2.min()
+        _require_distance(least, most, lam, pathloss._excess)
+    z2 = np.multiply(z, z, out=work.take("z2", z.shape))
     # r2, p (gain, then received power) and pl (path loss, then scratch)
     # are taken at each window's shape from buffers sized for the block
     for name in ("r2", "p", "pl"):
@@ -306,58 +329,41 @@ def evaluate_sinr(x, z, s: CorridorScenario, a: OracleAssumptions,
             np.copyto(serving, nearest)
     elif with_serving:
         serving.fill(0)
-    # cells: the window in the block-wide arrays; part: the window in
-    # those with the shape of h (a grid's row, or a slab's window itself)
-    cols = core = None
-    cells = part = Ellipsis
-    window = shape
-    xw, zw = x, z
-    for i, pos in enumerate(positions):
-        near, far = _h_range(x_lo, x_hi, pos)
-        # every r2 is at least near**2 + min(z**2), rounding being
-        # monotone; a bound that is not positive settles nothing
-        if not near * near + z2_least > 0:
-            h = np.subtract(x, pos, out=work.take("h", x.shape))
-            r2 = np.multiply(h, h, out=work.take("r2", shape))
-            r2 += np.multiply(z, z, out=work.take("p", z.shape))
-            _require_distance(r2.min())
+    # cells: the window, rows of the block-wide arrays; _part(a, cells) is
+    # the window in an array with the shape of x (a grid's row holds all)
+    cells, core, window = Ellipsis, None, shape
+    for i, (pos, (near, far)) in enumerate(zip(positions, ranges)):
         if slab:
-            cells, core = beam._lit_samples(near, far, z)
-            if cells.start == cells.stop:
+            cells, core = beam._lit_samples(near, far, heights)
+            window = (cells.stop - cells.start, *shape[1:])
+            # a grid's gain is called on an empty window too: the
+            # benchmark's tracer counts its points in block cells
+            if not (window[0] or grid):
                 continue
-            xw, zw = x[cells], z[cells]
-            window = zw.shape
+        xw = _part(x, cells)
         h = np.subtract(xw, pos, out=work.take("h", xw.shape))
         np.abs(h, out=h)
         # h*h has h's shape and borrows the head of p
         hh = np.multiply(h, h, out=work.take("p", h.shape))
-        if grid:
-            cols, core = beam._lit_columns(h, z_lo, z_hi, work)
-            cells = part = (Ellipsis, cols)
-            window = (shape[0], cols.stop - cols.start)
-        if slab:
-            # a slab holds no z2 buffer: z*z goes to r2 first
-            r2 = np.multiply(zw, zw, out=work.take("r2", window))
-            np.add(hh, r2, out=r2)
-        else:
-            r2 = np.add(hh[part], z2, out=work.take("r2", window))
-        # a view: one value per cell
-        h_cells = h if slab else np.broadcast_to(h, shape)
-        p = beam.gain(h_cells, zw, r2, out=work.take("p", window), work=work,
-                      cols=cols, core=core)
+        r2 = np.add(hh, z2[cells], out=work.take("r2", window))
+        zw = z[cells]
+        # h as a view with one value per cell: of the block on a grid, and
+        # of the window to the loss
+        p = beam.gain(np.broadcast_to(h, shape if grid else window), zw, r2,
+                      out=work.take("p", window), work=work, core=core)
         # a BS that lights no cell adds a power of 0, which changes no
         # step below; a fully lit core is lit (or the peak gain is 0, and
         # evaluating it changes nothing either)
         if core is None and not p.any():
             continue
         pl = work.take("pl", window)
+        h = np.broadcast_to(h, window)
         if drawn:
             los = _bit(los_states[i >> 3][cells], i & 7, work)
-            pathloss.loss(h_cells[part], zw, r2, lam, los_state=los, out=pl,
-                          work=work, checked=True)
-        else:
-            pathloss.loss(h_cells[part], zw, r2, lam, out=pl, work=work,
+            pathloss.loss(h, zw, r2, lam, los_state=los, out=pl, work=work,
                           checked=True)
+        else:
+            pathloss.loss(h, zw, r2, lam, out=pl, work=work, checked=True)
         p *= p_tx
         p /= pl
         best, rest = p_serv[cells], other[cells]
@@ -375,7 +381,8 @@ def evaluate_sinr(x, z, s: CorridorScenario, a: OracleAssumptions,
                 np.maximum(serving[cells], won, out=serving[cells])
             np.maximum(best, p, out=best)
         else:
-            is_mine = np.equal(nearest[cells], i, out=mine[cells])
+            is_mine = np.equal(_part(nearest, cells), i,
+                               out=_part(mine, cells))
             np.copyto(best, p, where=is_mine)
             np.copyto(p, 0.0, where=is_mine)
             join(rest, p, out=rest)
@@ -398,21 +405,21 @@ def evaluate_sinr(x, z, s: CorridorScenario, a: OracleAssumptions,
 def _sum_blocks(n, cells_each, fn):
     """Sum of the integers fn(lo, hi) over the blocks [lo, hi) that cut
     range(n) into runs of BLOCK_POINTS // cells_each items (at least one),
-    where each item is `cells_each` cells (a grid row, or one sample). The
-    blocks run one after another in the caller's thread; each caller's
+    where each item is `cells_each` cells (a grid column, or one sample).
+    The blocks run one after another in the caller's thread; each caller's
     `fn` closes over its own workspace."""
     size = max(1, BLOCK_POINTS // cells_each)
     return sum(fn(lo, min(lo + size, n)) for lo in range(0, n, size))
 
 
-def _grid_rows(xs, zs, lo, hi):
-    """Rows lo..hi of the grid xs x zs as (x, z): x is the grid's one row
-    and z the rows' column, each a `np.broadcast_to` view at the block's
-    shape (no copy), which the kernel cuts back to the row and the
-    column."""
-    z = zs[lo:hi, None]
-    shape = (z.size, xs.size)
-    return np.broadcast_to(xs, shape), np.broadcast_to(z, shape)
+def _grid_columns(xs, zs, lo, hi):
+    """Columns lo..hi of the grid xs x zs as (x, z): x the columns' row
+    and z the grid's column of heights, each a `np.broadcast_to` view at
+    the block's shape (no copy), which the kernel cuts back to the row and
+    the column. Ascending heights make the block a slab."""
+    x = xs[lo:hi]
+    shape = (zs.size, x.size)
+    return np.broadcast_to(x, shape), np.broadcast_to(zs[:, None], shape)
 
 
 def _midpoints(lo: float, hi: float, n: int) -> np.ndarray:
@@ -435,10 +442,11 @@ def coverage_by_quadrature(s: CorridorScenario, a: OracleAssumptions,
     work = _Workspace() if work is None else work
 
     def covered(lo, hi):
-        x, z = _grid_rows(xs, zs, lo, hi)
-        _, val = evaluate_sinr(x, z, s, a, work=work, with_serving=False)
+        x, z = _grid_columns(xs, zs, lo, hi)
+        _, val = evaluate_sinr(x, z, s, a, work=work, with_serving=False,
+                               slab=True)
         hit = np.greater_equal(val, s.tau,
                                out=work.take("hit", val.shape, bool))
         return int(np.count_nonzero(hit))
 
-    return _sum_blocks(n_z, n_x, covered) / float(n_x * n_z)
+    return _sum_blocks(n_x, n_z, covered) / float(n_x * n_z)

@@ -17,50 +17,43 @@ it needs from them:
 The SINR kernel (``oracle.evaluate_sinr``) calls ``gain`` once per base
 station (on a slab of held samples, once per base station whose lit
 window is not empty), and ``loss`` once per base station whose lobe does
-reach a cell of the block, each on the BS's lit window only (see below).
-``h``, ``z`` and ``r2`` broadcast against each other. On a grid ``h``
-varies along the row and ``z`` down the column only: the kernel passes
-``h`` as a `np.broadcast_to` view of one row, at the block's shape to
-``gain`` and cut to the window to ``loss``, and ``z`` as one column. A
-model that does arithmetic on ``h`` or ``z`` alone first cuts such a view
-back to its row (`_compact`), so that work costs one row per block.
+reach a point of the block, each on the BS's lit window only (see below).
+``h``, ``z`` and ``r2`` broadcast against each other. On a grid block
+``h`` varies along the row and ``z`` down the column only: the kernel
+passes ``h`` as a `np.broadcast_to` view of one row, at the block's shape
+to ``gain`` and at the window's to ``loss``, and ``z`` as the window's
+column. A model that does arithmetic on ``h`` or ``z`` alone first cuts
+such a view back to its row (`_compact`), so that work costs one row per
+block.
 
-Lit windows. Each beam names, for the points of a block, a window
-outside of which none can be lit and, inside it, a fully lit core, in one
-protocol for two layouts, each giving ``(window, core)``:
+Lit windows. The kernel evaluates windows of blocks whose heights ascend
+along the first axis: slabs of held Monte Carlo samples, and grid blocks
+of whole columns, whose rows are the grid's heights. For such a block,
+``_lit_samples(h_near, h_far, z)`` takes its heights ``z`` and the bounds
+``[h_near, h_far]`` of its distances to a BS, and gives
+``(window, core)``: the run of the first axis outside of which no point
+can be lit, and the run inside it where every point is lit (counted from
+the window's start), or None. The rectangular beam finds both by a search
+of ``z`` for its edge products at the two distances, formed as its lobe
+test forms them, so they are guarantees, not estimates. The cosine beam
+names the whole block and no core.
 
-- ``_lit_columns(h, z_lo, z_hi, work)``, for a grid block with row ``h``
-  and heights from ``z_lo`` to ``z_hi``: the slice of columns, and the
-  slice of the window's columns where every height of the block lies
-  strictly between the edge products of the lobe test (None unless those columns are contiguous; a
-  BS inside the row can split them in two);
-- ``_lit_samples(h_near, h_far, z)``, for a slab of samples sorted by
-  height ``z`` whose distances to the BS lie in ``[h_near, h_far]``: the
-  run of samples, and the run inside it where every one is lit (or None),
-  by a search of ``z`` for the edge products at the two distances.
+The kernel passes ``z``, ``r2`` and ``out`` to ``gain`` at the window's
+shape, ``h`` at the window's shape on a slab and as the block-shaped view
+of its row on a grid, and the core as ``core``: the rectangular beam
+fills the peak gain on the core's rows and tests cell by cell only on
+either side of them, and every cell when ``core`` is None.
 
-The rectangular beam forms both from the same rounded products as its
-lobe test, so they are guarantees, not estimates. The cosine beam names
-the whole block and no core. The kernel passes a grid's columns to
-``gain`` as ``cols``: ``h`` stays the block-shaped row view, while ``r2``
-and ``out`` have the window's shape (the block's rows by the columns of
-``cols``), and ``gain`` writes nothing outside the window. On a slab it
-passes ``h``, ``z``, ``r2`` and ``out`` at the window's shape. Either way
-it passes the core as ``core``: the rectangular beam fills the peak gain
-there and tests cell by cell only on either side of it, and every cell
-when ``core`` is None. Called without ``cols``, ``gain`` evaluates every
-cell.
-
-Buffers. Every model method takes an optional ``out``, a float array of the
-broadcast shape (the window's, given ``cols``) that receives the result
-and is returned, and an optional ``work``, a `_Workspace` that its scratch
-arrays are taken from at the shape they are needed in, so a window's
-scratch is contiguous as well. The kernel passes buffers it reuses from
-block to block, so a block allocates no temporaries; a model called on its
-own allocates what it is not given. ``loss`` raises a ValueError unless
-every ``r2`` is positive; the kernel, which checks that for every block
-(see `oracle`), passes ``checked=True``, and the model does not pass over
-``r2`` again. The in-place forms keep every operation's operands and
+Buffers. Every model method takes an optional ``out``, a float array of
+the broadcast shape that receives the result and is returned, and an
+optional ``work``, a `_Workspace` that its scratch arrays are taken from
+at the shape they are needed in, so a window's scratch is contiguous as
+well. The kernel passes buffers it reuses from block to block, so a block
+allocates no temporaries; a model called on its own allocates what it is
+not given. ``loss`` raises a ValueError unless every ``r2`` is positive
+and its free-space loss finite; the kernel, which checks that for every
+block (see `oracle`), passes ``checked=True``, and the model does not pass
+over ``r2`` again. The in-place forms keep every operation's operands and
 order, so their values are bit-identical to the plain expressions in the
 docstrings; the peak gain filled on fully lit cells is the value the
 lobe test gives them, 1.0 times the peak gain.
@@ -116,25 +109,10 @@ def _compact(a):
                    for step in a.strides)]
 
 
-def _cut(a, cols):
-    """The columns `cols` of `a`, all of it when None."""
-    return a if cols is None else a[..., cols]
-
-
 def _part(a, part):
-    """The slice `part` of the last axis of `a`, or all of `a` if that
-    axis has length 1 (a grid's column of heights, which broadcasts)."""
-    return a if a.shape[-1] == 1 else a[..., part]
-
-
-def _span(dark):
-    """The slice from the first to past the last False of a one-row
-    boolean array; empty if every entry is True."""
-    dark = dark.reshape(-1)
-    first = int(dark.argmin())
-    if dark[first]:
-        return slice(0, 0)
-    return slice(first, dark.size - int(dark[::-1].argmin()))
+    """The slice `part` of the first axis of `a`, or all of `a` if that
+    axis has length 1 (a grid's row of distances, which broadcasts)."""
+    return a if a.shape[0] == 1 else a[part]
 
 
 def _buffer(buf, shape):
@@ -142,10 +120,21 @@ def _buffer(buf, shape):
     return np.empty(shape) if buf is None else buf
 
 
-def _require_distance(r2_min):
-    """Raise the path-loss models' error if the least squared distance is
-    not positive (NaN passes, as it does ``r2 <= 0``)."""
-    if r2_min <= 0:
+def _per_m2(wavelength_m):
+    """Free-space loss per square metre of squared distance,
+    (4 pi / lambda)**2."""
+    return (4.0 * math.pi / wavelength_m) ** 2
+
+
+def _require_distance(r2_least, r2_most, wavelength_m, excess=1.0):
+    """Raise the path-loss models' error unless the squared distances
+    from `r2_least` to `r2_most` are positive and `excess` (>= 1) times
+    their free-space loss is finite (NaN passes, as it does
+    ``r2 <= 0``)."""
+    if r2_most * _per_m2(wavelength_m) * excess == math.inf:
+        raise ValueError("path loss requires a finite loss, but squared "
+                         f"distances reach {r2_most:g} m^2")
+    if r2_least <= 0:
         raise ValueError("path loss requires a positive distance")
 
 
@@ -237,7 +226,7 @@ class RectangularBeam:
                            math.tan(hi) if hi <= HALF_PI else None)
         object.__setattr__(self, "_dark", lo >= HALF_PI or hi <= -HALF_PI)
 
-    def gain(self, h, z, r2, out=None, work=None, cols=None, core=None):
+    def gain(self, h, z, r2, out=None, work=None, core=None):
         """Peak gain where the elevation atan2(z, h) lies strictly between
         alpha and alpha + beta, zero elsewhere (edges excluded).
 
@@ -248,17 +237,12 @@ class RectangularBeam:
         tan(edge)*h have the shape of `h`, one row on a grid. The gain is
         the 0/1 lobe indicator times the peak gain, exact for a finite one.
 
-        With `cols` (from `_lit_columns`), `h` is a grid block's row (or
-        its view at the block's shape) and `z` its column, and `out` has
-        the window's shape: the block's rows by the columns of `cols`.
-        Nothing outside the window is written.
-
-        With `core` (from `_lit_columns` or `_lit_samples`), the slice
-        `core` of the window's last axis is fully lit: it takes the peak
-        gain, and only the cells on either side of it are tested. With
-        `core` None, every cell is tested.
+        With `core` (from `_lit_samples`), the rows `core` (a slice of the
+        first axis) are fully lit: they take the peak gain, and only the
+        rows on either side of them are tested. With `core` None, every
+        cell is tested.
         """
-        h = _cut(_compact(np.asarray(h, dtype=float)), cols)
+        h = _compact(np.asarray(h, dtype=float))
         z = _compact(np.asarray(z, dtype=float))
         out = _buffer(out, np.broadcast_shapes(h.shape, z.shape))
         if self._dark:
@@ -267,11 +251,11 @@ class RectangularBeam:
         work = _Workspace() if work is None else work
         if core is None:
             return self._lobe(h, z, out, work)
-        out[..., core] = self.peak_gain
-        for fringe in (slice(0, core.start), slice(core.stop, out.shape[-1])):
+        out[core] = self.peak_gain
+        for fringe in (slice(0, core.start), slice(core.stop, len(out))):
             if fringe.start < fringe.stop:
-                self._lobe(_part(h, fringe), _part(z, fringe),
-                           out[..., fringe], work)
+                self._lobe(_part(h, fringe), _part(z, fringe), out[fringe],
+                           work)
         return out
 
     def _lobe(self, h, z, out, work):
@@ -290,48 +274,13 @@ class RectangularBeam:
             inside &= below
         return np.multiply(inside, self.peak_gain, out=out)
 
-    def _unlit(self, h, top, bottom, work):
-        """Booleans in the shape of row `h`: True where a height `top` is
-        not above the lower edge product or `bottom` not below the upper
-        one, the products formed as the lobe test forms them."""
-        edge = work.take("beam.edge", h.shape)
-        unlit = work.take("beam.unlit", h.shape, bool)
-        unlit.fill(False)
-        if self._t_lo is not None:
-            np.less_equal(top, np.multiply(h, self._t_lo, out=edge),
-                          out=unlit)
-        if self._t_hi is not None:
-            unlit |= np.greater_equal(
-                bottom, np.multiply(h, self._t_hi, out=edge),
-                out=work.take("beam.past", h.shape, bool))
-        return unlit
-
-    def _lit_columns(self, h, z_lo, z_hi, work):
-        """Columns of the grid block with row `h` and heights from `z_lo`
-        to `z_hi` outside of which no cell is lit, as a slice; and the
-        slice of that window where every cell is lit, counted from the
-        window's start, or None if there is no such column or those
-        columns are not contiguous (a BS inside the row can split them in
-        two). A column is dark if `z_hi` is not above its lower edge
-        product or `z_lo` not below its upper one, and fully lit if `z_lo`
-        is above the one and `z_hi` below the other."""
-        if self._dark:
-            return slice(0, 0), None
-        cols = _span(self._unlit(h, z_hi, z_lo, work))
-        if cols.start == cols.stop:
-            return cols, None
-        part = self._unlit(h[..., cols], z_lo, z_hi, work)
-        core = _span(part)
-        if core.start == core.stop or part[..., core].any():
-            return cols, None
-        return cols, core
-
     def _lit_samples(self, h_near, h_far, z):
-        """Samples of a slab, sorted by height `z`, that the lobe can
-        reach from a BS whose horizontal distance to each of them lies in
-        [h_near, h_far], as a slice; and the slice of that window where
-        every sample is lit, counted from the window's start, or None if
-        there is none.
+        """Points of a block, whose heights `z` ascend along its first
+        axis, that the lobe can reach from a BS whose horizontal distance
+        to each of them lies in [h_near, h_far], as a slice of that axis;
+        and the slice of that window where every point is lit, counted
+        from the window's start, or None if there is none. `z` is 1-D: a
+        slab's samples, or a grid block's column of heights.
 
         The edge product h * tan(edge) is monotone in h, each rounding
         being monotone, so over the slab it lies between its values at
@@ -343,7 +292,7 @@ class RectangularBeam:
         if self._dark:
             return slice(0, 0), None
         start = core_start = 0
-        stop = core_stop = z.shape[-1]
+        stop = core_stop = len(z)
         if self._t_lo is not None:
             ends = (h_near * self._t_lo, h_far * self._t_lo)
             start = int(z.searchsorted(min(ends), side="right"))
@@ -377,14 +326,11 @@ class CosineBeam:
         if self.n_elements < 2:
             raise ValueError(f"element count must be >= 2, got {self.n_elements}")
 
-    def gain(self, h, z, r2, out=None, work=None, cols=None, core=None):
+    def gain(self, h, z, r2, out=None, work=None, core=None):
         """Gain at the elevation whose cosine is h / sqrt(r2); `z` is not
-        needed. With `cols` (from `_lit_columns`, the whole row), `h` is a
-        grid block's row (or its view at the block's shape), and `r2` and
-        `out` have the shape of the block. Its windows hold no fully lit
-        core, so `core` is None (as `_lit_columns` and `_lit_samples` give
-        it) and every cell is evaluated."""
-        h = _cut(_compact(np.asarray(h, dtype=float)), cols)
+        needed. Its windows hold no fully lit core, so `core` is None (as
+        `_lit_samples` gives it) and every cell is evaluated."""
+        h = _compact(np.asarray(h, dtype=float))
         r2 = np.asarray(r2, dtype=float)
         x = _buffer(out, np.broadcast_shapes(h.shape, r2.shape))
         work = _Workspace() if work is None else work
@@ -403,17 +349,11 @@ class CosineBeam:
         np.copyto(g, 0.0, where=np.logical_not(inside, out=inside))
         return g
 
-    def _lit_columns(self, h, z_lo, z_hi, work):
-        """The window of a grid block with row `h` (see
-        `RectangularBeam._lit_columns`): every column, and no fully lit
-        core."""
-        return slice(0, h.shape[-1]), None
-
     def _lit_samples(self, h_near, h_far, z):
-        """The window of a slab sorted by height `z` (see
-        `RectangularBeam._lit_samples`): the whole slab, and no fully lit
-        core."""
-        return slice(0, z.shape[-1]), None
+        """The window of a block whose heights `z` ascend along its first
+        axis (see `RectangularBeam._lit_samples`): the whole block, and no
+        fully lit core."""
+        return slice(0, len(z)), None
 
 
 BeamPattern = RectangularBeam | CosineBeam
@@ -432,14 +372,17 @@ class FreeSpacePathLoss:
     """PL = (4 pi R / lambda)^2 = (4 pi / lambda)^2 * R^2; independent of
     elevation."""
 
+    # a bound on loss / free-space loss (see `AirToGroundPathLoss`)
+    _excess = 1.0
+
     def loss(self, h, z, r2, wavelength_m, out=None, work=None,
              checked=False):
         """Linear path loss from the squared distance `r2`; `h`, `z` and
         `work` are not needed."""
         r2 = np.asarray(r2, dtype=float)
         if r2.size and not checked:
-            _require_distance(r2.min())
-        return np.multiply(r2, (4.0 * math.pi / wavelength_m) ** 2, out=out)
+            _require_distance(r2.min(), r2.max(), wavelength_m)
+        return np.multiply(r2, _per_m2(wavelength_m), out=out)
 
 
 @dataclass(frozen=True)
@@ -459,6 +402,10 @@ class AirToGroundPathLoss:
     # fields, so they take no part in eq and hash
     _eta_los: float = field(init=False, repr=False, compare=False)
     _eta_nlos: float = field(init=False, repr=False, compare=False)
+    # a bound on loss / free-space loss: the free-space loss is formed
+    # first, and the mixture of the etas exceeds the greater by a few ulps
+    # at most
+    _excess: float = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         eta_los = float(db_to_linear(self.eta_los_db))
@@ -468,6 +415,8 @@ class AirToGroundPathLoss:
                              f"{self.eta_los_db} and {self.eta_nlos_db} dB")
         object.__setattr__(self, "_eta_los", eta_los)
         object.__setattr__(self, "_eta_nlos", eta_nlos)
+        object.__setattr__(self, "_excess",
+                           max(1.0, 2.0 * max(eta_los, eta_nlos)))
 
     def p_los(self, h, z, out=None, work=None):
         """LoS probability at elevation atan2(z, h); the sigmoid takes the
@@ -496,26 +445,20 @@ class AirToGroundPathLoss:
         out = _buffer(out, shape)
         work = _Workspace() if work is None else work
         tmp = work.take("a2g.tmp", shape)
-        eta_los, eta_nlos = self._eta_los, self._eta_nlos
-        fspl = FreeSpacePathLoss()
-        if los_state is not None:
-            # where(los_state, eta_los, eta_nlos) as f * eta_los
-            # + (1 - f) * eta_nlos with f = los_state in {0, 1}: exact for
-            # finite etas, and no branch per link on a random state
-            eta = out
-            np.copyto(eta, los_state)
-            np.subtract(1.0, eta, out=tmp)
-            tmp *= eta_nlos
-            eta *= eta_los
-            eta += tmp
-            pl_fs = fspl.loss(h, z, r2, wavelength_m, out=tmp, checked=checked)
-            return np.multiply(eta, pl_fs, out=out)
-        p = self.p_los(h, z, out=out)
+        if los_state is None:
+            p = self.p_los(h, z, out=out)
+        else:
+            # the drawn states as p in {0, 1}: the mixture below is then
+            # where(los_state, eta_los, eta_nlos), exact for finite etas,
+            # with no branch per link on a random state
+            p = out
+            np.copyto(p, los_state)
         np.subtract(1.0, p, out=tmp)
-        tmp *= eta_nlos
-        p *= eta_los
+        tmp *= self._eta_nlos
+        p *= self._eta_los
         p += tmp
-        pl_fs = fspl.loss(h, z, r2, wavelength_m, out=tmp, checked=checked)
+        pl_fs = FreeSpacePathLoss().loss(h, z, r2, wavelength_m, out=tmp,
+                                         checked=checked)
         return np.multiply(p, pl_fs, out=out)
 
 

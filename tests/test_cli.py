@@ -175,6 +175,16 @@ def test_validate_without_uptilts_exits_1(flag, cfg_text, tmp_path, capsys):
     ("", ["--tau-db", "1e6", "analyze"], "tau must be finite"),
     ("radio.carrier_hz=1e-300", ["--grid-nx", "64", "--grid-nz", "64",
                                  "oracle"], "wavelength_m"),
+    # distances whose squares or losses leave the float range: numpy's
+    # overflow warning, then p_out=1, exit 0
+    ("", ["--d1", "1e300", "--samples", "100", "mc"], "finite loss"),
+    ("", ["--h2", "1e200", "--grid-nx", "64", "--grid-nz", "64", "oracle"],
+     "finite loss"),
+    ("", ["--h2", "1e300", "--grid-nx", "8", "--grid-nz", "8", "heatmap"],
+     "finite loss"),
+    ("model.pathloss=a2g", ["--alpha-deg", "-5", "--d1", "1e151",
+                            "--grid-nx", "64", "--grid-nz", "64", "oracle"],
+     "finite loss"),
 ])
 def test_rejected_model_values_exit_1(config, argv, message, tmp_path,
                                       capsys):
@@ -294,6 +304,21 @@ def test_sweep_json_records_failure_reasons(tmp_path):
     for row in curve[2:]:
         assert row["p_out"] is None and row["case"] is None
         assert "alpha + beta < pi/2" in row["error"]
+
+
+def test_mc_sweep_records_overflowing_distances_as_gaps(tmp_path):
+    # the held samples' losses leave the float range: a gap with a reason
+    # at every uptilt, not p_out 1.0
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, art = _run(["--beta-deg", "40", "--d1", "1e300", "--samples",
+                          "100", "sweep", "--evaluator", "mc",
+                          "--alpha-min-deg", "8", "--alpha-max-deg", "9",
+                          "--format", "json"], tmp_path)
+    assert code == 0
+    assert [row["alpha_deg"] for row in art["curve"]] == [8.0, 9.0]
+    for row in art["curve"]:
+        assert row["p_out"] is None and "finite loss" in row["error"]
 
 
 def test_optimize_json_records_history(tmp_path):

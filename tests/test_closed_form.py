@@ -3,12 +3,17 @@ import math
 import pytest
 
 from corridorcov import closed_form
-from corridorcov.defaults import ALPHA_GRID_DEG, reference_scenario
+from corridorcov.cli import KEYS
+from corridorcov.defaults import reference_scenario
 from corridorcov.geometry import GeometryInfeasible, TauOutOfRange
 
 from linear_model_reference import linear_model_coverage
 
 D2R = math.pi / 180.0
+# the uptilts of a sweep at the defaults of the sweep.alpha_* keys, degrees
+LO, HI, STEP = (KEYS[f"sweep.alpha_{k}_deg"].default
+                for k in ("min", "max", "step"))
+ALPHA_GRID_DEG = [LO + k * STEP for k in range(round((HI - LO) / STEP) + 1)]
 
 # Reference outage values frozen from the quadrature oracle (2001x2001
 # midpoints, strongest association, dominant interferer, rectangular beam,

@@ -257,7 +257,7 @@ def test_strongest_association_beats_nearest():
 
 def _raise_on_third_call(monkeypatch, module):
     """Make `module`'s kernel raise a ValueError on its third call, that
-    is in the third block of a row-block loop; returns that error."""
+    is in the third block of a block loop; returns that error."""
     kernel = module.evaluate_sinr
     calls = itertools.count(1)
     err = ValueError("third block")

@@ -147,8 +147,9 @@ def test_kernel_is_bit_identical_to_the_allocating_kernel(
 def test_broadcast_grid_is_bit_identical_to_flattened_points(
         assoc, interference, beam, loss, noise):
     # an x row and a z column, plain and as the block-shaped broadcast views
-    # the row-block loop passes, against the flattened grid; x holds both
-    # BS-1/BS-2 ties and points overhead
+    # the block loop passes, against the flattened grid, evaluated as the
+    # loops evaluate them (a slab: the heights ascend) and unwindowed; x
+    # holds both BS-1/BS-2 ties and points overhead
     xs = np.linspace(-200.0, 1200.0, 57)
     zs = np.linspace(0.5, 400.5, 23)
     shape = (zs.size, xs.size)
@@ -158,9 +159,11 @@ def test_broadcast_grid_is_bit_identical_to_flattened_points(
         s = reference_scenario(alpha_deg, beta_deg)
         srv_ref, val_ref = ref.allocating_evaluate_sinr(
             np.tile(xs, zs.size), np.repeat(zs, xs.size), s, a)
-        for x, z in ((xs[None, :], zs[:, None]),
-                     (np.broadcast_to(xs, shape), np.broadcast_to(zs[:, None], shape))):
-            srv, val = evaluate_sinr(x, z, s, a, work=work)
+        for (x, z), slab in itertools.product(
+                ((xs[None, :], zs[:, None]),
+                 (np.broadcast_to(xs, shape), np.broadcast_to(zs[:, None], shape))),
+                (True, False)):
+            srv, val = evaluate_sinr(x, z, s, a, work=work, slab=slab)
             assert srv.shape == val.shape == shape
             assert np.array_equal(srv.ravel(), srv_ref)
             assert np.array_equal(val.ravel(), val_ref)
@@ -204,11 +207,22 @@ def test_models_are_bit_identical_to_the_allocating_models(alpha_deg, beta_deg):
         assert np.array_equal(a2g.p_los(h, z, out=np.empty(shape)), want)
 
 
-def test_sinr_field_is_bit_identical_to_the_allocating_kernel():
+SUM = InterferenceMode.SUM_ALL
+
+
+@pytest.mark.parametrize("x_range", [None, (-1500.0, 2500.0)])
+@pytest.mark.parametrize("a", [
+    OracleAssumptions(beam=BeamKind.COSINE, pathloss=AirToGroundPathLoss()),
+    OracleAssumptions(),
+    OracleAssumptions(association=Association.NEAREST, interference=SUM),
+    OracleAssumptions(beam=BeamKind.COSINE, pathloss=AirToGroundPathLoss(),
+                      association=Association.NEAREST, interference=SUM),
+], ids=["cosine-a2g", "rect-fspl", "rect-nearest-sum", "cosine-nearest-sum"])
+def test_sinr_field_is_bit_identical_to_the_allocating_kernel(a, x_range):
+    # the half corridor, and an x range that holds every BS
     s = reference_scenario(13.0, 40.0)
-    a = OracleAssumptions(beam=BeamKind.COSINE, pathloss=AirToGroundPathLoss())
-    nx, nz = 301, 257   # several row blocks, the last one short
-    f = sinr_field(s, a, nx, nz)
+    nx, nz = 301, 257   # several column blocks, the last one narrow
+    f = sinr_field(s, a, nx, nz, x_range=x_range)
     srv, val = ref.allocating_evaluate_sinr(
         np.tile(f.x_centers, nz), np.repeat(f.z_centers, nx), s, a)
     with np.errstate(divide="ignore"):
@@ -217,23 +231,45 @@ def test_sinr_field_is_bit_identical_to_the_allocating_kernel():
     assert np.array_equal(f.sinr_db.ravel(), db)
 
 
+def test_grid_loops_search_lit_windows(monkeypatch):
+    # the quadrature and the field evaluate their column blocks as slabs:
+    # one window search per block and BS. Unwindowed, the values would be
+    # the same and only slower.
+    calls = []
+    for cls in (RectangularBeam, CosineBeam):
+        search = cls._lit_samples
+
+        def counted(self, h_near, h_far, z, search=search):
+            calls.append(z.size)
+            return search(self, h_near, h_far, z)
+        monkeypatch.setattr(cls, "_lit_samples", counted)
+    s = reference_scenario(13.0, 40.0)
+    for a in (OracleAssumptions(), OracleAssumptions(beam=BeamKind.COSINE)):
+        # 301 columns of 257 heights: blocks of 255 and 46 columns
+        calls.clear()
+        coverage_by_quadrature(s, a, 301, 257)
+        assert calls == [257] * 2 * 4
+        calls.clear()
+        sinr_field(s, a, 301, 257)
+        assert calls == [257] * 2 * 4
+
+
 # Tilts for the lit windows: alpha <= 0 (and alpha = 0, a flat lower
 # edge), alpha + beta at and past 90 degrees, a lobe reaching below -90,
 # lobes entirely above 90 and below -90 degrees, and a regular one
 WINDOW_TILTS = [(13.0, 40.0), (-5.0, 40.0), (0.0, 40.0), (50.0, 40.0),
                 (60.0, 40.0), (-100.0, 130.0), (95.0, 30.0), (-130.0, 30.0)]
 # rectangular, and cosine lobes of N = 2 and N = 4000 elements: the widest
-# one and one far narrower than a grid column
+# one and one far narrower than a grid cell
 WINDOW_BEAMS = {"rect": dict(beam=BeamKind.RECT),
                 "cosine-2": dict(beam=BeamKind.COSINE, n_elements=2),
                 "cosine-4000": dict(beam=BeamKind.COSINE, n_elements=4000)}
 # x rows with every BS inside them (so h is V-shaped) and rows on one side
 # of them; z columns from below the BS height to the corridor top. Single
 # columns and single rows, one exactly above a BS. For the rectangular
-# lobe's fully lit columns: a row past the last BS whose windows have a
-# fully lit core with a fringe on either side, a narrow band of heights
-# around BS-1 that lights columns fully on both sides of it (not
-# contiguous), and a row on one side of the last BS.
+# lobe's fully lit rows: a row past the last BS whose windows have a fully
+# lit core with a fringe on either side, a narrow band of heights around
+# BS-1, and a row on one side of the last BS.
 WINDOW_GRIDS = {
     "wide": (np.linspace(-1500.0, 2500.0, 81), np.linspace(-150.5, 400.5, 29)),
     "half-corridor": (np.linspace(0.5, 499.5, 64), np.linspace(100.5, 299.5, 31)),
@@ -254,9 +290,9 @@ GRID_MATRIX = list(itertools.product(Association, InterferenceMode,
 @pytest.mark.parametrize("assoc,interference,loss,noise", GRID_MATRIX)
 def test_lit_windows_are_bit_identical_to_the_allocating_kernel(
         assoc, interference, loss, noise, grid, beam):
-    # a row of x and a column of z take the windowed path, LoS states
-    # included; the allocating kernel evaluates every BS on every
-    # flattened point
+    # a row of x and a column of z, evaluated as the loops evaluate a
+    # column block (a slab), take the windowed path, LoS states included;
+    # the allocating kernel evaluates every BS on every flattened point
     xs, zs = WINDOW_GRIDS[grid]
     shape = (zs.size, xs.size)
     pathloss = FreeSpacePathLoss() if loss == "fspl" else AirToGroundPathLoss()
@@ -273,103 +309,107 @@ def test_lit_windows_are_bit_identical_to_the_allocating_kernel(
             los_uniforms=None if u is None else u.reshape(4, -1))
         los = _states(xs[None, :], zs[:, None], s, a, u)
         srv, val = evaluate_sinr(xs[None, :], zs[:, None], s, a,
-                                 los_states=los, work=work)
+                                 los_states=los, work=work, slab=True)
         assert np.array_equal(srv.ravel(), srv_ref)
         assert np.array_equal(val.ravel(), val_ref)
         none, val = evaluate_sinr(xs[None, :], zs[:, None], s, a,
                                   los_states=los, work=work,
-                                  with_serving=False)
+                                  with_serving=False, slab=True)
         assert none is None
         assert np.array_equal(val.ravel(), val_ref)
 
 
-def _core_case(g, cols, core):
-    """How the fully lit core `core` of the window `cols` lies, given the
-    gain `g` of the whole block."""
-    full = np.flatnonzero(g.all(axis=0)[cols])
-    if full.size and full[-1] + 1 - full[0] != full.size:
-        return "split"
-    if core is None:
-        return None
-    n = cols.stop - cols.start
-    if 0 < core.start and core.stop < n:
-        return "fringes"
-    if g.shape[0] == 1 and core == slice(0, n):
-        return "one row"
-    return None
+# x rows of column blocks: on one side of every BS, holding BS-1 (near =
+# 0) with no column on it, a BS's own column (one distance, 0), one column
+# off every BS, and a row that holds every BS
+BLOCK_XS = [np.linspace(100.5, 130.5, 31), np.linspace(-20.5, 40.5, 62),
+            np.array([1000.0]), np.array([250.0]),
+            np.linspace(-1500.0, 2500.0, 81)]
 
 
-def test_window_grids_reach_dark_partial_and_full_windows():
-    # the grids above do hold empty windows, windows cut inside the row,
-    # and windows that fill it; and rectangular windows whose fully lit
-    # core has a fringe on either side, windows whose fully lit columns
-    # are not contiguous, and one-row windows that are all core
+def _column_blocks(s):
+    """(xs, zs, pos, near, far) for each row of BLOCK_XS and each BS: the
+    heights hold those exactly on the edge products at the block's least
+    and greatest distance from the BS, as the lobe test forms them."""
+    for xs in BLOCK_XS:
+        for pos in OracleAssumptions().resolve_positions(s):
+            near, far = _h_range(float(xs.min()), float(xs.max()), pos)
+            edges = [h * math.tan(e) for h in (near, far)
+                     for e in (s.alpha, s.alpha + s.beta)]
+            zs = np.sort(np.concatenate([np.linspace(-300.5, 700.5, 41),
+                                         edges]))
+            if pos in xs:
+                # no cell on the BS itself, at distance 0, which the kernel
+                # rejects
+                zs = zs[zs != 0.0]
+            yield xs, zs, pos, near, far
+
+
+@pytest.mark.parametrize("beam", sorted(WINDOW_BEAMS))
+@pytest.mark.parametrize("alpha_deg,beta_deg", WINDOW_TILTS)
+def test_column_block_window_holds_every_lit_cell(beam, alpha_deg, beta_deg):
+    # the window of a column block, whose heights ascend down its rows,
+    # against the lobe test itself: the block's gain is zero outside the
+    # window's rows and the peak on its core. Given the window, with its
+    # core and without (every cell tested), gain takes h as the kernel
+    # passes it (the row's view at the block's shape) and z, r2 and out at
+    # the window's shape, and gives the whole gain's values on the window.
+    # With one column (one distance) the rectangular window is exactly the
+    # lit rows, all of them core; the cosine window is the whole block,
+    # with no core.
+    s = reference_scenario(alpha_deg, beta_deg)
+    b = OracleAssumptions(**WINDOW_BEAMS[beam]).resolve_beam(s)
     work = _Workspace()
+    for xs, zs, pos, near, far in _column_blocks(s):
+        h = np.abs(xs - pos)[None, :]
+        z = zs[:, None]
+        r2 = h * h + z * z
+        g = b.gain(h, z, r2)
+        window, core = b._lit_samples(near, far, zs)
+        assert not g[:window.start].any() and not g[window.stop:].any()
+        h_block = np.broadcast_to(h, r2.shape)
+        for given in (core, None):
+            out = np.full((window.stop - window.start, xs.size), np.nan)
+            assert b.gain(h_block, z[window], r2[window], out=out, work=work,
+                          core=given) is out
+            assert np.array_equal(out, g[window])
+        if isinstance(b, CosineBeam):
+            assert window == slice(0, zs.size) and core is None
+            continue
+        if core is not None:
+            assert np.all(g[window][core] == b.peak_gain)
+        if xs.size == 1:
+            lit = np.flatnonzero(g[:, 0])
+            assert window == (slice(lit[0], lit[-1] + 1) if lit.size
+                              else slice(0, 0))
+            assert core == (slice(0, lit.size) if lit.size else None)
+
+
+def test_column_blocks_reach_dark_partial_and_full_windows():
+    # the blocks above do hold empty windows, windows cut inside the
+    # block's heights and windows that fill them; and rectangular windows
+    # whose core has a fringe on either side, that are all core, and that
+    # have no core although a BS inside the block lights them
     spans, cores = set(), set()
     for beam in WINDOW_BEAMS.values():
         for alpha_deg, beta_deg in WINDOW_TILTS:
             s = reference_scenario(alpha_deg, beta_deg)
             b = OracleAssumptions(**beam).resolve_beam(s)
-            for xs, zs in WINDOW_GRIDS.values():
-                z = zs[:, None]
-                for pos in OracleAssumptions().resolve_positions(s):
-                    h = np.abs(xs - pos)[None, :]
-                    cols, core = b._lit_columns(h, zs.min(), zs.max(),
-                                                work)
-                    n = cols.stop - cols.start
-                    spans.add("dark" if n == 0 else
-                              "full" if n == xs.size else "cut")
-                    if isinstance(b, RectangularBeam) and n:
-                        cores.add(_core_case(b.gain(h, z, h * h + z * z),
-                                             cols, core))
+            for xs, zs, pos, near, far in _column_blocks(s):
+                window, core = b._lit_samples(near, far, zs)
+                n = window.stop - window.start
+                spans.add("dark" if n == 0 else
+                          "full" if n == zs.size else "cut")
+                if not isinstance(b, RectangularBeam) or not n:
+                    continue
+                if core is None:
+                    cores.add("BS inside" if near == 0 < far else None)
+                elif core == slice(0, n):
+                    cores.add("all")
+                elif 0 < core.start and core.stop < n:
+                    cores.add("fringes")
     assert spans == {"dark", "cut", "full"}
-    assert cores >= {"fringes", "split", "one row"}
-
-
-@pytest.mark.parametrize("beam", sorted(WINDOW_BEAMS))
-@pytest.mark.parametrize("alpha_deg,beta_deg", WINDOW_TILTS)
-def test_no_cell_outside_the_window_is_lit(beam, alpha_deg, beta_deg):
-    # the window against the lobe test itself, on a fine grid around
-    # one BS: the whole block's gain is zero outside the window. Given the
-    # window, with its core and without (every cell tested), gain takes
-    # r2 and out at the window's shape and gives the whole gain's values
-    # on the window's columns. The cosine lobe's window is the whole row,
-    # with no core. The rectangular lobe's first and last window columns
-    # hold a lit cell whenever the block spans one height (one of them
-    # exactly on a column's lower edge product, which is dark), and its
-    # core is every fully lit column, when those are contiguous.
-    s = reference_scenario(alpha_deg, beta_deg)
-    b = OracleAssumptions(**WINDOW_BEAMS[beam]).resolve_beam(s)
-    work = _Workspace()
-    xs = np.linspace(-800.0, 1900.0, 1351)
-    h = np.abs(xs - 500.25)[None, :]
-    on_edge = np.multiply(h[:, 1000], math.tan(s.alpha))
-    for zs in (np.linspace(-300.5, 700.5, 64), np.linspace(60.5, 70.5, 3),
-               np.array([150.0]), on_edge):
-        z = zs[:, None]
-        r2 = h * h + z * z
-        g = b.gain(h, z, r2)
-        cols, core = b._lit_columns(h, zs.min(), zs.max(), work)
-        assert not g[:, :cols.start].any() and not g[:, cols.stop:].any()
-        h_block = np.broadcast_to(h, r2.shape)  # as the kernel passes it
-        for given in (core, None):
-            out = np.full((zs.size, cols.stop - cols.start), np.nan)
-            assert b.gain(h_block, z, r2[:, cols], out=out, work=work,
-                          cols=cols, core=given) is out
-            assert np.array_equal(out, g[:, cols])
-        if not isinstance(b, RectangularBeam):
-            assert cols == slice(0, xs.size) and core is None
-            continue
-        lit = np.flatnonzero(g.any(axis=0))
-        if zs.size == 1:
-            assert cols.stop - cols.start == (lit[-1] + 1 - lit[0]
-                                              if lit.size else 0)
-        if lit.size:
-            full = np.flatnonzero(g.all(axis=0)[cols])
-            if full.size and full[-1] + 1 - full[0] == full.size:
-                assert core == slice(full[0], full[-1] + 1)
-            else:
-                assert core is None
+    assert cores >= {"fringes", "all", "BS inside"}
 
 
 # x ranges of slabs around a BS at 500.25: on either side of it, holding
@@ -522,10 +562,10 @@ def test_zero_distance_raises_in_a_lit_cell(loss):
                       los_states=_states(tiny, tiny, s, a, u))
 
 
-@pytest.mark.parametrize("nx,nz", [(1, 300), (70001, 2)])
+@pytest.mark.parametrize("nx,nz", [(1, 300), (70001, 2), (2, 70001)])
 def test_single_column_and_single_row_blocks(nx, nz):
-    # one column of 64k rows per block, and rows longer than a block, one
-    # row per block
+    # one column of heights, blocks of 32768 columns of two heights, and
+    # columns taller than a block, one column per block
     s = reference_scenario(13.0, 40.0)
     for a in (OracleAssumptions(),
               OracleAssumptions(beam=BeamKind.COSINE,
@@ -539,3 +579,42 @@ def test_single_column_and_single_row_blocks(nx, nz):
             db = 10.0 * np.log10(val)
         assert np.array_equal(f.serving.ravel(), srv)
         assert np.array_equal(f.sinr_db.ravel(), db)
+
+
+# (scenario, heights, whether the loss leaves the float range with the
+# free-space model): BSs 1e300 m away, heights of 1e200 m (whose squares
+# overflow), and BSs up to 6e151 m away, whose free-space loss, about
+# 6e307, is finite and whose air-to-ground loss is not
+OVERFLOWS = [(reference_scenario(-5.0, 40.0, d1=1e300),
+              np.linspace(100.5, 299.5, 5), True),
+             (reference_scenario(13.0, 40.0), np.linspace(100.5, 1e200, 5),
+              True),
+             (reference_scenario(-5.0, 40.0, d1=3e151),
+              np.linspace(100.5, 299.5, 5), False)]
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("loss", LOSS_MODES)
+def test_overflowing_distances_raise_on_every_layout(loss):
+    # the kernel bounds every BS's squared distances and losses by the
+    # farthest point's, far**2 + max(z**2), before numpy forms any of them:
+    # a loss past the float range is the models' ValueError, not an
+    # overflow warning and a silent outage. The layouts: streamed points,
+    # a slab, and a column block, windowed and not.
+    xs = np.linspace(0.5, 499.5, 8)
+    for s, zs, fspl_overflows in OVERFLOWS:
+        a, _ = _case(Association.STRONGEST, InterferenceMode.DOMINANT_ONLY,
+                     BeamKind.RECT, loss, True, 0)
+        points = (np.tile(xs, zs.size), np.repeat(zs, xs.size))
+        block = (xs[None, :], zs[:, None])
+        for (x, z), slab in itertools.product((points, block), (False, True)):
+            shape = np.broadcast_shapes(x.shape, z.shape)
+            u = (np.random.default_rng(5).random((4, *shape))
+                 if loss == "a2g-bernoulli" else None)
+            los = _states(x, z, s, a, u)
+            if fspl_overflows or loss != "fspl":
+                with pytest.raises(ValueError, match="finite loss"):
+                    evaluate_sinr(x, z, s, a, los_states=los, slab=slab)
+            else:
+                _, val = evaluate_sinr(x, z, s, a, los_states=los, slab=slab)
+                assert np.isfinite(val).all()

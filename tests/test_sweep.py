@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from corridorcov import closed_form
-from corridorcov.defaults import ALPHA_GRID_DEG, reference_scenario
+from corridorcov.cli import KEYS
+from corridorcov.defaults import reference_scenario
 from corridorcov.geometry import classify_case
 from corridorcov.monte_carlo import LosMode, McConfig, estimate_outage
 from corridorcov.oracle import BeamKind, OracleAssumptions
@@ -20,6 +21,10 @@ from corridorcov.sweep import (
 )
 
 D2R = math.pi / 180.0
+# the uptilts of a sweep at the defaults of the sweep.alpha_* keys, degrees
+LO, HI, STEP = (KEYS[f"sweep.alpha_{k}_deg"].default
+                for k in ("min", "max", "step"))
+ALPHA_GRID_DEG = [LO + k * STEP for k in range(round((HI - LO) / STEP) + 1)]
 GRID = [a * D2R for a in ALPHA_GRID_DEG]
 
 
