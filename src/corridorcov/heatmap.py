@@ -19,9 +19,8 @@ from .geometry import CorridorScenario
 from .oracle import (
     BLOCK_POINTS,
     OracleAssumptions,
-    _grid_columns,
+    _column_blocks,
     _midpoints,
-    _sum_blocks,
     evaluate_sinr,
 )
 from .propagation import _Workspace
@@ -79,27 +78,19 @@ def sinr_field(s: CorridorScenario, a: OracleAssumptions, nx: int, nz: int,
     z_min, z_max = z_range if z_range is not None else (0.0, s.h2)
     if not (x_max > x_min and z_max > z_min and nx > 0 and nz > 0):
         raise ValueError("field ranges must be positive and counts > 0")
-    xs = _midpoints(x_min, x_max, nx)
-    zs = _midpoints(z_min, z_max, nz)
-
     beam, positions = a.resolve_beam(s), a.resolve_positions(s)
     sinr_db = np.empty((nz, nx), dtype=float)
     serving = np.empty((nz, nx), dtype=np.min_scalar_type(len(positions) - 1))
-
     work = _Workspace()
-
-    def fill(lo, hi):
-        x, z = _grid_columns(xs, zs, lo, hi)
+    for cols, x, z in _column_blocks(_midpoints(x_min, x_max, nx),
+                                     _midpoints(z_min, z_max, nz)):
         idx, val = evaluate_sinr(x, z, s, a, work=work, beam=beam,
                                  positions=positions, slab=True)
-        db = sinr_db[:, lo:hi]
+        db = sinr_db[:, cols]
         with np.errstate(divide="ignore"):
             np.log10(val, out=db)
         db *= 10.0
-        serving[:, lo:hi] = idx
-        return 0
-
-    _sum_blocks(nx, nz, fill)
+        serving[:, cols] = idx
     return SinrField(x_min=x_min, x_max=x_max, z_min=z_min, z_max=z_max,
                      nx=nx, nz=nz, sinr_db=sinr_db, serving=serving,
                      scenario=s, assumptions=a)

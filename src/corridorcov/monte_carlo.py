@@ -1,48 +1,49 @@
 """Monte Carlo outage estimation with uniform UAV sampling.
 
 Reproducibility contract: the random stream is the counter-based Philox
-generator keyed by the seed, and sample i consumes the draws
-[i * k, (i + 1) * k) of it, where k = 2 position draws (x, then z) plus,
-in Bernoulli LoS mode with the air-to-ground model, one LoS draw per base
-station. Free-space loss has no LoS state, so Bernoulli and expectation
-mode draw the same stream with it and give the same result.
+generator keyed by the seed, read from its start in sample order, and
+sample i consumes the draws [i * k, (i + 1) * k) of it, where k = 2
+position draws (x, then z) plus, in Bernoulli LoS mode with the
+air-to-ground model, one LoS draw per base station. Free-space loss has
+no LoS state, so Bernoulli and expectation mode draw the same stream with
+it and give the same result.
 
-One helper, `_uniforms`, reads the draws of samples [lo, hi): it opens
-its own Philox generator at the counter step that holds draw lo * k
-(Philox yields four draws per step) and throws away the draws of that step
-before it. `_samples` scales x and z to the half corridor and in Bernoulli
-mode turns each link's uniform u into its LoS state,
+Each pass over the samples (a streamed call, or either pass of a held
+draw) opens one generator and reads it block after block through one
+reader, `_draws`; numpy hands out a generator's doubles in order however
+many each read takes, so the blocks' draws are the stream's, whatever the
+block size. `_samples` scales x and z to the half corridor and in
+Bernoulli mode turns each link's uniform u into its LoS state,
 u < p_los(|x - x_BS|, z) (`los_states`, the package's one LoS test). The
 states are bits, one byte a sample with bit i the state of BS i
 (ceil(n_bs / 8) bytes with more than eight base stations), the one layout
-the SINR kernel reads; it takes the states, not the uniforms. So each
-sample reads its own draws whatever the block size or the order in which
-blocks run, and each block's outage count is an integer: the result
-depends only on (scenario, config), not on the order in which the samples
-are evaluated.
+the SINR kernel reads; it takes the states, not the uniforms. Each
+block's outage count is an integer, so the result depends only on
+(scenario, config), not on the block size or the order in which the
+samples are evaluated.
 
 The samples come from one of two sources, with the same result bit for
 bit:
 
 - Streamed (`estimate_outage` without a sample set; the `mc` and
-  `validate` commands): each block of BLOCK_POINTS samples draws them as
-  it is evaluated, in the caller's thread (`oracle._sum_blocks`). The
-  draws, the scaled positions, the LoS states and the kernel's
-  temporaries live in one workspace that every block reuses, and that
-  the caller may reuse across calls; what it held before cannot change a
-  result. Nothing outlives the call.
+  `validate` commands): each block of `oracle.BLOCK_POINTS` samples is
+  drawn as it is evaluated, in the caller's thread. The draws, the
+  scaled positions, the LoS states and the kernel's temporaries live in
+  one workspace that every block reuses, and that the caller may reuse
+  across calls; what it held before cannot change a result. Nothing
+  outlives the call.
 - Held (`estimate_outage` with a `SampleSet`; the Monte Carlo evaluator of
   `sweep` and `optimize`, which evaluates one sample set at many
   uptilts): the samples are drawn once into the set, which keeps x and z
   as floats and, in Bernoulli mode, the LoS bytes: 17 B a sample with
   four base stations. The set holds them in K = ceil(n / HELD_BLOCK)
   slabs of x, the samples whose x draw u has min(floor(u * K), K - 1) = j
-  in slab j, each slab sorted by z. The draw reads the stream twice, in
-  blocks of DRAW_BLOCK (`_draw_slabs`): the first pass counts the samples
-  of each slab, the second writes each sample straight to its slab's
-  next free place; then each slab is sorted (`_z_order`). So no
-  permutation of the whole set and no second copy of it exist at any
-  time. Every uptilt is then evaluated slab by slab, in the caller's
+  in slab j, each slab sorted by z. The draw reads the stream twice, from
+  its start, in blocks of DRAW_BLOCK (`_draw_slabs`): the first pass
+  counts the samples of each slab, the second writes each sample straight
+  to its slab's next free place; then each slab is sorted (`_z_order`).
+  So no permutation of the whole set and no second copy of it exist at
+  any time. Every uptilt is then evaluated slab by slab, in the caller's
   thread, where the kernel evaluates each base station on the samples
   its lobe can reach only (`evaluate_sinr(..., slab=True)`): x bounds
   the slab's distances to the BS, and its lit window is a run of the
@@ -68,7 +69,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .geometry import CorridorScenario
-from .oracle import OracleAssumptions, _sum_blocks, evaluate_sinr
+from . import oracle
+from .oracle import OracleAssumptions, evaluate_sinr
 from .propagation import AirToGroundPathLoss, _Workspace
 
 # Samples, on average, per slab of a held sample set (`SampleSet`). The
@@ -139,15 +141,15 @@ def los_states(x, z, positions, pathloss: AirToGroundPathLoss, u,
     return out
 
 
-def _uniforms(m: McConfig, dps, lo, hi, w):
-    """The draws of samples [lo, hi), one row of `dps` a sample, in a
-    buffer of the workspace `w`."""
-    # Philox yields 4 draws per counter step: start at the step that holds
-    # draw lo * dps and throw away the draws before it
-    start = lo * dps
-    bits = np.random.Philox(key=m.seed, counter=start // 4)
-    bits.random_raw(start % 4)
-    return np.random.Generator(bits).random(out=w.take("u", (hi - lo, dps)))
+def _draws(m: McConfig, dps, size, w):
+    """The draws of the samples of `m` in sample order, one row of `dps`
+    a sample, read from one Philox generator keyed by the seed: for each
+    block of `size` samples in turn (the last one shorter), its rows, in
+    a buffer of the workspace `w` that the next block overwrites."""
+    rng = np.random.Generator(np.random.Philox(key=m.seed))
+    n = m.n_samples
+    for lo in range(0, n, size):
+        yield rng.random(out=w.take("u", (min(size, n - lo), dps)))
 
 
 def _samples(s: CorridorScenario, m: McConfig, u, w, positions):
@@ -197,18 +199,15 @@ def _draw_slabs(s: CorridorScenario, m: McConfig, dps, positions):
     slab's next free place. The draws' buffers are freed on return."""
     n = m.n_samples
     k = -(-n // HELD_BLOCK)
-    blocks = [(lo, min(lo + DRAW_BLOCK, n)) for lo in range(0, n, DRAW_BLOCK)]
     work = _Workspace()
     starts = np.zeros(k + 1, np.intp)
-    for lo, hi in blocks:
-        slab = _slab_index(_uniforms(m, dps, lo, hi, work)[:, 0], k, work)
-        starts[1:] += np.bincount(slab, minlength=k)
+    for u in _draws(m, dps, DRAW_BLOCK, work):
+        starts[1:] += np.bincount(_slab_index(u[:, 0], k, work), minlength=k)
     np.cumsum(starts, out=starts)
     x, z = np.empty(n), np.empty(n)
     los = np.empty((-(-(dps - 2) // 8), n), np.uint8) if dps > 2 else None
     free = starts[:-1].copy()   # the next free place of each slab
-    for lo, hi in blocks:
-        u = _uniforms(m, dps, lo, hi, work)
+    for u in _draws(m, dps, DRAW_BLOCK, work):
         slab = _slab_index(u[:, 0], k, work)
         d_x, h_x, drawn = _samples(s, m, u, work, positions)
         counts = np.bincount(slab, minlength=k)
@@ -216,7 +215,7 @@ def _draw_slabs(s: CorridorScenario, m: McConfig, dps, positions):
         # of its slab j, and goes to free[j] plus that
         first = np.cumsum(counts) - counts
         places = np.repeat(free - first, counts)
-        places += np.arange(hi - lo)
+        places += np.arange(len(u))
         dest = work.take("dest", slab.shape, np.intp)
         dest[np.argsort(slab, kind="stable")] = places
         x[dest] = d_x
@@ -287,22 +286,22 @@ def estimate_outage(s: CorridorScenario, m: McConfig, work=None,
     dps = _draws_per_sample(m, positions)
     n = m.n_samples
     work = _Workspace() if work is None else work
-
-    def outages(x, z, los, slab=False):
-        _, val = evaluate_sinr(x, z, s, a, los_states=los, work=work,
-                               with_serving=False, beam=beam,
-                               positions=positions, slab=slab)
-        missed = np.less(val, s.tau, out=work.take("missed", val.shape, bool))
-        return int(np.count_nonzero(missed))
-
     if samples is None:
-        missed = _sum_blocks(n, 1, lambda lo, hi: outages(*_samples(
-            s, m, _uniforms(m, dps, lo, hi, work), work, positions)))
+        # the block size is read at each call, where oracle sets it
+        blocks = (_samples(s, m, u, work, positions)
+                  for u in _draws(m, dps, oracle.BLOCK_POINTS, work))
     else:
         samples._draw(s, m, dps, positions)
         # every window fits the largest slab
         work.reserve(samples._largest)
-        missed = sum(outages(*held, slab=True) for held in samples._slabs())
+        blocks = samples._slabs()
+    missed = 0
+    for x, z, los in blocks:
+        _, val = evaluate_sinr(x, z, s, a, los_states=los, work=work,
+                               with_serving=False, beam=beam,
+                               positions=positions, slab=samples is not None)
+        below = np.less(val, s.tau, out=work.take("missed", val.shape, bool))
+        missed += int(np.count_nonzero(below))
     p = missed / n
     se = math.sqrt(p * (1.0 - p) / n)
     ci = (max(0.0, p - 1.96 * se), min(1.0, p + 1.96 * se))

@@ -13,8 +13,10 @@ beam's ``gain`` and the path-loss model's ``loss`` (the protocol is
 described in `propagation`), once per BS per call. In Bernoulli LoS mode
 the caller passes each link's LoS state, drawn and tested against
 ``p_los`` by the Monte Carlo sampler (`monte_carlo.los_states`), as one
-bit per link: the kernel reads BS i's bit of each point and only picks
-the link's excess loss by it. It never builds a (base stations x points)
+bit per link: the kernel reads BS i's bit of each point and hands it to
+``loss``, which picks the link's excess loss by it (free space has no LoS
+state and ignores it), so the kernel calls every model the same way. It
+never builds a (base stations x points)
 power matrix: strongest association keeps a running (serving, strongest
 interferer) pair, or under SUM_ALL interference the serving power and a
 running sum of the powers that lose to it, and nearest association reads
@@ -30,7 +32,7 @@ steps on both, on a slab's lit window (below), and on streamed samples on
 every point.
 
 Broadcast grid. x and z broadcast against each other, and the results take
-their broadcast shape. The block loop passes a grid's block of columns as
+their broadcast shape. A grid loop passes a grid's block of columns as
 the columns' row of x and the grid's column of z, as `np.broadcast_to`
 views at the block's shape, never a tiled copy; the kernel cuts them back
 to the row and the column (`propagation._compact`), so ``h`` and ``h**2``
@@ -73,19 +75,29 @@ free-space loss, times the model's `_excess` bound on its excess loss),
 so that no product overflows and reads as a silent outage. Only where
 the lesser bound is not positive does the kernel check every ``r2`` of
 the block. The loss is told so (``checked=True``) and does not pass over
-the window's ``r2`` again.
+the window's ``r2`` again. The same check bounds the powers. No BS
+delivers more than the transmit power times the beam's peak gain over its
+least loss: the free-space loss at the lesser bound, times the model's
+`_least`, a lower bound on its excess loss. That bound times the number
+of BSs must be finite, and with noise on so must its ratio to the noise
+power; otherwise a power, a sum of them or the SINR could overflow and
+read as an outage.
 
-Blocks and workspaces. Grids are cut into blocks of whole columns, and
-the streamed Monte Carlo sampler's samples into runs, by one loop,
-`_sum_blocks`, so the cells in flight stay near BLOCK_POINTS (64k) and the
-kernel's temporaries stay in cache. The blocks run one after another in
-the caller's thread. Samples that the Monte Carlo evaluator of sweeps
-holds across uptilts run slab by slab (`monte_carlo.SampleSet`). Each
-field and Monte Carlo call resolves the beam and the BS positions once
-and passes them to the kernel for every block. The quadrature leaves
-that to the kernel, once per block (316 calls in a `validate` at the
-defaults, about 4 ms): `perfbench/selftest.py` holds `evaluate_sinr` as
-its only traced child.
+Blocks and workspaces. Every evaluator walks its blocks with a plain
+``for`` loop over a generator, one after another in the caller's thread,
+and keeps the cells in flight near BLOCK_POINTS (64k), so the kernel's
+temporaries stay in cache. Grids (the quadrature and the heatmap) come in
+blocks of whole columns from `_column_blocks`, which yields each block's
+columns and its broadcast (x, z); the streamed Monte Carlo sampler's
+samples come in runs of BLOCK_POINTS from the reader of its random
+stream (`monte_carlo._draws`); samples that the Monte Carlo evaluator of
+sweeps holds across uptilts come slab by slab (`monte_carlo.SampleSet`).
+Each field and Monte Carlo call resolves the beam and the BS positions
+once and passes them to the kernel for every block. The quadrature leaves
+that to the kernel, once per block: 4 x 63 = 252 times in a `validate`
+at the defaults (2001 x 2001 cells in blocks of 32 columns, at four
+uptilts), about 2.5 ms. `perfbench/selftest.py` holds `evaluate_sinr` as
+the quadrature's only traced child.
 
 Each call evaluates into one `propagation._Workspace`, the one the caller
 passes (a new one when None). The kernel and the models write each
@@ -122,7 +134,7 @@ holds it, and a workspace's earlier contents are overwritten before they
 are read. The quadrature and the sampler add integer counts per block,
 and the heatmap's blocks fill disjoint columns, so no result depends on
 the block size (tests/test_monte_carlo.py checks Monte Carlo blocks that
-start off Philox's 4-draw steps).
+end inside one of Philox's 4-draw steps).
 """
 
 from __future__ import annotations
@@ -136,7 +148,6 @@ import numpy as np
 from . import defaults
 from .geometry import CorridorScenario
 from .propagation import (
-    AirToGroundPathLoss,
     BeamPattern,
     CosineBeam,
     FreeSpacePathLoss,
@@ -186,14 +197,20 @@ class OracleAssumptions:
     include_noise: bool = True
     bs_positions: tuple[float, ...] | None = None
 
+    def __post_init__(self):
+        pos = self.bs_positions
+        if pos is not None and (len(pos) < 2 or any(
+                b <= a for a, b in zip(pos, pos[1:]))):
+            raise ValueError("need at least two BS positions, strictly "
+                             f"increasing, got {pos}")
+        if self.beam is BeamKind.COSINE and self.n_elements is not None:
+            # the beam's own check of its element count, which no tilt moves
+            CosineBeam(n_elements=self.n_elements, alpha=0.0, beta=0.0)
+
     def resolve_positions(self, s: CorridorScenario) -> tuple[float, ...]:
         pos = self.bs_positions
         if pos is None:
             pos = (-s.d1, 0.0, s.d1, 2.0 * s.d1)
-        if len(pos) < 2:
-            raise ValueError("need at least two base stations")
-        if any(b <= a for a, b in zip(pos, pos[1:])):
-            raise ValueError(f"BS positions must be strictly increasing: {pos}")
         return tuple(float(p) for p in pos)
 
     def resolve_beam(self, s: CorridorScenario) -> BeamPattern:
@@ -261,7 +278,7 @@ def evaluate_sinr(x, z, s: CorridorScenario, a: OracleAssumptions,
     evaluates many blocks of one scenario forms them once. With `slab`,
     the heights ascend along the first axis: x and z are 1-D samples
     sorted by z (a slab of a `monte_carlo.SampleSet`), or a grid block's
-    row of x and column of z (`_grid_columns`), and each BS is evaluated
+    row of x and column of z (`_column_blocks`), and each BS is evaluated
     on the samples or rows its lobe can reach only (`_lit_samples`).
     Without it, each BS is evaluated on every point.
 
@@ -276,10 +293,9 @@ def evaluate_sinr(x, z, s: CorridorScenario, a: OracleAssumptions,
     work = _Workspace() if work is None else work
     positions = a.resolve_positions(s) if positions is None else positions
     beam = a.resolve_beam(s) if beam is None else beam
-    pathloss = a.pathloss
-    drawn = los_states is not None and isinstance(pathloss, AirToGroundPathLoss)
     lam = s.radio.wavelength_m
     p_tx = s.radio.p_tx_w
+    noise = s.radio.noise_w if a.include_noise else 0.0
     strongest = a.association is Association.STRONGEST
     dominant = a.interference is InterferenceMode.DOMINANT_ONLY
     # a grid block: x is one row, the same in every row of the block
@@ -298,6 +314,8 @@ def evaluate_sinr(x, z, s: CorridorScenario, a: OracleAssumptions,
                 else 0.0)
     z2_most = max(z_lo * z_lo, z_hi * z_hi)
     ranges = [_h_range(x_lo, x_hi, pos) for pos in positions]
+    # no sum of received powers exceeds that of every BS at its peak gain
+    p_all = len(positions) * beam._peak * p_tx
     for pos, (near, far) in zip(positions, ranges):
         # every r2 lies between these bounds, rounding being monotone. A
         # least bound that is not positive settles nothing: the block's r2
@@ -308,7 +326,7 @@ def evaluate_sinr(x, z, s: CorridorScenario, a: OracleAssumptions,
             r2 = np.multiply(h, h, out=work.take("r2", shape))
             r2 += np.multiply(z, z, out=work.take("p", z.shape))
             least = r2.min()
-        _require_distance(least, most, lam, pathloss._excess)
+        _require_distance(least, most, lam, a.pathloss, p_all, noise)
     z2 = np.multiply(z, z, out=work.take("z2", z.shape))
     # r2, p (gain, then received power) and pl (path loss, then scratch)
     # are taken at each window's shape from buffers sized for the block
@@ -357,13 +375,10 @@ def evaluate_sinr(x, z, s: CorridorScenario, a: OracleAssumptions,
         if core is None and not p.any():
             continue
         pl = work.take("pl", window)
-        h = np.broadcast_to(h, window)
-        if drawn:
-            los = _bit(los_states[i >> 3][cells], i & 7, work)
-            pathloss.loss(h, zw, r2, lam, los_state=los, out=pl, work=work,
-                          checked=True)
-        else:
-            pathloss.loss(h, zw, r2, lam, out=pl, work=work, checked=True)
+        los = (None if los_states is None
+               else _bit(los_states[i >> 3][cells], i & 7, work))
+        a.pathloss.loss(np.broadcast_to(h, window), zw, r2, lam,
+                        los_state=los, out=pl, work=work, checked=True)
         p *= p_tx
         p /= pl
         best, rest = p_serv[cells], other[cells]
@@ -386,7 +401,6 @@ def evaluate_sinr(x, z, s: CorridorScenario, a: OracleAssumptions,
             np.copyto(best, p, where=is_mine)
             np.copyto(p, 0.0, where=is_mine)
             join(rest, p, out=rest)
-    noise = s.radio.noise_w if a.include_noise else 0.0
 
     sinr = other
     with np.errstate(divide="ignore", invalid="ignore"):
@@ -402,24 +416,26 @@ def evaluate_sinr(x, z, s: CorridorScenario, a: OracleAssumptions,
     return serving, sinr
 
 
-def _sum_blocks(n, cells_each, fn):
-    """Sum of the integers fn(lo, hi) over the blocks [lo, hi) that cut
-    range(n) into runs of BLOCK_POINTS // cells_each items (at least one),
-    where each item is `cells_each` cells (a grid column, or one sample).
-    The blocks run one after another in the caller's thread; each caller's
-    `fn` closes over its own workspace."""
-    size = max(1, BLOCK_POINTS // cells_each)
-    return sum(fn(lo, min(lo + size, n)) for lo in range(0, n, size))
+def _column_blocks(xs, zs):
+    """The grid xs x zs in blocks of whole columns, BLOCK_POINTS // zs.size
+    of them (at least one) a block: for each block in turn, its columns as
+    a slice of xs, and (x, z), the columns' row of x and the grid's column
+    of heights, each a `np.broadcast_to` view at the block's shape (no
+    copy), which the kernel cuts back to the row and the column. Ascending
+    heights make each block a slab."""
+    size = max(1, BLOCK_POINTS // zs.size)
+    for lo in range(0, xs.size, size):
+        cols = slice(lo, lo + size)
+        x = xs[cols]
+        shape = (zs.size, x.size)
+        yield (cols, np.broadcast_to(x, shape),
+               np.broadcast_to(zs[:, None], shape))
 
 
-def _grid_columns(xs, zs, lo, hi):
-    """Columns lo..hi of the grid xs x zs as (x, z): x the columns' row
-    and z the grid's column of heights, each a `np.broadcast_to` view at
-    the block's shape (no copy), which the kernel cuts back to the row and
-    the column. Ascending heights make the block a slab."""
-    x = xs[lo:hi]
-    shape = (zs.size, x.size)
-    return np.broadcast_to(x, shape), np.broadcast_to(zs[:, None], shape)
+def _require_grid(n_x: int, n_z: int) -> None:
+    """Raise unless the quadrature grid has at least 64 cells a side."""
+    if n_x < 64 or n_z < 64:
+        raise ValueError(f"need n_x, n_z >= 64, got {n_x} x {n_z}")
 
 
 def _midpoints(lo: float, hi: float, n: int) -> np.ndarray:
@@ -434,19 +450,14 @@ def coverage_by_quadrature(s: CorridorScenario, a: OracleAssumptions,
     equal cell weights). The aggregate is an integer count, so results are
     identical for any work split. `work` is a `_Workspace` to reuse across
     calls; a new one when None."""
-    if n_x < 64 or n_z < 64:
-        raise ValueError(f"need n_x, n_z >= 64, got {n_x} x {n_z}")
-    xs = _midpoints(0.0, s.d1 / 2.0, n_x)
-    zs = _midpoints(s.h1, s.h2, n_z)
-
+    _require_grid(n_x, n_z)
     work = _Workspace() if work is None else work
-
-    def covered(lo, hi):
-        x, z = _grid_columns(xs, zs, lo, hi)
+    covered = 0
+    for _, x, z in _column_blocks(_midpoints(0.0, s.d1 / 2.0, n_x),
+                                  _midpoints(s.h1, s.h2, n_z)):
         _, val = evaluate_sinr(x, z, s, a, work=work, with_serving=False,
                                slab=True)
         hit = np.greater_equal(val, s.tau,
                                out=work.take("hit", val.shape, bool))
-        return int(np.count_nonzero(hit))
-
-    return _sum_blocks(n_x, n_z, covered) / float(n_x * n_z)
+        covered += int(np.count_nonzero(hit))
+    return covered / float(n_x * n_z)

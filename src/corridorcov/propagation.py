@@ -14,6 +14,9 @@ it needs from them:
 - ``AirToGroundPathLoss`` spends an ``arctan2`` on its LoS probability
   only, in both the expectation and the Bernoulli mode.
 
+Both path-loss models take the links' drawn LoS states as ``los_state``
+(None in expectation mode); free space has no LoS state and ignores it.
+
 The SINR kernel (``oracle.evaluate_sinr``) calls ``gain`` once per base
 station (on a slab of held samples, once per base station whose lit
 window is not empty), and ``loss`` once per base station whose lobe does
@@ -126,16 +129,26 @@ def _per_m2(wavelength_m):
     return (4.0 * math.pi / wavelength_m) ** 2
 
 
-def _require_distance(r2_least, r2_most, wavelength_m, excess=1.0):
+def _require_distance(r2_least, r2_most, wavelength_m, pathloss, p_peak=0.0,
+                      noise=0.0):
     """Raise the path-loss models' error unless the squared distances
-    from `r2_least` to `r2_most` are positive and `excess` (>= 1) times
-    their free-space loss is finite (NaN passes, as it does
-    ``r2 <= 0``)."""
-    if r2_most * _per_m2(wavelength_m) * excess == math.inf:
+    from `r2_least` to `r2_most` are positive and their loss under
+    `pathloss` is finite (NaN passes, as it does ``r2 <= 0``); and unless
+    `p_peak` (W), the transmit power times the beam's peak gain summed
+    over the base stations, over the least loss, and that over `noise`
+    (W) when it is positive, are finite. Then no received power, no sum
+    of them and no SINR over that noise leaves the float range."""
+    per_m2 = _per_m2(wavelength_m)
+    if r2_most * per_m2 * pathloss._excess == math.inf:
         raise ValueError("path loss requires a finite loss, but squared "
                          f"distances reach {r2_most:g} m^2")
-    if r2_least <= 0:
+    floor = r2_least * per_m2 * pathloss._least
+    if floor <= 0:
         raise ValueError("path loss requires a positive distance")
+    # with no noise, or 1 W or more of it, the power alone is bounded
+    if p_peak / floor / min(noise or 1.0, 1.0) == math.inf:
+        raise ValueError(f"received power must be finite: {p_peak:g} W over "
+                         f"a path loss of {floor:g}, noise {noise:g} W")
 
 
 def db_to_linear(x_db):
@@ -215,6 +228,8 @@ class RectangularBeam:
     _t_lo: float | None = field(init=False, repr=False, compare=False)
     _t_hi: float | None = field(init=False, repr=False, compare=False)
     _dark: bool = field(init=False, repr=False, compare=False)
+    # the greatest gain at any point, as on the cosine beam
+    _peak: float = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if not (math.isfinite(self.peak_gain) and self.peak_gain >= 0.0):
@@ -225,6 +240,7 @@ class RectangularBeam:
         object.__setattr__(self, "_t_hi",
                            math.tan(hi) if hi <= HALF_PI else None)
         object.__setattr__(self, "_dark", lo >= HALF_PI or hi <= -HALF_PI)
+        object.__setattr__(self, "_peak", self.peak_gain)
 
     def gain(self, h, z, r2, out=None, work=None, core=None):
         """Peak gain where the elevation atan2(z, h) lies strictly between
@@ -321,10 +337,14 @@ class CosineBeam:
     n_elements: int
     alpha: float
     beta: float
+    # the greatest gain at any point, N_t; it follows from n_elements, so
+    # it takes no part in eq and hash
+    _peak: float = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.n_elements < 2:
             raise ValueError(f"element count must be >= 2, got {self.n_elements}")
+        object.__setattr__(self, "_peak", float(self.n_elements))
 
     def gain(self, h, z, r2, out=None, work=None, core=None):
         """Gain at the elevation whose cosine is h / sqrt(r2); `z` is not
@@ -372,16 +392,17 @@ class FreeSpacePathLoss:
     """PL = (4 pi R / lambda)^2 = (4 pi / lambda)^2 * R^2; independent of
     elevation."""
 
-    # a bound on loss / free-space loss (see `AirToGroundPathLoss`)
-    _excess = 1.0
+    # bounds on loss / free-space loss (see `AirToGroundPathLoss`)
+    _excess = _least = 1.0
 
-    def loss(self, h, z, r2, wavelength_m, out=None, work=None,
-             checked=False):
+    def loss(self, h, z, r2, wavelength_m, los_state=None, out=None,
+             work=None, checked=False):
         """Linear path loss from the squared distance `r2`; `h`, `z` and
-        `work` are not needed."""
+        `work` are not needed, and free space has no LoS state, so
+        `los_state` is not read."""
         r2 = np.asarray(r2, dtype=float)
         if r2.size and not checked:
-            _require_distance(r2.min(), r2.max(), wavelength_m)
+            _require_distance(r2.min(), r2.max(), wavelength_m, self)
         return np.multiply(r2, _per_m2(wavelength_m), out=out)
 
 
@@ -402,21 +423,24 @@ class AirToGroundPathLoss:
     # fields, so they take no part in eq and hash
     _eta_los: float = field(init=False, repr=False, compare=False)
     _eta_nlos: float = field(init=False, repr=False, compare=False)
-    # a bound on loss / free-space loss: the free-space loss is formed
-    # first, and the mixture of the etas exceeds the greater by a few ulps
-    # at most
+    # bounds on loss / free-space loss: the free-space loss is formed
+    # first, and the mixture of the etas passes the greater, or the
+    # lesser, by a few ulps at most
     _excess: float = field(init=False, repr=False, compare=False)
+    _least: float = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         eta_los = float(db_to_linear(self.eta_los_db))
         eta_nlos = float(db_to_linear(self.eta_nlos_db))
-        if not (math.isfinite(eta_los) and math.isfinite(eta_nlos)):
-            raise ValueError("excess loss must be finite, got "
+        # the kernel's power bound divides by the lesser
+        if not (0.0 < eta_los < math.inf and 0.0 < eta_nlos < math.inf):
+            raise ValueError("excess loss must be finite and positive, got "
                              f"{self.eta_los_db} and {self.eta_nlos_db} dB")
         object.__setattr__(self, "_eta_los", eta_los)
         object.__setattr__(self, "_eta_nlos", eta_nlos)
         object.__setattr__(self, "_excess",
                            max(1.0, 2.0 * max(eta_los, eta_nlos)))
+        object.__setattr__(self, "_least", min(eta_los, eta_nlos) / 2.0)
 
     def p_los(self, h, z, out=None, work=None):
         """LoS probability at elevation atan2(z, h); the sigmoid takes the

@@ -10,7 +10,7 @@ from typing import Callable
 from . import closed_form
 from .geometry import CorridorScenario
 from .monte_carlo import McConfig, SampleSet, estimate_outage
-from .oracle import OracleAssumptions, coverage_by_quadrature
+from .oracle import OracleAssumptions, _require_grid, coverage_by_quadrature
 from .propagation import _Workspace
 
 INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
@@ -38,6 +38,8 @@ def closed_form_evaluator() -> Evaluator:
 def quadrature_evaluator(assumptions: OracleAssumptions | None = None,
                          n_x: int = 501, n_z: int = 301) -> Evaluator:
     a = assumptions if assumptions is not None else OracleAssumptions()
+    # a bad grid is a bad evaluator, not a gap at every uptilt
+    _require_grid(n_x, n_z)
     work = _Workspace()  # one for every evaluation; calls run one at a time
 
     def fn(s: CorridorScenario) -> tuple[float, None]:

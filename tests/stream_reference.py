@@ -1,6 +1,6 @@
 """The Monte Carlo estimate from one in-order Philox stream, kept as the
-reference for `corridorcov.monte_carlo.estimate_outage`, which opens each
-block's generator at its own counter step.
+reference for `corridorcov.monte_carlo.estimate_outage`, which reads the
+same stream block by block.
 
 Row i of ``Generator(Philox(key=seed)).random((n, k))`` is sample i: x, z,
 then, in Bernoulli LoS mode, one uniform per base station, which

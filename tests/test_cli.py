@@ -185,6 +185,23 @@ def test_validate_without_uptilts_exits_1(flag, cfg_text, tmp_path, capsys):
     ("model.pathloss=a2g", ["--alpha-deg", "-5", "--d1", "1e151",
                             "--grid-nx", "64", "--grid-nz", "64", "oracle"],
      "finite loss"),
+    # powers past the float range: numpy's overflow warning, then
+    # p_out=0.701172 (inf / inf read as SINR 0) or a SINR overflow, exit 0
+    ("radio.p_tx_dbm=3110", ["--grid-nx", "64", "--grid-nz", "64", "oracle"],
+     "received power"),
+    ("model.peak_gain_db=3075", ["--grid-nx", "64", "--grid-nz", "64",
+                                 "oracle"], "received power"),
+    ("radio.p_tx_dbm=3110", ["--samples", "100", "mc"], "received power"),
+    ("radio.p_tx_dbm=3110", ["--grid-nx", "8", "--grid-nz", "8", "heatmap"],
+     "received power"),
+    # a bad configuration fails the sweep before its first uptilt: it was a
+    # NaN row at every uptilt, exit 0
+    ("", ["--grid-nx", "32", "sweep", "--evaluator", "quadrature"],
+     "n_x, n_z >= 64"),
+    ("model.bs_positions=0,0", ["--samples", "100", "sweep", "--evaluator",
+                                "mc"], "strictly increasing"),
+    ("", ["--beam", "cosine", "--nt", "1", "--samples", "100", "sweep",
+          "--evaluator", "mc"], "element count"),
 ])
 def test_rejected_model_values_exit_1(config, argv, message, tmp_path,
                                       capsys):
@@ -319,6 +336,26 @@ def test_mc_sweep_records_overflowing_distances_as_gaps(tmp_path):
     assert [row["alpha_deg"] for row in art["curve"]] == [8.0, 9.0]
     for row in art["curve"]:
         assert row["p_out"] is None and "finite loss" in row["error"]
+
+
+@pytest.mark.parametrize("evaluator", ["mc", "quadrature"])
+def test_sweep_records_overflowing_powers_as_gaps(evaluator, tmp_path):
+    # the powers leave the float range at every uptilt: a gap with a
+    # reason, not a wrong p_out and numpy's overflow warning
+    cfg = tmp_path / "power.cfg"
+    cfg.write_text("radio.p_tx_dbm=3110\n")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, art = _run(["--config", str(cfg), "--beta-deg", "40",
+                          "--samples", "100", "--grid-nx", "64",
+                          "--grid-nz", "64", "sweep", "--evaluator",
+                          evaluator, "--alpha-min-deg", "8",
+                          "--alpha-max-deg", "9", "--format", "json"],
+                         tmp_path)
+    assert code == 0
+    assert [row["alpha_deg"] for row in art["curve"]] == [8.0, 9.0]
+    for row in art["curve"]:
+        assert row["p_out"] is None and "received power" in row["error"]
 
 
 def test_optimize_json_records_history(tmp_path):

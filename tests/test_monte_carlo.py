@@ -118,16 +118,51 @@ def test_free_space_draws_no_los_uniforms():
 @pytest.mark.parametrize("seed", [0, 3, 7])
 @pytest.mark.parametrize("n", [1, 3, 65537, 200001])
 def test_block_size_cannot_change_result(monkeypatch, n, seed, dps):
-    # blocks of 4097 and 21845 samples start off the multiples of
-    # Philox's 4 draws per counter step
+    # blocks of 4097 and 21845 samples start off the multiples of Philox's
+    # 4 draws per counter step; the streamed sampler takes its block size
+    # from oracle at each call, so each size runs its own number of blocks
     s = reference_scenario(13, 40)
     cfg = McConfig(n_samples=n, seed=seed, **_DRAW_CONFIGS[dps])
+    real = monte_carlo.evaluate_sinr
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls[-1] += 1
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(monte_carlo, "evaluate_sinr", counting)
     results = []
-    for block in (4096, 4097, 21845, 65536):
+    blocks = (4096, 4097, 21845, 65536)
+    for block in blocks:
         monkeypatch.setattr(oracle, "BLOCK_POINTS", block)
+        calls.append(0)
         results.append(estimate_outage(s, cfg))
+    assert calls == [-(-n // block) for block in blocks]
     assert all(r == results[0] for r in results)
     assert results[0].p_out == outage_of_one_stream(s, cfg, dps)
+
+
+@pytest.mark.parametrize("dps", [2, 6])
+def test_each_pass_reads_one_generator(monkeypatch, dps):
+    # a streamed call reads one Philox stream in sample order, and a held
+    # draw reads it twice, to size its slabs and to fill them, however
+    # many blocks each pass takes
+    opened = []
+    real = np.random.Philox
+
+    def counting(*args, **kwargs):
+        opened.append(kwargs)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(np.random, "Philox", counting)
+    s = reference_scenario(13, 40)
+    cfg = McConfig(n_samples=2 * BLOCK_POINTS + 7, seed=5,
+                   **_DRAW_CONFIGS[dps])
+    streamed = estimate_outage(s, cfg)
+    assert opened == [dict(key=5)]
+    opened.clear()
+    assert estimate_outage(s, cfg, samples=SampleSet()) == streamed
+    assert opened == [dict(key=5)] * 2
 
 
 def test_same_seed_same_result_distinct_seeds_differ():
@@ -363,13 +398,16 @@ def test_a_changed_sample_key_draws_anew(monkeypatch):
     # A held draw reads every block twice: once to size the slabs, once
     # to fill them.
     draws = []
-    real = monte_carlo._uniforms
+    real = monte_carlo._draws
 
-    def counting(m, dps, lo, hi, w):
-        draws.append(lo)
-        return real(m, dps, lo, hi, w)
+    def counting(m, dps, size, w):
+        lo = 0
+        for u in real(m, dps, size, w):
+            draws.append(lo)
+            lo += len(u)
+            yield u
 
-    monkeypatch.setattr(monte_carlo, "_uniforms", counting)
+    monkeypatch.setattr(monte_carlo, "_draws", counting)
     s = reference_scenario(13, 40)
     a = _DRAW_CONFIGS[6]["assumptions"]
     cfg = McConfig(n_samples=HELD_BLOCK + 5, seed=3, **_DRAW_CONFIGS[6])

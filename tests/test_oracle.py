@@ -32,10 +32,16 @@ def test_default_bs_layout():
     s = reference_scenario(13, 40)
     a = OracleAssumptions()
     assert a.resolve_positions(s) == (-1000.0, 0.0, 1000.0, 2000.0)
-    with pytest.raises(ValueError):
-        OracleAssumptions(bs_positions=(0.0,)).resolve_positions(s)
-    with pytest.raises(ValueError):
-        OracleAssumptions(bs_positions=(0.0, 0.0)).resolve_positions(s)
+    # bad positions and element counts are rejected when the assumptions
+    # are built, once, not at each evaluation
+    with pytest.raises(ValueError, match="at least two"):
+        OracleAssumptions(bs_positions=(0.0,))
+    with pytest.raises(ValueError, match="strictly increasing"):
+        OracleAssumptions(bs_positions=(0.0, 0.0))
+    with pytest.raises(ValueError, match="element count"):
+        OracleAssumptions(beam=BeamKind.COSINE, n_elements=1)
+    # the rectangular beam takes no element count
+    OracleAssumptions(n_elements=1).resolve_beam(s)
 
 
 def test_midpoint_symmetry():

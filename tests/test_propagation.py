@@ -41,6 +41,8 @@ def test_rectangular_gain_support():
     assert beam.gain(*_link(60 * D2R)) == 0.0
     out = beam.gain(*_link(np.array([5, 30, 50]) * D2R))
     assert out.tolist() == [0.0, 5.0, 0.0]
+    # the kernel's power bound reads the greatest gain
+    assert beam._peak == 5.0
     # straight overhead (h = 0) only a lobe reaching past 90 degrees counts
     assert beam.gain(0.0, 100.0, 1e4) == 0.0
     wide = RectangularBeam(peak_gain=5.0, alpha=60 * D2R, beta=40 * D2R)
@@ -63,9 +65,11 @@ def test_rectangular_peak_gain_must_be_finite(peak):
         RectangularBeam(peak_gain=peak, alpha=0.1, beta=0.5)
 
 
-@pytest.mark.parametrize("eta_db", [math.inf, math.nan, 4000.0])
+@pytest.mark.parametrize("eta_db", [math.inf, math.nan, 4000.0, -4000.0])
 def test_a2g_excess_loss_must_be_finite(eta_db):
-    # the Bernoulli mode blends the two excess losses with 0/1 weights
+    # the Bernoulli mode blends the two excess losses with 0/1 weights; a
+    # linear excess loss of 0 (-4000 dB) gives a loss of 0, which the
+    # kernel's power bound cannot divide by
     with pytest.raises(ValueError, match="excess loss"):
         AirToGroundPathLoss(eta_nlos_db=eta_db)
     with pytest.raises(ValueError, match="excess loss"):
@@ -96,7 +100,10 @@ def test_cosine_gain_peak_equals_element_count():
     for nt in (2, 4, 16, 64):
         beam = CosineBeam(n_elements=nt, alpha=10 * D2R, beta=30 * D2R)
         thetas = np.linspace(1e-3, math.pi / 2, 20001)
-        assert np.max(beam.gain(*_link(thetas))) == pytest.approx(nt, rel=1e-6)
+        gain = beam.gain(*_link(thetas))
+        assert np.max(gain) == pytest.approx(nt, rel=1e-6)
+        # the kernel's power bound reads the greatest gain
+        assert np.max(gain) <= beam._peak == nt
     with pytest.raises(ValueError):
         CosineBeam(n_elements=1, alpha=0.1, beta=0.5)
 
@@ -244,6 +251,9 @@ def test_a2g_bernoulli_states():
     los = a2g.loss(*link, lam, los_state=np.array([True, False]))
     assert los[0] == pytest.approx(db_to_linear(0.1) * fs, rel=1e-12)
     assert los[1] == pytest.approx(db_to_linear(21.0) * fs, rel=1e-12)
+    # free space has no LoS state: it takes the states and ignores them
+    assert FreeSpacePathLoss().loss(*link, lam,
+                                    los_state=np.array([True, False])) == fs
 
 
 def test_noise_power():

@@ -618,3 +618,55 @@ def test_overflowing_distances_raise_on_every_layout(loss):
             else:
                 _, val = evaluate_sinr(x, z, s, a, los_states=los, slab=slab)
                 assert np.isfinite(val).all()
+
+
+
+def _power_case(p_tx_dbm, carrier_hz=3e9, points=None, **assumptions):
+    s = reference_scenario(13.0, 40.0)
+    s = dataclasses.replace(s, radio=LinkBudget(p_tx_dbm=p_tx_dbm,
+                                                carrier_hz=carrier_hz))
+    if points is None:
+        points = (np.linspace(0.5, 499.5, 8), np.linspace(100.5, 299.5, 5))
+    return s, OracleAssumptions(**assumptions), points
+
+
+# (scenario, assumptions, a block's (x, z), whether the powers leave the
+# float range): a transmit power of 1e308 W, whose product with the peak
+# gain overflows; a peak gain of 3075 dB, whose powers are finite and
+# whose SINR over the noise is not; air-to-ground excess losses of
+# -100 dB, whose powers over the noise overflow while those with the
+# free-space loss do not; and, with no noise and SUM interference, three
+# BSs 1 m apart under points 1 km up, each delivering about 0.6 of the
+# largest float, so that two of them sum past it. The last is a transmit
+# power 113 dB below the first, whose powers and SINR all fit.
+POWER_OVERFLOWS = [
+    (*_power_case(3110.0), True),
+    (*_power_case(30.0, peak_gain_db=3075.0), True),
+    (*_power_case(3000.0, pathloss=AirToGroundPathLoss(
+        eta_los_db=-100.0, eta_nlos_db=-100.0)), True),
+    (*_power_case(3082.76, carrier_hz=1e3, peak_gain_db=0.0,
+                  include_noise=False, bs_positions=(-1.0, 0.0, 1.0),
+                  interference=InterferenceMode.SUM_ALL,
+                  points=(np.linspace(-0.5, 0.5, 8),
+                          np.linspace(1000.0, 1001.0, 5))), True),
+    (*_power_case(2997.0), False),
+]
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_overflowing_powers_raise_on_every_layout():
+    # the per-BS range check bounds every received power, their sum and,
+    # with noise on, the SINR: a power past the float range is a
+    # ValueError, not an overflow warning and a wrong SINR (inf / inf
+    # reads as 0, an outage). The layouts: streamed points, a slab, and a
+    # column block, windowed and not.
+    for s, a, (xs, zs), overflows in POWER_OVERFLOWS:
+        points = (np.tile(xs, zs.size), np.repeat(zs, xs.size))
+        block = (xs[None, :], zs[:, None])
+        for (x, z), slab in itertools.product((points, block), (False, True)):
+            if overflows:
+                with pytest.raises(ValueError, match="received power"):
+                    evaluate_sinr(x, z, s, a, slab=slab)
+            else:
+                _, val = evaluate_sinr(x, z, s, a, slab=slab)
+                assert np.isfinite(val).all() and (val > 0).any()
