@@ -274,12 +274,13 @@ class SampleSet:
 def estimate_outage(s: CorridorScenario, m: McConfig, work=None,
                     samples: SampleSet | None = None) -> McResult:
     """Estimated outage probability with binomial standard error and a 95%
-    confidence interval. `work` is a `_Workspace` to reuse across calls; a
-    new one when None. Without `samples` each block of BLOCK_POINTS
-    samples draws them as it is evaluated; with a `SampleSet`, the samples
-    are drawn into it unless it holds them already, and evaluated slab by
-    slab. Either way the blocks run one after another in the caller's
-    thread, and the result is the same bit for bit."""
+    confidence interval (Wilson score, `_wilson`). `work` is a
+    `_Workspace` to reuse across calls; a new one when None. Without
+    `samples` each block of BLOCK_POINTS samples draws them as it is
+    evaluated; with a `SampleSet`, the samples are drawn into it unless it
+    holds them already, and evaluated slab by slab. Either way the blocks
+    run one after another in the caller's thread, and the result is the
+    same bit for bit."""
     a = m.assumptions
     positions = a.resolve_positions(s)
     beam = a.resolve_beam(s)
@@ -304,5 +305,15 @@ def estimate_outage(s: CorridorScenario, m: McConfig, work=None,
         missed += int(np.count_nonzero(below))
     p = missed / n
     se = math.sqrt(p * (1.0 - p) / n)
-    ci = (max(0.0, p - 1.96 * se), min(1.0, p + 1.96 * se))
-    return McResult(p_out=p, std_err=se, ci95=ci, n=n, seed=m.seed)
+    return McResult(p_out=p, std_err=se, ci95=_wilson(p, n), n=n,
+                    seed=m.seed)
+
+
+def _wilson(p, n, z=1.96):
+    """Wilson score interval of a binomial proportion p over n trials.
+    Unlike p +- z * std_err, it keeps a width where p is 0 or 1. In exact
+    arithmetic it contains p; the clamps keep that true under rounding."""
+    zz = z * z / n
+    center = (p + zz / 2.0) / (1.0 + zz)
+    half = z / (1.0 + zz) * math.sqrt(p * (1.0 - p) / n + zz / (4.0 * n))
+    return (max(0.0, min(p, center - half)), min(1.0, max(p, center + half)))

@@ -83,6 +83,52 @@ of BSs must be finite, and with noise on so must its ratio to the noise
 power; otherwise a power, a sum of them or the SINR could overflow and
 read as an outage.
 
+Settled tiles. Given ``tau``, the kernel returns the coverage mask
+``SINR >= tau`` in place of the SINR, and on a grid block it first bounds
+the SINR of each tile of _TILE_ROWS (32) rows (`_settle`), so that only
+the rows of tiles whose bounds straddle tau are evaluated. Each bound
+follows one step of the kernel, formed from bounds of that step's
+operands in the kernel's order, and every step is monotone in its
+operands (rounding is monotone), so the bounds hold for the kernel's
+rounded values:
+
+- distance: ``near`` and ``far`` of the block (`_h_range`) and the least
+  and greatest ``z**2`` of the tile, from its first and last heights,
+  bound its ``r2``;
+- gain: 0 on a tile outside the BS's lit window, the peak gain on a tile
+  inside its fully lit core, and [0, peak] on the rest. The cosine beam
+  has no core, so its tiles get [0, peak];
+- loss: the free-space loss at the ``r2`` bounds times the model's
+  `_least` and `_excess` bounds on its excess loss, which the distance
+  check uses too: exact for free space, loose for air-to-ground;
+- power: the transmit power times the gain bound, over the loss bound;
+- association: the kernel's STRONGEST reduction, run on the lower and on
+  the upper power bounds: the serving power (the running maximum) and the
+  interference (the running maximum or sum of what loses to it) are
+  monotone in every power. Under NEAREST association no tile is settled;
+- SINR: the serving bound over the noise plus the other interference
+  bound.
+
+A tile counts as covered when its lower bound is at least
+tau * (1 + 1e-9), and as an outage when its upper bound is below
+tau * (1 - 1e-9). A NaN bound (0/0, with noise off or at ``r2 = 0``)
+settles nothing. The margin is a guard on top of the monotone bounds:
+after ``h`` each step of the SINR is a product, quotient or sum of
+positive numbers, about ten roundings, which move it by less than 1e-14
+relatively, five orders of magnitude below the margin. The rows of the
+unsettled tiles are gathered into one sub-column of ascending heights,
+still a slab, onto which each BS's lit window is mapped (`_kept_window`)
+rather than searched for again, and the mask takes each settled tile's
+value and ``SINR >= tau`` on the evaluated rows. At `validate`'s grid
+(blocks of 32 columns of 2001 heights, at the reference uptilts) 4.5-6%
+of the tiles straddle tau, and the loss runs on about 6% of the cells it
+runs on without ``tau``. The gain is still called once per BS and block,
+with ``h`` at the block's shape, so the benchmark's tracer counts the
+same gain points. Only the quadrature passes ``tau``; held Monte Carlo
+slabs are not tiled, because under the Bernoulli air-to-ground loss the
+bounds span the ratio of the two excess losses (about 123) and would
+settle nothing.
+
 Blocks and workspaces. Every evaluator walks its blocks with a plain
 ``for`` loop over a generator, one after another in the caller's thread,
 and keeps the cells in flight near BLOCK_POINTS (64k), so the kernel's
@@ -156,6 +202,7 @@ from .propagation import (
     RectangularBeam,
     _compact,
     _part,
+    _per_m2,
     _require_distance,
     _Workspace,
     db_to_linear,
@@ -164,6 +211,10 @@ from .propagation import (
 
 # Cells in flight in a block loop.
 BLOCK_POINTS = 1 << 16
+# Rows of a grid block whose coverage one SINR bound can settle, and the
+# relative margin by which the bound must clear tau (`_settle`).
+_TILE_ROWS = 32
+_MARGIN = 1e-9
 
 
 class Association(enum.Enum):
@@ -254,10 +305,115 @@ def _bit(row, bit, work):
     return np.minimum(out, 1, out=out).view(bool)
 
 
+def _settle(heights, ranges, lit, beam, s, a, noise, tau, work):
+    """Which tiles of _TILE_ROWS rows of a grid block, whose rows are the
+    ascending `heights`, have SINR bounds that clear `tau`: two boolean
+    rows in a buffer of `work`, covered and settled (covered or in
+    outage), each with one value per tile.
+
+    `ranges` and `lit` are each BS's distance range over the block and lit
+    window (`_h_range`, `_lit_samples`). Each step bounds what the kernel
+    forms under STRONGEST association, in the kernel's order (see the
+    module notes, "Settled tiles"): the lower bounds fill row 0 of each
+    array and the upper bounds row 1."""
+    n, n_bs = len(heights), len(ranges)
+    n_tiles = -(-n // _TILE_ROWS)
+    # each tile's first and last height, then the least and greatest z**2
+    ends = work.take("tile.ends", (2, n_tiles))
+    ends[0] = heights[::_TILE_ROWS]
+    ends[1, :-1] = heights[_TILE_ROWS - 1::_TILE_ROWS][:n_tiles - 1]
+    ends[1, -1] = heights[-1]
+    z2 = work.take("tile.z2", (2, n_tiles))
+    sq = np.multiply(ends, ends, out=work.take("tile.sq", (2, n_tiles)))
+    np.minimum(sq[0], sq[1], out=z2[0])
+    np.maximum(sq[0], sq[1], out=z2[1])
+    # a tile whose heights change sign holds z = 0
+    np.multiply(ends[0], ends[1], out=sq[0])
+    np.copyto(z2[0], 0.0, where=np.less_equal(
+        sq[0], 0.0, out=work.take("tile.across", (n_tiles,), bool)))
+    # r2, then the loss: the free-space loss times the model's least and
+    # greatest excess
+    dist = np.array(ranges).T[:, :, None]
+    r2 = np.add(np.multiply(dist, dist, out=dist), z2[:, None, :],
+                out=work.take("tile.r2", (2, n_bs, n_tiles)))
+    pl = np.multiply(r2, _per_m2(s.radio.wavelength_m), out=r2)
+    pl[0] *= a.pathloss._least
+    pl[1] *= a.pathloss._excess
+    # the gain: the peak on tiles inside the fully lit core, 0 outside the
+    # window, and between them on the rest
+    p = work.take("tile.p", (2, n_bs, n_tiles))
+    p.fill(0.0)
+    for i, (cells, core) in enumerate(lit):
+        if cells.start < cells.stop:
+            p[1, i, cells.start // _TILE_ROWS:
+              -(-cells.stop // _TILE_ROWS)] = beam._peak
+        if core is not None:
+            lo, hi = cells.start + core.start, cells.start + core.stop
+            p[0, i, -(-lo // _TILE_ROWS):
+              n_tiles if hi == n else hi // _TILE_ROWS] = beam._peak
+    best = work.take("tile.best", (2, n_tiles))
+    rest = work.take("tile.rest", (2, n_tiles))
+    join = (np.maximum if a.interference is InterferenceMode.DOMINANT_ONLY
+            else np.add)
+    best.fill(0.0)
+    rest.fill(0.0)
+    # 0/0 and x/0 (a bound at r2 = 0) give NaN or inf, which settle nothing
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        p *= s.radio.p_tx_w
+        np.divide(p, pl[::-1], out=p)
+        # the kernel's reduction, on each bound
+        for i in range(n_bs):
+            join(rest, np.minimum(best, p[:, i], out=sq), out=rest)
+            np.maximum(best, p[:, i], out=best)
+        sinr = np.divide(best, np.add(rest[::-1], noise, out=sq), out=best)
+    flags = work.take("tile.flags", (2, n_tiles), bool)
+    covered = np.greater_equal(sinr[0], tau * (1.0 + _MARGIN), out=flags[0])
+    settled = np.less(sinr[1], tau * (1.0 - _MARGIN), out=flags[1])
+    settled |= covered
+    return flags
+
+
+def _rows(tiles, n, out):
+    """Per-tile values `tiles` repeated over the tiles' rows of a grid
+    block of n rows (and its columns) in `out`, a buffer of whole tiles."""
+    out.reshape(len(tiles), _TILE_ROWS, -1)[...] = tiles[:, None, None]
+    return out[:n]
+
+
+def _kept_rows(unsettled, heights, lit, work):
+    """The rows of the tiles flagged `unsettled` of a grid block whose rows
+    are the ascending `heights`: as one boolean per row, as their heights
+    (one ascending sub-column, so still a slab), and with each BS's lit
+    window `lit` mapped onto that sub-column."""
+    n = len(heights)
+    keep = _rows(unsettled, n, work.take(
+        "tile.keep", (len(unsettled) * _TILE_ROWS,), bool))
+    # kept[j]: the rows kept before row j
+    kept = work.take("tile.kept", (n + 1,), np.intp)
+    kept[0] = 0
+    np.cumsum(keep, out=kept[1:])
+    sub = work.take("tile.heights", (int(kept[n]),))
+    return (keep, np.compress(keep, heights, out=sub),
+            [_kept_window(cells, core, kept) for cells, core in lit])
+
+
+def _kept_window(cells, core, kept):
+    """The lit window `cells` and core `core` of a column (`_lit_samples`)
+    in the sub-column of its kept rows, where kept[j] counts the rows kept
+    before row j."""
+    start, stop = int(kept[cells.start]), int(kept[cells.stop])
+    if core is not None:
+        lo = int(kept[cells.start + core.start]) - start
+        hi = int(kept[cells.start + core.stop]) - start
+        core = slice(lo, hi) if lo < hi else None
+    return slice(start, stop), core
+
+
 def evaluate_sinr(x, z, s: CorridorScenario, a: OracleAssumptions,
                   los_states=None, work=None, with_serving=True,
                   beam: BeamPattern | None = None,
-                  positions: tuple[float, ...] | None = None, slab=False):
+                  positions: tuple[float, ...] | None = None, slab=False,
+                  tau: float | None = None):
     """Serving index and linear SINR at points (x, z), in the shape that x
     and z broadcast to.
 
@@ -282,10 +438,19 @@ def evaluate_sinr(x, z, s: CorridorScenario, a: OracleAssumptions,
     on the samples or rows its lobe can reach only (`_lit_samples`).
     Without it, each BS is evaluated on every point.
 
+    With `tau` (linear; `with_serving` must be false) the second result is
+    the coverage mask ``SINR >= tau`` in place of the SINR. Under STRONGEST
+    association, on a grid block that is a slab, tiles of _TILE_ROWS rows
+    whose SINR bounds clear tau are settled without evaluating their cells
+    (see the module notes, "Settled tiles"); the mask is the same.
+
     Every temporary, and both results, live in the buffers of `work` (a
     `_Workspace`; a new one when None), so the results are views that the
     next call with the same workspace overwrites.
     """
+    if tau is not None and with_serving:
+        raise ValueError("tau gives the coverage mask, not the serving "
+                         "index: pass with_serving=False")
     x = np.atleast_1d(np.asarray(x, dtype=float))
     z = np.atleast_1d(np.asarray(z, dtype=float))
     shape = np.broadcast_shapes(x.shape, z.shape)
@@ -327,11 +492,26 @@ def evaluate_sinr(x, z, s: CorridorScenario, a: OracleAssumptions,
             r2 += np.multiply(z, z, out=work.take("p", z.shape))
             least = r2.min()
         _require_distance(least, most, lam, a.pathloss, p_all, noise)
-    z2 = np.multiply(z, z, out=work.take("z2", z.shape))
-    # r2, p (gain, then received power) and pl (path loss, then scratch)
-    # are taken at each window's shape from buffers sized for the block
-    for name in ("r2", "p", "pl"):
+    # every buffer below is sized for the block, and taken at the shape of
+    # a window or of the unsettled rows from its head
+    for name in ("r2", "p", "pl", "p_serv", "other"):
         work.take(name, shape)
+    work.take("mask", shape, bool)
+    # cells: the window, rows of the block-wide arrays; _part(a, cells) is
+    # the window in an array with the shape of x (a grid's row holds all);
+    # core: its fully lit rows, or None
+    lit = ([beam._lit_samples(near, far, heights) for near, far in ranges]
+           if slab else [(Ellipsis, None)] * len(positions))
+    block, keep = shape, None
+    if tau is not None and slab and grid and strongest:
+        tiles = _settle(heights, ranges, lit, beam, s, a, noise, tau, work)
+        if tiles[1].any():
+            # evaluate the rows of the unsettled tiles only
+            keep, heights, lit = _kept_rows(
+                np.logical_not(tiles[1], out=tiles[1]), heights, lit, work)
+            z = heights[:, None]
+            shape = (len(heights), shape[1])
+    z2 = np.multiply(z, z, out=work.take("z2", z.shape))
     mask = work.take("mask", shape, bool)
     p_serv = work.take("p_serv", shape)  # under STRONGEST, the strongest so far
     other = work.take("other", shape)    # strongest non-serving power, or sum
@@ -347,12 +527,9 @@ def evaluate_sinr(x, z, s: CorridorScenario, a: OracleAssumptions,
             np.copyto(serving, nearest)
     elif with_serving:
         serving.fill(0)
-    # cells: the window, rows of the block-wide arrays; _part(a, cells) is
-    # the window in an array with the shape of x (a grid's row holds all)
-    cells, core, window = Ellipsis, None, shape
-    for i, (pos, (near, far)) in enumerate(zip(positions, ranges)):
+    window = shape
+    for i, (pos, (cells, core)) in enumerate(zip(positions, lit)):
         if slab:
-            cells, core = beam._lit_samples(near, far, heights)
             window = (cells.stop - cells.start, *shape[1:])
             # a grid's gain is called on an empty window too: the
             # benchmark's tracer counts its points in block cells
@@ -365,9 +542,9 @@ def evaluate_sinr(x, z, s: CorridorScenario, a: OracleAssumptions,
         hh = np.multiply(h, h, out=work.take("p", h.shape))
         r2 = np.add(hh, z2[cells], out=work.take("r2", window))
         zw = z[cells]
-        # h as a view with one value per cell: of the block on a grid, and
-        # of the window to the loss
-        p = beam.gain(np.broadcast_to(h, shape if grid else window), zw, r2,
+        # on a grid, h as a view with one value per cell: of the block to
+        # the gain, and of the window to the loss
+        p = beam.gain(np.broadcast_to(h, block) if grid else h, zw, r2,
                       out=work.take("p", window), work=work, core=core)
         # a BS that lights no cell adds a power of 0, which changes no
         # step below; a fully lit core is lit (or the peak gain is 0, and
@@ -377,8 +554,8 @@ def evaluate_sinr(x, z, s: CorridorScenario, a: OracleAssumptions,
         pl = work.take("pl", window)
         los = (None if los_states is None
                else _bit(los_states[i >> 3][cells], i & 7, work))
-        a.pathloss.loss(np.broadcast_to(h, window), zw, r2, lam,
-                        los_state=los, out=pl, work=work, checked=True)
+        a.pathloss.loss(np.broadcast_to(h, window) if grid else h, zw, r2,
+                        lam, los_state=los, out=pl, work=work, checked=True)
         p *= p_tx
         p /= pl
         best, rest = p_serv[cells], other[cells]
@@ -413,7 +590,16 @@ def evaluate_sinr(x, z, s: CorridorScenario, a: OracleAssumptions,
         dead = np.equal(p_serv, 0.0, out=mask)
         if dead.any():
             np.copyto(serving, _nearest(x, positions, work), where=dead)
-    return serving, sinr
+    if tau is None:
+        return serving, sinr
+    hit = np.greater_equal(sinr, tau, out=mask)
+    if keep is None:
+        return None, hit
+    # the block's mask: each settled tile's value, the evaluated rows' hits
+    covered = _rows(tiles[0], len(keep), work.take(
+        "covered", (len(tiles[0]) * _TILE_ROWS, block[1]), bool))
+    covered[keep] = hit
+    return None, covered
 
 
 def _column_blocks(xs, zs):
@@ -455,9 +641,7 @@ def coverage_by_quadrature(s: CorridorScenario, a: OracleAssumptions,
     covered = 0
     for _, x, z in _column_blocks(_midpoints(0.0, s.d1 / 2.0, n_x),
                                   _midpoints(s.h1, s.h2, n_z)):
-        _, val = evaluate_sinr(x, z, s, a, work=work, with_serving=False,
-                               slab=True)
-        hit = np.greater_equal(val, s.tau,
-                               out=work.take("hit", val.shape, bool))
+        _, hit = evaluate_sinr(x, z, s, a, work=work, with_serving=False,
+                               slab=True, tau=s.tau)
         covered += int(np.count_nonzero(hit))
     return covered / float(n_x * n_z)

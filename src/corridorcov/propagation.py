@@ -20,7 +20,9 @@ Both path-loss models take the links' drawn LoS states as ``los_state``
 The SINR kernel (``oracle.evaluate_sinr``) calls ``gain`` once per base
 station (on a slab of held samples, once per base station whose lit
 window is not empty), and ``loss`` once per base station whose lobe does
-reach a point of the block, each on the BS's lit window only (see below).
+reach a point of the block, each on the BS's lit window only (see below),
+and given a threshold, on a grid block, on the rows whose coverage its
+SINR bounds leave open only (see `oracle`, "Settled tiles").
 ``h``, ``z`` and ``r2`` broadcast against each other. On a grid block
 ``h`` varies along the row and ``z`` down the column only: the kernel
 passes ``h`` as a `np.broadcast_to` view of one row, at the block's shape
@@ -118,9 +120,12 @@ def _part(a, part):
     return a if a.shape[0] == 1 else a[part]
 
 
-def _buffer(buf, shape):
-    """`buf`, or a new float array of `shape` if it is None."""
-    return np.empty(shape) if buf is None else buf
+def _buffer(buf, *arrays):
+    """`buf`, or if it is None a new float array of the shape that
+    `arrays` broadcast to."""
+    if buf is not None:
+        return buf
+    return np.empty(np.broadcast_shapes(*(np.shape(a) for a in arrays)))
 
 
 def _per_m2(wavelength_m):
@@ -260,7 +265,7 @@ class RectangularBeam:
         """
         h = _compact(np.asarray(h, dtype=float))
         z = _compact(np.asarray(z, dtype=float))
-        out = _buffer(out, np.broadcast_shapes(h.shape, z.shape))
+        out = _buffer(out, h, z)
         if self._dark:
             out.fill(0.0)
             return out
@@ -352,7 +357,7 @@ class CosineBeam:
         `_lit_samples` gives it) and every cell is evaluated."""
         h = _compact(np.asarray(h, dtype=float))
         r2 = np.asarray(r2, dtype=float)
-        x = _buffer(out, np.broadcast_shapes(h.shape, r2.shape))
+        x = _buffer(out, h, r2)
         work = _Workspace() if work is None else work
         np.sqrt(r2, out=x)
         np.divide(h, x, out=x)                   # cos(theta)
@@ -406,6 +411,10 @@ class FreeSpacePathLoss:
         return np.multiply(r2, _per_m2(wavelength_m), out=out)
 
 
+# the free-space part of the air-to-ground loss
+_FREE_SPACE = FreeSpacePathLoss()
+
+
 @dataclass(frozen=True)
 class AirToGroundPathLoss:
     """Probabilistic-LoS air-to-ground loss: sigmoid LoS probability in the
@@ -447,7 +456,7 @@ class AirToGroundPathLoss:
         elevation in degrees:
         1 / (1 + a * exp(-b * (degrees(atan2(z, h)) - a))). `work` is not
         needed."""
-        p = _buffer(out, np.broadcast_shapes(np.shape(h), np.shape(z)))
+        p = _buffer(out, h, z)
         np.arctan2(z, h, out=p)
         p *= 180.0 / math.pi  # np.degrees, bit for bit
         p -= self.a
@@ -464,11 +473,9 @@ class AirToGroundPathLoss:
         each link uses its drawn LoS/NLoS state instead,
         where(los_state, eta_los, eta_nlos) * pl_fs, and the LoS probability
         is not computed again."""
-        shape = np.broadcast_shapes(np.shape(h), np.shape(z), np.shape(r2),
-                                    np.shape(los_state))
-        out = _buffer(out, shape)
+        out = _buffer(out, h, z, r2, los_state)
         work = _Workspace() if work is None else work
-        tmp = work.take("a2g.tmp", shape)
+        tmp = work.take("a2g.tmp", out.shape)
         if los_state is None:
             p = self.p_los(h, z, out=out)
         else:
@@ -481,8 +488,8 @@ class AirToGroundPathLoss:
         tmp *= self._eta_nlos
         p *= self._eta_los
         p += tmp
-        pl_fs = FreeSpacePathLoss().loss(h, z, r2, wavelength_m, out=tmp,
-                                         checked=checked)
+        pl_fs = _FREE_SPACE.loss(h, z, r2, wavelength_m, out=tmp,
+                                 checked=checked)
         return np.multiply(p, pl_fs, out=out)
 
 

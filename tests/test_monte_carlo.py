@@ -72,6 +72,23 @@ def test_estimate_matches_closed_form():
         math.sqrt(r.p_out * (1 - r.p_out) / r.n), rel=1e-12)
 
 
+def test_ci_has_width_when_no_or_every_sample_is_an_outage():
+    # the Wilson score interval: a lobe above 90 degrees lights nothing, so
+    # all 1000 samples are outages, and the interval is about [0.9962, 1]
+    # where p +- 1.96 std_err is [1, 1]
+    r = estimate_outage(reference_scenario(95, 40), McConfig(n_samples=1000))
+    assert (r.p_out, r.std_err) == (1.0, 0.0)
+    assert r.ci95[1] == 1.0
+    assert r.ci95[0] == pytest.approx(0.996173, abs=1e-6)
+    lo, hi = monte_carlo._wilson(0.0, 1000)
+    assert lo == 0.0 and hi == pytest.approx(1.0 - r.ci95[0], rel=1e-9)
+    # away from 0 and 1 it is close to p +- 1.96 std_err
+    lo, hi = monte_carlo._wilson(0.3, 100_000)
+    half = 1.96 * math.sqrt(0.3 * 0.7 / 100_000)
+    assert lo == pytest.approx(0.3 - half, abs=2e-5)
+    assert hi == pytest.approx(0.3 + half, abs=2e-5)
+
+
 def test_threshold_degenerate_limits():
     # tau -> 0+ with noise on: outage only where no lobe reaches at all;
     # oracle = fraction of dead midpoints, the points of zero SINR

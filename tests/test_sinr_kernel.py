@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 
 import sinr_reference as ref
+from corridorcov import oracle
 from corridorcov.defaults import reference_scenario
 from corridorcov.heatmap import sinr_field
 from corridorcov.monte_carlo import los_states
@@ -20,6 +21,7 @@ from corridorcov.oracle import (
     BeamKind,
     OracleAssumptions,
     _h_range,
+    _midpoints,
     coverage_by_quadrature,
     evaluate_sinr,
 )
@@ -112,16 +114,112 @@ def test_reference_grid_reaches_the_edge_cases():
     assert np.any((x == 0.0) & (v90 > 0.0))     # overhead, inside the lobe
 
 
-@pytest.mark.parametrize("n_x,n_z", [(64, 80), (301, 257)])
-@pytest.mark.parametrize("alpha_deg", [8.0, 13.0, 25.0])
-def test_quadrature_counts_match_reference_loop(n_x, n_z, alpha_deg):
-    s = reference_scenario(alpha_deg, 40.0)
-    for a in (OracleAssumptions(),
-              OracleAssumptions(beam=BeamKind.COSINE,
-                                pathloss=AirToGroundPathLoss(),
-                                interference=InterferenceMode.SUM_ALL)):
-        assert (coverage_by_quadrature(s, a, n_x, n_z)
-                == ref.covered_count(s, a, n_x, n_z) / float(n_x * n_z))
+# The reference positions, and five BSs, one at 250 m inside the half
+# corridor (so inside some column blocks) and 125 m from its midpoint with
+# the BS at 0, where the nearest BS changes
+QUAD_POSITIONS = [None, (-1000.0, 0.0, 250.0, 1000.0, 2000.0)]
+
+
+@pytest.mark.parametrize("assoc,interference,beam,loss,noise",
+                         [c for c in MATRIX if c[3] != "a2g-bernoulli"])
+def test_quadrature_counts_match_reference_loop(
+        monkeypatch, assoc, interference, beam, loss, noise):
+    # 80 and 257 heights leave last tiles of 16 rows and of 1 row. Blocks
+    # of 4 columns bound each BS's distance tightly enough for many tiles
+    # to settle; the default block holds all 64 columns, or cuts 301 of
+    # them into uneven blocks of 255 and 46.
+    for positions, alpha_deg in itertools.product(QUAD_POSITIONS,
+                                                  (8.0, 13.0, 25.0)):
+        a, _ = _case(assoc, interference, beam, loss, noise, 0)
+        a = dataclasses.replace(a, bs_positions=positions)
+        s = reference_scenario(alpha_deg, 40.0)
+        for n_x, n_z in ((64, 80), (64, 257), (301, 257)):
+            want = ref.covered_count(s, a, n_x, n_z) / float(n_x * n_z)
+            for block in (oracle.BLOCK_POINTS, 4 * n_z):
+                with monkeypatch.context() as m:
+                    m.setattr(oracle, "BLOCK_POINTS", block)
+                    assert coverage_by_quadrature(s, a, n_x, n_z) == want
+
+
+def test_quadrature_settles_most_tiles_of_the_default_model(monkeypatch):
+    # at validate's grid, in blocks of 32 columns, the loss evaluates
+    # about 6% of the cells with tau that it evaluates without it (every
+    # BS's lit windows), and the count is the same
+    cells = []
+
+    def counted(self, h, z, r2, *args, **kw):
+        cells.append(np.size(r2))
+        return loss(self, h, z, r2, *args, **kw)
+    loss = FreeSpacePathLoss.loss
+    monkeypatch.setattr(FreeSpacePathLoss, "loss", counted)
+    a = OracleAssumptions()
+    for alpha_deg in (8.0, 25.0):
+        s = reference_scenario(alpha_deg, 40.0)
+        work, covered = _Workspace(), 0
+        for _, x, z in oracle._column_blocks(
+                _midpoints(0.0, s.d1 / 2.0, 2001),
+                _midpoints(s.h1, s.h2, 2001)):
+            _, val = evaluate_sinr(x, z, s, a, work=work, with_serving=False,
+                                   slab=True)
+            covered += int(np.count_nonzero(val >= s.tau))
+        every = sum(cells)
+        cells.clear()
+        assert (coverage_by_quadrature(s, a, 2001, 2001)
+                == covered / float(2001 * 2001))
+        assert 0 < sum(cells) < every / 10
+        cells.clear()
+
+
+def _near_tau_cases(s):
+    """Blocks (x, z) as the quadrature passes them: 32 columns of the grid
+    that `validate` integrates over, and 2 columns beside BS-2 whose first
+    tile spans the BS's height (z = 0), so that the tile's least z**2 is
+    0."""
+    for xs, zs in ((_midpoints(0.0, s.d1 / 2.0, 2001)[960:992],
+                    _midpoints(s.h1, s.h2, 2001)),
+                   (np.array([-0.5, 0.5]), np.linspace(-7.75, 23.75, 64))):
+        shape = (zs.size, xs.size)
+        yield np.broadcast_to(xs, shape), np.broadcast_to(zs[:, None], shape)
+
+
+def test_a_cell_at_tau_is_evaluated():
+    # tau at one cell's SINR: no bound of its tile can clear tau by the
+    # margin, so the tile is evaluated, and the cell is covered; just
+    # above that SINR it is not. The greatest SINR lies next to a BS.
+    a = OracleAssumptions()
+    for alpha_deg in (-5.0, 8.0, 25.0):
+        s = reference_scenario(alpha_deg, 40.0)
+        for x, z in _near_tau_cases(s):
+            _, val = evaluate_sinr(x, z, s, a, with_serving=False, slab=True)
+            val = val.copy()
+            finite = np.flatnonzero(np.isfinite(val) & (val > 0.0))
+            assert finite.size
+            top = finite[np.argmax(val.flat[finite])]
+            for cell in (*finite[::max(1, finite.size // 8)], top):
+                row, col = np.unravel_index(cell, val.shape)
+                for tau in (val[row, col],
+                            np.nextafter(val[row, col], np.inf)):
+                    _, hit = evaluate_sinr(x, z, s, a, with_serving=False,
+                                           slab=True, tau=tau)
+                    assert np.array_equal(hit, val >= tau)
+                    assert hit[row, col] == (tau == val[row, col])
+
+
+def test_tau_gives_the_coverage_mask_on_every_layout():
+    # streamed points and a held slab evaluate every point; the serving
+    # index has no place next to the mask
+    x, z = _points()
+    order = np.argsort(z, kind="stable")
+    s = reference_scenario(13.0, 40.0)
+    a = OracleAssumptions(interference=InterferenceMode.SUM_ALL)
+    for xs, zs, slab in ((x, z, False), (x[order], z[order], True)):
+        _, val = evaluate_sinr(xs, zs, s, a, with_serving=False, slab=slab)
+        want = val >= s.tau
+        _, hit = evaluate_sinr(xs, zs, s, a, with_serving=False, slab=slab,
+                               tau=s.tau)
+        assert np.array_equal(hit, want)
+    with pytest.raises(ValueError, match="with_serving"):
+        evaluate_sinr(x, z, s, a, tau=s.tau)
 
 
 @pytest.mark.parametrize("assoc,interference,beam,loss,noise", MATRIX)
