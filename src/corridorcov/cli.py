@@ -163,7 +163,6 @@ KEYS: dict[str, _Key] = {
                                 "comma-separated uptilt list"),
     "validate.nx": _Key(_int, 2001),
     "validate.nz": _Key(_int, 2001),
-    "validate.samples": _Key(_int, 1_000_000),
 }
 
 
@@ -506,7 +505,6 @@ def _cmd_validate(cfg: RunConfig, args) -> int:
     if not alphas:
         raise ConfigError("validate needs at least one uptilt (--alphas-deg)")
     nx, nz = cfg.get("validate.nx"), cfg.get("validate.nz")
-    n_mc = cfg.get("validate.samples")
     work = _Workspace()  # shared by every quadrature and Monte Carlo call
     worst_quad = worst_mc = 0.0
     rows = []
@@ -516,9 +514,7 @@ def _cmd_validate(cfg: RunConfig, args) -> int:
         r = closed_form.outage(s)
         a = cfg.assumptions()
         q = 1.0 - coverage_by_quadrature(s, a, nx, nz, work=work)
-        mc = estimate_outage(s, McConfig(n_samples=n_mc,
-                                         seed=cfg.get("mc.seed"),
-                                         assumptions=a), work=work)
+        mc = estimate_outage(s, cfg.mc_config(), work=work)
         dq = abs(r.p_out - q)
         dm = abs(r.p_out - mc.p_out)
         mc_budget = max(0.02, 4.0 * mc.std_err)

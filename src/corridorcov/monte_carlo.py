@@ -55,9 +55,10 @@ bit:
 
 Each call resolves the beam and the BS positions once and hands them to
 the kernel for every block. Within a block, a base station whose lobe
-reaches none of the block's samples is skipped (see `oracle`), and the
-serving index is not formed. The LoS states are formed for every base
-station, lit or not, since a held set serves every uptilt.
+reaches none of the block's samples is skipped (see `oracle`). The
+kernel is given tau and returns its coverage mask, ``SINR >= tau``, and
+the block's outages are the mask's misses. The LoS states are formed for
+every base station, lit or not, since a held set serves every uptilt.
 """
 
 from __future__ import annotations
@@ -298,11 +299,10 @@ def estimate_outage(s: CorridorScenario, m: McConfig, work=None,
         blocks = samples._slabs()
     missed = 0
     for x, z, los in blocks:
-        _, val = evaluate_sinr(x, z, s, a, los_states=los, work=work,
-                               with_serving=False, beam=beam,
-                               positions=positions, slab=samples is not None)
-        below = np.less(val, s.tau, out=work.take("missed", val.shape, bool))
-        missed += int(np.count_nonzero(below))
+        _, hit = evaluate_sinr(x, z, s, a, los_states=los, work=work,
+                               beam=beam, positions=positions,
+                               slab=samples is not None, tau=s.tau)
+        missed += hit.size - int(np.count_nonzero(hit))
     p = missed / n
     se = math.sqrt(p * (1.0 - p) / n)
     return McResult(p_out=p, std_err=se, ci95=_wilson(p, n), n=n,

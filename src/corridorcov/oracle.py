@@ -20,8 +20,11 @@ never builds a (base stations x points)
 power matrix: strongest association keeps a running (serving, strongest
 interferer) pair, or under SUM_ALL interference the serving power and a
 running sum of the powers that lose to it, and nearest association reads
-the serving power out of the same pass. The serving index is formed only for callers that read it (the
-heatmap); the quadrature and the sampler ask for the SINR alone.
+the serving power out of the same pass. Given a threshold ``tau`` the
+kernel returns the coverage mask ``SINR >= tau``, the package's one
+coverage decision, and forms no serving index: the quadrature and the
+sampler count the mask, and only the heatmap, which passes no ``tau``,
+gets the serving index.
 
 Point layouts. The kernel takes two: slabs (``slab=True``), whose
 heights ascend along their first axis, and streamed samples, any other
@@ -99,13 +102,15 @@ rounded values:
   inside its fully lit core, and [0, peak] on the rest. The cosine beam
   has no core, so its tiles get [0, peak];
 - loss: the free-space loss at the ``r2`` bounds times the model's
-  `_least` and `_excess` bounds on its excess loss, which the distance
-  check uses too: exact for free space, loose for air-to-ground;
+  `_least` and `_excess` bounds on its excess loss
+  (`propagation._loss_range`, which the distance check calls too): exact
+  for free space, loose for air-to-ground;
 - power: the transmit power times the gain bound, over the loss bound;
-- association: the kernel's STRONGEST reduction, run on the lower and on
-  the upper power bounds: the serving power (the running maximum) and the
-  interference (the running maximum or sum of what loses to it) are
-  monotone in every power. Under NEAREST association no tile is settled;
+- association: the kernel's STRONGEST reduction step (`_strongest`), run
+  on the lower and on the upper power bounds: the serving power (the
+  running maximum) and the interference (the running maximum or sum of
+  what loses to it) are monotone in every power. Under NEAREST
+  association no tile is settled;
 - SINR: the serving bound over the noise plus the other interference
   bound.
 
@@ -117,17 +122,19 @@ after ``h`` each step of the SINR is a product, quotient or sum of
 positive numbers, about ten roundings, which move it by less than 1e-14
 relatively, five orders of magnitude below the margin. The rows of the
 unsettled tiles are gathered into one sub-column of ascending heights,
-still a slab, onto which each BS's lit window is mapped (`_kept_window`)
-rather than searched for again, and the mask takes each settled tile's
+still a slab, on which each BS's lit window is searched again
+(`_lit_samples`). That gives the full column's window cut to the kept
+rows: the kept rows at or below an edge product are the rows at or below
+it, counted among the kept ones. The mask takes each settled tile's
 value and ``SINR >= tau`` on the evaluated rows. At `validate`'s grid
 (blocks of 32 columns of 2001 heights, at the reference uptilts) 4.5-6%
 of the tiles straddle tau, and the loss runs on about 6% of the cells it
 runs on without ``tau``. The gain is still called once per BS and block,
 with ``h`` at the block's shape, so the benchmark's tracer counts the
-same gain points. Only the quadrature passes ``tau``; held Monte Carlo
-slabs are not tiled, because under the Bernoulli air-to-ground loss the
-bounds span the ratio of the two excess losses (about 123) and would
-settle nothing.
+same gain points. The Monte Carlo sampler passes ``tau`` too, but only
+grid blocks are tiled: streamed samples are no slab, and on a held slab,
+under the Bernoulli air-to-ground loss, the bounds would span the ratio
+of the two excess losses (about 123) and settle nothing.
 
 Blocks and workspaces. Every evaluator walks its blocks with a plain
 ``for`` loop over a generator, one after another in the caller's thread,
@@ -202,7 +209,7 @@ from .propagation import (
     RectangularBeam,
     _compact,
     _part,
-    _per_m2,
+    _loss_range,
     _require_distance,
     _Workspace,
     db_to_linear,
@@ -336,9 +343,7 @@ def _settle(heights, ranges, lit, beam, s, a, noise, tau, work):
     dist = np.array(ranges).T[:, :, None]
     r2 = np.add(np.multiply(dist, dist, out=dist), z2[:, None, :],
                 out=work.take("tile.r2", (2, n_bs, n_tiles)))
-    pl = np.multiply(r2, _per_m2(s.radio.wavelength_m), out=r2)
-    pl[0] *= a.pathloss._least
-    pl[1] *= a.pathloss._excess
+    least, most = _loss_range(r2[0], r2[1], s.radio.wavelength_m, a.pathloss)
     # the gain: the peak on tiles inside the fully lit core, 0 outside the
     # window, and between them on the rest
     p = work.take("tile.p", (2, n_bs, n_tiles))
@@ -360,17 +365,27 @@ def _settle(heights, ranges, lit, beam, s, a, noise, tau, work):
     # 0/0 and x/0 (a bound at r2 = 0) give NaN or inf, which settle nothing
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         p *= s.radio.p_tx_w
-        np.divide(p, pl[::-1], out=p)
+        p[0] /= most
+        p[1] /= least
         # the kernel's reduction, on each bound
         for i in range(n_bs):
-            join(rest, np.minimum(best, p[:, i], out=sq), out=rest)
-            np.maximum(best, p[:, i], out=best)
+            _strongest(best, rest, p[:, i], join, sq)
         sinr = np.divide(best, np.add(rest[::-1], noise, out=sq), out=best)
     flags = work.take("tile.flags", (2, n_tiles), bool)
     covered = np.greater_equal(sinr[0], tau * (1.0 + _MARGIN), out=flags[0])
     settled = np.less(sinr[1], tau * (1.0 - _MARGIN), out=flags[1])
     settled |= covered
     return flags
+
+
+def _strongest(best, rest, p, join, scratch):
+    """One BS's step of the STRONGEST reduction, in place: the smaller of
+    `best`, the strongest power so far, and the BS's power `p` (held in
+    `scratch`) loses to the serving power and joins the interference
+    `rest` by `join` (the runner-up if above the one so far, or one more
+    summand); then `best` takes the larger."""
+    join(rest, np.minimum(best, p, out=scratch), out=rest)
+    np.maximum(best, p, out=best)
 
 
 def _rows(tiles, n, out):
@@ -380,37 +395,21 @@ def _rows(tiles, n, out):
     return out[:n]
 
 
-def _kept_rows(unsettled, heights, lit, work):
+def _kept_rows(unsettled, heights, ranges, beam, work):
     """The rows of the tiles flagged `unsettled` of a grid block whose rows
     are the ascending `heights`: as one boolean per row, as their heights
     (one ascending sub-column, so still a slab), and with each BS's lit
-    window `lit` mapped onto that sub-column."""
-    n = len(heights)
-    keep = _rows(unsettled, n, work.take(
+    window on that sub-column, for its distance range `ranges`."""
+    keep = _rows(unsettled, len(heights), work.take(
         "tile.keep", (len(unsettled) * _TILE_ROWS,), bool))
-    # kept[j]: the rows kept before row j
-    kept = work.take("tile.kept", (n + 1,), np.intp)
-    kept[0] = 0
-    np.cumsum(keep, out=kept[1:])
-    sub = work.take("tile.heights", (int(kept[n]),))
-    return (keep, np.compress(keep, heights, out=sub),
-            [_kept_window(cells, core, kept) for cells, core in lit])
-
-
-def _kept_window(cells, core, kept):
-    """The lit window `cells` and core `core` of a column (`_lit_samples`)
-    in the sub-column of its kept rows, where kept[j] counts the rows kept
-    before row j."""
-    start, stop = int(kept[cells.start]), int(kept[cells.stop])
-    if core is not None:
-        lo = int(kept[cells.start + core.start]) - start
-        hi = int(kept[cells.start + core.stop]) - start
-        core = slice(lo, hi) if lo < hi else None
-    return slice(start, stop), core
+    sub = np.compress(keep, heights, out=work.take(
+        "tile.heights", (int(np.count_nonzero(keep)),)))
+    return keep, sub, [beam._lit_samples(near, far, sub)
+                       for near, far in ranges]
 
 
 def evaluate_sinr(x, z, s: CorridorScenario, a: OracleAssumptions,
-                  los_states=None, work=None, with_serving=True,
+                  los_states=None, work=None,
                   beam: BeamPattern | None = None,
                   positions: tuple[float, ...] | None = None, slab=False,
                   tau: float | None = None):
@@ -425,9 +424,7 @@ def evaluate_sinr(x, z, s: CorridorScenario, a: OracleAssumptions,
     With `los_states`, bytes (ceil(n_bs / 8), *shape) with bit i % 8 of
     row i // 8 the LoS state of BS i, as `monte_carlo.los_states` forms
     them, and an air-to-ground model, each link takes its drawn LoS or
-    NLoS excess loss instead of the expectation mixture. With
-    `with_serving` false the serving index is not formed and None stands
-    in its place.
+    NLoS excess loss instead of the expectation mixture.
 
     `beam` and `positions` are what `a.resolve_beam(s)` and
     `a.resolve_positions(s)` give, formed here when None; a caller that
@@ -438,19 +435,18 @@ def evaluate_sinr(x, z, s: CorridorScenario, a: OracleAssumptions,
     on the samples or rows its lobe can reach only (`_lit_samples`).
     Without it, each BS is evaluated on every point.
 
-    With `tau` (linear; `with_serving` must be false) the second result is
-    the coverage mask ``SINR >= tau`` in place of the SINR. Under STRONGEST
-    association, on a grid block that is a slab, tiles of _TILE_ROWS rows
-    whose SINR bounds clear tau are settled without evaluating their cells
-    (see the module notes, "Settled tiles"); the mask is the same.
+    With `tau` (linear) the second result is the coverage mask
+    ``SINR >= tau`` in place of the SINR, and None stands in place of the
+    serving index: the serving index is formed exactly when `tau` is
+    None. Under STRONGEST association, on a grid block that is a slab,
+    tiles of _TILE_ROWS rows whose SINR bounds clear tau are settled
+    without evaluating their cells (see the module notes, "Settled
+    tiles"); the mask is the same.
 
     Every temporary, and both results, live in the buffers of `work` (a
     `_Workspace`; a new one when None), so the results are views that the
     next call with the same workspace overwrites.
     """
-    if tau is not None and with_serving:
-        raise ValueError("tau gives the coverage mask, not the serving "
-                         "index: pass with_serving=False")
     x = np.atleast_1d(np.asarray(x, dtype=float))
     z = np.atleast_1d(np.asarray(z, dtype=float))
     shape = np.broadcast_shapes(x.shape, z.shape)
@@ -508,7 +504,8 @@ def evaluate_sinr(x, z, s: CorridorScenario, a: OracleAssumptions,
         if tiles[1].any():
             # evaluate the rows of the unsettled tiles only
             keep, heights, lit = _kept_rows(
-                np.logical_not(tiles[1], out=tiles[1]), heights, lit, work)
+                np.logical_not(tiles[1], out=tiles[1]), heights, ranges,
+                beam, work)
             z = heights[:, None]
             shape = (len(heights), shape[1])
     z2 = np.multiply(z, z, out=work.take("z2", z.shape))
@@ -519,13 +516,13 @@ def evaluate_sinr(x, z, s: CorridorScenario, a: OracleAssumptions,
     join = np.maximum if dominant else np.add
     p_serv.fill(0.0)
     other.fill(0.0)
-    serving = work.take("serving", shape, np.intp) if with_serving else None
+    serving = work.take("serving", shape, np.intp) if tau is None else None
     if not strongest:
         nearest = _nearest(x, positions, work)
         mine = work.take("mine", x.shape, bool)
-        if with_serving:
+        if serving is not None:
             np.copyto(serving, nearest)
-    elif with_serving:
+    elif serving is not None:
         serving.fill(0)
     window = shape
     for i, (pos, (cells, core)) in enumerate(zip(positions, lit)):
@@ -560,18 +557,16 @@ def evaluate_sinr(x, z, s: CorridorScenario, a: OracleAssumptions,
         p /= pl
         best, rest = p_serv[cells], other[cells]
         if strongest:
-            # the smaller of best and p loses to the serving power: the
-            # runner-up if above the one so far, or one more summand
-            join(rest, np.minimum(best, p, out=pl), out=rest)
-            if with_serving:
-                # serving = i where p > best; serving < i so far, so that
-                # is max(serving, i * (p > best)), with no branch per
-                # point. pl is free again and holds i * (p > best).
+            if serving is not None:
+                # serving = i where p > best, read before best takes p;
+                # serving < i so far, so that is max(serving,
+                # i * (p > best)), with no branch per point. pl is free
+                # and holds i * (p > best).
                 won = np.multiply(
                     np.greater(p, best, out=work.take("mask", window, bool)),
                     i, out=pl.view(np.intp))
                 np.maximum(serving[cells], won, out=serving[cells])
-            np.maximum(best, p, out=best)
+            _strongest(best, rest, p, join, pl)
         else:
             is_mine = np.equal(_part(nearest, cells), i,
                                out=_part(mine, cells))
@@ -586,11 +581,11 @@ def evaluate_sinr(x, z, s: CorridorScenario, a: OracleAssumptions,
     # 0/0: no power, no noise, no interference
     np.copyto(sinr, 0.0, where=np.isnan(sinr, out=mask))
 
-    if strongest and with_serving:
-        dead = np.equal(p_serv, 0.0, out=mask)
-        if dead.any():
-            np.copyto(serving, _nearest(x, positions, work), where=dead)
     if tau is None:
+        if strongest:
+            dead = np.equal(p_serv, 0.0, out=mask)
+            if dead.any():
+                np.copyto(serving, _nearest(x, positions, work), where=dead)
         return serving, sinr
     hit = np.greater_equal(sinr, tau, out=mask)
     if keep is None:
@@ -641,7 +636,6 @@ def coverage_by_quadrature(s: CorridorScenario, a: OracleAssumptions,
     covered = 0
     for _, x, z in _column_blocks(_midpoints(0.0, s.d1 / 2.0, n_x),
                                   _midpoints(s.h1, s.h2, n_z)):
-        _, hit = evaluate_sinr(x, z, s, a, work=work, with_serving=False,
-                               slab=True, tau=s.tau)
+        _, hit = evaluate_sinr(x, z, s, a, work=work, slab=True, tau=s.tau)
         covered += int(np.count_nonzero(hit))
     return covered / float(n_x * n_z)

@@ -134,6 +134,16 @@ def _per_m2(wavelength_m):
     return (4.0 * math.pi / wavelength_m) ** 2
 
 
+def _loss_range(r2_least, r2_most, wavelength_m, pathloss):
+    """Least and greatest loss of `pathloss` over the squared distances
+    from `r2_least` to `r2_most` (floats, or arrays of them): the
+    free-space loss at each, times the model's `_least` and `_excess`
+    bounds on its excess loss."""
+    per_m2 = _per_m2(wavelength_m)
+    return (r2_least * per_m2 * pathloss._least,
+            r2_most * per_m2 * pathloss._excess)
+
+
 def _require_distance(r2_least, r2_most, wavelength_m, pathloss, p_peak=0.0,
                       noise=0.0):
     """Raise the path-loss models' error unless the squared distances
@@ -143,11 +153,10 @@ def _require_distance(r2_least, r2_most, wavelength_m, pathloss, p_peak=0.0,
     over the base stations, over the least loss, and that over `noise`
     (W) when it is positive, are finite. Then no received power, no sum
     of them and no SINR over that noise leaves the float range."""
-    per_m2 = _per_m2(wavelength_m)
-    if r2_most * per_m2 * pathloss._excess == math.inf:
+    floor, most = _loss_range(r2_least, r2_most, wavelength_m, pathloss)
+    if most == math.inf:
         raise ValueError("path loss requires a finite loss, but squared "
                          f"distances reach {r2_most:g} m^2")
-    floor = r2_least * per_m2 * pathloss._least
     if floor <= 0:
         raise ValueError("path loss requires a positive distance")
     # with no noise, or 1 W or more of it, the power alone is bounded

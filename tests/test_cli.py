@@ -110,7 +110,7 @@ def test_configuration_error_exits_1(tmp_path, capsys):
     assert "unknown configuration key" in capsys.readouterr().err
 
 
-SMALL_VALIDATE = "validate.nx=96\nvalidate.nz=96\nvalidate.samples=20000\n"
+SMALL_VALIDATE = "validate.nx=96\nvalidate.nz=96\nmc.samples=20000\n"
 
 
 def test_validate_passes_off_the_reference_beam(tmp_path):
@@ -120,6 +120,21 @@ def test_validate_passes_off_the_reference_beam(tmp_path):
                       "5", "validate", "--alphas-deg", "2,8,14,20"], tmp_path)
     assert code == 0
     assert art["passed"] is True
+
+
+def test_validate_draws_the_mc_sample_count(tmp_path):
+    # validate reads --samples as mc does: each row's Monte Carlo value is
+    # that of an mc run at the same uptilt
+    _, art = _run(["--beta-deg", "40", "--samples", "2000", "validate",
+                      "--alphas-deg", "8,25"], tmp_path, "validate.json")
+    assert art["config"]["mc.samples"] == 2000
+    assert [row["alpha_deg"] for row in art["rows"]] == [8.0, 25.0]
+    for row in art["rows"]:
+        mc = _run(["--beta-deg", "40", "--samples", "2000", "--alpha-deg",
+                   str(row["alpha_deg"]), "mc"], tmp_path, "mc.json")
+        assert mc[0] == 0
+        assert row["mc"] == mc[1]["p_out"]
+        assert mc[1]["n"] == 2000
 
 
 def test_validation_failure_exits_2(tmp_path):
@@ -290,8 +305,7 @@ def test_flag_sets_its_key_as_the_config_file_does(key, tmp_path, capsys):
     help_text = capsys.readouterr().out
     assert flag in help_text and f"({key})" in help_text
 
-    base = ("scenario.beta_deg=40\nscenario.alpha_deg=13\nmc.samples=2000\n"
-            + SMALL_VALIDATE)
+    base = "scenario.beta_deg=40\nscenario.alpha_deg=13\n" + SMALL_VALIDATE
     by_flag, by_line = tmp_path / "flag.cfg", tmp_path / "line.cfg"
     by_flag.write_text(base)
     by_line.write_text(base + f"{key}={FLAG_VALUES[key]}\n")

@@ -159,8 +159,7 @@ def test_quadrature_settles_most_tiles_of_the_default_model(monkeypatch):
         for _, x, z in oracle._column_blocks(
                 _midpoints(0.0, s.d1 / 2.0, 2001),
                 _midpoints(s.h1, s.h2, 2001)):
-            _, val = evaluate_sinr(x, z, s, a, work=work, with_serving=False,
-                                   slab=True)
+            _, val = evaluate_sinr(x, z, s, a, work=work, slab=True)
             covered += int(np.count_nonzero(val >= s.tau))
         every = sum(cells)
         cells.clear()
@@ -190,7 +189,7 @@ def test_a_cell_at_tau_is_evaluated():
     for alpha_deg in (-5.0, 8.0, 25.0):
         s = reference_scenario(alpha_deg, 40.0)
         for x, z in _near_tau_cases(s):
-            _, val = evaluate_sinr(x, z, s, a, with_serving=False, slab=True)
+            _, val = evaluate_sinr(x, z, s, a, slab=True)
             val = val.copy()
             finite = np.flatnonzero(np.isfinite(val) & (val > 0.0))
             assert finite.size
@@ -199,27 +198,24 @@ def test_a_cell_at_tau_is_evaluated():
                 row, col = np.unravel_index(cell, val.shape)
                 for tau in (val[row, col],
                             np.nextafter(val[row, col], np.inf)):
-                    _, hit = evaluate_sinr(x, z, s, a, with_serving=False,
-                                           slab=True, tau=tau)
+                    _, hit = evaluate_sinr(x, z, s, a, slab=True, tau=tau)
                     assert np.array_equal(hit, val >= tau)
                     assert hit[row, col] == (tau == val[row, col])
 
 
 def test_tau_gives_the_coverage_mask_on_every_layout():
-    # streamed points and a held slab evaluate every point; the serving
-    # index has no place next to the mask
+    # streamed points and a held slab evaluate every point, and no serving
+    # index stands next to the mask
     x, z = _points()
     order = np.argsort(z, kind="stable")
     s = reference_scenario(13.0, 40.0)
     a = OracleAssumptions(interference=InterferenceMode.SUM_ALL)
     for xs, zs, slab in ((x, z, False), (x[order], z[order], True)):
-        _, val = evaluate_sinr(xs, zs, s, a, with_serving=False, slab=slab)
+        _, val = evaluate_sinr(xs, zs, s, a, slab=slab)
         want = val >= s.tau
-        _, hit = evaluate_sinr(xs, zs, s, a, with_serving=False, slab=slab,
-                               tau=s.tau)
+        none, hit = evaluate_sinr(xs, zs, s, a, slab=slab, tau=s.tau)
+        assert none is None
         assert np.array_equal(hit, want)
-    with pytest.raises(ValueError, match="with_serving"):
-        evaluate_sinr(x, z, s, a, tau=s.tau)
 
 
 @pytest.mark.parametrize("assoc,interference,beam,loss,noise", MATRIX)
@@ -331,9 +327,10 @@ def test_sinr_field_is_bit_identical_to_the_allocating_kernel(a, x_range):
 
 def test_grid_loops_search_lit_windows(monkeypatch):
     # the quadrature and the field evaluate their column blocks as slabs:
-    # one window search per block and BS. Unwindowed, the values would be
-    # the same and only slower.
-    calls = []
+    # one window search of the full column per block and BS, and where the
+    # quadrature settles tiles, one more of the kept rows' sub-column.
+    # Unwindowed, the values would be the same and only slower.
+    calls, want = [], []
     for cls in (RectangularBeam, CosineBeam):
         search = cls._lit_samples
 
@@ -341,12 +338,25 @@ def test_grid_loops_search_lit_windows(monkeypatch):
             calls.append(z.size)
             return search(self, h_near, h_far, z)
         monkeypatch.setattr(cls, "_lit_samples", counted)
+
+    def settled(heights, *args, settle=oracle._settle):
+        tiles = settle(heights, *args)
+        want.extend([heights.size] * 4)
+        if tiles[1].any():
+            kept = np.repeat(~tiles[1], oracle._TILE_ROWS)[:heights.size]
+            want.extend([int(np.count_nonzero(kept))] * 4)
+        return tiles
+    monkeypatch.setattr(oracle, "_settle", settled)
     s = reference_scenario(13.0, 40.0)
     for a in (OracleAssumptions(), OracleAssumptions(beam=BeamKind.COSINE)):
         # 301 columns of 257 heights: blocks of 255 and 46 columns
         calls.clear()
+        want.clear()
         coverage_by_quadrature(s, a, 301, 257)
-        assert calls == [257] * 2 * 4
+        assert calls == want
+        assert want.count(257) == 2 * 4
+        # rectangular tiles settle, cosine tiles never do
+        assert (len(want) > 2 * 4) == (a.beam is BeamKind.RECT)
         calls.clear()
         sinr_field(s, a, 301, 257)
         assert calls == [257] * 2 * 4
@@ -410,11 +420,11 @@ def test_lit_windows_are_bit_identical_to_the_allocating_kernel(
                                  los_states=los, work=work, slab=True)
         assert np.array_equal(srv.ravel(), srv_ref)
         assert np.array_equal(val.ravel(), val_ref)
-        none, val = evaluate_sinr(xs[None, :], zs[:, None], s, a,
-                                  los_states=los, work=work,
-                                  with_serving=False, slab=True)
+        none, hit = evaluate_sinr(xs[None, :], zs[:, None], s, a,
+                                  los_states=los, work=work, slab=True,
+                                  tau=s.tau)
         assert none is None
-        assert np.array_equal(val.ravel(), val_ref)
+        assert np.array_equal(hit.ravel(), val_ref >= s.tau)
 
 
 # x rows of column blocks: on one side of every BS, holding BS-1 (near =
@@ -587,10 +597,10 @@ def test_slabs_are_bit_identical_to_the_allocating_kernel(
                                      slab=True)
             assert np.array_equal(srv, srv_ref)
             assert np.array_equal(val, val_ref)
-            none, val = evaluate_sinr(x, z, s, a, los_states=los,
-                                      work=work, with_serving=False, slab=True)
+            none, hit = evaluate_sinr(x, z, s, a, los_states=los,
+                                      work=work, slab=True, tau=s.tau)
             assert none is None
-            assert np.array_equal(val, val_ref)
+            assert np.array_equal(hit, val_ref >= s.tau)
 
 
 @pytest.mark.parametrize("assoc,interference,beam,loss,noise", MATRIX)
@@ -613,8 +623,9 @@ def test_dark_base_stations_are_skipped_bit_for_bit(
         srv, val = evaluate_sinr(x, z, s, a, los_states=los)
         assert np.array_equal(srv, srv_ref)
         assert np.array_equal(val, val_ref)
-        _, val = evaluate_sinr(x, z, s, a, los_states=los, with_serving=False)
-        assert np.array_equal(val, val_ref)
+        none, hit = evaluate_sinr(x, z, s, a, los_states=los, tau=s.tau)
+        assert none is None
+        assert np.array_equal(hit, val_ref >= s.tau)
     b = a.resolve_beam(s)
     dark = [pos for pos in a.resolve_positions(s)
             if not b.gain(np.abs(x - pos), z, (x - pos) ** 2 + z * z).any()]
