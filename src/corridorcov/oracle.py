@@ -104,7 +104,10 @@ rounded values:
 - loss: the free-space loss at the ``r2`` bounds times the model's
   `_least` and `_excess` bounds on its excess loss
   (`propagation._loss_range`, which the distance check calls too): exact
-  for free space, loose for air-to-ground;
+  for free space, loose for air-to-ground. Under Bernoulli LoS states the
+  bounds span both excess losses (a ratio of about 123), and still tiles
+  that no BS lights settle as outages, and some that one BS lights as
+  covered;
 - power: the transmit power times the gain bound, over the loss bound;
 - association: the kernel's STRONGEST reduction step (`_strongest`), run
   on the lower and on the upper power bounds: the serving power (the
@@ -121,9 +124,10 @@ settles nothing. The margin is a guard on top of the monotone bounds:
 after ``h`` each step of the SINR is a product, quotient or sum of
 positive numbers, about ten roundings, which move it by less than 1e-14
 relatively, five orders of magnitude below the margin. The rows of the
-unsettled tiles are gathered into one sub-column of ascending heights,
-still a slab, on which each BS's lit window is searched again
-(`_lit_samples`). That gives the full column's window cut to the kept
+unsettled tiles, one boolean per row, are gathered into one sub-column of
+ascending heights, still a slab, on which each BS's lit window is searched
+again (`_lit_samples`), and the links' LoS states, if any, are cut to the
+same rows. That gives the full column's window cut to the kept
 rows: the kept rows at or below an edge product are the rows at or below
 it, counted among the kept ones. The mask takes each settled tile's
 value and ``SINR >= tau`` on the evaluated rows. At `validate`'s grid
@@ -132,9 +136,10 @@ of the tiles straddle tau, and the loss runs on about 6% of the cells it
 runs on without ``tau``. The gain is still called once per BS and block,
 with ``h`` at the block's shape, so the benchmark's tracer counts the
 same gain points. The Monte Carlo sampler passes ``tau`` too, but only
-grid blocks are tiled: streamed samples are no slab, and on a held slab,
-under the Bernoulli air-to-ground loss, the bounds would span the ratio
-of the two excess losses (about 123) and settle nothing.
+grid blocks are tiled: streamed samples are no slab, and a held slab is
+1-D, one sample per height, so a tile of its rows would span the slab's
+whole x range and x would have to be cut too. Whether that would pay is
+unmeasured.
 
 Blocks and workspaces. Every evaluator walks its blocks with a plain
 ``for`` loop over a generator, one after another in the caller's thread,
@@ -153,9 +158,13 @@ uptilts), about 2.5 ms. `perfbench/selftest.py` holds `evaluate_sinr` as
 the quadrature's only traced child.
 
 Each call evaluates into one `propagation._Workspace`, the one the caller
-passes (a new one when None). The kernel and the models write each
-temporary into named buffers of the workspace with numpy ``out=``, so
-blocks after the first allocate nothing. The kernel sizes the window
+passes (a new one when None), which holds the buffers that grow with the
+block. The kernel and the models write each such temporary into named
+buffers of the workspace with numpy ``out=``, so blocks after the first
+allocate none of them. The per-tile bounds of `_settle` are plain numpy
+arrays of a few hundred floats (2 bounds x 4 BSs x 63 tiles at
+`validate`'s grid), and the kept rows' mask and heights hold one value
+per row; they are made anew for each block. The kernel sizes the window
 buffers (``r2``, ``p``, ``pl``) for the whole block once per call and
 then takes each window's temporaries as the contiguous head of the same
 buffers, so no window allocates either. (A block-sized temporary that is
@@ -312,11 +321,11 @@ def _bit(row, bit, work):
     return np.minimum(out, 1, out=out).view(bool)
 
 
-def _settle(heights, ranges, lit, beam, s, a, noise, tau, work):
+def _settle(heights, ranges, lit, beam, s, a, noise, tau):
     """Which tiles of _TILE_ROWS rows of a grid block, whose rows are the
     ascending `heights`, have SINR bounds that clear `tau`: two boolean
-    rows in a buffer of `work`, covered and settled (covered or in
-    outage), each with one value per tile.
+    rows, covered and settled (covered or in outage), each with one value
+    per tile.
 
     `ranges` and `lit` are each BS's distance range over the block and lit
     window (`_h_range`, `_lit_samples`). Each step bounds what the kernel
@@ -326,28 +335,21 @@ def _settle(heights, ranges, lit, beam, s, a, noise, tau, work):
     n, n_bs = len(heights), len(ranges)
     n_tiles = -(-n // _TILE_ROWS)
     # each tile's first and last height, then the least and greatest z**2
-    ends = work.take("tile.ends", (2, n_tiles))
-    ends[0] = heights[::_TILE_ROWS]
-    ends[1, :-1] = heights[_TILE_ROWS - 1::_TILE_ROWS][:n_tiles - 1]
-    ends[1, -1] = heights[-1]
-    z2 = work.take("tile.z2", (2, n_tiles))
-    sq = np.multiply(ends, ends, out=work.take("tile.sq", (2, n_tiles)))
-    np.minimum(sq[0], sq[1], out=z2[0])
-    np.maximum(sq[0], sq[1], out=z2[1])
+    ends = np.array([heights[::_TILE_ROWS],
+                     np.append(heights[_TILE_ROWS - 1:-1:_TILE_ROWS],
+                               heights[-1])])
+    sq = ends * ends
+    z2 = np.array([np.minimum(sq[0], sq[1]), np.maximum(sq[0], sq[1])])
     # a tile whose heights change sign holds z = 0
-    np.multiply(ends[0], ends[1], out=sq[0])
-    np.copyto(z2[0], 0.0, where=np.less_equal(
-        sq[0], 0.0, out=work.take("tile.across", (n_tiles,), bool)))
+    z2[0, ends[0] * ends[1] <= 0.0] = 0.0
     # r2, then the loss: the free-space loss times the model's least and
     # greatest excess
     dist = np.array(ranges).T[:, :, None]
-    r2 = np.add(np.multiply(dist, dist, out=dist), z2[:, None, :],
-                out=work.take("tile.r2", (2, n_bs, n_tiles)))
+    r2 = dist * dist + z2[:, None, :]
     least, most = _loss_range(r2[0], r2[1], s.radio.wavelength_m, a.pathloss)
     # the gain: the peak on tiles inside the fully lit core, 0 outside the
     # window, and between them on the rest
-    p = work.take("tile.p", (2, n_bs, n_tiles))
-    p.fill(0.0)
+    p = np.zeros((2, n_bs, n_tiles))
     for i, (cells, core) in enumerate(lit):
         if cells.start < cells.stop:
             p[1, i, cells.start // _TILE_ROWS:
@@ -356,12 +358,9 @@ def _settle(heights, ranges, lit, beam, s, a, noise, tau, work):
             lo, hi = cells.start + core.start, cells.start + core.stop
             p[0, i, -(-lo // _TILE_ROWS):
               n_tiles if hi == n else hi // _TILE_ROWS] = beam._peak
-    best = work.take("tile.best", (2, n_tiles))
-    rest = work.take("tile.rest", (2, n_tiles))
+    best, rest = np.zeros((2, n_tiles)), np.zeros((2, n_tiles))
     join = (np.maximum if a.interference is InterferenceMode.DOMINANT_ONLY
             else np.add)
-    best.fill(0.0)
-    rest.fill(0.0)
     # 0/0 and x/0 (a bound at r2 = 0) give NaN or inf, which settle nothing
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         p *= s.radio.p_tx_w
@@ -369,43 +368,20 @@ def _settle(heights, ranges, lit, beam, s, a, noise, tau, work):
         p[1] /= least
         # the kernel's reduction, on each bound
         for i in range(n_bs):
-            _strongest(best, rest, p[:, i], join, sq)
-        sinr = np.divide(best, np.add(rest[::-1], noise, out=sq), out=best)
-    flags = work.take("tile.flags", (2, n_tiles), bool)
-    covered = np.greater_equal(sinr[0], tau * (1.0 + _MARGIN), out=flags[0])
-    settled = np.less(sinr[1], tau * (1.0 - _MARGIN), out=flags[1])
-    settled |= covered
-    return flags
+            _strongest(best, rest, p[:, i], join, None)
+        sinr = best / (rest[::-1] + noise)
+    covered = sinr[0] >= tau * (1.0 + _MARGIN)
+    return covered, covered | (sinr[1] < tau * (1.0 - _MARGIN))
 
 
 def _strongest(best, rest, p, join, scratch):
     """One BS's step of the STRONGEST reduction, in place: the smaller of
     `best`, the strongest power so far, and the BS's power `p` (held in
-    `scratch`) loses to the serving power and joins the interference
-    `rest` by `join` (the runner-up if above the one so far, or one more
-    summand); then `best` takes the larger."""
+    `scratch`, or in a new array when None) loses to the serving power and
+    joins the interference `rest` by `join` (the runner-up if above the
+    one so far, or one more summand); then `best` takes the larger."""
     join(rest, np.minimum(best, p, out=scratch), out=rest)
     np.maximum(best, p, out=best)
-
-
-def _rows(tiles, n, out):
-    """Per-tile values `tiles` repeated over the tiles' rows of a grid
-    block of n rows (and its columns) in `out`, a buffer of whole tiles."""
-    out.reshape(len(tiles), _TILE_ROWS, -1)[...] = tiles[:, None, None]
-    return out[:n]
-
-
-def _kept_rows(unsettled, heights, ranges, beam, work):
-    """The rows of the tiles flagged `unsettled` of a grid block whose rows
-    are the ascending `heights`: as one boolean per row, as their heights
-    (one ascending sub-column, so still a slab), and with each BS's lit
-    window on that sub-column, for its distance range `ranges`."""
-    keep = _rows(unsettled, len(heights), work.take(
-        "tile.keep", (len(unsettled) * _TILE_ROWS,), bool))
-    sub = np.compress(keep, heights, out=work.take(
-        "tile.heights", (int(np.count_nonzero(keep)),)))
-    return keep, sub, [beam._lit_samples(near, far, sub)
-                       for near, far in ranges]
 
 
 def evaluate_sinr(x, z, s: CorridorScenario, a: OracleAssumptions,
@@ -443,9 +419,11 @@ def evaluate_sinr(x, z, s: CorridorScenario, a: OracleAssumptions,
     without evaluating their cells (see the module notes, "Settled
     tiles"); the mask is the same.
 
-    Every temporary, and both results, live in the buffers of `work` (a
-    `_Workspace`; a new one when None), so the results are views that the
-    next call with the same workspace overwrites.
+    Every block-sized temporary, and both results, live in the buffers of
+    `work` (a `_Workspace`; a new one when None), so the results are views
+    that the next call with the same workspace overwrites. The per-tile
+    bounds, and the kept rows' mask and heights, are plain arrays of a few
+    hundred floats or one value per row.
     """
     x = np.atleast_1d(np.asarray(x, dtype=float))
     z = np.atleast_1d(np.asarray(z, dtype=float))
@@ -500,12 +478,17 @@ def evaluate_sinr(x, z, s: CorridorScenario, a: OracleAssumptions,
            if slab else [(Ellipsis, None)] * len(positions))
     block, keep = shape, None
     if tau is not None and slab and grid and strongest:
-        tiles = _settle(heights, ranges, lit, beam, s, a, noise, tau, work)
-        if tiles[1].any():
-            # evaluate the rows of the unsettled tiles only
-            keep, heights, lit = _kept_rows(
-                np.logical_not(tiles[1], out=tiles[1]), heights, ranges,
-                beam, work)
+        covered, settled = _settle(heights, ranges, lit, beam, s, a, noise,
+                                   tau)
+        if settled.any():
+            # evaluate the rows of the unsettled tiles only: one ascending
+            # sub-column, still a slab, with their LoS states
+            keep = np.repeat(~settled, _TILE_ROWS)[:len(heights)]
+            heights = heights[keep]
+            lit = [beam._lit_samples(near, far, heights)
+                   for near, far in ranges]
+            if los_states is not None:
+                los_states = los_states[:, keep]
             z = heights[:, None]
             shape = (len(heights), shape[1])
     z2 = np.multiply(z, z, out=work.take("z2", z.shape))
@@ -591,10 +574,10 @@ def evaluate_sinr(x, z, s: CorridorScenario, a: OracleAssumptions,
     if keep is None:
         return None, hit
     # the block's mask: each settled tile's value, the evaluated rows' hits
-    covered = _rows(tiles[0], len(keep), work.take(
-        "covered", (len(tiles[0]) * _TILE_ROWS, block[1]), bool))
-    covered[keep] = hit
-    return None, covered
+    out = work.take("covered", block, bool)
+    out[...] = np.repeat(covered, _TILE_ROWS)[:block[0], None]
+    out[keep] = hit
+    return None, out
 
 
 def _column_blocks(xs, zs):

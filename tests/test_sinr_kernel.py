@@ -340,12 +340,12 @@ def test_grid_loops_search_lit_windows(monkeypatch):
         monkeypatch.setattr(cls, "_lit_samples", counted)
 
     def settled(heights, *args, settle=oracle._settle):
-        tiles = settle(heights, *args)
+        covered, settled = settle(heights, *args)
         want.extend([heights.size] * 4)
-        if tiles[1].any():
-            kept = np.repeat(~tiles[1], oracle._TILE_ROWS)[:heights.size]
+        if settled.any():
+            kept = np.repeat(~settled, oracle._TILE_ROWS)[:heights.size]
             want.extend([int(np.count_nonzero(kept))] * 4)
-        return tiles
+        return covered, settled
     monkeypatch.setattr(oracle, "_settle", settled)
     s = reference_scenario(13.0, 40.0)
     for a in (OracleAssumptions(), OracleAssumptions(beam=BeamKind.COSINE)):
@@ -377,7 +377,9 @@ WINDOW_BEAMS = {"rect": dict(beam=BeamKind.RECT),
 # columns and single rows, one exactly above a BS. For the rectangular
 # lobe's fully lit rows: a row past the last BS whose windows have a fully
 # lit core with a fringe on either side, a narrow band of heights around
-# BS-1, and a row on one side of the last BS.
+# BS-1, and a row on one side of the last BS. A column of 200 heights, so
+# that with tau some of its tiles of 32 rows settle and the rest, with
+# their LoS states, are evaluated.
 WINDOW_GRIDS = {
     "wide": (np.linspace(-1500.0, 2500.0, 81), np.linspace(-150.5, 400.5, 29)),
     "half-corridor": (np.linspace(0.5, 499.5, 64), np.linspace(100.5, 299.5, 31)),
@@ -388,6 +390,7 @@ WINDOW_GRIDS = {
                      np.linspace(100.5, 299.5, 9)),
     "split-core": (np.linspace(-600.5, 600.5, 97), np.linspace(100.5, 150.5, 5)),
     "one-row-one-side": (np.linspace(2000.5, 3500.5, 61), np.array([150.0])),
+    "tall": (np.linspace(-1500.0, 2500.0, 17), np.linspace(-150.5, 400.5, 200)),
 }
 GRID_MATRIX = list(itertools.product(Association, InterferenceMode,
                                      LOSS_MODES, (True, False)))
