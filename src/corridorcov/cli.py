@@ -401,6 +401,7 @@ def _cmd_mc(cfg: RunConfig, args) -> int:
     _json_dump(_artifact(cfg, "mc", {
         "p_out": r.p_out, "std_err": r.std_err,
         "ci95": [r.ci95[0], r.ci95[1]], "n": r.n, "seed": r.seed,
+        "evaluated": r.evaluated,
     }), args.out)
     return 0
 
@@ -525,6 +526,7 @@ def _cmd_validate(cfg: RunConfig, args) -> int:
         rows.append({"alpha_deg": alpha_deg, "case": int(r.case),
                      "closed_form": r.p_out, "quadrature": q,
                      "mc": mc.p_out, "mc_std_err": mc.std_err,
+                     "mc_evaluated": mc.evaluated,
                      "quad_diff": dq, "mc_diff": dm, "ok": point_ok})
         print(f"alpha={alpha_deg:g} case={int(r.case)} cf={r.p_out:.5f} "
               f"quad={q:.5f} mc={mc.p_out:.5f} dq={dq:.5f} dm={dm:.5f} "

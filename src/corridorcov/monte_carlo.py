@@ -59,6 +59,28 @@ reaches none of the block's samples is skipped (see `oracle`). The
 kernel is given tau and returns its coverage mask, ``SINR >= tau``, and
 the block's outages are the mask's misses. The LoS states are formed for
 every base station, lit or not, since a held set serves every uptilt.
+
+The box map. A streamed call under STRONGEST association with two draws
+a sample (free space, or air-to-ground in expectation mode) first bounds
+the SINR over each box of a _BOXES x _BOXES (128 x 128) grid of the
+uniforms, [i, i + 1) / 128 in x times [j, j + 1) / 128 in z
+(`_box_map`), in strips of _STRIP (16) box columns, and marks each box
+covered, outage or open by the kernel's own bound (`oracle`, "Settled
+tiles and boxes"). The edges are the samples formed from the uniforms
+j / 128 (`_box_edges`), so each box's x and z bounds come from the same
+roundings that form its samples, and rounding is monotone. A sample's box
+is (floor(u_x * 128), floor(u_z * 128)), read from its uniforms as one
+16-bit map index (`_box_index`), which is exact since 128 is a power of
+two. Each block then hands the kernel every sample with its box's
+(covered, open) pair, and the kernel evaluates the open samples only
+(`evaluate_sinr(..., boxes=)`), some 3% of them at `validate`'s uptilts,
+after its distance and power checks on the whole block. A map that
+settles no box (the cosine beam's, say) is dropped, and every sample is
+evaluated. Nearest association settles nothing, and with Bernoulli LoS
+states a map costs more than it saves, since the states are formed for
+every sample; held sets, which keep no uniforms, are never mapped. The
+result is the same bit for bit; `McResult.evaluated` counts the samples
+the kernel evaluated.
 """
 
 from __future__ import annotations
@@ -83,6 +105,11 @@ HELD_BLOCK = 1 << 14
 # on top of the held samples, which are all written by the draw's last
 # block.
 DRAW_BLOCK = 1 << 13
+# Boxes a side of the streamed sampler's map (`_box_map`), a power of two
+# so that a sample's box, read from its uniforms, is exact; and the box
+# columns bounded at a time while the map is built.
+_BOXES = 128
+_STRIP = 16
 
 
 class LosMode(enum.Enum):
@@ -109,6 +136,10 @@ class McResult:
     ci95: tuple[float, float]
     n: int
     seed: int
+    # samples that the kernel evaluated, the rest being settled by the
+    # box map (None where not counted); it takes no part in eq, which
+    # compares estimates
+    evaluated: int | None = field(default=None, compare=False)
 
 
 def _draws_per_sample(m: McConfig, positions) -> int:
@@ -164,6 +195,79 @@ def _samples(s: CorridorScenario, m: McConfig, u, w, positions):
         return d_x, h_x, None
     return d_x, h_x, los_states(d_x, h_x, positions, m.assumptions.pathloss,
                                 u[:, 2:].T, work=w)
+
+
+def _box_edges(s: CorridorScenario, m: McConfig, positions):
+    """The least and greatest x of each box column and z of each box row
+    of the streamed sampler's map: the samples of the uniforms j / _BOXES,
+    ascending since d1 > 0 and h1 < h2. Rounding being monotone, every
+    sample whose uniforms lie in a box lies between its edges."""
+    u = np.repeat(np.arange(_BOXES + 1) / _BOXES, 2).reshape(-1, 2)
+    xs, zs, _ = _samples(s, m, u, _Workspace(), positions)
+    return xs[:-1], xs[1:], zs[:-1], zs[1:]
+
+
+def _box_map(s: CorridorScenario, m: McConfig, dps, beam, positions):
+    """The map of a streamed call's boxes of uniforms
+    [i, i + 1) / _BOXES x [j, j + 1) / _BOXES, flat at i * _BOXES + j: one
+    byte a box, whose bit 0 is set where the box is open (neither all
+    covered nor all in outage) and bit 1 where its samples are all
+    covered; None where the map settles no box (see the module notes)."""
+    a = m.assumptions
+    if dps != 2 or a.association is not oracle.Association.STRONGEST:
+        return None
+    x_lo, x_hi, z_lo, z_hi = _box_edges(s, m, positions)
+    # each BS's least and greatest distance over each box column
+    ranges = np.array([[oracle._h_range(lo, hi, pos)
+                        for lo, hi in zip(x_lo.tolist(), x_hi.tolist())]
+                       for pos in positions])
+    noise = s.radio.noise_w if a.include_noise else 0.0
+    covered = np.empty((_BOXES, _BOXES), bool)
+    settled = np.empty_like(covered)
+    # a bound leaves the float range only where a sample's squared
+    # distance or power does too, which the kernel's checks reject with
+    # their own error
+    with np.errstate(over="ignore", invalid="ignore"):
+        z2 = oracle._z2_range(z_lo, z_hi)[:, None, None, :]
+        for lo in range(0, _BOXES, _STRIP):
+            cols = slice(lo, lo + _STRIP)
+            # (least, greatest) x BS x box column x 1
+            dist = np.moveaxis(ranges[:, cols], 2, 0)[..., None]
+            gain = np.array(beam._box_gain(*dist, z_lo, z_hi))
+            covered[cols], settled[cols] = oracle._settle_bounds(
+                dist * dist + z2, gain, s, a, noise, s.tau)
+    if not settled.any():
+        return None
+    return (2 * covered + ~settled).astype(np.uint8).ravel()
+
+
+def _box_index(u, w):
+    """The flat map index of each sample whose draws are the rows of `u`,
+    _BOXES * floor(u_x * _BOXES) + floor(u_z * _BOXES) from its uniforms
+    (the products are exact), as 16-bit integers in a buffer of `w`."""
+    size = len(u)
+    box = w.take("box", (size,), np.uint16)
+    # u_x * _BOXES**2 lies below 2**14; the cast to an integer rounds
+    # toward zero, which is floor, and clearing the low bits leaves
+    # _BOXES * floor(u_x * _BOXES)
+    np.multiply(u[:, 0], _BOXES * _BOXES, out=box, casting="unsafe")
+    box &= ~np.uint16(_BOXES - 1)
+    row = w.take("box.z", (size,), np.uint16)
+    box += np.multiply(u[:, 1], _BOXES, out=row, casting="unsafe")
+    return box
+
+
+def _boxes_of(u, box_map, w):
+    """Whether each sample whose draws are the rows of `u` is covered, and
+    whether it is open, read from the map of `_box_map` into buffers of
+    `w`."""
+    box = _box_index(u, w)
+    # indices in range: "clip" writes to `out` unbuffered
+    bits = np.take(box_map, box, mode="clip",
+                   out=w.take("box.bits", box.shape, np.uint8))
+    covered = np.right_shift(bits, 1, out=w.take("box.covered", box.shape,
+                                                 np.uint8))
+    return covered.view(bool), np.bitwise_and(bits, 1, out=bits).view(bool)
 
 
 def _slab_index(u_x, k, w):
@@ -289,24 +393,29 @@ def estimate_outage(s: CorridorScenario, m: McConfig, work=None,
     n = m.n_samples
     work = _Workspace() if work is None else work
     if samples is None:
+        box_map = _box_map(s, m, dps, beam, positions)
         # the block size is read at each call, where oracle sets it
-        blocks = (_samples(s, m, u, work, positions)
+        blocks = ((*_samples(s, m, u, work, positions),
+                   None if box_map is None else _boxes_of(u, box_map, work))
                   for u in _draws(m, dps, oracle.BLOCK_POINTS, work))
     else:
         samples._draw(s, m, dps, positions)
         # every window fits the largest slab
         work.reserve(samples._largest)
-        blocks = samples._slabs()
-    missed = 0
-    for x, z, los in blocks:
+        blocks = ((*slab, None) for slab in samples._slabs())
+    missed = evaluated = 0
+    for x, z, los, boxes in blocks:
         _, hit = evaluate_sinr(x, z, s, a, los_states=los, work=work,
                                beam=beam, positions=positions,
-                               slab=samples is not None, tau=s.tau)
+                               slab=samples is not None, tau=s.tau,
+                               boxes=boxes)
         missed += hit.size - int(np.count_nonzero(hit))
+        evaluated += (hit.size if boxes is None
+                      else int(np.count_nonzero(boxes[1])))
     p = missed / n
     se = math.sqrt(p * (1.0 - p) / n)
     return McResult(p_out=p, std_err=se, ci95=_wilson(p, n), n=n,
-                    seed=m.seed)
+                    seed=m.seed, evaluated=evaluated)
 
 
 def _wilson(p, n, z=1.96):

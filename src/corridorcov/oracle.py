@@ -86,21 +86,27 @@ of BSs must be finite, and with noise on so must its ratio to the noise
 power; otherwise a power, a sum of them or the SINR could overflow and
 read as an outage.
 
-Settled tiles. Given ``tau``, the kernel returns the coverage mask
-``SINR >= tau`` in place of the SINR, and on a grid block it first bounds
-the SINR of each tile of _TILE_ROWS (32) rows (`_settle`), so that only
-the rows of tiles whose bounds straddle tau are evaluated. Each bound
-follows one step of the kernel, formed from bounds of that step's
-operands in the kernel's order, and every step is monotone in its
-operands (rounding is monotone), so the bounds hold for the kernel's
-rounded values:
+Settled tiles and boxes. Given ``tau``, the kernel returns the coverage
+mask ``SINR >= tau`` in place of the SINR, and under STRONGEST
+association it evaluates only the points whose coverage an SINR bound
+leaves open. A bound covers a box of points: on a grid block, a tile of
+_TILE_ROWS (32) rows (`_settle`); for streamed Monte Carlo samples, a box
+of the sampler's map, which it bounds once per call (`monte_carlo`). Both
+form bounds on each BS's ``r2`` and gain over their boxes, and one
+function takes them from there (`_settle_bounds`). Each bound follows one
+step of the kernel, formed from bounds of that step's operands in the
+kernel's order, and every step is monotone in its operands (rounding is
+monotone), so the bounds hold for the kernel's rounded values:
 
-- distance: ``near`` and ``far`` of the block (`_h_range`) and the least
-  and greatest ``z**2`` of the tile, from its first and last heights,
-  bound its ``r2``;
-- gain: 0 on a tile outside the BS's lit window, the peak gain on a tile
-  inside its fully lit core, and [0, peak] on the rest. The cosine beam
-  has no core, so its tiles get [0, peak];
+- distance: the least and greatest ``h`` of the box, from its extreme x
+  (`_h_range`; a tile takes its block's), and the least and greatest
+  ``z**2``, from its extreme heights (`_z2_range`), bound its ``r2``;
+- gain: on a tile, 0 outside the BS's lit window, the peak gain inside
+  its fully lit core, and [0, peak] on the rest. A map box tests its
+  corners' heights against the same edge products at its least and
+  greatest ``h`` (`_box_gain`), since a lobe can lie wholly inside one
+  box, where the window search of its samples would find it empty. The
+  cosine beam has no core, so its tiles and boxes get [0, peak];
 - loss: the free-space loss at the ``r2`` bounds times the model's
   `_least` and `_excess` bounds on its excess loss
   (`propagation._loss_range`, which the distance check calls too): exact
@@ -113,33 +119,37 @@ rounded values:
   on the lower and on the upper power bounds: the serving power (the
   running maximum) and the interference (the running maximum or sum of
   what loses to it) are monotone in every power. Under NEAREST
-  association no tile is settled;
+  association nothing is settled;
 - SINR: the serving bound over the noise plus the other interference
   bound.
 
-A tile counts as covered when its lower bound is at least
+A box counts as covered when its lower bound is at least
 tau * (1 + 1e-9), and as an outage when its upper bound is below
 tau * (1 - 1e-9). A NaN bound (0/0, with noise off or at ``r2 = 0``)
 settles nothing. The margin is a guard on top of the monotone bounds:
 after ``h`` each step of the SINR is a product, quotient or sum of
 positive numbers, about ten roundings, which move it by less than 1e-14
-relatively, five orders of magnitude below the margin. The rows of the
-unsettled tiles, one boolean per row, are gathered into one sub-column of
-ascending heights, still a slab, on which each BS's lit window is searched
-again (`_lit_samples`), and the links' LoS states, if any, are cut to the
-same rows. That gives the full column's window cut to the kept
-rows: the kept rows at or below an edge product are the rows at or below
-it, counted among the kept ones. The mask takes each settled tile's
-value and ``SINR >= tau`` on the evaluated rows. At `validate`'s grid
-(blocks of 32 columns of 2001 heights, at the reference uptilts) 4.5-6%
-of the tiles straddle tau, and the loss runs on about 6% of the cells it
-runs on without ``tau``. The gain is still called once per BS and block,
-with ``h`` at the block's shape, so the benchmark's tracer counts the
-same gain points. The Monte Carlo sampler passes ``tau`` too, but only
-grid blocks are tiled: streamed samples are no slab, and a held slab is
+relatively, five orders of magnitude below the margin.
+
+On a grid block the rows of the unsettled tiles, one boolean per row, are
+gathered into one sub-column of ascending heights, still a slab, on which
+each BS's lit window is searched again (`_lit_samples`), and the links'
+LoS states, if any, are cut to the same rows. That gives the full
+column's window cut to the kept rows: the kept rows at or below an edge
+product are the rows at or below it, counted among the kept ones. At
+`validate`'s grid (blocks of 32 columns of 2001 heights, at the reference
+uptilts) 4.5-6% of the tiles straddle tau, and the loss runs on about 6%
+of the cells it runs on without ``tau``. The gain is still called once
+per BS and block, with ``h`` at the block's shape, so the benchmark's
+tracer counts the same gain points. Streamed samples come with their
+boxes' values, a ``(covered, open)`` pair with one boolean per sample
+(``boxes``), and the kernel cuts x, z and the LoS states to the open
+samples, after the block's distance and power checks. Either way the
+mask takes each settled tile's or box's value, and ``SINR >= tau`` on
+the evaluated rows or samples. Held slabs are not bounded: a slab is
 1-D, one sample per height, so a tile of its rows would span the slab's
-whole x range and x would have to be cut too. Whether that would pay is
-unmeasured.
+whole x range, and a held set keeps no uniforms to read a sample's box
+from.
 
 Blocks and workspaces. Every evaluator walks its blocks with a plain
 ``for`` loop over a generator, one after another in the caller's thread,
@@ -163,8 +173,10 @@ block. The kernel and the models write each such temporary into named
 buffers of the workspace with numpy ``out=``, so blocks after the first
 allocate none of them. The per-tile bounds of `_settle` are plain numpy
 arrays of a few hundred floats (2 bounds x 4 BSs x 63 tiles at
-`validate`'s grid), and the kept rows' mask and heights hold one value
-per row; they are made anew for each block. The kernel sizes the window
+`validate`'s grid), the kept rows' mask and heights hold one value per
+row, and a streamed block's open samples' x and z one per open sample
+(some 3% of the block at `validate`'s uptilts); they are made anew for
+each block. The kernel sizes the window
 buffers (``r2``, ``p``, ``pl``) for the whole block once per call and
 then takes each window's temporaries as the contiguous head of the same
 buffers, so no window allocates either. (A block-sized temporary that is
@@ -328,9 +340,8 @@ def _settle(heights, ranges, lit, beam, s, a, noise, tau):
     per tile.
 
     `ranges` and `lit` are each BS's distance range over the block and lit
-    window (`_h_range`, `_lit_samples`). Each step bounds what the kernel
-    forms under STRONGEST association, in the kernel's order (see the
-    module notes, "Settled tiles"): the lower bounds fill row 0 of each
+    window (`_h_range`, `_lit_samples`). The tiles' bounds on r2 and on
+    the gain go to `_settle_bounds`: the lower bounds fill row 0 of each
     array and the upper bounds row 1."""
     n, n_bs = len(heights), len(ranges)
     n_tiles = -(-n // _TILE_ROWS)
@@ -338,36 +349,58 @@ def _settle(heights, ranges, lit, beam, s, a, noise, tau):
     ends = np.array([heights[::_TILE_ROWS],
                      np.append(heights[_TILE_ROWS - 1:-1:_TILE_ROWS],
                                heights[-1])])
-    sq = ends * ends
-    z2 = np.array([np.minimum(sq[0], sq[1]), np.maximum(sq[0], sq[1])])
-    # a tile whose heights change sign holds z = 0
-    z2[0, ends[0] * ends[1] <= 0.0] = 0.0
-    # r2, then the loss: the free-space loss times the model's least and
-    # greatest excess
     dist = np.array(ranges).T[:, :, None]
-    r2 = dist * dist + z2[:, None, :]
-    least, most = _loss_range(r2[0], r2[1], s.radio.wavelength_m, a.pathloss)
+    r2 = dist * dist + _z2_range(ends[0], ends[1])[:, None, :]
     # the gain: the peak on tiles inside the fully lit core, 0 outside the
     # window, and between them on the rest
-    p = np.zeros((2, n_bs, n_tiles))
+    gain = np.zeros((2, n_bs, n_tiles))
     for i, (cells, core) in enumerate(lit):
         if cells.start < cells.stop:
-            p[1, i, cells.start // _TILE_ROWS:
-              -(-cells.stop // _TILE_ROWS)] = beam._peak
+            gain[1, i, cells.start // _TILE_ROWS:
+                 -(-cells.stop // _TILE_ROWS)] = beam._peak
         if core is not None:
             lo, hi = cells.start + core.start, cells.start + core.stop
-            p[0, i, -(-lo // _TILE_ROWS):
-              n_tiles if hi == n else hi // _TILE_ROWS] = beam._peak
-    best, rest = np.zeros((2, n_tiles)), np.zeros((2, n_tiles))
+            gain[0, i, -(-lo // _TILE_ROWS):
+                 n_tiles if hi == n else hi // _TILE_ROWS] = beam._peak
+    return _settle_bounds(r2, gain, s, a, noise, tau)
+
+
+def _z2_range(z_lo, z_hi):
+    """Least and greatest z**2 over each range of heights [z_lo, z_hi]
+    (arrays), as one array of two rows: the squares of the ends, and 0
+    for the least where the heights change sign."""
+    sq = z_lo * z_lo, z_hi * z_hi
+    z2 = np.array([np.minimum(*sq), np.maximum(*sq)])
+    z2[0, z_lo * z_hi <= 0.0] = 0.0
+    return z2
+
+
+def _settle_bounds(r2, gain, s, a, noise, tau):
+    """Which boxes of points have SINR bounds that clear `tau`: two
+    boolean arrays, covered and settled (covered or in outage), with one
+    value per box. `r2` and `gain` hold the least (row 0) and the
+    greatest (row 1) squared distance and gain of each BS (second axis)
+    over each box (the axes after it), as the kernel forms them. Each
+    further step bounds what the kernel forms under STRONGEST
+    association, in the kernel's order (see the module notes, "Settled
+    tiles and boxes")."""
+    best = np.zeros((2, *r2.shape[2:]))
+    rest = np.zeros_like(best)
     join = (np.maximum if a.interference is InterferenceMode.DOMINANT_ONLY
             else np.add)
-    # 0/0 and x/0 (a bound at r2 = 0) give NaN or inf, which settle nothing
+    # 0/0 and x/0 (a bound at r2 = 0) give NaN or inf, which settle
+    # nothing. A bound past the float range needs a squared distance or
+    # a power past it, which the kernel's checks reject with their error.
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        p *= s.radio.p_tx_w
+        # the loss: the free-space loss times the model's least and
+        # greatest excess
+        least, most = _loss_range(r2[0], r2[1], s.radio.wavelength_m,
+                                  a.pathloss)
+        p = gain * s.radio.p_tx_w
         p[0] /= most
         p[1] /= least
         # the kernel's reduction, on each bound
-        for i in range(n_bs):
+        for i in range(r2.shape[1]):
             _strongest(best, rest, p[:, i], join, None)
         sinr = best / (rest[::-1] + noise)
     covered = sinr[0] >= tau * (1.0 + _MARGIN)
@@ -388,7 +421,7 @@ def evaluate_sinr(x, z, s: CorridorScenario, a: OracleAssumptions,
                   los_states=None, work=None,
                   beam: BeamPattern | None = None,
                   positions: tuple[float, ...] | None = None, slab=False,
-                  tau: float | None = None):
+                  tau: float | None = None, boxes=None):
     """Serving index and linear SINR at points (x, z), in the shape that x
     and z broadcast to.
 
@@ -416,14 +449,21 @@ def evaluate_sinr(x, z, s: CorridorScenario, a: OracleAssumptions,
     serving index: the serving index is formed exactly when `tau` is
     None. Under STRONGEST association, on a grid block that is a slab,
     tiles of _TILE_ROWS rows whose SINR bounds clear tau are settled
-    without evaluating their cells (see the module notes, "Settled
-    tiles"); the mask is the same.
+    without evaluating their cells. Streamed samples may come with
+    `boxes`, the values of their boxes in the Monte Carlo sampler's SINR
+    box map (`monte_carlo._box_map`): a pair of booleans per sample,
+    (covered, open), valid for the kernel's decisions under STRONGEST
+    association. The block's distance and power checks still read every
+    point; then only the open samples are evaluated, and the others take
+    their box's value. Either way the mask is the same (see the module
+    notes, "Settled tiles and boxes").
 
     Every block-sized temporary, and both results, live in the buffers of
     `work` (a `_Workspace`; a new one when None), so the results are views
     that the next call with the same workspace overwrites. The per-tile
-    bounds, and the kept rows' mask and heights, are plain arrays of a few
-    hundred floats or one value per row.
+    bounds, the kept rows' mask and heights, and the open samples' x and
+    z, are plain arrays of a few hundred floats or one value per kept
+    row or sample.
     """
     x = np.atleast_1d(np.asarray(x, dtype=float))
     z = np.atleast_1d(np.asarray(z, dtype=float))
@@ -477,12 +517,20 @@ def evaluate_sinr(x, z, s: CorridorScenario, a: OracleAssumptions,
     lit = ([beam._lit_samples(near, far, heights) for near, far in ranges]
            if slab else [(Ellipsis, None)] * len(positions))
     block, keep = shape, None
-    if tau is not None and slab and grid and strongest:
+    if boxes is not None:
+        # evaluate the samples of open boxes only, with their LoS states
+        covered, keep = boxes
+        x, z = x[keep], z[keep]
+        if los_states is not None:
+            los_states = los_states[:, keep]
+        shape = x.shape
+    elif tau is not None and slab and grid and strongest:
         covered, settled = _settle(heights, ranges, lit, beam, s, a, noise,
                                    tau)
         if settled.any():
             # evaluate the rows of the unsettled tiles only: one ascending
             # sub-column, still a slab, with their LoS states
+            covered = np.repeat(covered, _TILE_ROWS)[:block[0], None]
             keep = np.repeat(~settled, _TILE_ROWS)[:len(heights)]
             heights = heights[keep]
             lit = [beam._lit_samples(near, far, heights)
@@ -573,9 +621,10 @@ def evaluate_sinr(x, z, s: CorridorScenario, a: OracleAssumptions,
     hit = np.greater_equal(sinr, tau, out=mask)
     if keep is None:
         return None, hit
-    # the block's mask: each settled tile's value, the evaluated rows' hits
+    # the block's mask: each settled tile's or box's value, and the hits
+    # of the evaluated rows or samples
     out = work.take("covered", block, bool)
-    out[...] = np.repeat(covered, _TILE_ROWS)[:block[0], None]
+    out[...] = covered
     out[keep] = hit
     return None, out
 

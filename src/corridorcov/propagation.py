@@ -21,8 +21,9 @@ The SINR kernel (``oracle.evaluate_sinr``) calls ``gain`` once per base
 station (on a slab of held samples, once per base station whose lit
 window is not empty), and ``loss`` once per base station whose lobe does
 reach a point of the block, each on the BS's lit window only (see below),
-and given a threshold, on a grid block, on the rows whose coverage its
-SINR bounds leave open only (see `oracle`, "Settled tiles").
+and given a threshold, on the grid rows or streamed samples whose
+coverage an SINR bound leaves open only (see `oracle`, "Settled tiles and
+boxes").
 ``h``, ``z`` and ``r2`` broadcast against each other. On a grid block
 ``h`` varies along the row and ``z`` down the column only: the kernel
 passes ``h`` as a `np.broadcast_to` view of one row, at the block's shape
@@ -41,7 +42,11 @@ can be lit, and the run inside it where every point is lit (counted from
 the window's start), or None. The rectangular beam finds both by a search
 of ``z`` for its edge products at the two distances, formed as its lobe
 test forms them, so they are guarantees, not estimates. The cosine beam
-names the whole block and no core.
+names the whole block and no core. From the same edge products,
+``_box_gain(h_near, h_far, z_lo, z_hi)`` bounds the gain over boxes of
+points (the SINR box map of streamed Monte Carlo samples): the peak where
+a box is lit at every point, 0 where no point of it can be lit, and
+[0, peak] between them and everywhere on the cosine beam.
 
 The kernel passes ``z``, ``r2`` and ``out`` to ``gain`` at the window's
 shape, ``h`` at the window's shape on a slab and as the block-shaped view
@@ -338,6 +343,29 @@ class RectangularBeam:
         return slice(start, stop), slice(core_start - start,
                                          core_stop - start)
 
+    def _box_gain(self, h_near, h_far, z_lo, z_hi):
+        """Least and greatest gain over boxes of points whose horizontal
+        distances to a BS lie in [h_near, h_far] and whose heights lie in
+        [z_lo, z_hi] (arrays that broadcast, one value per box), from the
+        edge products of `_lit_samples`: a box can be lit only if z_hi
+        lies above the lesser lower product and z_lo below the greater
+        upper one, and it is lit at every point if z_lo lies above the
+        greater lower product and z_hi below the lesser upper one. Unlike a
+        lit window, this holds for a lobe that lies wholly inside a box."""
+        shape = np.broadcast_shapes(*(np.shape(v) for v in
+                                      (h_near, h_far, z_lo, z_hi)))
+        lit = np.full(shape, not self._dark)
+        full = lit.copy()
+        if self._t_lo is not None:
+            ends = (h_near * self._t_lo, h_far * self._t_lo)
+            lit &= z_hi > np.minimum(*ends)
+            full &= z_lo > np.maximum(*ends)
+        if self._t_hi is not None:
+            ends = (h_near * self._t_hi, h_far * self._t_hi)
+            lit &= z_lo < np.maximum(*ends)
+            full &= z_hi < np.minimum(*ends)
+        return full * self.peak_gain, lit * self.peak_gain
+
 
 @dataclass(frozen=True)
 class CosineBeam:
@@ -388,6 +416,13 @@ class CosineBeam:
         axis (see `RectangularBeam._lit_samples`): the whole block, and no
         fully lit core."""
         return slice(0, len(z)), None
+
+    def _box_gain(self, h_near, h_far, z_lo, z_hi):
+        """Least and greatest gain over boxes of points (see
+        `RectangularBeam._box_gain`): 0 and the peak gain on every box."""
+        shape = np.broadcast_shapes(*(np.shape(v) for v in
+                                      (h_near, h_far, z_lo, z_hi)))
+        return np.zeros(shape), np.full(shape, self._peak)
 
 
 BeamPattern = RectangularBeam | CosineBeam

@@ -1,11 +1,12 @@
 import dataclasses
+import json
 import math
 
 import numpy as np
 import pytest
 
 from stream_reference import outage_of_one_stream
-from corridorcov import closed_form, monte_carlo, oracle
+from corridorcov import cli, closed_form, monte_carlo, oracle
 from corridorcov.defaults import reference_scenario
 from corridorcov.monte_carlo import (
     DRAW_BLOCK,
@@ -319,10 +320,19 @@ def _bernoulli(**kw):
 # Bernoulli LoS draws with four and with three base stations; a BS inside
 # the half corridor (so inside some slabs' x range), the cosine beam,
 # nearest association, the sum of the interference, and nine base
-# stations (two LoS bytes a sample)
+# stations (two LoS bytes a sample). The streamed runs of the models with
+# two draws a sample and STRONGEST association settle most samples from
+# their box map: free space with noise on and off, with a BS inside the
+# corridor, and expectation-mode air-to-ground with either interference.
 _HELD_MODELS = {
     "fspl": _DRAW_CONFIGS[2],
+    "fspl-quiet": dict(assumptions=OracleAssumptions(include_noise=False)),
+    "fspl-bs-inside": dict(assumptions=OracleAssumptions(
+        bs_positions=(-1000.0, 250.0, 1000.0, 2000.0))),
     "a2g": dict(assumptions=OracleAssumptions(pathloss=AirToGroundPathLoss())),
+    "a2g-sum": dict(assumptions=OracleAssumptions(
+        pathloss=AirToGroundPathLoss(),
+        interference=InterferenceMode.SUM_ALL)),
     "a2g-bernoulli-4": _DRAW_CONFIGS[6],
     "a2g-bernoulli-3": _DRAW_CONFIGS[5],
     "bs-inside": _bernoulli(bs_positions=(-1000.0, 250.0, 1000.0, 2000.0)),
@@ -345,14 +355,16 @@ _HELD_TILTS = [(-5.0, 40.0), (8.0, 40.0), (13.0, 40.0), (25.0, 40.0),
                                HELD_BLOCK + 1, 200_001])
 def test_held_samples_give_the_streamed_result(n, model):
     # one sample set per seed, read at every uptilt (in one slab, or in
-    # slabs of unequal size), against the blocks that draw as they go
+    # slabs of unequal size), against the blocks that draw as they go;
+    # held samples are never mapped
     for seed in (0, 3, 7):
         cfg = McConfig(n_samples=n, seed=seed, **_HELD_MODELS[model])
         samples = SampleSet()
         for tilt in _HELD_TILTS:
             s = reference_scenario(*tilt)
-            assert (estimate_outage(s, cfg, samples=samples)
-                    == estimate_outage(s, cfg))
+            held = estimate_outage(s, cfg, samples=samples)
+            assert held == estimate_outage(s, cfg)
+            assert held.evaluated == n
 
 
 @pytest.mark.parametrize("model", ["a2g-bernoulli-4", "bs-inside", "nine-bs"])
@@ -481,3 +493,53 @@ def test_z_order_is_the_stable_sort_of_positive_heights(seed):
     rng.shuffle(z)
     assert np.array_equal(monte_carlo._z_order(z),
                           np.argsort(z, kind="stable"))
+
+
+@pytest.mark.parametrize("scenario", [dict(), dict(d1=1234.567, h1=33.3,
+                                                   h2=301.7)])
+def test_a_sample_lies_inside_its_box(scenario):
+    # uniforms on every box edge j / _BOXES, just below each edge, and the
+    # largest draw below 1: each sample's box, read from its uniforms, is
+    # (floor(u_x * _BOXES), floor(u_z * _BOXES)), and the sample formed
+    # from them lies between that box's edges
+    boxes = monte_carlo._BOXES
+    j = np.arange(boxes) / boxes
+    edges = np.concatenate([j, np.nextafter(j[1:], 0.0), [1.0 - 2.0 ** -53]])
+    u_x, u_z = (g.ravel() for g in np.meshgrid(edges, edges[::-1]))
+    u = np.stack([u_x, u_z], axis=1)
+    s = reference_scenario(13.0, 40.0, **scenario)
+    cfg = McConfig()
+    positions = cfg.assumptions.resolve_positions(s)
+    w = _Workspace()
+    box = monte_carlo._box_index(u, w).astype(np.intp)
+    col, row = np.divmod(box, boxes)
+    assert np.array_equal(col, np.floor(u_x * boxes))
+    assert np.array_equal(row, np.floor(u_z * boxes))
+    x, z, _ = monte_carlo._samples(s, cfg, u, w, positions)
+    x_lo, x_hi, z_lo, z_hi = monte_carlo._box_edges(s, cfg, positions)
+    assert np.all((x_lo[col] <= x) & (x <= x_hi[col]))
+    assert np.all((z_lo[row] <= z) & (z <= z_hi[row]))
+
+
+def test_the_box_map_leaves_few_of_validates_samples_to_the_kernel(tmp_path):
+    # at validate's defaults at most 5% of the samples fall in open boxes;
+    # the artifact records how many the kernel evaluated
+    out = tmp_path / "validate.json"
+    assert cli.main(["--beta-deg", "40", "--samples", "200000", "validate",
+                     "--out", str(out)]) == 0
+    rows = json.loads(out.read_text())["rows"]
+    assert rows
+    for row in rows:
+        assert 0 < row["mc_evaluated"] <= 0.05 * 200_000
+
+
+@pytest.mark.parametrize("config", [
+    dict(assumptions=OracleAssumptions(association=Association.NEAREST)),
+    dict(assumptions=OracleAssumptions(beam=BeamKind.COSINE)),
+    _DRAW_CONFIGS[6]])
+def test_unmapped_runs_evaluate_every_sample(config):
+    # nearest association, the cosine beam, whose boxes never settle, and
+    # Bernoulli LoS states are evaluated sample by sample
+    n = BLOCK_POINTS + 3
+    s = reference_scenario(13.0, 40.0)
+    assert estimate_outage(s, McConfig(n_samples=n, **config)).evaluated == n
