@@ -53,6 +53,22 @@ bit:
   budget, beam, association, interference and noise take no part in the
   draws.
 
+The lit-set table. Under the rectangular beam with at most four base
+stations (_TABLE_BS), a held set decides each sample once per set of lit
+BSs instead of once per uptilt (see `oracle`, "Lit-set tables"): at the
+first uptilt it builds one 16-bit word a sample (2 B a sample, beside
+the 17 B of its draws), whose bit L is the kernel's coverage decision
+when exactly the BSs in bitmask L are lit at the peak gain, slab by slab
+(`oracle._lit_set_table`, after the kernel's checks of the slab) and in
+chunks of DRAW_BLOCK samples. Each uptilt then finds each sample's lit
+set by the beam's own window search and lobe test (`oracle._lit_sets`)
+and counts the set bits, with no kernel call. The table depends on the
+sample key, tau, the link budget, the resolved peak gain, the
+association, the interference and the noise, and is built again from the
+held samples when any of them changes; a build that raises leaves none.
+The cosine beam, and layouts of more than four BSs, are evaluated by the
+kernel at every uptilt.
+
 Each call resolves the beam and the BS positions once and hands them to
 the kernel for every block. Within a block, a base station whose lobe
 reaches none of the block's samples is skipped (see `oracle`). The
@@ -80,7 +96,7 @@ evaluated. Nearest association settles nothing, and with Bernoulli LoS
 states a map costs more than it saves, since the states are formed for
 every sample; held sets, which keep no uniforms, are never mapped. The
 result is the same bit for bit; `McResult.evaluated` counts the samples
-the kernel evaluated.
+the kernel evaluated (a held set's, all of them).
 """
 
 from __future__ import annotations
@@ -94,7 +110,7 @@ import numpy as np
 from .geometry import CorridorScenario
 from . import oracle
 from .oracle import OracleAssumptions, evaluate_sinr
-from .propagation import AirToGroundPathLoss, _Workspace
+from .propagation import AirToGroundPathLoss, RectangularBeam, _Workspace
 
 # Samples, on average, per slab of a held sample set (`SampleSet`). The
 # kernel's temporaries grow with it, on top of the held samples; they are
@@ -110,6 +126,9 @@ DRAW_BLOCK = 1 << 13
 # columns bounded at a time while the map is built.
 _BOXES = 128
 _STRIP = 16
+# The most BSs a held set's lit-set table serves: 2**4 sets, one bit each
+# in a 16-bit word a sample.
+_TABLE_BS = 4
 
 
 class LosMode(enum.Enum):
@@ -136,9 +155,10 @@ class McResult:
     ci95: tuple[float, float]
     n: int
     seed: int
-    # samples that the kernel evaluated, the rest being settled by the
-    # box map (None where not counted); it takes no part in eq, which
-    # compares estimates
+    # samples whose decision was formed, by the kernel or, for a held set,
+    # in its lit-set table, the rest being settled by the box map (None
+    # where not counted); it takes no part in eq, which compares
+    # estimates
     evaluated: int | None = field(default=None, compare=False)
 
 
@@ -338,11 +358,13 @@ class SampleSet:
     changes: x and z as floats and, in Bernoulli mode, the LoS states as
     one byte a sample with a bit per BS (17 B a sample with up to eight
     base stations), in K = ceil(n / HELD_BLOCK) slabs of x, each sorted by
-    z (see the module notes)."""
+    z; under the rectangular beam with at most four BSs, it builds their
+    lit-set table too (see the module notes)."""
 
     def __init__(self):
         self._key = None
         self._x = self._z = self._los = self._starts = self._largest = None
+        self._table_key = self._table = self._ranges = None
 
     def _draw(self, s: CorridorScenario, m: McConfig, dps, positions):
         """Draw the samples of (s, m) unless they are held already."""
@@ -353,6 +375,7 @@ class SampleSet:
             return
         # one set at a time, and none after a draw that fails
         self._key = self._x = self._z = self._los = self._starts = None
+        self._table_key = self._table = self._ranges = None
         x, z, los, starts = _draw_slabs(s, m, dps, positions)
         # then each slab is sorted by z, which moves its x and LoS bytes
         largest = int((starts[1:] - starts[:-1]).max())
@@ -368,12 +391,46 @@ class SampleSet:
         self._starts, self._largest = starts, largest
 
     def _slabs(self):
-        """x, z and the LoS bytes (or None) of each non-empty slab."""
+        """The samples of each non-empty slab, as a slice of the set, and
+        their x, z and LoS bytes (or None)."""
         los = self._los
         for lo, hi in zip(self._starts[:-1], self._starts[1:]):
             if lo < hi:
-                yield (self._x[lo:hi], self._z[lo:hi],
+                yield (slice(lo, hi), self._x[lo:hi], self._z[lo:hi],
                        None if los is None else los[:, lo:hi])
+
+    def _tabulate(self, s: CorridorScenario, a: OracleAssumptions, beam,
+                  positions):
+        """Build the lit-set table of the held samples (see the module
+        notes) unless it is built already for the same decision: the
+        sample key, tau, the link budget, the peak gain, the association,
+        the interference and the noise."""
+        key = (self._key, s.tau, s.radio, beam._peak, a.association,
+               a.interference, a.include_noise)
+        if key == self._table_key:
+            return
+        # none after a build that fails
+        self._table_key = self._table = self._ranges = None
+        table = np.empty(len(self._x), np.uint16)
+        work = _Workspace()
+        ranges = [oracle._lit_set_table(x, z, los, s, a, beam, positions,
+                                        table[part], work, DRAW_BLOCK)
+                  for part, x, z, los in self._slabs()]
+        self._table_key, self._table, self._ranges = key, table, ranges
+
+    def _hits(self, beam, positions, work):
+        """The number of held samples covered at the beam's tilt: each
+        sample's bit of the table at the set of BSs that light it
+        (`oracle._lit_sets`)."""
+        hits = 0
+        for (part, x, z, _), ranges in zip(self._slabs(), self._ranges):
+            lit = oracle._lit_sets(x, z, ranges, beam, positions, work)
+            covered = np.right_shift(
+                self._table[part], lit,
+                out=work.take("covered", lit.shape, np.uint16))
+            hits += int(np.count_nonzero(np.bitwise_and(covered, 1,
+                                                        out=covered)))
+        return hits
 
 
 def estimate_outage(s: CorridorScenario, m: McConfig, work=None,
@@ -383,9 +440,9 @@ def estimate_outage(s: CorridorScenario, m: McConfig, work=None,
     `_Workspace` to reuse across calls; a new one when None. Without
     `samples` each block of BLOCK_POINTS samples draws them as it is
     evaluated; with a `SampleSet`, the samples are drawn into it unless it
-    holds them already, and evaluated slab by slab. Either way the blocks
-    run one after another in the caller's thread, and the result is the
-    same bit for bit."""
+    holds them already, and evaluated slab by slab, or read from its
+    lit-set table. Either way the blocks run one after another in the
+    caller's thread, and the result is the same bit for bit."""
     a = m.assumptions
     positions = a.resolve_positions(s)
     beam = a.resolve_beam(s)
@@ -402,7 +459,11 @@ def estimate_outage(s: CorridorScenario, m: McConfig, work=None,
         samples._draw(s, m, dps, positions)
         # every window fits the largest slab
         work.reserve(samples._largest)
-        blocks = ((*slab, None) for slab in samples._slabs())
+        if (isinstance(beam, RectangularBeam)
+                and len(positions) <= _TABLE_BS):
+            samples._tabulate(s, a, beam, positions)
+            return _result(n - samples._hits(beam, positions, work), m, n)
+        blocks = ((*slab, None) for _, *slab in samples._slabs())
     missed = evaluated = 0
     for x, z, los, boxes in blocks:
         _, hit = evaluate_sinr(x, z, s, a, los_states=los, work=work,
@@ -412,6 +473,12 @@ def estimate_outage(s: CorridorScenario, m: McConfig, work=None,
         missed += hit.size - int(np.count_nonzero(hit))
         evaluated += (hit.size if boxes is None
                       else int(np.count_nonzero(boxes[1])))
+    return _result(missed, m, evaluated)
+
+
+def _result(missed, m: McConfig, evaluated):
+    """The estimate from `missed` outages among the samples of `m`."""
+    n = m.n_samples
     p = missed / n
     se = math.sqrt(p * (1.0 - p) / n)
     return McResult(p_out=p, std_err=se, ci95=_wilson(p, n), n=n,

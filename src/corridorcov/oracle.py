@@ -125,11 +125,14 @@ monotone), so the bounds hold for the kernel's rounded values:
 
 A box counts as covered when its lower bound is at least
 tau * (1 + 1e-9), and as an outage when its upper bound is below
-tau * (1 - 1e-9). A NaN bound (0/0, with noise off or at ``r2 = 0``)
-settles nothing. The margin is a guard on top of the monotone bounds:
-after ``h`` each step of the SINR is a product, quotient or sum of
-positive numbers, about ten roundings, which move it by less than 1e-14
-relatively, five orders of magnitude below the margin.
+tau * (1 - 1e-9). Where the upper bound on the serving power is 0, no BS
+delivers power anywhere in the box, and the kernel's SINR there is 0
+(0/0 with noise off, which it reads as 0), so the upper SINR bound is 0.
+Any other NaN bound (0/0 at ``r2 = 0``) settles nothing. The margin is
+a guard on top of the monotone bounds: after ``h`` each step of the SINR
+is a product, quotient or sum of positive numbers, about ten roundings,
+which move it by less than 1e-14 relatively, five orders of magnitude
+below the margin.
 
 On a grid block the rows of the unsettled tiles, one boolean per row, are
 gathered into one sub-column of ascending heights, still a slab, on which
@@ -149,7 +152,35 @@ mask takes each settled tile's or box's value, and ``SINR >= tau`` on
 the evaluated rows or samples. Held slabs are not bounded: a slab is
 1-D, one sample per height, so a tile of its rows would span the slab's
 whole x range, and a held set keeps no uniforms to read a sample's box
-from.
+from. Under the rectangular beam they need no bound (below).
+
+Lit-set tables. Under the rectangular beam a link's gain is exactly 0 or
+the peak gain, and only the lobe moves with the uptilt. Once the set L
+of BSs that light a point is fixed, so is every step of the kernel
+there: each lit BS's power (the peak gain times the transmit power over
+the path loss, with the point's LoS states), each dark BS's +0, which
+changes no step of the reduction (see "Decision identity"), the
+reduction in BS index order, the noise and the decision. A held Monte
+Carlo set with at most four BSs (`monte_carlo.SampleSet`) keeps one
+16-bit word a sample whose bit L is the kernel's decision with exactly
+the BSs in bitmask L lit (`_lit_set_table`), and each uptilt reads the
+bit of each sample's lit set (`_lit_sets`), with no kernel call. The
+table is built from the kernel's own steps: its checks
+(`_require_block`), the received power (`_received`), the reduction
+steps (`_strongest`, `_nearest_step`) and the decision (`_decide`). Each
+set's (serving, interference) state is its parent's, the set without its
+highest BS, stepped by that BS, so the sets are formed depth first with
+one state per depth, in chunks of samples. A sample's lit set is what the
+kernel's gain gives it: bit i is set on BS i's fully lit core of its
+window (`_lit_samples`, from the slab's distance range) and where the
+lobe test passes on the fringes on either side (`RectangularBeam._mark`,
+the one lobe test), and is clear elsewhere. The checks read the samples,
+the link budget, the path loss, the positions, the peak gain and the
+noise, none of which moves with the uptilt, so checking once, before the
+build forms any power, raises the kernel's ValueError at every uptilt: a
+build that raises leaves no table, and the next uptilt builds again. The
+cosine beam, whose gain is continuous, and layouts of more than four BSs
+(more than 16 lit sets) go through the kernel slab by slab.
 
 Blocks and workspaces. Every evaluator walks its blocks with a plain
 ``for`` loop over a generator, one after another in the caller's thread,
@@ -159,7 +190,8 @@ blocks of whole columns from `_column_blocks`, which yields each block's
 columns and its broadcast (x, z); the streamed Monte Carlo sampler's
 samples come in runs of BLOCK_POINTS from the reader of its random
 stream (`monte_carlo._draws`); samples that the Monte Carlo evaluator of
-sweeps holds across uptilts come slab by slab (`monte_carlo.SampleSet`).
+sweeps holds across uptilts come slab by slab (`monte_carlo.SampleSet`),
+to the kernel or, under the rectangular beam, to their lit-set table.
 Each field and Monte Carlo call resolves the beam and the BS positions
 once and passes them to the kernel for every block. The quadrature leaves
 that to the kernel, once per block: 4 x 63 = 252 times in a `validate`
@@ -325,10 +357,14 @@ def _h_range(x_lo, x_hi, pos):
     return (0.0 if x_lo <= pos <= x_hi else near), far
 
 
-def _bit(row, bit, work):
-    """Bit `bit` of each byte of `row`, as booleans in a buffer of
-    `work`."""
-    out = np.bitwise_and(row, 1 << bit,
+def _los_bit(los_states, i, part, work):
+    """BS i's LoS state of each point `part` (an index of the points) of
+    `los_states` (bytes, see `evaluate_sinr`), as booleans in a buffer of
+    `work`; None without LoS states."""
+    if los_states is None:
+        return None
+    row = los_states[i >> 3][part]
+    out = np.bitwise_and(row, 1 << (i & 7),
                          out=work.take("los.bit", row.shape, np.uint8))
     return np.minimum(out, 1, out=out).view(bool)
 
@@ -403,6 +439,10 @@ def _settle_bounds(r2, gain, s, a, noise, tau):
         for i in range(r2.shape[1]):
             _strongest(best, rest, p[:, i], join, None)
         sinr = best / (rest[::-1] + noise)
+    # where no BS delivers any power, the kernel's serving power is 0 and
+    # its SINR 0 (0/0 with noise off): an outage, which a NaN would leave
+    # open
+    np.copyto(sinr[1], 0.0, where=best[1] == 0.0)
     covered = sinr[0] >= tau * (1.0 + _MARGIN)
     return covered, covered | (sinr[1] < tau * (1.0 - _MARGIN))
 
@@ -415,6 +455,76 @@ def _strongest(best, rest, p, join, scratch):
     one so far, or one more summand); then `best` takes the larger."""
     join(rest, np.minimum(best, p, out=scratch), out=rest)
     np.maximum(best, p, out=best)
+
+
+def _nearest_step(best, rest, p, mine, join):
+    """One BS's step of the NEAREST reduction, in place: the BS's power
+    `p` serves the points where `mine` (it is their nearest BS), and joins
+    the interference `rest` by `join` elsewhere; `p` is 0 where `mine` on
+    return."""
+    np.copyto(best, p, where=mine)
+    np.copyto(p, 0.0, where=mine)
+    join(rest, p, out=rest)
+
+
+def _received(p, pl, h, z, r2, s, a, los, work):
+    """A BS's received power at the links (h, z, r2), in place of their
+    gain `p`: p times the transmit power over the path loss of `a` (with
+    the links' LoS states `los`, or None), whose distances the kernel has
+    checked. The loss is written to `pl`, which is free again on
+    return."""
+    a.pathloss.loss(h, z, r2, s.radio.wavelength_m, los_state=los, out=pl,
+                    work=work, checked=True)
+    p *= s.radio.p_tx_w
+    p /= pl
+    return p
+
+
+def _decide(p_serv, other, noise, tau, out, mask):
+    """The SINR p_serv / (other + noise), written to `out` (which may be
+    `other`), with 0/0 (no power, no noise, no interference) read as 0;
+    with `tau`, the coverage mask ``SINR >= tau`` in `mask` in its place
+    (else `mask` is scratch)."""
+    with np.errstate(divide="ignore", invalid="ignore"):
+        np.add(other, noise, out=out)
+        np.divide(p_serv, out, out=out)
+    np.copyto(out, 0.0, where=np.isnan(out, out=mask))
+    return out if tau is None else np.greater_equal(out, tau, out=mask)
+
+
+def _require_block(x, z, shape, heights, positions, beam, s, a, noise, work):
+    """The kernel's distance and power checks of the block of points
+    (x, z), of broadcast shape `shape`, before it forms any power (see the
+    module notes, "Distances"): raise the path-loss models' ValueError
+    unless every BS's squared distances are positive with a finite loss
+    and its powers, their sum and their SINR over `noise` are finite.
+    `heights` are a slab's ascending heights, or None. Returns each BS's
+    least and greatest horizontal distance over the block (`_h_range`)."""
+    x_lo, x_hi = float(x.min()), float(x.max())
+    if heights is not None:
+        z_lo, z_hi = float(heights[0]), float(heights[-1])
+    else:
+        z_lo, z_hi = float(z.min()), float(z.max())
+    # the least z**2 (at an end, or 0 if z changes sign) and the greatest
+    z2_least = (min(z_lo * z_lo, z_hi * z_hi) if z_lo >= 0 or z_hi <= 0
+                else 0.0)
+    z2_most = max(z_lo * z_lo, z_hi * z_hi)
+    ranges = [_h_range(x_lo, x_hi, pos) for pos in positions]
+    # no sum of received powers exceeds that of every BS at its peak gain
+    p_all = len(positions) * beam._peak * s.radio.p_tx_w
+    for pos, (near, far) in zip(positions, ranges):
+        # every r2 lies between these bounds, rounding being monotone. A
+        # least bound that is not positive settles nothing: the block's r2
+        # are checked then, and cannot overflow below a finite greatest.
+        least, most = near * near + z2_least, far * far + z2_most
+        if not least > 0 and most < math.inf:
+            h = np.subtract(x, pos, out=work.take("h", x.shape))
+            r2 = np.multiply(h, h, out=work.take("r2", shape))
+            r2 += np.multiply(z, z, out=work.take("p", z.shape))
+            least = r2.min()
+        _require_distance(least, most, s.radio.wavelength_m, a.pathloss,
+                          p_all, noise)
+    return ranges
 
 
 def evaluate_sinr(x, z, s: CorridorScenario, a: OracleAssumptions,
@@ -472,40 +582,16 @@ def evaluate_sinr(x, z, s: CorridorScenario, a: OracleAssumptions,
     work = _Workspace() if work is None else work
     positions = a.resolve_positions(s) if positions is None else positions
     beam = a.resolve_beam(s) if beam is None else beam
-    lam = s.radio.wavelength_m
-    p_tx = s.radio.p_tx_w
     noise = s.radio.noise_w if a.include_noise else 0.0
     strongest = a.association is Association.STRONGEST
     dominant = a.interference is InterferenceMode.DOMINANT_ONLY
     # a grid block: x is one row, the same in every row of the block
     grid = x.ndim == 2
-
-    x_lo, x_hi = float(x.min()), float(x.max())
-    if slab:
-        # a slab's heights ascend: a held slab's samples, or a grid
-        # block's column
-        heights = z.reshape(len(z))
-        z_lo, z_hi = float(heights[0]), float(heights[-1])
-    else:
-        z_lo, z_hi = float(z.min()), float(z.max())
-    # the least z**2 (at an end, or 0 if z changes sign) and the greatest
-    z2_least = (min(z_lo * z_lo, z_hi * z_hi) if z_lo >= 0 or z_hi <= 0
-                else 0.0)
-    z2_most = max(z_lo * z_lo, z_hi * z_hi)
-    ranges = [_h_range(x_lo, x_hi, pos) for pos in positions]
-    # no sum of received powers exceeds that of every BS at its peak gain
-    p_all = len(positions) * beam._peak * p_tx
-    for pos, (near, far) in zip(positions, ranges):
-        # every r2 lies between these bounds, rounding being monotone. A
-        # least bound that is not positive settles nothing: the block's r2
-        # are checked then, and cannot overflow below a finite greatest.
-        least, most = near * near + z2_least, far * far + z2_most
-        if not least > 0 and most < math.inf:
-            h = np.subtract(x, pos, out=work.take("h", x.shape))
-            r2 = np.multiply(h, h, out=work.take("r2", shape))
-            r2 += np.multiply(z, z, out=work.take("p", z.shape))
-            least = r2.min()
-        _require_distance(least, most, lam, a.pathloss, p_all, noise)
+    # a slab's heights ascend: a held slab's samples, or a grid block's
+    # column
+    heights = z.reshape(len(z)) if slab else None
+    ranges = _require_block(x, z, shape, heights, positions, beam, s, a,
+                            noise, work)
     # every buffer below is sized for the block, and taken at the shape of
     # a window or of the unsettled rows from its head
     for name in ("r2", "p", "pl", "p_serv", "other"):
@@ -580,12 +666,8 @@ def evaluate_sinr(x, z, s: CorridorScenario, a: OracleAssumptions,
         if core is None and not p.any():
             continue
         pl = work.take("pl", window)
-        los = (None if los_states is None
-               else _bit(los_states[i >> 3][cells], i & 7, work))
-        a.pathloss.loss(np.broadcast_to(h, window) if grid else h, zw, r2,
-                        lam, los_state=los, out=pl, work=work, checked=True)
-        p *= p_tx
-        p /= pl
+        _received(p, pl, np.broadcast_to(h, window) if grid else h, zw, r2,
+                  s, a, _los_bit(los_states, i, cells, work), work)
         best, rest = p_serv[cells], other[cells]
         if strongest:
             if serving is not None:
@@ -599,34 +681,133 @@ def evaluate_sinr(x, z, s: CorridorScenario, a: OracleAssumptions,
                 np.maximum(serving[cells], won, out=serving[cells])
             _strongest(best, rest, p, join, pl)
         else:
-            is_mine = np.equal(_part(nearest, cells), i,
-                               out=_part(mine, cells))
-            np.copyto(best, p, where=is_mine)
-            np.copyto(p, 0.0, where=is_mine)
-            join(rest, p, out=rest)
+            _nearest_step(best, rest, p, np.equal(
+                _part(nearest, cells), i, out=_part(mine, cells)), join)
 
-    sinr = other
-    with np.errstate(divide="ignore", invalid="ignore"):
-        sinr += noise
-        np.divide(p_serv, sinr, out=sinr)
-    # 0/0: no power, no noise, no interference
-    np.copyto(sinr, 0.0, where=np.isnan(sinr, out=mask))
-
+    # the SINR (in other's buffer), or given tau the coverage mask
+    result = _decide(p_serv, other, noise, tau, other, mask)
     if tau is None:
         if strongest:
             dead = np.equal(p_serv, 0.0, out=mask)
             if dead.any():
                 np.copyto(serving, _nearest(x, positions, work), where=dead)
-        return serving, sinr
-    hit = np.greater_equal(sinr, tau, out=mask)
+        return serving, result
     if keep is None:
-        return None, hit
+        return None, result
     # the block's mask: each settled tile's or box's value, and the hits
     # of the evaluated rows or samples
     out = work.take("covered", block, bool)
     out[...] = covered
-    out[keep] = hit
+    out[keep] = result
     return None, out
+
+
+def _lit_set_order(n_bs):
+    """Every set of `n_bs` BSs as (bitmask, size, its highest BS or -1),
+    depth first: each set comes after its parent, the set without its
+    highest BS, and every set between them lies in the parent's subtree,
+    so the state held at the parent's depth is still the parent's when a
+    child is formed from it."""
+    order = []
+
+    def visit(lit, size, last):
+        order.append((lit, size, last))
+        for i in range(last + 1, n_bs):
+            visit(lit | 1 << i, size + 1, i)
+    visit(0, 0, -1)
+    return order
+
+
+def _lit_set_table(x, z, los_states, s, a, beam, positions, out, work,
+                   chunk):
+    """The kernel's coverage decision at each sample of a held slab (1-D
+    x and z, the heights ascending) for every set L of lit BSs, into
+    `out`: bit L of the sample's 16-bit word is ``SINR >= tau`` when the
+    BSs in bitmask L are lit at the beam's peak gain and the others
+    dark. For the rectangular beam (see the module notes, "Lit-set
+    tables"), with at most four BSs.
+
+    The kernel's distance and power checks run on the slab first
+    (`_require_block`), so its ValueError comes before any power is
+    formed; each BS's received power, `_received` of the peak gain, is
+    formed once per sample; then each set's reduction state is formed
+    from its parent's (`_lit_set_order`) by one step of the kernel's
+    reduction, in BS index order, and decided by `_decide`. The samples
+    go in chunks of `chunk`, so the per-BS powers and the per-depth states
+    are buffers of that size. Returns each BS's least and greatest
+    horizontal distance over the slab (`_h_range`)."""
+    noise = s.radio.noise_w if a.include_noise else 0.0
+    ranges = _require_block(x, z, z.shape, z, positions, beam, s, a, noise,
+                            work)
+    n_bs = len(positions)
+    strongest = a.association is Association.STRONGEST
+    join = (np.maximum if a.interference is InterferenceMode.DOMINANT_ONLY
+            else np.add)
+    order = _lit_set_order(n_bs)
+    for lo in range(0, len(x), chunk):
+        part = slice(lo, lo + chunk)
+        xs, zs, bits = x[part], z[part], out[part]
+        size = len(xs)
+        # the reduction state (serving, interference) of a set of each
+        # size; until the reduction runs, two of them hold the distances
+        state = work.take("table.state", (n_bs + 1, 2, size))
+        (h, z2), r2 = state[1], state[2, 0]
+        np.multiply(zs, zs, out=z2)
+        # each BS's power at the peak gain, formed as the kernel forms it;
+        # the loss's buffer holds each set's SINR after
+        p = work.take("table.p", (n_bs, size))
+        sinr = work.take("pl", (size,))
+        for i, pos in enumerate(positions):
+            np.abs(np.subtract(xs, pos, out=h), out=h)
+            np.add(np.multiply(h, h, out=p[i]), z2, out=r2)
+            p[i].fill(beam._peak)
+            _received(p[i], sinr, h, zs, r2, s, a,
+                      _los_bit(los_states, i, part, work), work)
+        # the empty set's state is all 0
+        state[0].fill(0.0)
+        mask = work.take("mask", (size,), bool)
+        bit = work.take("table.bit", (size,), np.uint16)
+        if not strongest:
+            nearest = _nearest(xs, positions, work)
+            mine = work.take("mine", (size,), bool)
+        bits.fill(0)
+        for lit, depth, i in order:
+            if depth:
+                best, rest = state[depth]
+                np.copyto(state[depth], state[depth - 1])
+                if strongest:
+                    _strongest(best, rest, p[i], join, sinr)
+                else:
+                    # the step zeroes the power it is given where BS i
+                    # serves, so it is given a copy
+                    np.copyto(sinr, p[i])
+                    _nearest_step(best, rest, sinr,
+                                  np.equal(nearest, i, out=mine), join)
+            hit = _decide(*state[depth], noise, s.tau, sinr, mask)
+            bits |= np.multiply(hit, np.uint16(1 << lit), out=bit)
+    return ranges
+
+
+def _lit_sets(x, heights, ranges, beam, positions, work):
+    """The set of BSs that light each sample of a held slab (1-D x and
+    its ascending heights), as a bitmask, bit i for BS i, in a buffer of
+    `work`: bit i is set where the kernel gives BS i the peak gain, on
+    its fully lit core of its window (`_lit_samples`, from its distance
+    range over the slab in `ranges`) and where the lobe test passes on
+    the fringes on either side of it, and clear elsewhere. For the
+    rectangular beam, with at most eight BSs."""
+    lit = work.take("lit", heights.shape, np.uint8)
+    lit.fill(0)
+    for i, (pos, (near, far)) in enumerate(zip(positions, ranges)):
+        cells, core = beam._lit_samples(near, far, heights)
+        n = cells.stop - cells.start
+        if n:
+            h = np.subtract(x[cells], pos, out=work.take("h", (n,)))
+            np.abs(h, out=h)
+            lit[cells] |= beam._mark(
+                h, heights[cells], work.take("lit.bit", (n,), np.uint8),
+                np.uint8(1 << i), work, core)
+    return lit
 
 
 def _column_blocks(xs, zs):

@@ -52,7 +52,10 @@ The kernel passes ``z``, ``r2`` and ``out`` to ``gain`` at the window's
 shape, ``h`` at the window's shape on a slab and as the block-shaped view
 of its row on a grid, and the core as ``core``: the rectangular beam
 fills the peak gain on the core's rows and tests cell by cell only on
-either side of them, and every cell when ``core`` is None.
+either side of them, and every cell when ``core`` is None. The lit sets
+of held samples (`oracle._lit_sets`) take the same steps with a BS's bit
+in place of the peak gain (`RectangularBeam._mark`), so that a sample is
+lit exactly where ``gain`` gives it the peak.
 
 Buffers. Every model method takes an optional ``out``, a float array of
 the broadcast shape that receives the result and is returned, and an
@@ -283,21 +286,32 @@ class RectangularBeam:
         if self._dark:
             out.fill(0.0)
             return out
+        return self._mark(h, z, out, self.peak_gain, work, core)
+
+    def _mark(self, h, z, out, value, work=None, core=None):
+        """`value` where the lobe test of `gain` passes and 0 elsewhere,
+        written to `out` (of any dtype that holds `value`), for a beam
+        that is not dark: `gain` with `value` the peak gain, or a BS's bit
+        of the lit sets of held samples (`oracle._lit_sets`). With `core`,
+        the rows `core` take `value` and only the rows on either side of
+        them are tested."""
         work = _Workspace() if work is None else work
         if core is None:
-            return self._lobe(h, z, out, work)
-        out[core] = self.peak_gain
+            return self._lobe(h, z, out, value, work)
+        out[core] = value
         for fringe in (slice(0, core.start), slice(core.stop, len(out))):
             if fringe.start < fringe.stop:
                 self._lobe(_part(h, fringe), _part(z, fringe), out[fringe],
-                           work)
+                           value, work)
         return out
 
-    def _lobe(self, h, z, out, work):
-        """The lobe test of `gain`, cell by cell, written to `out`."""
-        # the edge products have the shape of h; when that is out's, out
-        # holds them until the gain is written
-        edge = out if out.shape == h.shape else work.take("beam.edge", h.shape)
+    def _lobe(self, h, z, out, value, work):
+        """The lobe test of `gain`, cell by cell: `value` where it passes,
+        written to `out`."""
+        # the edge products have the shape of h; when that is a float
+        # out's, out holds them until the result is written
+        edge = (out if out.shape == h.shape and out.dtype == float
+                else work.take("beam.edge", h.shape))
         inside = work.take("beam.inside", out.shape, bool)
         if self._t_lo is None:
             inside.fill(True)
@@ -307,7 +321,7 @@ class RectangularBeam:
             below = work.take("beam.below", out.shape, bool)
             np.less(z, np.multiply(h, self._t_hi, out=edge), out=below)
             inside &= below
-        return np.multiply(inside, self.peak_gain, out=out)
+        return np.multiply(inside, value, out=out)
 
     def _lit_samples(self, h_near, h_far, z):
         """Points of a block, whose heights `z` ascend along its first

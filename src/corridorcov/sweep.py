@@ -55,9 +55,15 @@ def mc_evaluator(config: McConfig) -> Evaluator:
     The uptilt moves the beam's lobe only, so the samples (positions and,
     in Bernoulli mode, LoS states) are drawn once, into a `SampleSet` the
     evaluator keeps, and every uptilt is evaluated from them on the
-    caller's thread. A scenario that changes the samples (the corridor,
-    the BS positions) draws them anew. Each value equals that of
-    `estimate_outage(s, config)` bit for bit."""
+    caller's thread. Under the rectangular beam, whose gain is 0 or the
+    peak, a sample's coverage is fixed by the set of BSs that light it:
+    with at most four BSs the set holds a table of each sample's decision
+    for each lit set, built at the first uptilt, and every uptilt runs the
+    lobe test and reads the table, with no SINR evaluation. A scenario
+    that changes the samples (the corridor, the BS positions) draws them
+    anew, and one that changes the decision (the threshold, the link
+    budget, the peak gain) builds the table anew. Each value equals that
+    of `estimate_outage(s, config)` bit for bit."""
     work = _Workspace()  # one for every evaluation; calls run one at a time
     samples = SampleSet()
 

@@ -29,6 +29,7 @@ from corridorcov.oracle import (
 from corridorcov.propagation import (
     AirToGroundPathLoss,
     InterferenceMode,
+    LinkBudget,
     _Workspace,
 )
 
@@ -319,11 +320,15 @@ def _bernoulli(**kw):
 # the held-path matrix: free space, air-to-ground in expectation mode, and
 # Bernoulli LoS draws with four and with three base stations; a BS inside
 # the half corridor (so inside some slabs' x range), the cosine beam,
-# nearest association, the sum of the interference, and nine base
-# stations (two LoS bytes a sample). The streamed runs of the models with
-# two draws a sample and STRONGEST association settle most samples from
-# their box map: free space with noise on and off, with a BS inside the
-# corridor, and expectation-mode air-to-ground with either interference.
+# nearest association with either interference, Bernoulli draws with
+# noise off, the sum of the interference, two base stations, and nine
+# (two LoS bytes a sample). The rectangular-beam models with at most four
+# base stations are read from the held set's lit-set table; the cosine
+# beam and nine base stations go through the kernel. The streamed runs of
+# the models with two draws a sample and STRONGEST association settle most
+# samples from their box map: free space with noise on and off, with a BS
+# inside the corridor, and expectation-mode air-to-ground with either
+# interference.
 _HELD_MODELS = {
     "fspl": _DRAW_CONFIGS[2],
     "fspl-quiet": dict(assumptions=OracleAssumptions(include_noise=False)),
@@ -338,9 +343,12 @@ _HELD_MODELS = {
     "bs-inside": _bernoulli(bs_positions=(-1000.0, 250.0, 1000.0, 2000.0)),
     "cosine": dict(assumptions=OracleAssumptions(
         beam=BeamKind.COSINE, pathloss=AirToGroundPathLoss())),
+    "nearest": _bernoulli(association=Association.NEAREST),
     "nearest-sum": _bernoulli(association=Association.NEAREST,
                               interference=InterferenceMode.SUM_ALL),
+    "bernoulli-quiet": _bernoulli(include_noise=False),
     "sum": _bernoulli(interference=InterferenceMode.SUM_ALL),
+    "two-bs": _bernoulli(bs_positions=(0.0, 1000.0)),
     "nine-bs": _bernoulli(bs_positions=tuple(
         1000.0 * i for i in range(-4, 5))),
 }
@@ -365,6 +373,84 @@ def test_held_samples_give_the_streamed_result(n, model):
             held = estimate_outage(s, cfg, samples=samples)
             assert held == estimate_outage(s, cfg)
             assert held.evaluated == n
+
+
+def _counting(monkeypatch, module, name):
+    """Count the calls of `module.name` in the returned list."""
+    calls = []
+    real = getattr(module, name)
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, counting)
+    return calls
+
+
+@pytest.mark.parametrize("model", sorted(_HELD_MODELS))
+def test_a_table_is_built_once_and_read_at_every_uptilt(monkeypatch, model):
+    # a rectangular-beam set of at most four BSs builds its lit-set table
+    # at its first uptilt, one slab at a time, and calls the kernel at no
+    # uptilt; the cosine beam and nine BSs call it for every slab at every
+    # uptilt
+    builds = _counting(monkeypatch, oracle, "_lit_set_table")
+    kernel = _counting(monkeypatch, monte_carlo, "evaluate_sinr")
+    cfg = McConfig(n_samples=3 * HELD_BLOCK + 5, seed=1,
+                   **_HELD_MODELS[model])
+    samples = SampleSet()
+    for tilt in _HELD_TILTS:
+        estimate_outage(reference_scenario(*tilt), cfg, samples=samples)
+    slabs = np.count_nonzero(np.diff(samples._starts))
+    if model in ("cosine", "nine-bs"):
+        assert (len(builds), len(kernel)) == (0, slabs * len(_HELD_TILTS))
+    else:
+        assert (len(builds), len(kernel)) == (slabs, 0)
+
+
+@pytest.mark.parametrize("model", ["a2g-bernoulli-4", "nearest", "fspl"])
+def test_a_table_follows_the_decision_it_was_built_for(model):
+    # one set read at two thresholds, with noise toggled, at another peak
+    # gain, association and interference: each read gives the streamed
+    # result, which a table kept from an earlier read would not
+    cfg = McConfig(n_samples=HELD_BLOCK + 9, seed=4, **_HELD_MODELS[model])
+    a = cfg.assumptions
+    changes = [dict(), dict(tau_db=5.0),
+               dict(include_noise=not a.include_noise), dict(tau_db=5.0),
+               dict(peak_gain_db=10.0),
+               dict(association=Association.NEAREST
+                    if a.association is Association.STRONGEST
+                    else Association.STRONGEST),
+               dict(interference=InterferenceMode.SUM_ALL), dict()]
+    samples = SampleSet()
+    values = set()
+    for change in changes:
+        tau = dict(tau_db=change.pop("tau_db")) if "tau_db" in change else {}
+        m = dataclasses.replace(cfg, assumptions=dataclasses.replace(
+            a, **change))
+        for tilt in [(8.0, 40.0), (25.0, 40.0)]:
+            s = reference_scenario(*tilt, **tau)
+            held = estimate_outage(s, m, samples=samples)
+            assert held == estimate_outage(s, m)
+            values.add(held.p_out)
+    assert len(values) > 8
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_a_failed_table_build_leaves_no_table():
+    # powers past the float range raise the kernel's error at every uptilt
+    # and leave no table; the same set then serves a budget that fits
+    s = reference_scenario(13.0, 40.0)
+    cfg = McConfig(n_samples=1000, **_DRAW_CONFIGS[6])
+    samples = SampleSet()
+    loud = dataclasses.replace(s, radio=LinkBudget(p_tx_dbm=3110.0))
+    for alpha in (8.0, 13.0):
+        with pytest.raises(ValueError, match="received power"):
+            estimate_outage(loud.replace(alpha=math.radians(alpha)), cfg,
+                            samples=samples)
+        assert samples._table is None
+    assert (estimate_outage(s, cfg, samples=samples)
+            == estimate_outage(s, cfg))
 
 
 @pytest.mark.parametrize("model", ["a2g-bernoulli-4", "bs-inside", "nine-bs"])
@@ -543,3 +629,17 @@ def test_unmapped_runs_evaluate_every_sample(config):
     n = BLOCK_POINTS + 3
     s = reference_scenario(13.0, 40.0)
     assert estimate_outage(s, McConfig(n_samples=n, **config)).evaluated == n
+
+
+def test_boxes_that_no_bs_lights_are_outages_with_noise_off():
+    # with noise off, a box whose every BS's upper power bound is 0 has
+    # SINR 0/0, which the kernel reads as 0: an outage, not an open box. At
+    # a lobe of 55 to 95 degrees most boxes are lit by no BS.
+    n = 70_001
+    s = reference_scenario(55.0, 40.0)
+    cfg = McConfig(n_samples=n, assumptions=OracleAssumptions(
+        include_noise=False))
+    streamed = estimate_outage(s, cfg)
+    assert streamed.evaluated < 0.05 * n
+    assert streamed == estimate_outage(s, cfg, samples=SampleSet())
+    assert 0.0 < streamed.p_out < 1.0

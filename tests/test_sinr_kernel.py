@@ -15,7 +15,12 @@ import sinr_reference as ref
 from corridorcov import oracle
 from corridorcov.defaults import reference_scenario
 from corridorcov.heatmap import sinr_field
-from corridorcov.monte_carlo import McConfig, estimate_outage, los_states
+from corridorcov.monte_carlo import (
+    McConfig,
+    SampleSet,
+    estimate_outage,
+    los_states,
+)
 from corridorcov.oracle import (
     Association,
     BeamKind,
@@ -771,8 +776,10 @@ def test_overflowing_powers_raise_on_every_layout():
     # with noise on, the SINR: a power past the float range is a
     # ValueError, not an overflow warning and a wrong SINR (inf / inf
     # reads as 0, an outage). The layouts: streamed points, a slab, and a
-    # column block, windowed and not; and a streamed Monte Carlo call,
-    # whose box map bounds the same powers before the kernel sees a block.
+    # column block, windowed and not; a streamed Monte Carlo call, whose
+    # box map bounds the same powers before the kernel sees a block; and a
+    # held sample set at two uptilts, whose lit-set table runs the
+    # kernel's checks before it forms a power, at every uptilt.
     for s, a, (xs, zs), overflows in POWER_OVERFLOWS:
         points = (np.tile(xs, zs.size), np.repeat(zs, xs.size))
         block = (xs[None, :], zs[:, None])
@@ -785,8 +792,12 @@ def test_overflowing_powers_raise_on_every_layout():
                 assert np.isfinite(val).all() and (val > 0).any()
         if a.bs_positions is None:
             mc = McConfig(n_samples=1000, assumptions=a)
-            if overflows:
-                with pytest.raises(ValueError, match="received power"):
-                    estimate_outage(s, mc)
-            else:
-                assert 0.0 < estimate_outage(s, mc).p_out < 1.0
+            samples = SampleSet()
+            for s_mc, held in [(s, None), (s, samples),
+                               (s.replace(alpha=math.radians(25.0)), samples)]:
+                if overflows:
+                    with pytest.raises(ValueError, match="received power"):
+                        estimate_outage(s_mc, mc, samples=held)
+                else:
+                    r = estimate_outage(s_mc, mc, samples=held)
+                    assert 0.0 < r.p_out < 1.0
