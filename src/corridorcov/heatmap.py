@@ -85,7 +85,7 @@ def sinr_field(s: CorridorScenario, a: OracleAssumptions, nx: int, nz: int,
     for cols, x, z in _column_blocks(_midpoints(x_min, x_max, nx),
                                      _midpoints(z_min, z_max, nz)):
         idx, val = evaluate_sinr(x, z, s, a, work=work, beam=beam,
-                                 positions=positions, slab=True)
+                                 positions=positions)
         db = sinr_db[:, cols]
         with np.errstate(divide="ignore"):
             np.log10(val, out=db)

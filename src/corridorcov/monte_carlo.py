@@ -8,11 +8,10 @@ air-to-ground model, one LoS draw per base station. Free-space loss has
 no LoS state, so Bernoulli and expectation mode draw the same stream with
 it and give the same result.
 
-Each pass over the samples (a streamed call, or either pass of a held
-draw) opens one generator and reads it block after block through one
-reader, `_draws`; numpy hands out a generator's doubles in order however
-many each read takes, so the blocks' draws are the stream's, whatever the
-block size. `_samples` scales x and z to the half corridor and in
+Each pass over the samples (a streamed call, or a held draw) opens one
+generator and reads it block after block through one reader, `_draws`;
+numpy hands out a generator's doubles in order however many each read
+takes, so the blocks' draws are the stream's, whatever the block size. `_samples` scales x and z to the half corridor and in
 Bernoulli mode turns each link's uniform u into its LoS state,
 u < p_los(|x - x_BS|, z) (`los_states`, the package's one LoS test). The
 states are bits, one byte a sample with bit i the state of BS i
@@ -36,33 +35,29 @@ bit:
   `sweep` and `optimize`, which evaluates one sample set at many
   uptilts): the samples are drawn once into the set, which keeps x and z
   as floats and, in Bernoulli mode, the LoS bytes: 17 B a sample with
-  four base stations. The set holds them in K = ceil(n / HELD_BLOCK)
-  slabs of x, the samples whose x draw u has min(floor(u * K), K - 1) = j
-  in slab j, each slab sorted by z. The draw reads the stream twice, from
-  its start, in blocks of DRAW_BLOCK (`_draw_slabs`): the first pass
-  counts the samples of each slab, the second writes each sample straight
-  to its slab's next free place; then each slab is sorted (`_z_order`).
-  So no permutation of the whole set and no second copy of it exist at
-  any time. Every uptilt is then evaluated slab by slab, in the caller's
-  thread, where the kernel evaluates each base station on the samples
-  its lobe can reach only (`evaluate_sinr(..., slab=True)`): x bounds
-  the slab's distances to the BS, and its lit window is a run of the
-  sorted heights. The set draws again only when the sample key changes:
-  (seed, sample count, draws per sample, d1, h1, h2, the resolved BS
-  positions, the path-loss model). The uptilt, beamwidth, threshold, link
-  budget, beam, association, interference and noise take no part in the
-  draws.
+  four base stations. The draw reads the stream once, from its start, in
+  blocks of DRAW_BLOCK, and copies each block's samples to their places
+  in the stream, so the set holds them in stream order; it keeps the
+  least and greatest x and z of the set too. Every uptilt is then
+  evaluated in blocks of `oracle.BLOCK_POINTS`, in the caller's thread,
+  each handed to the kernel as a streamed block is, with no box map. The
+  set draws again only when the sample key changes: (seed, sample count,
+  draws per sample, d1, h1, h2, the resolved BS positions, the path-loss
+  model). The uptilt, beamwidth, threshold, link budget, beam,
+  association, interference and noise take no part in the draws.
 
 The lit-set table. Under the rectangular beam with at most four base
 stations (_TABLE_BS), a held set decides each sample once per set of lit
 BSs instead of once per uptilt (see `oracle`, "Lit-set tables"): at the
 first uptilt it builds one 16-bit word a sample (2 B a sample, beside
 the 17 B of its draws), whose bit L is the kernel's coverage decision
-when exactly the BSs in bitmask L are lit at the peak gain, slab by slab
-(`oracle._lit_set_table`, after the kernel's checks of the slab) and in
-chunks of DRAW_BLOCK samples. Each uptilt then finds each sample's lit
-set by the beam's own window search and lobe test (`oracle._lit_sets`)
-and counts the set bits, with no kernel call. The table depends on the
+when exactly the BSs in bitmask L are lit at the peak gain, over the
+whole set (`oracle._lit_set_table`, after the kernel's checks of the
+set) in chunks of DRAW_BLOCK samples. Each uptilt then finds each
+sample's lit set (`oracle._lit_sets`): a BS that lights every sample of
+the set, or none, by one gain bound over the set's extent, takes its bit
+with no test, and every other BS runs the lobe test on every sample; it
+counts the set bits, with no kernel call. The table depends on the
 sample key, tau, the link budget, the resolved peak gain, the
 association, the interference and the noise, and is built again from the
 held samples when any of them changes; a build that raises leaves none.
@@ -70,8 +65,9 @@ The cosine beam, and layouts of more than four BSs, are evaluated by the
 kernel at every uptilt.
 
 Each call resolves the beam and the BS positions once and hands them to
-the kernel for every block. Within a block, a base station whose lobe
-reaches none of the block's samples is skipped (see `oracle`). The
+the kernel for every block. Within a block, a base station that can
+light no sample of it, by one gain bound over the block's extent, is
+skipped before its gain is formed (see `oracle`). The
 kernel is given tau and returns its coverage mask, ``SINR >= tau``, and
 the block's outages are the mask's misses. The LoS states are formed for
 every base station, lit or not, since a held set serves every uptilt.
@@ -112,14 +108,8 @@ from . import oracle
 from .oracle import OracleAssumptions, evaluate_sinr
 from .propagation import AirToGroundPathLoss, RectangularBeam, _Workspace
 
-# Samples, on average, per slab of a held sample set (`SampleSet`). The
-# kernel's temporaries grow with it, on top of the held samples; they are
-# sized once for the largest slab (`_Workspace.reserve`), since a slab's
-# windows come in many sizes.
-HELD_BLOCK = 1 << 14
-# Samples per block of a held set's draw. The draw's buffers grow with it,
-# on top of the held samples, which are all written by the draw's last
-# block.
+# Samples per block of a held set's draw, and per chunk of its lit-set
+# table's build. Their buffers grow with it, on top of the held samples.
 DRAW_BLOCK = 1 << 13
 # Boxes a side of the streamed sampler's map (`_box_map`), a power of two
 # so that a sample's box, read from its uniforms, is exact; and the box
@@ -290,81 +280,18 @@ def _boxes_of(u, box_map, w):
     return covered.view(bool), np.bitwise_and(bits, 1, out=bits).view(bool)
 
 
-def _slab_index(u_x, k, w):
-    """The x-slab of each sample of a held set of `k` slabs,
-    min(floor(u_x * k), k - 1) from its uniform x draw `u_x`, in a buffer
-    of `w`. Below 2**16 slabs the indices are 16-bit, which numpy sorts
-    by radix."""
-    slab = w.take("slab", u_x.shape, np.uint16 if k < 1 << 16 else np.intp)
-    # u_x * k lies in [0, k], and the cast to an integer rounds toward
-    # zero, which is floor
-    np.multiply(u_x, k, out=slab, casting="unsafe")
-    return np.minimum(slab, k - 1, out=slab)
-
-
-def _z_order(z):
-    """The order that sorts the heights `z`, all positive, by a stable
-    radix sort of their bits, 16 at a time from the lowest: positive
-    floats order as their bit patterns do. The 16-bit sort is the one the
-    slab indices use, where a float sort would map another 256 KiB of
-    numpy's code into the process, which its peak RSS counts."""
-    digits = z.astype("<f8", copy=False).view("<u2").reshape(-1, 4)
-    order = np.argsort(digits[:, 0], kind="stable")
-    for d in (1, 2, 3):
-        order = order[np.argsort(digits[order, d], kind="stable")]
-    return order
-
-
-def _draw_slabs(s: CorridorScenario, m: McConfig, dps, positions):
-    """x, z, the LoS bytes (None with two draws per sample) and the slab
-    starts of the samples of (s, m), in K = ceil(n / HELD_BLOCK) slabs of
-    x; slab j holds samples [starts[j], starts[j + 1]) in no set order.
-    The samples are drawn twice, in blocks of DRAW_BLOCK: the first pass
-    counts the samples of each slab, the second writes each one to its
-    slab's next free place. The draws' buffers are freed on return."""
-    n = m.n_samples
-    k = -(-n // HELD_BLOCK)
-    work = _Workspace()
-    starts = np.zeros(k + 1, np.intp)
-    for u in _draws(m, dps, DRAW_BLOCK, work):
-        starts[1:] += np.bincount(_slab_index(u[:, 0], k, work), minlength=k)
-    np.cumsum(starts, out=starts)
-    x, z = np.empty(n), np.empty(n)
-    los = np.empty((-(-(dps - 2) // 8), n), np.uint8) if dps > 2 else None
-    free = starts[:-1].copy()   # the next free place of each slab
-    for u in _draws(m, dps, DRAW_BLOCK, work):
-        slab = _slab_index(u[:, 0], k, work)
-        d_x, h_x, drawn = _samples(s, m, u, work, positions)
-        counts = np.bincount(slab, minlength=k)
-        # in slab order, the block's p-th sample is the (p - first[j])-th
-        # of its slab j, and goes to free[j] plus that
-        first = np.cumsum(counts) - counts
-        places = np.repeat(free - first, counts)
-        places += np.arange(len(u))
-        dest = work.take("dest", slab.shape, np.intp)
-        dest[np.argsort(slab, kind="stable")] = places
-        x[dest] = d_x
-        z[dest] = h_x
-        if los is not None:
-            for row, bits in zip(los, drawn):
-                row[dest] = bits
-        free += counts
-    return x, z, los, starts
-
-
 class SampleSet:
     """The samples of one Monte Carlo config, held to be evaluated at many
     uptilts. `estimate_outage` draws them into it when its sample key
-    changes: x and z as floats and, in Bernoulli mode, the LoS states as
-    one byte a sample with a bit per BS (17 B a sample with up to eight
-    base stations), in K = ceil(n / HELD_BLOCK) slabs of x, each sorted by
-    z; under the rectangular beam with at most four BSs, it builds their
-    lit-set table too (see the module notes)."""
+    changes, in the order of the random stream: x and z as floats and, in
+    Bernoulli mode, the LoS states as one byte a sample with a bit per BS
+    (17 B a sample with up to eight base stations), and the extent of x
+    and z; under the rectangular beam with at most four BSs, it builds
+    their lit-set table too (see the module notes)."""
 
     def __init__(self):
-        self._key = None
-        self._x = self._z = self._los = self._starts = self._largest = None
-        self._table_key = self._table = self._ranges = None
+        self._key = self._x = self._z = self._los = self._extent = None
+        self._table_key = self._table = None
 
     def _draw(self, s: CorridorScenario, m: McConfig, dps, positions):
         """Draw the samples of (s, m) unless they are held already."""
@@ -374,30 +301,30 @@ class SampleSet:
         if key == self._key:
             return
         # one set at a time, and none after a draw that fails
-        self._key = self._x = self._z = self._los = self._starts = None
-        self._table_key = self._table = self._ranges = None
-        x, z, los, starts = _draw_slabs(s, m, dps, positions)
-        # then each slab is sorted by z, which moves its x and LoS bytes
-        largest = int((starts[1:] - starts[:-1]).max())
-        buf = np.empty(largest)
-        for lo, hi in zip(starts[:-1], starts[1:]):
-            order = _z_order(z[lo:hi])
-            for held in (x, z) if los is None else (x, z, *los):
-                part = buf.view(held.dtype)[:hi - lo]
-                # indices in range: "clip" writes to `part` unbuffered
-                np.take(held[lo:hi], order, out=part, mode="clip")
-                held[lo:hi] = part
+        self._key = self._x = self._z = self._los = self._extent = None
+        self._table_key = self._table = None
+        n = m.n_samples
+        x, z = np.empty(n), np.empty(n)
+        los = np.empty((-(-(dps - 2) // 8), n), np.uint8) if dps > 2 else None
+        work = _Workspace()
+        for lo, u in zip(range(0, n, DRAW_BLOCK),
+                         _draws(m, dps, DRAW_BLOCK, work)):
+            part = slice(lo, lo + len(u))
+            x[part], z[part], drawn = _samples(s, m, u, work, positions)
+            if los is not None:
+                los[:, part] = drawn
         self._key, self._x, self._z, self._los = key, x, z, los
-        self._starts, self._largest = starts, largest
+        self._extent = (float(x.min()), float(x.max()), float(z.min()),
+                        float(z.max()))
 
-    def _slabs(self):
-        """The samples of each non-empty slab, as a slice of the set, and
-        their x, z and LoS bytes (or None)."""
-        los = self._los
-        for lo, hi in zip(self._starts[:-1], self._starts[1:]):
-            if lo < hi:
-                yield (slice(lo, hi), self._x[lo:hi], self._z[lo:hi],
-                       None if los is None else los[:, lo:hi])
+    def _blocks(self):
+        """x, z and the LoS bytes (or None) of each block of
+        oracle.BLOCK_POINTS held samples in turn."""
+        size = oracle.BLOCK_POINTS
+        for lo in range(0, len(self._x), size):
+            part = slice(lo, lo + size)
+            yield (self._x[part], self._z[part],
+                   None if self._los is None else self._los[:, part])
 
     def _tabulate(self, s: CorridorScenario, a: OracleAssumptions, beam,
                   positions):
@@ -410,21 +337,19 @@ class SampleSet:
         if key == self._table_key:
             return
         # none after a build that fails
-        self._table_key = self._table = self._ranges = None
+        self._table_key = self._table = None
         table = np.empty(len(self._x), np.uint16)
-        work = _Workspace()
-        ranges = [oracle._lit_set_table(x, z, los, s, a, beam, positions,
-                                        table[part], work, DRAW_BLOCK)
-                  for part, x, z, los in self._slabs()]
-        self._table_key, self._table, self._ranges = key, table, ranges
+        oracle._lit_set_table(self._x, self._z, self._los, s, a, beam,
+                              positions, table, _Workspace(), DRAW_BLOCK)
+        self._table_key, self._table = key, table
 
     def _hits(self, beam, positions, work):
         """The number of held samples covered at the beam's tilt: each
         sample's bit of the table at the set of BSs that light it
         (`oracle._lit_sets`)."""
         hits = 0
-        for (part, x, z, _), ranges in zip(self._slabs(), self._ranges):
-            lit = oracle._lit_sets(x, z, ranges, beam, positions, work)
+        for part, lit in oracle._lit_sets(self._x, self._z, self._extent,
+                                          beam, positions, work):
             covered = np.right_shift(
                 self._table[part], lit,
                 out=work.take("covered", lit.shape, np.uint16))
@@ -440,8 +365,8 @@ def estimate_outage(s: CorridorScenario, m: McConfig, work=None,
     `_Workspace` to reuse across calls; a new one when None. Without
     `samples` each block of BLOCK_POINTS samples draws them as it is
     evaluated; with a `SampleSet`, the samples are drawn into it unless it
-    holds them already, and evaluated slab by slab, or read from its
-    lit-set table. Either way the blocks run one after another in the
+    holds them already, and evaluated in blocks of BLOCK_POINTS, or read
+    from its lit-set table. Either way the blocks run one after another in the
     caller's thread, and the result is the same bit for bit."""
     a = m.assumptions
     positions = a.resolve_positions(s)
@@ -457,18 +382,15 @@ def estimate_outage(s: CorridorScenario, m: McConfig, work=None,
                   for u in _draws(m, dps, oracle.BLOCK_POINTS, work))
     else:
         samples._draw(s, m, dps, positions)
-        # every window fits the largest slab
-        work.reserve(samples._largest)
         if (isinstance(beam, RectangularBeam)
                 and len(positions) <= _TABLE_BS):
             samples._tabulate(s, a, beam, positions)
             return _result(n - samples._hits(beam, positions, work), m, n)
-        blocks = ((*slab, None) for _, *slab in samples._slabs())
+        blocks = ((*held, None) for held in samples._blocks())
     missed = evaluated = 0
     for x, z, los, boxes in blocks:
         _, hit = evaluate_sinr(x, z, s, a, los_states=los, work=work,
-                               beam=beam, positions=positions,
-                               slab=samples is not None, tau=s.tau,
+                               beam=beam, positions=positions, tau=s.tau,
                                boxes=boxes)
         missed += hit.size - int(np.count_nonzero(hit))
         evaluated += (hit.size if boxes is None

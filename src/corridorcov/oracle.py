@@ -26,13 +26,13 @@ coverage decision, and forms no serving index: the quadrature and the
 sampler count the mask, and only the heatmap, which passes no ``tau``,
 gets the serving index.
 
-Point layouts. The kernel takes two: slabs (``slab=True``), whose
-heights ascend along their first axis, and streamed samples, any other
-points. A slab is a slab of held Monte Carlo samples (1-D samples sorted
-by height, see `monte_carlo.SampleSet`) or a grid block of whole columns,
-whose rows are the grid's heights (below). Each BS goes through the same
-steps on both, on a slab's lit window (below), and on streamed samples on
-every point.
+Point layouts. The kernel takes two, and tells them apart by their
+shapes: grid blocks, whose x is one row and z one column of ascending
+heights once cut back to them (`propagation._compact`), the form that
+`_column_blocks` yields; and streamed samples, any other points (the
+Monte Carlo samples, streamed or held). A grid block whose heights do not
+ascend is a ValueError. Each BS goes through the same steps on both, on a
+grid block's lit window (below), and on streamed samples on every point.
 
 Broadcast grid. x and z broadcast against each other, and the results take
 their broadcast shape. A grid loop passes a grid's block of columns as
@@ -48,23 +48,28 @@ and loss points in window cells.
 
 Lit windows and dark base stations. A BS adds power only where its lobe
 reaches, and a zero power changes no step of any reduction (the strongest
-pair, the sum, the nearest BS's power). On a slab the beam names, for
-each BS, a window outside of which no point can be lit and inside it, for
-the rectangular beam, a fully lit core where every point is lit (or
-None). Both are runs of the first axis, found by one search of the
-ascending heights for the edge products at the BS's least and greatest
-distance (`_lit_samples`), which the slab's extreme x bound, to
-``[0, far]`` when the BS lies inside them. The cosine beam's window is
-the whole slab, with no core, and on streamed samples every window is the
-whole block. ``r2 = h*h + z2[window]``, the gain, the path loss (and the
-link's LoS bit) and the power are then formed in buffers of the window's
-own shape (its rows by a grid block's columns), so each of their passes
-runs over contiguous memory. Only the running serving and interference
-state stays block-wide; the reduction updates it through a view of the
-window's rows. ``gain`` fills the peak gain on the core with no test per
-cell and tests the rows on either side of it. A BS whose window is
-empty, or whose gain is zero at every point of a window with no core, is
-skipped after its gain (on held samples, an empty window before it).
+pair, the sum, the nearest BS's power). On a grid block the beam names,
+for each BS, a window outside of which no point can be lit and inside it,
+for the rectangular beam, a fully lit core where every point is lit (or
+None). Both are runs of the rows, found by one search of the ascending
+heights for the edge products at the BS's least and greatest distance
+(`_lit_samples`), which the block's extreme x bound, to ``[0, far]``
+when the BS lies inside them. The cosine beam's window is the whole
+block, with no core. ``r2 = h*h + z2[window]``, the gain, the path loss
+(and the link's LoS bit) and the power are then formed in buffers of the
+window's own shape (its rows by the block's columns), so each of their
+passes runs over contiguous memory. Only the running serving and
+interference state stays block-wide; the reduction updates it through a
+view of the window's rows. ``gain`` fills the peak gain on the core with
+no test per cell and tests the rows on either side of it. On streamed
+samples every window is the whole block, and a BS that can light no
+sample is skipped before its ``h`` is formed: one gain bound over the
+block's extent, vectorised over the BSs (`_box_gain`, from each BS's
+distance range and the block's least and greatest height, which the
+distance check reads), is 0 for it. A search of the two extreme heights
+would not do, since a lobe can lie wholly between them. A BS whose window
+is empty, or whose gain is zero at every point of a window with no core,
+is skipped after its gain.
 
 Distances. The path-loss models need a positive distance and a finite
 loss at every point of every BS, lit or not, and the kernel checks that
@@ -105,8 +110,8 @@ monotone), so the bounds hold for the kernel's rounded values:
   its fully lit core, and [0, peak] on the rest. A map box tests its
   corners' heights against the same edge products at its least and
   greatest ``h`` (`_box_gain`), since a lobe can lie wholly inside one
-  box, where the window search of its samples would find it empty. The
-  cosine beam has no core, so its tiles and boxes get [0, peak];
+  box. The cosine beam has no core, so its tiles and boxes get
+  [0, peak];
 - loss: the free-space loss at the ``r2`` bounds times the model's
   `_least` and `_excess` bounds on its excess loss
   (`propagation._loss_range`, which the distance check calls too): exact
@@ -135,8 +140,8 @@ which move it by less than 1e-14 relatively, five orders of magnitude
 below the margin.
 
 On a grid block the rows of the unsettled tiles, one boolean per row, are
-gathered into one sub-column of ascending heights, still a slab, on which
-each BS's lit window is searched again (`_lit_samples`), and the links'
+gathered into one sub-column of ascending heights, on which each BS's
+lit window is searched again (`_lit_samples`), and the links'
 LoS states, if any, are cut to the same rows. That gives the full
 column's window cut to the kept rows: the kept rows at or below an edge
 product are the rows at or below it, counted among the kept ones. At
@@ -149,10 +154,9 @@ boxes' values, a ``(covered, open)`` pair with one boolean per sample
 (``boxes``), and the kernel cuts x, z and the LoS states to the open
 samples, after the block's distance and power checks. Either way the
 mask takes each settled tile's or box's value, and ``SINR >= tau`` on
-the evaluated rows or samples. Held slabs are not bounded: a slab is
-1-D, one sample per height, so a tile of its rows would span the slab's
-whole x range, and a held set keeps no uniforms to read a sample's box
-from. Under the rectangular beam they need no bound (below).
+the evaluated rows or samples. Held samples are not bounded: a held set
+keeps no uniforms to read a sample's box from, and under the rectangular
+beam it needs no bound (below).
 
 Lit-set tables. Under the rectangular beam a link's gain is exactly 0 or
 the peak gain, and only the lobe moves with the uptilt. Once the set L
@@ -171,16 +175,22 @@ steps (`_strongest`, `_nearest_step`) and the decision (`_decide`). Each
 set's (serving, interference) state is its parent's, the set without its
 highest BS, stepped by that BS, so the sets are formed depth first with
 one state per depth, in chunks of samples. A sample's lit set is what the
-kernel's gain gives it: bit i is set on BS i's fully lit core of its
-window (`_lit_samples`, from the slab's distance range) and where the
-lobe test passes on the fringes on either side (`RectangularBeam._mark`,
-the one lobe test), and is clear elsewhere. The checks read the samples,
-the link budget, the path loss, the positions, the peak gain and the
-noise, none of which moves with the uptilt, so checking once, before the
-build forms any power, raises the kernel's ValueError at every uptilt: a
-build that raises leaves no table, and the next uptilt builds again. The
-cosine beam, whose gain is continuous, and layouts of more than four BSs
-(more than 16 lit sets) go through the kernel slab by slab.
+kernel's gain gives it: bit i is set where the lobe test passes
+(`RectangularBeam._mark`, the one lobe test), and is clear elsewhere.
+Each uptilt first bounds each BS's gain over the whole set, from the
+set's least and greatest x and z (`_box_gain`, as for a map box): a BS
+whose bound is the peak everywhere lights every sample and sets its bit,
+and one whose bound is 0 lights none and leaves it clear, with no test;
+only the others run the lobe test, on every sample. The checks read the
+samples, the link budget, the path loss, the positions, the peak gain
+and the noise, none of which moves with the uptilt, so checking once,
+over the whole set and before the build forms any power, raises the
+kernel's ValueError at every uptilt: a build that raises leaves no
+table, and the next uptilt builds again. The checks take the set's
+least and greatest height by min and max, since a set in stream order
+holds them anywhere. The cosine beam, whose gain is continuous, and
+layouts of more than four BSs (more than 16 lit sets) go through the
+kernel block by block.
 
 Blocks and workspaces. Every evaluator walks its blocks with a plain
 ``for`` loop over a generator, one after another in the caller's thread,
@@ -190,8 +200,9 @@ blocks of whole columns from `_column_blocks`, which yields each block's
 columns and its broadcast (x, z); the streamed Monte Carlo sampler's
 samples come in runs of BLOCK_POINTS from the reader of its random
 stream (`monte_carlo._draws`); samples that the Monte Carlo evaluator of
-sweeps holds across uptilts come slab by slab (`monte_carlo.SampleSet`),
-to the kernel or, under the rectangular beam, to their lit-set table.
+sweeps holds across uptilts come in the same runs
+(`monte_carlo.SampleSet`), to the kernel or, under the rectangular beam,
+to their lit sets.
 Each field and Monte Carlo call resolves the beam and the BS positions
 once and passes them to the kernel for every block. The quadrature leaves
 that to the kernel, once per block: 4 x 63 = 252 times in a `validate`
@@ -217,9 +228,7 @@ block.) Callers that evaluate many uptilts (the sweep evaluators,
 `validate`) pass one workspace to every quadrature and Monte Carlo call.
 The serving indices and SINR that `evaluate_sinr` returns are views into
 the workspace it was given, valid until the next call that is given the
-same one. The held Monte Carlo path reserves every buffer of its
-workspace at its largest slab (`_Workspace.reserve`), since slabs and
-windows come in many sizes.
+same one.
 
 Decision identity. Against the direct evaluation with ``hypot``,
 ``arctan2``, an argmax and a masked copy, the kernel's arithmetic differs
@@ -261,7 +270,6 @@ from .propagation import (
     PathLossModel,
     RectangularBeam,
     _compact,
-    _part,
     _loss_range,
     _require_distance,
     _Workspace,
@@ -492,19 +500,16 @@ def _decide(p_serv, other, noise, tau, out, mask):
     return out if tau is None else np.greater_equal(out, tau, out=mask)
 
 
-def _require_block(x, z, shape, heights, positions, beam, s, a, noise, work):
+def _require_block(x, z, shape, positions, beam, s, a, noise, work):
     """The kernel's distance and power checks of the block of points
     (x, z), of broadcast shape `shape`, before it forms any power (see the
     module notes, "Distances"): raise the path-loss models' ValueError
     unless every BS's squared distances are positive with a finite loss
     and its powers, their sum and their SINR over `noise` are finite.
-    `heights` are a slab's ascending heights, or None. Returns each BS's
-    least and greatest horizontal distance over the block (`_h_range`)."""
+    Returns each BS's least and greatest horizontal distance over the
+    block (`_h_range`), and the block's least and greatest height."""
     x_lo, x_hi = float(x.min()), float(x.max())
-    if heights is not None:
-        z_lo, z_hi = float(heights[0]), float(heights[-1])
-    else:
-        z_lo, z_hi = float(z.min()), float(z.max())
+    z_lo, z_hi = float(z.min()), float(z.max())
     # the least z**2 (at an end, or 0 if z changes sign) and the greatest
     z2_least = (min(z_lo * z_lo, z_hi * z_hi) if z_lo >= 0 or z_hi <= 0
                 else 0.0)
@@ -524,13 +529,13 @@ def _require_block(x, z, shape, heights, positions, beam, s, a, noise, work):
             least = r2.min()
         _require_distance(least, most, s.radio.wavelength_m, a.pathloss,
                           p_all, noise)
-    return ranges
+    return ranges, z_lo, z_hi
 
 
 def evaluate_sinr(x, z, s: CorridorScenario, a: OracleAssumptions,
                   los_states=None, work=None,
                   beam: BeamPattern | None = None,
-                  positions: tuple[float, ...] | None = None, slab=False,
+                  positions: tuple[float, ...] | None = None,
                   tau: float | None = None, boxes=None):
     """Serving index and linear SINR at points (x, z), in the shape that x
     and z broadcast to.
@@ -547,18 +552,19 @@ def evaluate_sinr(x, z, s: CorridorScenario, a: OracleAssumptions,
 
     `beam` and `positions` are what `a.resolve_beam(s)` and
     `a.resolve_positions(s)` give, formed here when None; a caller that
-    evaluates many blocks of one scenario forms them once. With `slab`,
-    the heights ascend along the first axis: x and z are 1-D samples
-    sorted by z (a slab of a `monte_carlo.SampleSet`), or a grid block's
-    row of x and column of z (`_column_blocks`), and each BS is evaluated
-    on the samples or rows its lobe can reach only (`_lit_samples`).
-    Without it, each BS is evaluated on every point.
+    evaluates many blocks of one scenario forms them once. A grid block,
+    whose x is one row and z one column once broadcast axes are cut back
+    (a row of x and a column of z, or their `np.broadcast_to` views, as
+    `_column_blocks` yields them), has its BSs evaluated on the rows
+    their lobes can reach only (`_lit_samples`); its heights must ascend,
+    else a ValueError. Any other points are evaluated point by point,
+    skipping each BS whose lobe can reach none of them.
 
     With `tau` (linear) the second result is the coverage mask
     ``SINR >= tau`` in place of the SINR, and None stands in place of the
     serving index: the serving index is formed exactly when `tau` is
-    None. Under STRONGEST association, on a grid block that is a slab,
-    tiles of _TILE_ROWS rows whose SINR bounds clear tau are settled
+    None. Under STRONGEST association, on a grid block, tiles of
+    _TILE_ROWS rows whose SINR bounds clear tau are settled
     without evaluating their cells. Streamed samples may come with
     `boxes`, the values of their boxes in the Monte Carlo sampler's SINR
     box map (`monte_carlo._box_map`): a pair of booleans per sample,
@@ -585,23 +591,30 @@ def evaluate_sinr(x, z, s: CorridorScenario, a: OracleAssumptions,
     noise = s.radio.noise_w if a.include_noise else 0.0
     strongest = a.association is Association.STRONGEST
     dominant = a.interference is InterferenceMode.DOMINANT_ONLY
-    # a grid block: x is one row, the same in every row of the block
-    grid = x.ndim == 2
-    # a slab's heights ascend: a held slab's samples, or a grid block's
-    # column
-    heights = z.reshape(len(z)) if slab else None
-    ranges = _require_block(x, z, shape, heights, positions, beam, s, a,
-                            noise, work)
+    # a grid block: x is one row, the same in every row of the block, and
+    # z one column, its heights
+    grid = x.ndim == z.ndim == 2 and x.shape[0] == z.shape[1] == 1
+    if grid:
+        heights = z.reshape(len(z))
+        if not (heights[1:] >= heights[:-1]).all():
+            raise ValueError("a grid block's heights must ascend")
+    ranges, z_lo, z_hi = _require_block(x, z, shape, positions, beam, s, a,
+                                        noise, work)
     # every buffer below is sized for the block, and taken at the shape of
     # a window or of the unsettled rows from its head
     for name in ("r2", "p", "pl", "p_serv", "other"):
         work.take(name, shape)
     work.take("mask", shape, bool)
-    # cells: the window, rows of the block-wide arrays; _part(a, cells) is
-    # the window in an array with the shape of x (a grid's row holds all);
-    # core: its fully lit rows, or None
-    lit = ([beam._lit_samples(near, far, heights) for near, far in ranges]
-           if slab else [(Ellipsis, None)] * len(positions))
+    # cells: the window, rows of the block-wide arrays (x, a grid's row,
+    # holds all of it), or None for a BS that can light no point of the
+    # block; core: its fully lit rows, or None
+    if grid:
+        lit = [beam._lit_samples(near, far, heights) for near, far in ranges]
+    else:
+        # one bound over the block's extent for every BS: a lobe can lie
+        # wholly between its least and greatest height
+        _, reach = beam._box_gain(*np.array(ranges).T, z_lo, z_hi)
+        lit = [(Ellipsis if g > 0 else None, None) for g in reach]
     block, keep = shape, None
     if boxes is not None:
         # evaluate the samples of open boxes only, with their LoS states
@@ -610,12 +623,12 @@ def evaluate_sinr(x, z, s: CorridorScenario, a: OracleAssumptions,
         if los_states is not None:
             los_states = los_states[:, keep]
         shape = x.shape
-    elif tau is not None and slab and grid and strongest:
+    elif tau is not None and grid and strongest:
         covered, settled = _settle(heights, ranges, lit, beam, s, a, noise,
                                    tau)
         if settled.any():
             # evaluate the rows of the unsettled tiles only: one ascending
-            # sub-column, still a slab, with their LoS states
+            # sub-column, with their LoS states
             covered = np.repeat(covered, _TILE_ROWS)[:block[0], None]
             keep = np.repeat(~settled, _TILE_ROWS)[:len(heights)]
             heights = heights[keep]
@@ -643,14 +656,13 @@ def evaluate_sinr(x, z, s: CorridorScenario, a: OracleAssumptions,
         serving.fill(0)
     window = shape
     for i, (pos, (cells, core)) in enumerate(zip(positions, lit)):
-        if slab:
-            window = (cells.stop - cells.start, *shape[1:])
+        if cells is None:
+            continue
+        if grid:
             # a grid's gain is called on an empty window too: the
             # benchmark's tracer counts its points in block cells
-            if not (window[0] or grid):
-                continue
-        xw = _part(x, cells)
-        h = np.subtract(xw, pos, out=work.take("h", xw.shape))
+            window = (cells.stop - cells.start, shape[1])
+        h = np.subtract(x, pos, out=work.take("h", x.shape))
         np.abs(h, out=h)
         # h*h has h's shape and borrows the head of p
         hh = np.multiply(h, h, out=work.take("p", h.shape))
@@ -681,8 +693,8 @@ def evaluate_sinr(x, z, s: CorridorScenario, a: OracleAssumptions,
                 np.maximum(serving[cells], won, out=serving[cells])
             _strongest(best, rest, p, join, pl)
         else:
-            _nearest_step(best, rest, p, np.equal(
-                _part(nearest, cells), i, out=_part(mine, cells)), join)
+            _nearest_step(best, rest, p, np.equal(nearest, i, out=mine),
+                          join)
 
     # the SINR (in other's buffer), or given tau the coverage mask
     result = _decide(p_serv, other, noise, tau, other, mask)
@@ -720,25 +732,22 @@ def _lit_set_order(n_bs):
 
 def _lit_set_table(x, z, los_states, s, a, beam, positions, out, work,
                    chunk):
-    """The kernel's coverage decision at each sample of a held slab (1-D
-    x and z, the heights ascending) for every set L of lit BSs, into
-    `out`: bit L of the sample's 16-bit word is ``SINR >= tau`` when the
-    BSs in bitmask L are lit at the beam's peak gain and the others
-    dark. For the rectangular beam (see the module notes, "Lit-set
-    tables"), with at most four BSs.
+    """The kernel's coverage decision at each sample of a held set (1-D x
+    and z) for every set L of lit BSs, into `out`: bit L of the sample's
+    16-bit word is ``SINR >= tau`` when the BSs in bitmask L are lit at
+    the beam's peak gain and the others dark. For the rectangular beam
+    (see the module notes, "Lit-set tables"), with at most four BSs.
 
-    The kernel's distance and power checks run on the slab first
+    The kernel's distance and power checks run on the whole set first
     (`_require_block`), so its ValueError comes before any power is
     formed; each BS's received power, `_received` of the peak gain, is
     formed once per sample; then each set's reduction state is formed
     from its parent's (`_lit_set_order`) by one step of the kernel's
     reduction, in BS index order, and decided by `_decide`. The samples
     go in chunks of `chunk`, so the per-BS powers and the per-depth states
-    are buffers of that size. Returns each BS's least and greatest
-    horizontal distance over the slab (`_h_range`)."""
+    are buffers of that size."""
     noise = s.radio.noise_w if a.include_noise else 0.0
-    ranges = _require_block(x, z, z.shape, z, positions, beam, s, a, noise,
-                            work)
+    _require_block(x, z, z.shape, positions, beam, s, a, noise, work)
     n_bs = len(positions)
     strongest = a.association is Association.STRONGEST
     join = (np.maximum if a.interference is InterferenceMode.DOMINANT_ONLY
@@ -785,29 +794,38 @@ def _lit_set_table(x, z, los_states, s, a, beam, positions, out, work,
                                   np.equal(nearest, i, out=mine), join)
             hit = _decide(*state[depth], noise, s.tau, sinr, mask)
             bits |= np.multiply(hit, np.uint16(1 << lit), out=bit)
-    return ranges
 
 
-def _lit_sets(x, heights, ranges, beam, positions, work):
-    """The set of BSs that light each sample of a held slab (1-D x and
-    its ascending heights), as a bitmask, bit i for BS i, in a buffer of
-    `work`: bit i is set where the kernel gives BS i the peak gain, on
-    its fully lit core of its window (`_lit_samples`, from its distance
-    range over the slab in `ranges`) and where the lobe test passes on
-    the fringes on either side of it, and clear elsewhere. For the
-    rectangular beam, with at most eight BSs."""
-    lit = work.take("lit", heights.shape, np.uint8)
-    lit.fill(0)
-    for i, (pos, (near, far)) in enumerate(zip(positions, ranges)):
-        cells, core = beam._lit_samples(near, far, heights)
-        n = cells.stop - cells.start
-        if n:
-            h = np.subtract(x[cells], pos, out=work.take("h", (n,)))
+def _lit_sets(x, z, extent, beam, positions, work):
+    """The set of BSs that light each sample of a held set (1-D x and z,
+    whose least and greatest x and z are `extent`), as a bitmask, bit i
+    for BS i: for each block of BLOCK_POINTS samples in turn, the block as
+    a slice of the set and its bitmasks, in a buffer of `work`. Bit i is
+    set where the kernel gives BS i the peak gain, and clear elsewhere.
+    For the rectangular beam, with at most eight BSs.
+
+    Each BS's reach over the whole set comes first, from one gain bound
+    over the set's extent (`_box_gain`): a BS that lights every sample
+    sets its bit, and one that can light none leaves it clear, with no
+    test; every other BS runs the lobe test (`RectangularBeam._mark`) on
+    every sample."""
+    x_lo, x_hi, z_lo, z_hi = extent
+    ranges = np.array([_h_range(x_lo, x_hi, pos) for pos in positions])
+    every, some = beam._box_gain(*ranges.T, z_lo, z_hi)
+    full = np.uint8(sum(1 << i for i, g in enumerate(every) if g > 0))
+    tested = [i for i, (g, f) in enumerate(zip(some, every))
+              if g > 0 and not f > 0]
+    for lo in range(0, len(x), BLOCK_POINTS):
+        part = slice(lo, lo + BLOCK_POINTS)
+        xs, zs = x[part], z[part]
+        lit = work.take("lit", xs.shape, np.uint8)
+        lit.fill(full)
+        for i in tested:
+            h = np.subtract(xs, positions[i], out=work.take("h", xs.shape))
             np.abs(h, out=h)
-            lit[cells] |= beam._mark(
-                h, heights[cells], work.take("lit.bit", (n,), np.uint8),
-                np.uint8(1 << i), work, core)
-    return lit
+            lit |= beam._mark(h, zs, work.take("lit.bit", xs.shape, np.uint8),
+                              np.uint8(1 << i), work)
+        yield part, lit
 
 
 def _column_blocks(xs, zs):
@@ -815,8 +833,8 @@ def _column_blocks(xs, zs):
     of them (at least one) a block: for each block in turn, its columns as
     a slice of xs, and (x, z), the columns' row of x and the grid's column
     of heights, each a `np.broadcast_to` view at the block's shape (no
-    copy), which the kernel cuts back to the row and the column. Ascending
-    heights make each block a slab."""
+    copy), which the kernel cuts back to the row and the column, and
+    evaluates by lit windows."""
     size = max(1, BLOCK_POINTS // zs.size)
     for lo in range(0, xs.size, size):
         cols = slice(lo, lo + size)
@@ -849,6 +867,6 @@ def coverage_by_quadrature(s: CorridorScenario, a: OracleAssumptions,
     covered = 0
     for _, x, z in _column_blocks(_midpoints(0.0, s.d1 / 2.0, n_x),
                                   _midpoints(s.h1, s.h2, n_z)):
-        _, hit = evaluate_sinr(x, z, s, a, work=work, slab=True, tau=s.tau)
+        _, hit = evaluate_sinr(x, z, s, a, work=work, tau=s.tau)
         covered += int(np.count_nonzero(hit))
     return covered / float(n_x * n_z)

@@ -18,12 +18,12 @@ Both path-loss models take the links' drawn LoS states as ``los_state``
 (None in expectation mode); free space has no LoS state and ignores it.
 
 The SINR kernel (``oracle.evaluate_sinr``) calls ``gain`` once per base
-station (on a slab of held samples, once per base station whose lit
-window is not empty), and ``loss`` once per base station whose lobe does
-reach a point of the block, each on the BS's lit window only (see below),
-and given a threshold, on the grid rows or streamed samples whose
-coverage an SINR bound leaves open only (see `oracle`, "Settled tiles and
-boxes").
+station (on streamed samples, once per base station whose lobe can reach
+one of them, by ``_box_gain`` below), and ``loss`` once per base station
+whose lobe does reach a point of the block, each on the BS's lit window
+only (see below), and given a threshold, on the grid rows or streamed
+samples whose coverage an SINR bound leaves open only (see `oracle`,
+"Settled tiles and boxes").
 ``h``, ``z`` and ``r2`` broadcast against each other. On a grid block
 ``h`` varies along the row and ``z`` down the column only: the kernel
 passes ``h`` as a `np.broadcast_to` view of one row, at the block's shape
@@ -32,30 +32,30 @@ column. A model that does arithmetic on ``h`` or ``z`` alone first cuts
 such a view back to its row (`_compact`), so that work costs one row per
 block.
 
-Lit windows. The kernel evaluates windows of blocks whose heights ascend
-along the first axis: slabs of held Monte Carlo samples, and grid blocks
-of whole columns, whose rows are the grid's heights. For such a block,
-``_lit_samples(h_near, h_far, z)`` takes its heights ``z`` and the bounds
-``[h_near, h_far]`` of its distances to a BS, and gives
-``(window, core)``: the run of the first axis outside of which no point
-can be lit, and the run inside it where every point is lit (counted from
-the window's start), or None. The rectangular beam finds both by a search
-of ``z`` for its edge products at the two distances, formed as its lobe
+Lit windows. The kernel evaluates windows of grid blocks of whole
+columns, whose rows are the grid's ascending heights. For such a block,
+``_lit_samples(h_near, h_far, z)`` takes its column of heights ``z`` and
+the bounds ``[h_near, h_far]`` of its distances to a BS, and gives
+``(window, core)``: the run of rows outside of which no point can be
+lit, and the run inside it where every point is lit (counted from the
+window's start), or None. The rectangular beam finds both by a search of
+``z`` for its edge products at the two distances, formed as its lobe
 test forms them, so they are guarantees, not estimates. The cosine beam
 names the whole block and no core. From the same edge products,
 ``_box_gain(h_near, h_far, z_lo, z_hi)`` bounds the gain over boxes of
-points (the SINR box map of streamed Monte Carlo samples): the peak where
-a box is lit at every point, 0 where no point of it can be lit, and
-[0, peak] between them and everywhere on the cosine beam.
+points (the SINR box map of streamed Monte Carlo samples, a block of
+streamed samples, a held set): the peak where a box is lit at every
+point, 0 where no point of it can be lit, and [0, peak] between them and
+everywhere on the cosine beam.
 
 The kernel passes ``z``, ``r2`` and ``out`` to ``gain`` at the window's
-shape, ``h`` at the window's shape on a slab and as the block-shaped view
-of its row on a grid, and the core as ``core``: the rectangular beam
-fills the peak gain on the core's rows and tests cell by cell only on
-either side of them, and every cell when ``core`` is None. The lit sets
-of held samples (`oracle._lit_sets`) take the same steps with a BS's bit
-in place of the peak gain (`RectangularBeam._mark`), so that a sample is
-lit exactly where ``gain`` gives it the peak.
+shape, ``h`` as the block-shaped view of its row on a grid, and the core
+as ``core``: the rectangular beam fills the peak gain on the core's rows
+and tests cell by cell only on either side of them, and every cell when
+``core`` is None. The lit sets of held samples (`oracle._lit_sets`) run
+the lobe test with a BS's bit in place of the peak gain
+(`RectangularBeam._mark`), so that a sample is lit exactly where
+``gain`` gives it the peak.
 
 Buffers. Every model method takes an optional ``out``, a float array of
 the broadcast shape that receives the result and is returned, and an
@@ -96,19 +96,12 @@ class _Workspace:
 
     def __init__(self):
         self._buffers = {}
-        self._least = 0
-
-    def reserve(self, n):
-        """Make each buffer made from now on hold at least `n` cells, so
-        that a buffer taken at many sizes up to n is made once, not once
-        per larger size (whose pages, freed, the process keeps)."""
-        self._least = max(self._least, n)
 
     def take(self, name, shape, dtype=float):
         n = math.prod(shape)
         buf = self._buffers.get(name)
         if buf is None or buf.size < n or buf.dtype != dtype:
-            buf = self._buffers[name] = np.empty(max(n, self._least), dtype)
+            buf = self._buffers[name] = np.empty(n, dtype)
         return buf[:n].reshape(shape)
 
 
@@ -328,13 +321,13 @@ class RectangularBeam:
         axis, that the lobe can reach from a BS whose horizontal distance
         to each of them lies in [h_near, h_far], as a slice of that axis;
         and the slice of that window where every point is lit, counted
-        from the window's start, or None if there is none. `z` is 1-D: a
-        slab's samples, or a grid block's column of heights.
+        from the window's start, or None if there is none. `z` is 1-D, a
+        grid block's column of heights.
 
         The edge product h * tan(edge) is monotone in h, each rounding
-        being monotone, so over the slab it lies between its values at
+        being monotone, so over the block it lies between its values at
         h_near and h_far, formed as the lobe test forms them (a tan below
-        zero, downtilt, swaps the two). A sample can be lit only above the
+        zero, downtilt, swaps the two). A point can be lit only above the
         lesser lower product and below the greater upper one, and is lit
         above the greater lower product and below the lesser upper one;
         an edge beyond 90 degrees does not bind."""

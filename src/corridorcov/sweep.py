@@ -53,13 +53,16 @@ def mc_evaluator(config: McConfig) -> Evaluator:
     decisions coherent under the sampling noise.
 
     The uptilt moves the beam's lobe only, so the samples (positions and,
-    in Bernoulli mode, LoS states) are drawn once, into a `SampleSet` the
-    evaluator keeps, and every uptilt is evaluated from them on the
-    caller's thread. Under the rectangular beam, whose gain is 0 or the
+    in Bernoulli mode, LoS states) are drawn once, in the order of the
+    random stream, into a `SampleSet` the evaluator keeps, and every
+    uptilt is evaluated from them on the caller's thread, in the blocks
+    of a streamed call. Under the rectangular beam, whose gain is 0 or the
     peak, a sample's coverage is fixed by the set of BSs that light it:
     with at most four BSs the set holds a table of each sample's decision
     for each lit set, built at the first uptilt, and every uptilt runs the
-    lobe test and reads the table, with no SINR evaluation. A scenario
+    lobe test of each BS that lights some samples but not all, and reads
+    the table, with no SINR evaluation; other beams and layouts go through
+    the SINR kernel at every uptilt. A scenario
     that changes the samples (the corridor, the BS positions) draws them
     anew, and one that changes the decision (the threshold, the link
     budget, the peak gain) builds the table anew. Each value equals that

@@ -10,7 +10,6 @@ from corridorcov import cli, closed_form, monte_carlo, oracle
 from corridorcov.defaults import reference_scenario
 from corridorcov.monte_carlo import (
     DRAW_BLOCK,
-    HELD_BLOCK,
     LosMode,
     McConfig,
     McResult,
@@ -30,6 +29,7 @@ from corridorcov.propagation import (
     AirToGroundPathLoss,
     InterferenceMode,
     LinkBudget,
+    RectangularBeam,
     _Workspace,
 )
 
@@ -163,9 +163,8 @@ def test_block_size_cannot_change_result(monkeypatch, n, seed, dps):
 
 @pytest.mark.parametrize("dps", [2, 6])
 def test_each_pass_reads_one_generator(monkeypatch, dps):
-    # a streamed call reads one Philox stream in sample order, and a held
-    # draw reads it twice, to size its slabs and to fill them, however
-    # many blocks each pass takes
+    # a streamed call reads one Philox stream in sample order, and so does
+    # a held draw, however many blocks each takes
     opened = []
     real = np.random.Philox
 
@@ -181,7 +180,7 @@ def test_each_pass_reads_one_generator(monkeypatch, dps):
     assert opened == [dict(key=5)]
     opened.clear()
     assert estimate_outage(s, cfg, samples=SampleSet()) == streamed
-    assert opened == [dict(key=5)] * 2
+    assert opened == [dict(key=5)]
 
 
 def test_same_seed_same_result_distinct_seeds_differ():
@@ -319,7 +318,7 @@ def _bernoulli(**kw):
 
 # the held-path matrix: free space, air-to-ground in expectation mode, and
 # Bernoulli LoS draws with four and with three base stations; a BS inside
-# the half corridor (so inside some slabs' x range), the cosine beam,
+# the half corridor (so inside the samples' x range), the cosine beam,
 # nearest association with either interference, Bernoulli draws with
 # noise off, the sum of the interference, two base stations, and nine
 # (two LoS bytes a sample). The rectangular-beam models with at most four
@@ -359,12 +358,13 @@ _HELD_TILTS = [(-5.0, 40.0), (8.0, 40.0), (13.0, 40.0), (25.0, 40.0),
 
 
 @pytest.mark.parametrize("model", sorted(_HELD_MODELS))
-@pytest.mark.parametrize("n", [1, 7, 8, 9, HELD_BLOCK - 1, HELD_BLOCK,
-                               HELD_BLOCK + 1, 200_001])
+@pytest.mark.parametrize("n", [1, 7, 8, 9, DRAW_BLOCK - 1, DRAW_BLOCK,
+                               DRAW_BLOCK + 1, BLOCK_POINTS - 1, BLOCK_POINTS,
+                               BLOCK_POINTS + 1, 200_001])
 def test_held_samples_give_the_streamed_result(n, model):
-    # one sample set per seed, read at every uptilt (in one slab, or in
-    # slabs of unequal size), against the blocks that draw as they go;
-    # held samples are never mapped
+    # one sample set per seed, read at every uptilt (in one block, or in
+    # blocks of which the last is short), against the blocks that draw as
+    # they go; held samples are never mapped
     for seed in (0, 3, 7):
         cfg = McConfig(n_samples=n, seed=seed, **_HELD_MODELS[model])
         samples = SampleSet()
@@ -391,21 +391,20 @@ def _counting(monkeypatch, module, name):
 @pytest.mark.parametrize("model", sorted(_HELD_MODELS))
 def test_a_table_is_built_once_and_read_at_every_uptilt(monkeypatch, model):
     # a rectangular-beam set of at most four BSs builds its lit-set table
-    # at its first uptilt, one slab at a time, and calls the kernel at no
-    # uptilt; the cosine beam and nine BSs call it for every slab at every
+    # once, at its first uptilt, and calls the kernel at no uptilt; the
+    # cosine beam and nine BSs call it for every held block at every
     # uptilt
     builds = _counting(monkeypatch, oracle, "_lit_set_table")
     kernel = _counting(monkeypatch, monte_carlo, "evaluate_sinr")
-    cfg = McConfig(n_samples=3 * HELD_BLOCK + 5, seed=1,
+    cfg = McConfig(n_samples=2 * BLOCK_POINTS + 5, seed=1,
                    **_HELD_MODELS[model])
     samples = SampleSet()
     for tilt in _HELD_TILTS:
         estimate_outage(reference_scenario(*tilt), cfg, samples=samples)
-    slabs = np.count_nonzero(np.diff(samples._starts))
     if model in ("cosine", "nine-bs"):
-        assert (len(builds), len(kernel)) == (0, slabs * len(_HELD_TILTS))
+        assert (len(builds), len(kernel)) == (0, 3 * len(_HELD_TILTS))
     else:
-        assert (len(builds), len(kernel)) == (slabs, 0)
+        assert (len(builds), len(kernel)) == (1, 0)
 
 
 @pytest.mark.parametrize("model", ["a2g-bernoulli-4", "nearest", "fspl"])
@@ -413,7 +412,8 @@ def test_a_table_follows_the_decision_it_was_built_for(model):
     # one set read at two thresholds, with noise toggled, at another peak
     # gain, association and interference: each read gives the streamed
     # result, which a table kept from an earlier read would not
-    cfg = McConfig(n_samples=HELD_BLOCK + 9, seed=4, **_HELD_MODELS[model])
+    cfg = McConfig(n_samples=2 * DRAW_BLOCK + 9, seed=4,
+                   **_HELD_MODELS[model])
     a = cfg.assumptions
     changes = [dict(), dict(tau_db=5.0),
                dict(include_noise=not a.include_noise), dict(tau_db=5.0),
@@ -456,62 +456,65 @@ def test_a_failed_table_build_leaves_no_table():
 @pytest.mark.parametrize("model", ["a2g-bernoulli-4", "bs-inside", "nine-bs"])
 @pytest.mark.parametrize("block", [1, 2, 5])
 @pytest.mark.parametrize("n", [1, 2, 3, 40])
-def test_held_slabs_may_be_empty(monkeypatch, n, block, model):
-    # with held blocks of a few samples there are as many slabs as blocks,
-    # and some of them are empty
-    monkeypatch.setattr(monte_carlo, "HELD_BLOCK", block)
+def test_held_blocks_may_be_short(monkeypatch, n, block, model):
+    # with blocks of a few samples the last held block is short: the
+    # lit sets, or the kernel, see every block once at each uptilt
+    monkeypatch.setattr(oracle, "BLOCK_POINTS", block)
+    kernel = _counting(monkeypatch, monte_carlo, "evaluate_sinr")
+    sizes = []
+    real = oracle._lit_sets
+
+    def counting(*args):
+        for part, lit in real(*args):
+            sizes.append(lit.size)
+            yield part, lit
+    monkeypatch.setattr(oracle, "_lit_sets", counting)
     cfg = McConfig(n_samples=n, seed=5, **_HELD_MODELS[model])
     samples = SampleSet()
+    blocks = [min(block, n - lo) for lo in range(0, n, block)]
     for tilt in _HELD_TILTS:
         s = reference_scenario(*tilt)
-        assert (estimate_outage(s, cfg, samples=samples)
-                == estimate_outage(s, cfg))
-    sizes = np.diff(samples._starts)
-    assert sizes.size == -(-n // block) and sizes.sum() == n
-    if n == 40 and block == 1:
-        assert 0 in sizes and sizes.max() > 1
+        kernel.clear()
+        sizes.clear()
+        held = estimate_outage(s, cfg, samples=samples)
+        if model == "nine-bs":
+            assert (len(kernel), sizes) == (len(blocks), [])
+        else:
+            assert (len(kernel), sizes) == (0, blocks)
+        assert held == estimate_outage(s, cfg)
 
 
-@pytest.mark.parametrize("draw_block", [1000, DRAW_BLOCK, 4 * HELD_BLOCK])
+@pytest.mark.parametrize("draw_block", [1000, DRAW_BLOCK, 4 * DRAW_BLOCK])
 @pytest.mark.parametrize("model", ["fspl", "a2g-bernoulli-4", "nine-bs"])
-def test_held_set_is_the_drawn_samples_in_x_slabs_sorted_by_z(
+def test_held_set_is_the_drawn_samples_in_stream_order(
         monkeypatch, model, draw_block):
-    # every drawn sample is held once, with its own LoS states; slab j
-    # holds the samples whose x draw u has floor(u * K) = j, sorted by z,
-    # whether a draw block holds part of a slab, or all of them
+    # every drawn sample is held at its place in the stream, with its own
+    # LoS states, whether a draw block holds part of the set or all of it;
+    # the set's extent is its least and greatest x and z
     monkeypatch.setattr(monte_carlo, "DRAW_BLOCK", draw_block)
-    n = 3 * HELD_BLOCK + 17
+    n = 3 * DRAW_BLOCK + 17
     cfg = McConfig(n_samples=n, seed=2, **_HELD_MODELS[model])
     s = reference_scenario(13.0, 40.0)
     positions = cfg.assumptions.resolve_positions(s)
     dps = monte_carlo._draws_per_sample(cfg, positions)
     samples = SampleSet()
     samples._draw(s, cfg, dps, positions)
-    k = -(-n // HELD_BLOCK)
     u = np.random.Generator(np.random.Philox(key=cfg.seed)).random((n, dps))
     x, z, los = monte_carlo._samples(s, cfg, u, _Workspace(), positions)
-    starts = samples._starts
-    assert starts[0] == 0 and starts[-1] == n and starts.size == k + 1
-    slab = np.minimum(np.floor(u[:, 0] * k), k - 1)
-    for j, (lo, hi) in enumerate(zip(starts[:-1], starts[1:])):
-        mine = slab == j
-        order = np.argsort(z[mine], kind="stable")
-        assert hi - lo == np.count_nonzero(mine)
-        assert np.array_equal(samples._z[lo:hi], z[mine][order])
-        assert np.array_equal(samples._x[lo:hi], x[mine][order])
-        if los is None:
-            assert samples._los is None
-        else:
-            assert np.array_equal(samples._los[:, lo:hi],
-                                  los[:, mine][:, order])
+    assert np.array_equal(samples._x, x)
+    assert np.array_equal(samples._z, z)
+    if los is None:
+        assert samples._los is None
+    else:
+        assert np.array_equal(samples._los, los)
+    assert samples._extent == (x.min(), x.max(), z.min(), z.max())
 
 
 def test_a_changed_sample_key_draws_anew(monkeypatch):
     # the uptilt, beamwidth, threshold and reduction leave the samples as
     # they are; the corridor, the seed, the sample count, the BS positions
     # and the LoS model each draw them again, and give the streamed result.
-    # A held draw reads every block twice: once to size the slabs, once
-    # to fill them.
+    # A held draw reads every block once.
     draws = []
     real = monte_carlo._draws
 
@@ -525,7 +528,7 @@ def test_a_changed_sample_key_draws_anew(monkeypatch):
     monkeypatch.setattr(monte_carlo, "_draws", counting)
     s = reference_scenario(13, 40)
     a = _DRAW_CONFIGS[6]["assumptions"]
-    cfg = McConfig(n_samples=HELD_BLOCK + 5, seed=3, **_DRAW_CONFIGS[6])
+    cfg = McConfig(n_samples=2 * DRAW_BLOCK + 5, seed=3, **_DRAW_CONFIGS[6])
     samples = SampleSet()
 
     def held_draws(s, cfg):
@@ -535,8 +538,8 @@ def test_a_changed_sample_key_draws_anew(monkeypatch):
         assert r == estimate_outage(s, cfg)
         return held
 
-    twice = list(range(0, HELD_BLOCK + 5, DRAW_BLOCK)) * 2
-    assert held_draws(s, cfg) == twice
+    once = list(range(0, cfg.n_samples, DRAW_BLOCK))
+    assert held_draws(s, cfg) == once
     same = [(reference_scenario(8, 40), cfg),
             (reference_scenario(13, 30, tau_db=5.0), cfg),
             (s, dataclasses.replace(cfg, assumptions=dataclasses.replace(
@@ -546,39 +549,62 @@ def test_a_changed_sample_key_draws_anew(monkeypatch):
         assert held_draws(s_same, cfg_same) == []
     changed = [(s.replace(h2=280.0), cfg),
                (s, dataclasses.replace(cfg, seed=4)),
-               (s, dataclasses.replace(cfg, n_samples=HELD_BLOCK + 6)),
+               (s, dataclasses.replace(cfg, n_samples=2 * DRAW_BLOCK + 6)),
                (s, dataclasses.replace(cfg, assumptions=dataclasses.replace(
                    a, bs_positions=(-1000.0, 0.0, 900.0, 2000.0)))),
                (s, dataclasses.replace(cfg, assumptions=dataclasses.replace(
                    a, pathloss=AirToGroundPathLoss(a=5.0))))]
     for s_new, cfg_new in changed:
         # each differs from (s, cfg) in one key field only
-        assert held_draws(s_new, cfg_new) == twice
-        assert held_draws(s, cfg) == twice
+        assert held_draws(s_new, cfg_new) == once
+        assert held_draws(s, cfg) == once
 
 
-@pytest.mark.parametrize("k", [1, 3, 65535, 65536, 70001])
-def test_slab_index_is_the_floor_of_u_times_k(k):
-    # 16-bit indices below 2**16 slabs, machine integers from there on;
-    # the largest draw below 1 stays in the last slab
-    u = np.array([0.0, 0.25, 0.5, 0.999999, 1.0 - 2.0 ** -53])
-    got = monte_carlo._slab_index(u, k, _Workspace())
-    assert got.dtype == (np.uint16 if k < 1 << 16 else np.intp)
-    assert np.array_equal(got, np.minimum(np.floor(u * k), k - 1))
+@pytest.mark.parametrize("model", ["fspl", "a2g-bernoulli-4", "nearest"])
+@pytest.mark.parametrize("tilt,corridor,tested", [
+    # at 60 degrees only the BS at 0 can light a sample of the half
+    # corridor; in a corridor 1 m thin at 13 degrees the BS at d1 lights
+    # every sample, the one at 2 d1 none, and the other two some
+    ((60.0, 40.0), dict(), [0.0]),
+    ((13.0, 40.0), dict(h1=240.0, h2=241.0), [-1000.0, 0.0]),
+])
+def test_lit_sets_test_only_the_bss_that_light_some_samples(
+        monkeypatch, model, tilt, corridor, tested):
+    # a BS that lights every sample of the set, or none, takes its bit
+    # with no lobe test; the table then gives the kernel's result
+    monkeypatch.setattr(oracle, "BLOCK_POINTS", 2048)
+    marked = []
+    mark = RectangularBeam._mark
+
+    def counting(self, h, z, out, value, *args):
+        marked.append(int(value))
+        return mark(self, h, z, out, value, *args)
+    s = reference_scenario(*tilt, **corridor)
+    cfg = McConfig(n_samples=5000, seed=6, **_HELD_MODELS[model])
+    positions = cfg.assumptions.resolve_positions(s)
+    with monkeypatch.context() as m:
+        m.setattr(RectangularBeam, "_mark", counting)
+        held = estimate_outage(s, cfg, samples=SampleSet())
+    bits = [1 << positions.index(pos) for pos in tested]
+    assert marked == bits * 3
+    assert held == estimate_outage(s, cfg)
 
 
-@pytest.mark.parametrize("seed", [0, 1, 2])
-def test_z_order_is_the_stable_sort_of_positive_heights(seed):
-    # heights over many binades, equal heights, the least subnormal and
-    # zero, in any order: the radix sort of their bits is the stable sort
-    rng = np.random.default_rng(seed)
-    z = np.concatenate([rng.random(3000) * 300.0 + 1e-3,
-                        np.exp(rng.uniform(-700.0, 700.0, 3000)),
-                        np.full(50, 150.0), np.full(5, 5e-324), [0.0],
-                        np.repeat(rng.random(40) * 100.0, 3)])
-    rng.shuffle(z)
-    assert np.array_equal(monte_carlo._z_order(z),
-                          np.argsort(z, kind="stable"))
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("z,match", [
+    ([150.0, 0.0, 200.0], "positive distance"),
+    ([150.0, 1e200, 200.0], "finite loss")])
+def test_a_table_checks_every_height_of_the_set(z, match):
+    # a held set in stream order holds its least and greatest heights
+    # anywhere: here a sample on BS-1, and one whose loss overflows, in
+    # the middle of the set
+    s = reference_scenario(13.0, 40.0)
+    a = OracleAssumptions()
+    with pytest.raises(ValueError, match=match):
+        oracle._lit_set_table(np.array([250.0, 0.0, 400.0]), np.array(z),
+                              None, s, a, a.resolve_beam(s),
+                              a.resolve_positions(s), np.empty(3, np.uint16),
+                              _Workspace(), 2)
 
 
 @pytest.mark.parametrize("scenario", [dict(), dict(d1=1234.567, h1=33.3,

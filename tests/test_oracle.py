@@ -308,8 +308,8 @@ def test_cli_maps_a_block_error_to_exit_1(monkeypatch, tmp_path, capsys):
 
 
 def test_beam_and_positions_are_resolved_once_per_call(monkeypatch):
-    # a field and a Monte Carlo estimate of many blocks (or slabs) each
-    # form the beam and the BS positions once, not per block
+    # a field and a Monte Carlo estimate of many blocks (streamed or held)
+    # each form the beam and the BS positions once, not per block
     calls = []
     for name in ("resolve_beam", "resolve_positions"):
         def counting(self, s, real=getattr(OracleAssumptions, name),

@@ -443,15 +443,3 @@ def test_db_roundtrip():
     np.testing.assert_allclose(dbm_to_watts(vals_db),
                                db_to_linear(vals_db) / 1000.0, rtol=1e-12)
     assert dbm_to_watts(30.0) == pytest.approx(1.0, rel=1e-15)
-
-
-def test_a_reserved_workspace_makes_each_buffer_once():
-    # windows of many sizes up to the reserve reuse one buffer per name;
-    # a larger one, or another dtype, makes it anew
-    w = propagation._Workspace()
-    w.reserve(100)
-    first = w.take("a", (10,))
-    for shape in ((50,), (100,), (7,), (10, 10)):
-        assert np.shares_memory(w.take("a", shape), first)
-    assert not np.shares_memory(w.take("a", (101,)), first)
-    assert w.take("a", (3,), bool).dtype == bool

@@ -164,7 +164,7 @@ def test_quadrature_settles_most_tiles_of_the_default_model(monkeypatch):
         for _, x, z in oracle._column_blocks(
                 _midpoints(0.0, s.d1 / 2.0, 2001),
                 _midpoints(s.h1, s.h2, 2001)):
-            _, val = evaluate_sinr(x, z, s, a, work=work, slab=True)
+            _, val = evaluate_sinr(x, z, s, a, work=work)
             covered += int(np.count_nonzero(val >= s.tau))
         every = sum(cells)
         cells.clear()
@@ -194,7 +194,7 @@ def test_a_cell_at_tau_is_evaluated():
     for alpha_deg in (-5.0, 8.0, 25.0):
         s = reference_scenario(alpha_deg, 40.0)
         for x, z in _near_tau_cases(s):
-            _, val = evaluate_sinr(x, z, s, a, slab=True)
+            _, val = evaluate_sinr(x, z, s, a)
             val = val.copy()
             finite = np.flatnonzero(np.isfinite(val) & (val > 0.0))
             assert finite.size
@@ -203,22 +203,23 @@ def test_a_cell_at_tau_is_evaluated():
                 row, col = np.unravel_index(cell, val.shape)
                 for tau in (val[row, col],
                             np.nextafter(val[row, col], np.inf)):
-                    _, hit = evaluate_sinr(x, z, s, a, slab=True, tau=tau)
+                    _, hit = evaluate_sinr(x, z, s, a, tau=tau)
                     assert np.array_equal(hit, val >= tau)
                     assert hit[row, col] == (tau == val[row, col])
 
 
 def test_tau_gives_the_coverage_mask_on_every_layout():
-    # streamed points and a held slab evaluate every point, and no serving
-    # index stands next to the mask
-    x, z = _points()
-    order = np.argsort(z, kind="stable")
+    # streamed points and a grid block under SUM interference, which
+    # settles no tile, evaluate every point, and no serving index stands
+    # next to the mask
     s = reference_scenario(13.0, 40.0)
     a = OracleAssumptions(interference=InterferenceMode.SUM_ALL)
-    for xs, zs, slab in ((x, z, False), (x[order], z[order], True)):
-        _, val = evaluate_sinr(xs, zs, s, a, slab=slab)
+    block = (np.linspace(-200.0, 1200.0, 57)[None, :],
+             np.linspace(0.5, 400.5, 23)[:, None])
+    for xs, zs in (_points(), block):
+        _, val = evaluate_sinr(xs, zs, s, a)
         want = val >= s.tau
-        none, hit = evaluate_sinr(xs, zs, s, a, slab=slab, tau=s.tau)
+        none, hit = evaluate_sinr(xs, zs, s, a, tau=s.tau)
         assert none is None
         assert np.array_equal(hit, want)
 
@@ -246,9 +247,10 @@ def test_kernel_is_bit_identical_to_the_allocating_kernel(
 def test_broadcast_grid_is_bit_identical_to_flattened_points(
         assoc, interference, beam, loss, noise):
     # an x row and a z column, plain and as the block-shaped broadcast views
-    # the block loop passes, against the flattened grid, evaluated as the
-    # loops evaluate them (a slab: the heights ascend) and unwindowed; x
-    # holds both BS-1/BS-2 ties and points overhead
+    # the block loop passes, which the kernel evaluates as grid blocks (lit
+    # windows), and as materialised copies, which it evaluates point by
+    # point, against the flattened grid; x holds both BS-1/BS-2 ties and
+    # points overhead
     xs = np.linspace(-200.0, 1200.0, 57)
     zs = np.linspace(0.5, 400.5, 23)
     shape = (zs.size, xs.size)
@@ -258,14 +260,20 @@ def test_broadcast_grid_is_bit_identical_to_flattened_points(
         s = reference_scenario(alpha_deg, beta_deg)
         srv_ref, val_ref = ref.allocating_evaluate_sinr(
             np.tile(xs, zs.size), np.repeat(zs, xs.size), s, a)
-        for (x, z), slab in itertools.product(
-                ((xs[None, :], zs[:, None]),
-                 (np.broadcast_to(xs, shape), np.broadcast_to(zs[:, None], shape))),
-                (True, False)):
-            srv, val = evaluate_sinr(x, z, s, a, work=work, slab=slab)
+        for x, z in ((xs[None, :], zs[:, None]),
+                     (np.broadcast_to(xs, shape),
+                      np.broadcast_to(zs[:, None], shape)),
+                     _materialised(xs[None, :], zs[:, None])):
+            srv, val = evaluate_sinr(x, z, s, a, work=work)
             assert srv.shape == val.shape == shape
             assert np.array_equal(srv.ravel(), srv_ref)
             assert np.array_equal(val.ravel(), val_ref)
+
+
+def _materialised(*arrays):
+    """Copies of `arrays` at their broadcast shape, which the kernel
+    evaluates point by point, with no lit window."""
+    return [a.copy() for a in np.broadcast_arrays(*arrays)]
 
 
 def _model_inputs():
@@ -331,7 +339,7 @@ def test_sinr_field_is_bit_identical_to_the_allocating_kernel(a, x_range):
 
 
 def test_grid_loops_search_lit_windows(monkeypatch):
-    # the quadrature and the field evaluate their column blocks as slabs:
+    # the quadrature and the field evaluate their column blocks as grids:
     # one window search of the full column per block and BS, and where the
     # quadrature settles tiles, one more of the kept rows' sub-column.
     # Unwindowed, the values would be the same and only slower.
@@ -407,7 +415,7 @@ GRID_MATRIX = list(itertools.product(Association, InterferenceMode,
 def test_lit_windows_are_bit_identical_to_the_allocating_kernel(
         assoc, interference, loss, noise, grid, beam):
     # a row of x and a column of z, evaluated as the loops evaluate a
-    # column block (a slab), take the windowed path, LoS states included;
+    # column block, take the windowed path, LoS states included;
     # the allocating kernel evaluates every BS on every flattened point
     xs, zs = WINDOW_GRIDS[grid]
     shape = (zs.size, xs.size)
@@ -425,12 +433,11 @@ def test_lit_windows_are_bit_identical_to_the_allocating_kernel(
             los_uniforms=None if u is None else u.reshape(4, -1))
         los = _states(xs[None, :], zs[:, None], s, a, u)
         srv, val = evaluate_sinr(xs[None, :], zs[:, None], s, a,
-                                 los_states=los, work=work, slab=True)
+                                 los_states=los, work=work)
         assert np.array_equal(srv.ravel(), srv_ref)
         assert np.array_equal(val.ravel(), val_ref)
         none, hit = evaluate_sinr(xs[None, :], zs[:, None], s, a,
-                                  los_states=los, work=work, slab=True,
-                                  tau=s.tau)
+                                  los_states=los, work=work, tau=s.tau)
         assert none is None
         assert np.array_equal(hit.ravel(), val_ref >= s.tau)
 
@@ -573,40 +580,41 @@ def test_slab_window_holds_every_lit_sample(alpha_deg, beta_deg):
                             if lit.size else None)
 
 
-def _slab(x_lo, x_hi, z_lo, z_hi, n):
-    """n samples with x uniform in [x_lo, x_hi] and z in [z_lo, z_hi],
-    sorted by z."""
+def _sample_block(x_lo, x_hi, z_lo, z_hi, n):
+    """n samples with x uniform in [x_lo, x_hi] and z in [z_lo, z_hi]."""
     rng = np.random.default_rng(n)
-    return rng.uniform(x_lo, x_hi, n), np.sort(rng.uniform(z_lo, z_hi, n))
+    return rng.uniform(x_lo, x_hi, n), rng.uniform(z_lo, z_hi, n)
 
 
-# slabs in the half corridor on one side of every BS and holding BS-1, one
-# that spans every BS and heights of either sign, and one sample
-SLABS = [(100.0, 130.0, 100.0, 300.0, 3000), (-20.0, 40.0, 100.0, 300.0, 3000),
-         (-1500.0, 2500.0, -150.0, 400.0, 3000),
-         (250.0, 250.0, 150.0, 150.0, 1)]
+# blocks of samples in the half corridor on one side of every BS and
+# holding BS-1, one that spans every BS and heights of either sign, and
+# one sample
+SAMPLE_BLOCKS = [(100.0, 130.0, 100.0, 300.0, 3000),
+                 (-20.0, 40.0, 100.0, 300.0, 3000),
+                 (-1500.0, 2500.0, -150.0, 400.0, 3000),
+                 (250.0, 250.0, 150.0, 150.0, 1)]
 
 
 @pytest.mark.parametrize("assoc,interference,beam,loss,noise", MATRIX)
-def test_slabs_are_bit_identical_to_the_allocating_kernel(
+def test_sample_blocks_are_bit_identical_to_the_allocating_kernel(
         assoc, interference, beam, loss, noise):
-    # sorted slabs take the windowed sample path, LoS states included;
-    # the allocating kernel evaluates every BS on every sample
+    # streamed samples skip the BSs that can reach none of them, LoS
+    # states included; the allocating kernel evaluates every BS on every
+    # sample
     work = _Workspace()
-    for x_lo, x_hi, z_lo, z_hi, n in SLABS:
-        x, z = _slab(x_lo, x_hi, z_lo, z_hi, n)
+    for x_lo, x_hi, z_lo, z_hi, n in SAMPLE_BLOCKS:
+        x, z = _sample_block(x_lo, x_hi, z_lo, z_hi, n)
         a, u = _case(assoc, interference, beam, loss, noise, n)
         for tilt in TILTS:
             s = reference_scenario(*tilt)
             srv_ref, val_ref = ref.allocating_evaluate_sinr(x, z, s, a,
                                                             los_uniforms=u)
             los = _states(x, z, s, a, u)
-            srv, val = evaluate_sinr(x, z, s, a, los_states=los, work=work,
-                                     slab=True)
+            srv, val = evaluate_sinr(x, z, s, a, los_states=los, work=work)
             assert np.array_equal(srv, srv_ref)
             assert np.array_equal(val, val_ref)
             none, hit = evaluate_sinr(x, z, s, a, los_states=los,
-                                      work=work, slab=True, tau=s.tau)
+                                      work=work, tau=s.tau)
             assert none is None
             assert np.array_equal(hit, val_ref >= s.tau)
 
@@ -641,6 +649,52 @@ def test_dark_base_stations_are_skipped_bit_for_bit(
                     else [-1000.0, 1000.0, 2000.0])
 
 
+@pytest.mark.parametrize("x_lo,x_hi,z_lo,z_hi,alpha_deg,beta_deg,called", [
+    # at 25 degrees no lobe of the BSs at -d1 and 2 d1 reaches the half
+    # corridor, at 8 degrees every one may
+    (0.0, 500.0, 100.0, 300.0, 25.0, 40.0, 2),
+    (0.0, 500.0, 100.0, 300.0, 8.0, 40.0, 4),
+    # each lobe of 1 to 2.5 degrees lies wholly between the block's least
+    # and greatest height, which no BS lights, and every BS is evaluated
+    (400.0, 500.0, 1.0, 300.0, 1.0, 1.5, 4),
+])
+def test_a_streamed_block_skips_the_bss_that_reach_none_of_its_points(
+        monkeypatch, x_lo, x_hi, z_lo, z_hi, alpha_deg, beta_deg, called):
+    # the gain of a BS whose lobe can reach no point of the block is never
+    # called, and the values are those of the allocating kernel
+    calls = []
+    gain = RectangularBeam.gain
+
+    def counted(self, *args, **kw):
+        calls.append(1)
+        return gain(self, *args, **kw)
+    x, z = _sample_block(x_lo, x_hi, z_lo, z_hi, 3000)
+    x[:2], z[:2] = (x_lo, x_hi), (z_lo, z_hi)
+    s = reference_scenario(alpha_deg, beta_deg)
+    a = OracleAssumptions()
+    srv_ref, val_ref = ref.allocating_evaluate_sinr(x, z, s, a)
+    with monkeypatch.context() as m:
+        m.setattr(RectangularBeam, "gain", counted)
+        srv, val = evaluate_sinr(x, z, s, a)
+    assert len(calls) == called
+    assert np.array_equal(srv, srv_ref) and np.array_equal(val, val_ref)
+    assert 0 < np.count_nonzero(val) < val.size
+
+
+@pytest.mark.parametrize("heights", [[150.0, 120.0], [100.0, np.nan, 200.0],
+                                     [120.0, 150.0, 150.0, 149.0]])
+def test_a_grid_block_whose_heights_do_not_ascend_is_refused(heights):
+    # a row of x and a column of z is evaluated by lit windows, which
+    # search the column's heights; equal heights ascend
+    s = reference_scenario(13.0, 40.0)
+    x, z = np.array([[100.0, 200.0]]), np.array(heights)[:, None]
+    with pytest.raises(ValueError, match="heights must ascend"):
+        evaluate_sinr(x, z, s, OracleAssumptions())
+    _, val = evaluate_sinr(x, np.array([[120.0], [150.0], [150.0]]), s,
+                           OracleAssumptions())
+    assert val.shape == (3, 2)
+
+
 @pytest.mark.parametrize("beam", [BeamKind.RECT, BeamKind.COSINE])
 def test_zero_distance_raises_in_an_unlit_cell(beam):
     # the one cell (0, 0) sits on BS-1 and no lobe reaches it; the
@@ -654,16 +708,16 @@ def test_zero_distance_raises_in_an_unlit_cell(beam):
     with pytest.raises(ValueError, match="positive distance"), \
             np.errstate(invalid="ignore"):
         evaluate_sinr(np.array([0.0, 0.0]), np.array([0.0, -50.0]), s, a)
-    # and in a slab, where the sample on BS-1 lies outside every window
+    # and in a grid block, where the cell on BS-1 lies outside every window
     with pytest.raises(ValueError, match="positive distance"):
-        evaluate_sinr(np.array([0.0, 0.0, 5.0]), np.array([-50.0, 0.0, 9.0]),
-                      s, a, slab=True)
+        evaluate_sinr(np.array([[0.0, 5.0]]),
+                      np.array([[-50.0], [0.0], [9.0]]), s, a)
 
 
 @pytest.mark.parametrize("loss", LOSS_MODES)
 def test_zero_distance_raises_in_a_lit_cell(loss):
     # 1e-200 m from BS-1 at 45 degrees of elevation, inside the lobe: the
-    # squared distance underflows to 0. On every layout the kernel checks
+    # squared distance underflows to 0. On both layouts the kernel checks
     # the block's r2 where their bound is not positive, and tells the
     # loss so.
     s = reference_scenario(13.0, 40.0)
@@ -674,9 +728,6 @@ def test_zero_distance_raises_in_a_lit_cell(loss):
         assert a.resolve_beam(s).gain(x, z, x * x + z * z).all()
         with pytest.raises(ValueError, match="positive distance"):
             evaluate_sinr(x, z, s, a, los_states=_states(x, z, s, a, u))
-    with pytest.raises(ValueError, match="positive distance"):
-        evaluate_sinr(tiny, tiny, s, a, slab=True,
-                      los_states=_states(tiny, tiny, s, a, u))
 
 
 @pytest.mark.parametrize("nx,nz", [(1, 300), (70001, 2), (2, 70001)])
@@ -717,23 +768,23 @@ def test_overflowing_distances_raise_on_every_layout(loss):
     # farthest point's, far**2 + max(z**2), before numpy forms any of them:
     # a loss past the float range is the models' ValueError, not an
     # overflow warning and a silent outage. The layouts: streamed points,
-    # a slab, and a column block, windowed and not.
+    # a column block, and its materialised copy, evaluated point by point.
     xs = np.linspace(0.5, 499.5, 8)
     for s, zs, fspl_overflows in OVERFLOWS:
         a, _ = _case(Association.STRONGEST, InterferenceMode.DOMINANT_ONLY,
                      BeamKind.RECT, loss, True, 0)
-        points = (np.tile(xs, zs.size), np.repeat(zs, xs.size))
         block = (xs[None, :], zs[:, None])
-        for (x, z), slab in itertools.product((points, block), (False, True)):
+        for x, z in ((np.tile(xs, zs.size), np.repeat(zs, xs.size)), block,
+                     _materialised(*block)):
             shape = np.broadcast_shapes(x.shape, z.shape)
             u = (np.random.default_rng(5).random((4, *shape))
                  if loss == "a2g-bernoulli" else None)
             los = _states(x, z, s, a, u)
             if fspl_overflows or loss != "fspl":
                 with pytest.raises(ValueError, match="finite loss"):
-                    evaluate_sinr(x, z, s, a, los_states=los, slab=slab)
+                    evaluate_sinr(x, z, s, a, los_states=los)
             else:
-                _, val = evaluate_sinr(x, z, s, a, los_states=los, slab=slab)
+                _, val = evaluate_sinr(x, z, s, a, los_states=los)
                 assert np.isfinite(val).all()
 
 
@@ -775,20 +826,20 @@ def test_overflowing_powers_raise_on_every_layout():
     # the per-BS range check bounds every received power, their sum and,
     # with noise on, the SINR: a power past the float range is a
     # ValueError, not an overflow warning and a wrong SINR (inf / inf
-    # reads as 0, an outage). The layouts: streamed points, a slab, and a
-    # column block, windowed and not; a streamed Monte Carlo call, whose
+    # reads as 0, an outage). The layouts: streamed points, a column
+    # block, and its materialised copy; a streamed Monte Carlo call, whose
     # box map bounds the same powers before the kernel sees a block; and a
     # held sample set at two uptilts, whose lit-set table runs the
     # kernel's checks before it forms a power, at every uptilt.
     for s, a, (xs, zs), overflows in POWER_OVERFLOWS:
-        points = (np.tile(xs, zs.size), np.repeat(zs, xs.size))
         block = (xs[None, :], zs[:, None])
-        for (x, z), slab in itertools.product((points, block), (False, True)):
+        for x, z in ((np.tile(xs, zs.size), np.repeat(zs, xs.size)), block,
+                     _materialised(*block)):
             if overflows:
                 with pytest.raises(ValueError, match="received power"):
-                    evaluate_sinr(x, z, s, a, slab=slab)
+                    evaluate_sinr(x, z, s, a)
             else:
-                _, val = evaluate_sinr(x, z, s, a, slab=slab)
+                _, val = evaluate_sinr(x, z, s, a)
                 assert np.isfinite(val).all() and (val > 0).any()
         if a.bs_positions is None:
             mc = McConfig(n_samples=1000, assumptions=a)
